@@ -1,13 +1,17 @@
 """Branch-and-bound MILP solver over LP relaxations.
 
-Pure branch-and-bound (no cutting planes): node relaxations are solved by
-the bounded-variable simplex, fractional binaries are fixed to 0/1 via
-per-node bound tightenings, and search follows best-bound (FIFO ties) or
-depth-first order with most-fractional branching (ties to the lowest
-variable id).  Every incumbent is re-verified by substitution with its
-binaries snapped exactly to {0, 1} before being accepted, and the reported
-objective is recomputed from the incumbent values rather than trusted from
-the relaxation.
+Pure branch-and-bound (no cutting planes): fractional binaries are fixed
+to 0/1 via per-node bound tightenings, and search follows best-bound (FIFO
+ties) or depth-first order with most-fractional branching (ties to the
+lowest variable id).  The root relaxation is solved cold by the
+bounded-variable simplex.  Every other node's bound map is a NodeBounds
+that carries its parent's optimal basis (one object, shared by the two
+siblings), from which the simplex re-optimizes with a few dual pivots; the
+node's answer is the point a cold solve gives, up to rounding noise.
+Every incumbent is re-verified by substitution with its binaries snapped
+exactly to {0, 1} before being accepted, and the reported objective is
+recomputed from the incumbent values rather than trusted from the
+relaxation.
 
 Node exploration is single-threaded; the `deterministic` flag is honored
 trivially and two runs on identical inputs give identical node counts and
@@ -25,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .milp import Assignment, MilpInstance
-from .simplex import LpData, SimplexNumericalError, solve_lp
+from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
 
 
 @dataclass
@@ -37,7 +41,6 @@ class SolveParams:
     mip_gap: float = 0.0
     int_tol: float = 1e-6
     node_selection: str = "best-bound"  # "best-bound" | "depth-first"
-    branching: str = "most-fractional"
     node_limit: Optional[int] = None  # deterministic alternative to wall-clock capping
     deterministic: bool = True
     # caller-asserted: the objective takes integer values at every
@@ -54,8 +57,6 @@ class SolveParams:
             raise ValueError("int_tol must lie in (0, 0.5)")
         if self.node_selection not in ("best-bound", "depth-first"):
             raise ValueError(f"unknown node_selection {self.node_selection!r}")
-        if self.branching != "most-fractional":
-            raise ValueError(f"unknown branching rule {self.branching!r}")
 
 
 @dataclass
@@ -151,7 +152,8 @@ class _Search:
                 self.final_bound_score = self.inc_score
                 return self._finish(False, False, [])
 
-        # (negated score bound, insertion seq, bound-tightening map)
+        # (negated score bound, insertion seq, bound-tightening map); below
+        # the root the map is a NodeBounds holding the parent's basis
         seq = 0
         root: Tuple[float, int, Dict[int, Tuple[float, float]]] = (-math.inf, seq, {})
         heap: List[Tuple[float, int, Dict[int, Tuple[float, float]]]] = [root]
@@ -187,11 +189,6 @@ class _Search:
                 continue
             if res.status == "unbounded":
                 saw_unbounded = True
-                x_vals = res.values
-                if x_vals is None:
-                    break  # unbounded ray with no point: report and stop
-                # fall through only when a finite point is available (not produced
-                # by the simplex today); treat as terminal
                 break
 
             node_score = self.sign * res.objective
@@ -208,9 +205,9 @@ class _Search:
 
             branch_pos = int(np.argmax(frac))
             branch_var = int(self.binaries[branch_pos])
-            down = dict(bounds)
+            down = NodeBounds(bounds, res.basis)
             down[branch_var] = (0.0, 0.0)
-            up = dict(bounds)
+            up = NodeBounds(bounds, res.basis)
             up[branch_var] = (1.0, 1.0)
             # explore the side the fractional value leans toward first
             first, second = (up, down) if xb[branch_pos] >= 0.5 else (down, up)

@@ -277,10 +277,12 @@ class MilpInstance:
         if not np.isfinite(coefs).all():
             k = np.flatnonzero(~np.isfinite(coefs))[0]
             raise ValueError(f"non-finite coefficient {coefs[k]} for variable id {ids[k]}")
+        rhs = np.broadcast_to(np.asarray(rhs, float), m)
+        if not np.isfinite(rhs).all():
+            k = int(np.flatnonzero(~np.isfinite(rhs))[0])
+            raise ValueError(f"non-finite right-hand side {rhs[k]} in row {self._rows.size + k}")
         cid = self._rows.size
-        self._rows.append(
-            lengths, np.full(m, SENSES.index(sense)), np.broadcast_to(np.asarray(rhs, float), m)
-        )
+        self._rows.append(lengths, np.full(m, SENSES.index(sense)), rhs)
         self._terms.append(ids, coefs)
         self._views.clear()
         return cid

@@ -1,16 +1,34 @@
-"""Bounded-variable primal simplex over sparse instances.
+"""Bounded-variable revised simplex over sparse instances.
 
 Solves the LP relaxation of a MilpInstance (integrality dropped), with
-optional per-solve bound tightenings supplied by branch-and-bound.  The
-method is the two-phase revised simplex with variables allowed nonbasic at
-either bound, Phase 1 via auxiliary artificials, largest-reduced-cost
-pricing, and the Bland anti-cycling rule engaged after a run of
-2*(rows+cols) degenerate pivots.  Basis factorizations use scipy's sparse
-LU with product-form eta updates between refactorizations.
+optional per-solve bound tightenings supplied by branch-and-bound.
+
+A cold solve is the two-phase primal simplex with variables allowed
+nonbasic at either bound: Phase 1 via auxiliary artificials from a
+slack/crash basis, Phase 2 on costs slightly tilted toward a fixed generic
+weighting, a pass on the exact costs, and the Bland anti-cycling rule
+engaged after a run of 2*(rows+cols) degenerate pivots.  Pricing is Devex.
+
+A warm solve starts from the optimal basis of an LP that differs only in
+its bounds (a branch-and-bound parent; see NodeBounds).  That basis stays
+dual feasible, so a bounded dual simplex (largest-infeasibility leaving
+row, Harris ratio test) over slightly perturbed costs restores primal
+feasibility, and the primal simplex on the tilted and then the exact costs
+cleans up.  A warm "infeasible" is accepted only with a verified Farkas
+certificate, and a warm "optimal" passes the same substitution check as a
+cold one.  A basis that is not dual feasible, a stall past the dual's pivot
+cap or a numerical failure falls back to the cold solve.
+
+Both end on the same point: among alternative optima, the one that
+maximizes a fixed generic weighting of the structural columns (_settle).
+So a branch-and-bound node gets the same answer, up to rounding noise,
+whichever basis its solve started from.  Basis factorizations use scipy's
+sparse LU with product-form eta updates between refactorizations.
 
 All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
-verification), PIVOT_TOL (minimum pivot magnitude).
+verification), PIVOT_TOL (minimum pivot magnitude), DUAL_TOL (reduced-cost
+sign error a warm basis may carry).
 """
 
 from __future__ import annotations
@@ -31,13 +49,54 @@ BOUND_TOL = 1e-9
 PIVOT_TOL = 1e-8
 REFACTOR_EVERY = 64
 DEGEN_STEP = 1e-10
-LOOKAHEAD = 10  # entering candidates inspected for a nondegenerate step
+DUAL_TOL = 1e-7  # reduced-cost sign error a warm basis may carry
+DUAL_PERTURB = 1e-7  # scale of the warm solve's dual-feasible cost perturbation
+TIE_EPS = 1e-7  # tilt of the phase-2 costs toward the point _settle picks
 
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
 
 
+def _jitter(ncols: int) -> np.ndarray:
+    """Deterministic per-column values in [0, 1) (golden-ratio sequence)."""
+    return np.modf(np.arange(ncols) * 0.6180339887498949)[0]
+
+
+def _face_weights(n: int) -> np.ndarray:
+    """Weights in [0.5, 1.5) of the objective that picks one point among
+    alternative optima (see _Solver._settle).  They come from the splitmix64
+    hash of the column index: in an additive sequence such as _jitter's,
+    w[a] + w[b] == w[c] + w[d] whenever a + b == c + d, and the symmetric
+    models here would then tie."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # wraps
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return 0.5 + (z >> np.uint64(11)).astype(float) / 2.0**53
+
+
 class SimplexNumericalError(RuntimeError):
     """Numerical breakdown detected via residual re-verification."""
+
+
+@dataclass(frozen=True)
+class WarmBasis:
+    """An optimal basis: the basic column of each row, every column's
+    status and the artificial column signs it was reached with."""
+
+    basis: np.ndarray
+    status: np.ndarray
+    art_sign: np.ndarray
+
+
+class NodeBounds(dict):
+    """Bound tightenings (variable id -> (lower, upper)) that carry the
+    optimal basis of the LP they tighten; solve_lp starts from it."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, bounds, basis: Optional[WarmBasis]):
+        super().__init__(bounds)
+        self.basis = basis
 
 
 @dataclass
@@ -45,7 +104,8 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: Optional[Assignment] = None
     objective: Optional[float] = None
-    iterations: int = 0  # simplex pivots + bound flips, all phases
+    iterations: int = 0  # simplex pivots + bound flips, all phases and attempts
+    basis: Optional[WarmBasis] = None  # set on "optimal" when there are rows
 
 
 class LpData:
@@ -180,28 +240,35 @@ class _Solver:
 
     # -- setup --------------------------------------------------------------
 
+    def _trivial(self) -> Optional[LpResult]:
+        """The outcome when it needs no pivot (crossed bounds, an empty row
+        that cannot hold, no rows at all), else None."""
+        if np.any(self.lo > self.up + BOUND_TOL) or self.data.trivially_infeasible:
+            return LpResult(status="infeasible")
+        if self.m == 0:
+            return self._solve_unconstrained()
+        return None
+
+    def _place_nonbasic(self, status: np.ndarray) -> None:
+        """Every column at a bound: the upper one where `status` says so and
+        it is finite, else the lower one when finite, else the upper one;
+        columns with neither bound are free at zero."""
+        lo, up = self.lo, self.up
+        fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
+        at_up = ((status == AT_UP) | ~fin_lo) & fin_up
+        self.status = np.where(at_up, AT_UP, np.where(fin_lo, AT_LO, FREE)).astype(np.int8)
+        self.val = np.where(at_up, up, np.where(fin_lo, lo, 0.0))
+
     def start(self) -> Optional[LpResult]:
         """Initial point: structurals nonbasic at a bound; each row's slack
         is basic when it can absorb the residual by itself, otherwise an
         artificial takes its place.  Returns an LpResult to short-circuit
         on trivial outcomes, else None."""
-        if np.any(self.lo > self.up + BOUND_TOL):
-            return LpResult(status="infeasible")
-        if self.data.trivially_infeasible:
-            return LpResult(status="infeasible")
-        if self.m == 0:
-            return self._solve_unconstrained()
-
+        short = self._trivial()
+        if short is not None:
+            return short
         n, m = self.n, self.m
-        self.status = np.full(self.ncols, AT_LO, dtype=np.int8)
-        self.val = np.zeros(self.ncols)
-        for j in range(n + m):
-            if np.isfinite(self.lo[j]):
-                self.status[j], self.val[j] = AT_LO, self.lo[j]
-            elif np.isfinite(self.up[j]):
-                self.status[j], self.val[j] = AT_UP, self.up[j]
-            else:
-                self.status[j], self.val[j] = FREE, 0.0
+        self._place_nonbasic(np.full(self.ncols, AT_LO, dtype=np.int8))
 
         r = self.data.b - self.data.A @ self.val[:n] - self.val[n : n + m]
         self.art_sign = np.where(r >= 0, 1.0, -1.0)
@@ -272,24 +339,12 @@ class _Solver:
         return chosen
 
     def _solve_unconstrained(self) -> LpResult:
-        values = np.zeros(self.n)
-        c = self.data.c_min
-        lo, up = self.lo, self.up
-        for j in range(self.n):
-            if c[j] > 0:
-                if not np.isfinite(lo[j]):
-                    return LpResult(status="unbounded")
-                values[j] = lo[j]
-            elif c[j] < 0:
-                if not np.isfinite(up[j]):
-                    return LpResult(status="unbounded")
-                values[j] = up[j]
-            else:
-                values[j] = (
-                    lo[j]
-                    if np.isfinite(lo[j])
-                    else (up[j] if np.isfinite(up[j]) else 0.0)
-                )
+        c, lo, up = self.data.c_min, self.lo, self.up
+        if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
+            return LpResult(status="unbounded")
+        # a zero-cost column goes where _settle would put it (its weight is positive)
+        to_up = (c < 0) | ((c == 0) & np.isfinite(up))
+        values = np.where(to_up, up, np.where(np.isfinite(lo), lo, 0.0))
         obj = float(self.data.c_min @ values) * self.data.obj_sign
         return LpResult(
             status="optimal",
@@ -316,17 +371,23 @@ class _Solver:
         t_rows = float(limits.min()) if self.m else math.inf
         return direction, w, min(t_own, t_rows), t_own, t_rows, limits
 
-    def _pivot_row(self, r: int) -> np.ndarray:
-        """Row r of the full tableau B^{-1}[A | I | sign] (for Devex)."""
+    def _row_times(self, v: np.ndarray) -> np.ndarray:
+        """v^T [A | I | sign] over every column."""
         n, m = self.n, self.m
-        e = np.zeros(m)
+        out = np.empty(self.ncols)
+        out[:n] = self.data.AT @ v
+        out[n : n + m] = v
+        out[n + m :] = self.art_sign * v
+        return out
+
+    def _reduced_costs(self, c_all: np.ndarray) -> np.ndarray:
+        return c_all - self._row_times(self.fact.btran(c_all[self.basis]))
+
+    def _pivot_row(self, r: int) -> np.ndarray:
+        """Row r of the full tableau B^{-1}[A | I | sign]."""
+        e = np.zeros(self.m)
         e[r] = 1.0
-        v = self.fact.btran(e)
-        alpha = np.empty(self.ncols)
-        alpha[:n] = self.data.AT @ v
-        alpha[n : n + m] = v
-        alpha[n + m :] = self.art_sign * v
-        return alpha
+        return self._row_times(self.fact.btran(e))
 
     def run_phase(self, c_all: np.ndarray) -> str:
         """Minimize c_all over the current basis state. Returns "optimal"
@@ -355,11 +416,7 @@ class _Solver:
 
             d_fresh = d is None
             if d is None:
-                y = self.fact.btran(c_all[self.basis])
-                d = c_all.copy()
-                d[:n] -= self.data.AT @ y
-                d[n : n + m] -= y
-                d[n + m :] -= self.art_sign * y
+                d = self._reduced_costs(c_all)
 
             stat, lo, up = self.status, self.lo, self.up
             movable = lo < up  # fixed variables never enter
@@ -449,6 +506,198 @@ class _Solver:
         self.xb = self.fact.ftran(rhs)
         self.val[self.basis] = self.xb
 
+    # -- warm dual ------------------------------------------------------------
+
+    def _dual_feasible_costs(self, c: np.ndarray, d: np.ndarray, perturb: bool):
+        """Costs near `c` under which the current basis is dual feasible:
+        each movable nonbasic column's reduced cost is moved to the side its
+        bound needs and, with `perturb`, a small deterministic amount past
+        zero (which spreads the ties of dual-degenerate vertices).  Returns
+        (costs, reduced costs), or None when a reduced cost has the wrong
+        sign by more than DUAL_TOL or a free nonbasic column has a nonzero
+        one: the basis is then no warm start for these costs."""
+        stat = self.status
+        movable = self.lo < self.up
+        at_lo = (stat == AT_LO) & movable
+        at_up = (stat == AT_UP) & movable
+        free = stat == FREE
+        if (
+            np.any(d[at_lo] < -DUAL_TOL)
+            or np.any(d[at_up] > DUAL_TOL)
+            or np.any(np.abs(d[free]) > DUAL_TOL)
+        ):
+            return None
+        pert = np.zeros(self.ncols)
+        if perturb:
+            pert = DUAL_PERTURB * (1.0 + np.abs(c)) * (1.0 + _jitter(self.ncols))
+        target = d.copy()
+        target[at_lo] = np.maximum(d[at_lo], 0.0) + pert[at_lo]
+        target[at_up] = np.minimum(d[at_up], 0.0) - pert[at_up]
+        target[free] = 0.0
+        return c + (target - d), target
+
+    def _dual_phase(self, c: np.ndarray) -> Optional[str]:
+        """Bounded dual simplex from a dual-feasible basis for costs `c`.
+        Returns "feasible" once every basic value is within its bounds,
+        "infeasible" when a row certifies (and a Farkas check confirms)
+        that no point exists, or None on a stall, a numerical failure or an
+        unconfirmed certificate."""
+        lo, up = self.lo, self.up
+        movable = lo < up
+        max_iters = 2 * self.m + 100
+        d = None
+        since_refactor = 0
+        for it in range(max_iters + 1):
+            if since_refactor >= REFACTOR_EVERY:
+                self._refresh()
+                since_refactor = 0
+                d = None
+            if d is None:
+                shifted = self._dual_feasible_costs(c, self._reduced_costs(c), perturb=it == 0)
+                if shifted is None:
+                    return None
+                c, d = shifted
+
+            lo_b, up_b = lo[self.basis], up[self.basis]
+            below = lo_b - self.xb
+            above = self.xb - up_b
+            infeas = np.maximum(below, above)
+            r = int(np.argmax(infeas))
+            if infeas[r] <= BOUND_TOL:
+                return "feasible"
+            if it == max_iters:
+                return None  # stalled: the cold solve takes over
+
+            # the leaving variable goes to the bound it violates; its reduced
+            # cost becomes s*t, and d_j + s*t*alpha_j must keep each nonbasic
+            # reduced cost on its bound's side
+            leave_to_lower = below[r] > 0
+            s = 1.0 if leave_to_lower else -1.0
+            e = np.zeros(self.m)
+            e[r] = 1.0
+            rho = self.fact.btran(e)  # row r of the basis inverse
+            alpha = self._row_times(rho)
+            sa = s * alpha
+            stat = self.status
+            cand = np.flatnonzero(
+                movable
+                & (
+                    ((stat == AT_LO) & (sa < -PIVOT_TOL))
+                    | ((stat == AT_UP) & (sa > PIVOT_TOL))
+                    | ((stat == FREE) & (np.abs(alpha) > PIVOT_TOL))
+                )
+            )
+            if cand.size == 0:  # row r rules every point out; check that independently
+                return "infeasible" if self._proves_infeasible(rho) else None
+            abs_a = np.abs(alpha[cand])
+            room = np.maximum(np.where(stat[cand] == AT_UP, -d[cand], d[cand]), 0.0)
+            room[stat[cand] == FREE] = 0.0
+            ratios = room / abs_a
+            # Harris: among the steps within the relaxed bound, the largest pivot
+            relaxed = float(np.min((room + RC_TOL) / abs_a))
+            ok = np.flatnonzero(ratios <= relaxed)
+            k = int(ok[np.lexsort((cand[ok], -abs_a[ok]))[0]])
+            q, t = int(cand[k]), float(ratios[k])
+
+            w = self.fact.ftran(self.col_dense(q))
+            if abs(w[r]) < PIVOT_TOL or abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
+                return None  # row and column disagree: numerical trouble
+            leaving = self.basis[r]
+            bound = lo[leaving] if leave_to_lower else up[leaving]
+            theta = (self.xb[r] - bound) / w[r]
+            self.xb -= theta * w
+            self.val[q] += theta
+            self.xb[r] = self.val[q]
+            self.status[leaving] = AT_LO if leave_to_lower else AT_UP
+            self.val[leaving] = bound
+            d += (s * t) * alpha
+            d[q] = 0.0
+            self.basis[r] = q
+            self.status[q] = BASIC
+            self.fact.push_eta(r, w)
+            self.iterations += 1
+            since_refactor += 1
+        return None
+
+    def _proves_infeasible(self, y: np.ndarray) -> bool:
+        """Farkas check: the row combination y^T (A x + s) = y^T b cannot
+        hold anywhere in the box of the structural and slack bounds, by a
+        margin far above rounding.  Any multipliers make a valid check, so
+        rounding noise in `y` is dropped first."""
+        n, m = self.n, self.m
+        y = np.where(np.abs(y) > 1e-12 * np.abs(y).max(), y, 0.0)
+        g = self._row_times(y)[: n + m]
+        lo, up = self.lo[: n + m], self.up[: n + m]
+        nz = g != 0.0
+        g, lo, up = g[nz], lo[nz], up[nz]
+        hi_end = np.where(g > 0, up, lo)  # the bound that maximizes each term
+        lo_end = np.where(g > 0, lo, up)
+        top, bottom = float(g @ hi_end), float(g @ lo_end)
+        rhs = float(y @ self.data.b)
+        finite = np.isfinite(hi_end) & np.isfinite(lo_end)
+        scale = float(np.abs(g[finite] * hi_end[finite]).sum() + np.abs(g[finite] * lo_end[finite]).sum())
+        margin = FEAS_TOL * float(np.abs(y).max()) * (1 + m) + 1e-9 * (scale + abs(rhs))
+        return rhs > top + margin or rhs < bottom - margin
+
+    def solve_warm(self, warm: WarmBasis) -> Optional[LpResult]:
+        """Solve from `warm`, an optimal basis of an LP with the same rows and
+        costs; None when it is no usable start or the dual does not finish
+        (the caller then solves cold)."""
+        short = self._trivial()
+        if short is not None:
+            return short
+        n, m = self.n, self.m
+        if warm.basis.shape != (m,) or warm.status.shape != (self.ncols,):
+            return None
+        self.art_sign = warm.art_sign
+        self.lo[n + m :] = 0.0  # artificials only ever rest at zero
+        self.up[n + m :] = 0.0
+        self.basis = warm.basis.copy()
+        self._place_nonbasic(warm.status)
+        self.status[self.basis] = BASIC
+        self.fact = _Basis(self.col, m)
+        self._refresh()
+
+        c, c_tilted = self._phase2_costs()
+        outcome = self._dual_phase(c_tilted)
+        if outcome != "feasible":
+            if outcome == "infeasible":
+                return LpResult(status="infeasible", iterations=self.iterations)
+            return None
+        # the cold solve's last phases, from a basis that is already close
+        if self.run_phase(c_tilted) != "optimal" or self.run_phase(c) != "optimal":
+            return None  # a child of a bounded LP is bounded: numerical trouble
+        self._settle(c)
+        self._refresh()
+        return self._finish()
+
+    def _phase2_costs(self):
+        """The exact phase-2 costs, and the same tilted by TIE_EPS toward the
+        point _settle picks (the tilt also breaks pricing ties)."""
+        c = np.zeros(self.ncols)
+        c[: self.n] = self.data.c_min
+        tilted = c.copy()
+        tilted[: self.n] -= TIE_EPS * _face_weights(self.n)
+        return c, tilted
+
+    def _settle(self, c: np.ndarray) -> None:
+        """From an optimal basis for costs `c`, move to the optimum that
+        maximizes _face_weights . x.  Nonbasic columns with a nonzero reduced
+        cost are held at their bounds (complementary slackness: so is every
+        optimal point), which leaves exactly the optimal face free; that
+        point of it is unique, so a node's answer does not depend on the
+        basis its solve started from (a warm start would otherwise stay
+        near the parent's point, and the search would take other
+        branches)."""
+        d = self._reduced_costs(c)
+        saved_lo, saved_up = self.lo.copy(), self.up.copy()
+        held = (self.status != BASIC) & (np.abs(d) > RC_TOL)
+        self.lo[held] = self.up[held] = self.val[held]
+        tie = np.zeros(self.ncols)
+        tie[: self.n] = -_face_weights(self.n)
+        self.run_phase(tie)  # "unbounded" leaves an optimal basis in place
+        self.lo, self.up = saved_lo, saved_up
+
     # -- drive ------------------------------------------------------------
 
     def solve(self) -> LpResult:
@@ -457,11 +706,12 @@ class _Solver:
             return short
         n, m = self.n, self.m
 
-        # deterministic per-column cost jitter breaks the pricing ties that
-        # symmetric covering structures produce in droves; phases run on the
-        # jittered costs and a final phase with exact costs settles the
-        # true optimum from the (near-optimal) basis
-        jitter = np.modf(np.arange(self.ncols) * 0.6180339887498949)[0]
+        # deterministic per-column cost jitter (phase 1) and tilt (phase 2)
+        # break the pricing ties that symmetric covering structures produce
+        # in droves; a phase with exact costs then settles the true optimum
+        # from the (near-optimal) basis, and _settle picks one point of the
+        # optimal face
+        jitter = _jitter(self.ncols)
         c1 = np.zeros(self.ncols)
         c1[n + m :] = 1.0 + 1e-3 * jitter[n + m :]
         outcome = self.run_phase(c1)
@@ -478,18 +728,17 @@ class _Solver:
         np.clip(self.val[n + m :], 0.0, 0.0, out=self.val[n + m :])
         self.xb = self.val[self.basis]
 
-        c2 = np.zeros(self.ncols)
-        c2[:n] = self.data.c_min
-        c2_jittered = c2 * (1.0 + 1e-6 * jitter)
-        outcome = self.run_phase(c2_jittered)
+        c2, c2_tilted = self._phase2_costs()
+        outcome = self.run_phase(c2_tilted)
         if outcome == "unbounded":
             return LpResult(status="unbounded", iterations=self.iterations)
 
-        # exact costs from the jitter-optimal basis: usually a few pivots
+        # exact costs from the tilted optimum: usually a few pivots
         outcome = self.run_phase(c2)
         if outcome == "unbounded":
             return LpResult(status="unbounded", iterations=self.iterations)
 
+        self._settle(c2)
         self._refresh()
         return self._finish()
 
@@ -508,6 +757,7 @@ class _Solver:
             values={i: float(x[i]) for i in range(n)},
             objective=obj,
             iterations=self.iterations,
+            basis=WarmBasis(self.basis, self.status, self.art_sign),
         )
 
 
@@ -519,8 +769,24 @@ def solve_lp(
 
     `extra_bounds` maps variable ids to (lower, upper) tightenings; they
     may only tighten the declared bounds, which is how branch-and-bound
-    fixes binaries.  Accepts a MilpInstance or a prebuilt LpData (the
-    latter avoids re-extracting arrays across repeated solves).
+    fixes binaries.  When it is a NodeBounds with a basis, the solve starts
+    from that basis (see the module docstring) and falls back to the cold
+    solve when it cannot; the pivots of both count in `iterations`.
+    Accepts a MilpInstance or a prebuilt LpData (the latter avoids
+    re-extracting arrays across repeated solves).
     """
     data = instance_or_data if isinstance(instance_or_data, LpData) else LpData(instance_or_data)
-    return _Solver(data, extra_bounds).solve()
+    warm = getattr(extra_bounds, "basis", None)
+    spent = 0
+    if warm is not None:
+        solver = _Solver(data, extra_bounds)
+        try:
+            res = solver.solve_warm(warm)
+        except SimplexNumericalError:
+            res = None
+        if res is not None:
+            return res
+        spent = solver.iterations
+    res = _Solver(data, extra_bounds).solve()
+    res.iterations += spent
+    return res

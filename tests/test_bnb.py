@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import gridcover.bnb as bnb
 from gridcover.milp import MilpInstance
 from gridcover.bnb import MilpResult, SolveParams, solve_milp
 from gridcover.simplex import FEAS_TOL, solve_lp
@@ -136,6 +137,31 @@ class TestLimits:
         assert a.nodes_explored == b.nodes_explored
         assert a.objective == b.objective
         assert a.incumbent == b.incumbent
+
+    @pytest.mark.parametrize("order", ["best-bound", "depth-first"])
+    def test_warm_node_solves_give_the_cold_answers(self, monkeypatch, order):
+        # every node below the root starts from its parent's basis; its
+        # status and point must be those of a cold solve of the same node
+        rng = random.Random(31)
+        instances = [self.harder_instance()]
+        instances += [random_milp(rng, n_bin=14, n_cont=rng.randint(0, 2), n_rows=8) for _ in range(30)]
+        warm_solves = []
+
+        def compared(data, bounds=None):
+            res = solve_lp(data, bounds)
+            if getattr(bounds, "basis", None) is not None:
+                cold = solve_lp(data, dict(bounds))
+                assert res.status == cold.status
+                if res.status == "optimal":
+                    gap = max(abs(res.values[j] - cold.values[j]) for j in range(data.n))
+                    assert gap <= 1e-9
+                warm_solves.append(res.status)
+            return res
+
+        monkeypatch.setattr(bnb, "solve_lp", compared)
+        for m in instances:
+            solve_milp(m, SolveParams(node_selection=order))
+        assert len(warm_solves) > 150 and "infeasible" in warm_solves
 
     def test_depth_first_matches_best_bound_objective(self):
         m = self.harder_instance()

@@ -75,6 +75,17 @@ class TestAddConstraint:
         with pytest.raises(ValueError, match="finite"):
             m.add_constraint([(x, math.inf)], "<=", 1)
 
+    @pytest.mark.parametrize("rhs", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_rhs_rejected(self, rhs):
+        m = MilpInstance()
+        x = m.add_variable("x", "continuous", 0, 1)
+        m.add_constraint([(x, 1.0)], ">=", 0.0)
+        with pytest.raises(ValueError, match="non-finite right-hand side .* in row 1"):
+            m.add_constraint([(x, 1.0)], "<=", rhs)
+        with pytest.raises(ValueError, match="in row 3"):
+            m.add_constraints([1, 1, 1], [x, x, x], [1.0, 1.0, 1.0], "=", [0.0, 1.0, rhs])
+        assert m.n_constraints == 1  # nothing of a rejected block is kept
+
 
 class TestBlocks:
     def test_block_names_round_trip(self):
