@@ -2,8 +2,11 @@
 
 Pure branch-and-bound (no cutting planes): fractional binaries are fixed
 to 0/1 via per-node bound tightenings, and search follows best-bound (FIFO
-ties) or depth-first order with most-fractional branching (ties to the
-lowest variable id).  The root relaxation is solved cold by the
+ties) or depth-first order with most-fractional branching.  Binaries that
+are equally fractional in exact arithmetic (several at 0.5 in the
+symmetric cover models) differ in the LP point by rounding noise, and
+np.argmax takes the largest computed fraction, so such a tie falls to
+that noise, not to a fixed order.  The root relaxation is solved cold by the
 bounded-variable simplex.  Every other node's bound map is a NodeBounds
 that carries its parent's optimal basis (one object, shared by the two
 siblings), from which the simplex re-optimizes with a few dual pivots; the

@@ -155,25 +155,28 @@ def pack_static_positions(
     whose optimistic bound (current + remaining * best-available single
     value) cannot beat the best found are pruned.  Within the step budget
     on desk-scale grids this is exhaustive, i.e. optimal.
+
+    Footprints are bitmasks over the cells (Python ints), and coverage
+    counts are c_o layers: layer k holds the cells covered more than k
+    times, so a cell fits when its footprint misses the top layer.
     """
     boundary = boundary_cells(grid)
     weight = {c: (boundary_weight if c in boundary else 1.0) for c in grid.cells()}
     cells = sorted(grid.cells())
+    bit = {c: 1 << i for i, c in enumerate(cells)}
     footprints = {c: sorted(sensing_footprint(c, r_s, grid)) for c in cells}
     value = {c: sum(weight[f] for f in footprints[c]) for c in cells}
     order = sorted(cells, key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
+    masks = [sum(bit[f] for f in footprints[c]) for c in order]
+    top = c_o - 1
 
     best_obj = -1.0
     best: Optional[List[Cell]] = None
-    counts: Dict[Cell, int] = {}
     chosen: List[Cell] = []
     steps = 0
 
-    def feasible(cell: Cell) -> bool:
-        return all(counts.get(f, 0) < c_o for f in footprints[cell])
-
-    def dfs(start_idx: int, current: float) -> None:
+    def dfs(start_idx: int, current: float, layers: List[int]) -> None:
         nonlocal best_obj, best, steps
         steps += 1
         if steps > step_budget:
@@ -186,18 +189,19 @@ def pack_static_positions(
         for idx in range(start_idx, len(order)):
             if current + remaining * vals[idx] <= best_obj:
                 break  # vals non-increasing: no later cell can help
-            cell = order[idx]
-            if not feasible(cell):
-                continue
-            for f in footprints[cell]:
-                counts[f] = counts.get(f, 0) + 1
-            chosen.append(cell)
-            dfs(idx, current + vals[idx])
+            fp = masks[idx]
+            if fp & layers[top]:
+                continue  # a footprint cell is already covered c_o times
+            # add one to the count of every footprint cell
+            carry, added = fp, []
+            for layer in layers:
+                added.append(layer | carry)
+                carry = fp & layer
+            chosen.append(order[idx])
+            dfs(idx, current + vals[idx], added)
             chosen.pop()
-            for f in footprints[cell]:
-                counts[f] -= 1
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, [0] * c_o)
     return best
 
 

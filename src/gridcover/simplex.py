@@ -25,10 +25,26 @@ So a branch-and-bound node gets the same answer, up to rounding noise,
 whichever basis its solve started from.  Basis factorizations use scipy's
 sparse LU with product-form eta updates between refactorizations.
 
+Every solve, cold or warm, root, node or repair, pivots on a presolved
+model (_Reduced), built on an LpData's first solve and kept on it.  A
+continuous column defined by an equality row and present in at most one
+other row (such as the static model's coverage variables, c = sum of x
+over a footprint window) is substituted out of that other row: the
+defining row stays, and its slack, which equals the column times its
+coefficient there, takes over the column's box, its cost and its face
+weight, so the optimal face and the point _settle picks on it are the
+full model's.  A substituted column's bound that the other columns'
+boxes imply is left off the slack.  Bound tightenings
+stay keyed by the full model's ids (one on a substituted column narrows
+its row's slack).  Postsolve rebuilds each substituted column from its
+row, and the substitution check on the optimum runs on the full,
+unreduced rows; LpData's public arrays always describe the full model.
+
 All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
 verification), PIVOT_TOL (minimum pivot magnitude), DUAL_TOL (reduced-cost
-sign error a warm basis may carry).
+sign error a warm basis may carry), SUBST_TOL (smallest relative coefficient
+through which the presolve substitutes a column).
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .milp import GE, LE, SENSES, Assignment, MilpInstance, max_residual
+from .milp import EQ, GE, LE, SENSES, Assignment, MilpInstance, max_residual
 
 FEAS_TOL = 1e-7
 RC_TOL = 1e-9
@@ -52,6 +68,7 @@ DEGEN_STEP = 1e-10
 DUAL_TOL = 1e-7  # reduced-cost sign error a warm basis may carry
 DUAL_PERTURB = 1e-7  # scale of the warm solve's dual-feasible cost perturbation
 TIE_EPS = 1e-7  # tilt of the phase-2 costs toward the point _settle picks
+SUBST_TOL = 1e-2  # smallest |a_rj| / max |a_r.| through which column j is substituted
 
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
 
@@ -143,12 +160,140 @@ class LpData:
         # slack bounds by sense: <= gives [0, inf), = gives [0, 0], >= gives (-inf, 0]
         self.slack_lo = np.where(codes == GE, -math.inf, 0.0)
         self.slack_up = np.where(codes == LE, math.inf, 0.0)
+        self._reduced: Optional[_Reduced] = None
 
     def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether `x` is within the bounds and satisfies every row."""
         if np.any(x < lower - BOUND_TOL) or np.any(x > upper + BOUND_TOL):
             return False
         return max_residual(self.A @ x, self.sense_codes, self.b) <= FEAS_TOL
+
+    def reduced(self) -> "_Reduced":
+        """The presolved model every solve works on, built on first use."""
+        if self._reduced is None:
+            self._reduced = _Reduced(self)
+        return self._reduced
+
+
+def _substitutions(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
+    """The (columns, rows) that the presolve substitutes: equality rows in
+    order, each giving up the continuous column of its largest coefficient
+    (ties to the lowest id) when the row holds no column substituted
+    already and that column lies in no row chosen already.  So a chosen
+    row holds exactly one substituted column, and a column goes out
+    through one row.  A column qualifies only when it lies in at most one
+    row besides its own, so a substitution adds at most one copy of its
+    row's terms to the model."""
+    A = data.A_csr
+    indptr, indices, coefs = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    eligible = ((~data.is_binary) & (np.diff(data.A.indptr) <= 2)).tolist()
+    gone = [False] * data.n  # substituted
+    seen = [False] * data.n  # in a chosen row
+    cols: List[int] = []
+    rows: List[int] = []
+    for r in np.flatnonzero(data.sense_codes == EQ).tolist():
+        ids = indices[indptr[r] : indptr[r + 1]]
+        if any(gone[j] for j in ids):
+            continue
+        vals = coefs[indptr[r] : indptr[r + 1]]
+        big = max(abs(a) for a in vals)
+        best = None
+        for j, a in zip(ids, vals):
+            if eligible[j] and not seen[j] and abs(a) >= SUBST_TOL * big:
+                if best is None or (-abs(a), j) < best:
+                    best = (-abs(a), j)
+        if best is None:
+            continue
+        gone[best[1]] = True
+        for j in ids:
+            seen[j] = True
+        cols.append(best[1])
+        rows.append(r)
+    return np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
+
+
+class _Reduced:
+    """An LpData's model with columns substituted out (the column
+    substitution of Andersen & Andersen, "Presolving in linear programming",
+    Math. Prog. 71, 1995).  Column j, substituted through equality row r,
+    is replaced in every other row i by (b_r - sum_{k != j} a_rk x_k)/a_rj.
+    Row r stays, and its slack s_r = a_rj x_j takes over j's box (scaled by
+    a_rj), its cost and its face weight (scaled by 1/a_rj).  The feasible
+    sets correspond one to one and the objectives agree, so the optimal
+    face and the point _settle picks on it are those of the full model.
+    With no column substituted this is the model itself.
+
+    `A`, `AT`, `A_csr`, `b`, `n` and `m` mean what they mean on LpData,
+    over the `kept` columns; `cost` and `face` span the kept columns and
+    then the slacks; `cols`, `rows`, `piv` (= a_rj) and `row_terms` (rows
+    `rows` over the kept columns) rebuild the substituted columns."""
+
+    def __init__(self, data: LpData):
+        n, m = data.n, data.m
+        self.m = m
+        self.cols, self.rows = cols, rows = _substitutions(data)
+        keep = np.ones(n, dtype=bool)
+        keep[cols] = False
+        self.kept = kept = np.flatnonzero(keep)
+        self.n = k = len(kept)
+        w = _face_weights(n)
+        self.cost = np.concatenate([data.c_min[kept], np.zeros(m)])
+        self.face = np.concatenate([w[kept], np.zeros(m)])
+        if not cols.size:
+            self.A, self.AT, self.A_csr, self.b = data.A, data.AT, data.A_csr, data.b
+            return
+        self.piv = piv = np.asarray(data.A_csr[rows, cols]).ravel()
+        self.cost[k + rows] = data.c_min[cols] / piv
+        self.face[k + rows] = w[cols] / piv
+        self.row_terms = terms = data.A_csr[rows][:, kept]
+        terms.eliminate_zeros()
+        # M[i, t] = a_{i, cols[t]} / piv[t] off row rows[t]: the multiple of
+        # row rows[t] that takes column cols[t] out of row i
+        M = data.A[:, cols].tocoo()
+        off = M.row != rows[M.col]
+        M = sp.csr_matrix(
+            (M.data[off] / piv[M.col[off]], (M.row[off], M.col[off])), shape=(m, cols.size)
+        )
+        A = (data.A[:, kept] - M @ terms).tocsc()
+        A.eliminate_zeros()
+        A.sort_indices()
+        self.A, self.AT, self.A_csr = A, A.T.tocsr(), A.tocsr()
+        self.b = data.b - M @ data.b[rows]
+        # the range of s_r that the kept columns' declared boxes imply: a
+        # slack bound outside it can never bind (see boxes)
+        at_lo = terms.data * data.lower[kept][terms.indices]
+        at_up = terms.data * data.upper[kept][terms.indices]
+        low, high = (
+            np.asarray(sp.csr_matrix((v, terms.indices, terms.indptr), shape=terms.shape).sum(axis=1)).ravel()
+            for v in (np.minimum(at_lo, at_up), np.maximum(at_lo, at_up))
+        )
+        self.implied_lo, self.implied_up = data.b[rows] - high, data.b[rows] - low
+
+    def boxes(self, lower: np.ndarray, upper: np.ndarray, slack_lo, slack_up):
+        """Bounds of the kept columns and the slacks, from the full model's
+        column bounds (tightened or not) and slack bounds.  A substituted
+        column's bound that the other columns' declared boxes already imply
+        is left off its slack: tighter boxes only narrow that implied range,
+        so the feasible set stays the same, and a slack that cannot reach
+        such a bound never leaves the basis on a degenerate step there."""
+        lo, up = np.concatenate([lower[self.kept], slack_lo]), np.concatenate([upper[self.kept], slack_up])
+        if self.cols.size:
+            a, b = self.piv * lower[self.cols], self.piv * upper[self.cols]
+            s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
+            at = self.n + self.rows
+            lo[at] = np.where(s_lo <= self.implied_lo, -math.inf, s_lo)
+            up[at] = np.where(s_up >= self.implied_up, math.inf, s_up)
+        return lo, up
+
+    def postsolve(self, x_kept: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """The full point: kept columns as given, each substituted column
+        rebuilt from its row and clipped to its bounds."""
+        x = np.empty(len(lower))
+        x[self.kept] = x_kept
+        if self.cols.size:
+            j = self.cols
+            x[j] = np.clip((self.b[self.rows] - self.row_terms @ x_kept) / self.piv, lower[j], upper[j])
+        return x
 
 
 class _Basis:
@@ -200,21 +345,27 @@ class _Basis:
 
 
 class _Solver:
-    """One solve over an LpData with optional extra bound tightenings."""
+    """One solve over an LpData with optional extra bound tightenings
+    (keyed by the LpData's variable ids).  It pivots on the reduced model
+    (`lp`) and checks and reports on the full one (`data`)."""
 
     def __init__(self, data: LpData, extra_bounds: Optional[Dict[int, Tuple[float, float]]]):
         self.data = data
-        n, m = data.n, data.m
+        self.lp = lp = data.reduced()
+        n, m = lp.n, data.m
         self.n, self.m = n, m
-        self.ncols = n + 2 * m  # structural | slacks | artificials
+        self.ncols = n + 2 * m  # kept structurals | slacks | artificials
 
-        lo = np.concatenate([data.lower, data.slack_lo, np.zeros(m)])
-        up = np.concatenate([data.upper, data.slack_up, np.full(m, math.inf)])
+        x_lo, x_up = data.lower, data.upper
         if extra_bounds:
+            x_lo, x_up = x_lo.copy(), x_up.copy()
             for vid, (xl, xu) in extra_bounds.items():
-                lo[vid] = max(lo[vid], xl)
-                up[vid] = min(up[vid], xu)
-        self.lo, self.up = lo, up
+                x_lo[vid] = max(x_lo[vid], xl)
+                x_up[vid] = min(x_up[vid], xu)
+        self.x_lo, self.x_up = x_lo, x_up  # the full model's column bounds
+        lo, up = lp.boxes(x_lo, x_up, data.slack_lo, data.slack_up)
+        self.lo = np.concatenate([lo, np.zeros(m)])
+        self.up = np.concatenate([up, np.full(m, math.inf)])
         self.art_sign = np.ones(m)
         self.iterations = 0
         self.degenerate_steps = 0
@@ -223,7 +374,7 @@ class _Solver:
         self._minus_one = np.array([-1.0])
 
     def col(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        n, m, A = self.n, self.m, self.data.A
+        n, m, A = self.n, self.m, self.lp.A
         if j < n:
             sl = slice(A.indptr[j], A.indptr[j + 1])
             return A.indices[sl], A.data[sl]
@@ -243,7 +394,7 @@ class _Solver:
     def _trivial(self) -> Optional[LpResult]:
         """The outcome when it needs no pivot (crossed bounds, an empty row
         that cannot hold, no rows at all), else None."""
-        if np.any(self.lo > self.up + BOUND_TOL) or self.data.trivially_infeasible:
+        if np.any(self.x_lo > self.x_up + BOUND_TOL) or self.data.trivially_infeasible:
             return LpResult(status="infeasible")
         if self.m == 0:
             return self._solve_unconstrained()
@@ -270,17 +421,18 @@ class _Solver:
         n, m = self.n, self.m
         self._place_nonbasic(np.full(self.ncols, AT_LO, dtype=np.int8))
 
-        r = self.data.b - self.data.A @ self.val[:n] - self.val[n : n + m]
-        self.art_sign = np.where(r >= 0, 1.0, -1.0)
+        r = self.lp.b - self.lp.A @ self.val[:n]  # the value each slack must take
+        left = r - self.val[n : n + m]  # what an artificial takes with the slack at its bound
+        self.art_sign = np.where(left >= 0, 1.0, -1.0)
         slack_ok = (r >= self.lo[n : n + m] - 1e-12) & (r <= self.up[n : n + m] + 1e-12)
-        crash = self._crash_columns(r, slack_ok)
+        crash = self._crash_columns(left, slack_ok)
         basis = np.where(
             slack_ok, np.arange(n, n + m), np.arange(n + m, n + 2 * m)
         )
-        xb = np.where(slack_ok, r, np.abs(r))
+        xb = np.where(slack_ok, r, np.abs(left))
         for row, (j, value) in crash.items():
-            self.val[basis[row]] = 0.0  # displaced slack rests at zero
-            self.status[basis[row]] = AT_LO if np.isfinite(self.lo[basis[row]]) else AT_UP
+            self.val[basis[row]] = self.lo[basis[row]]  # displaced (fixed) slack at its value
+            self.status[basis[row]] = AT_LO
             basis[row] = j
             xb[row] = value
         self.basis = basis
@@ -303,12 +455,12 @@ class _Solver:
         the implied starting value (residual over coefficient) can be
         checked against the column's own bounds.  Cuts the starting count
         of degenerate fixed-slack basics dramatically."""
-        n, m, data = self.n, self.m, self.data
+        n, m = self.n, self.m
         lo_s, up_s = self.lo[n : n + m], self.up[n : n + m]
         fixed_row = lo_s == up_s
         if not fixed_row.any():
             return {}
-        A_csr = data.A_csr
+        A_csr = self.lp.A_csr
         # a column is crash-eligible iff all its fixed-row entries are in one row
         fixed_hits = np.zeros(n, dtype=np.int32)
         for row in np.flatnonzero(fixed_row):
@@ -339,6 +491,7 @@ class _Solver:
         return chosen
 
     def _solve_unconstrained(self) -> LpResult:
+        # without rows nothing is substituted: the columns are the model's
         c, lo, up = self.data.c_min, self.lo, self.up
         if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
             return LpResult(status="unbounded")
@@ -346,11 +499,7 @@ class _Solver:
         to_up = (c < 0) | ((c == 0) & np.isfinite(up))
         values = np.where(to_up, up, np.where(np.isfinite(lo), lo, 0.0))
         obj = float(self.data.c_min @ values) * self.data.obj_sign
-        return LpResult(
-            status="optimal",
-            values={i: float(values[i]) for i in range(self.n)},
-            objective=obj,
-        )
+        return LpResult(status="optimal", values=dict(enumerate(values.tolist())), objective=obj)
 
     # -- core loop ------------------------------------------------------------
 
@@ -375,7 +524,7 @@ class _Solver:
         """v^T [A | I | sign] over every column."""
         n, m = self.n, self.m
         out = np.empty(self.ncols)
-        out[:n] = self.data.AT @ v
+        out[:n] = self.lp.AT @ v
         out[n : n + m] = v
         out[n + m :] = self.art_sign * v
         return out
@@ -501,7 +650,7 @@ class _Solver:
         self.fact.refactor(self.basis)
         nb_val = self.val.copy()
         nb_val[self.basis] = 0.0
-        rhs = self.data.b - self.data.A @ nb_val[:n] - nb_val[n : n + m]
+        rhs = self.lp.b - self.lp.A @ nb_val[:n] - nb_val[n : n + m]
         rhs -= self.art_sign * nb_val[n + m :]
         self.xb = self.fact.ftran(rhs)
         self.val[self.basis] = self.xb
@@ -633,7 +782,7 @@ class _Solver:
         hi_end = np.where(g > 0, up, lo)  # the bound that maximizes each term
         lo_end = np.where(g > 0, lo, up)
         top, bottom = float(g @ hi_end), float(g @ lo_end)
-        rhs = float(y @ self.data.b)
+        rhs = float(y @ self.lp.b)
         finite = np.isfinite(hi_end) & np.isfinite(lo_end)
         scale = float(np.abs(g[finite] * hi_end[finite]).sum() + np.abs(g[finite] * lo_end[finite]).sum())
         margin = FEAS_TOL * float(np.abs(y).max()) * (1 + m) + 1e-9 * (scale + abs(rhs))
@@ -674,10 +823,11 @@ class _Solver:
     def _phase2_costs(self):
         """The exact phase-2 costs, and the same tilted by TIE_EPS toward the
         point _settle picks (the tilt also breaks pricing ties)."""
+        k = self.n + self.m
         c = np.zeros(self.ncols)
-        c[: self.n] = self.data.c_min
+        c[:k] = self.lp.cost
         tilted = c.copy()
-        tilted[: self.n] -= TIE_EPS * _face_weights(self.n)
+        tilted[:k] -= TIE_EPS * self.lp.face
         return c, tilted
 
     def _settle(self, c: np.ndarray) -> None:
@@ -694,7 +844,7 @@ class _Solver:
         held = (self.status != BASIC) & (np.abs(d) > RC_TOL)
         self.lo[held] = self.up[held] = self.val[held]
         tie = np.zeros(self.ncols)
-        tie[: self.n] = -_face_weights(self.n)
+        tie[: self.n + self.m] = -self.lp.face
         self.run_phase(tie)  # "unbounded" leaves an optimal basis in place
         self.lo, self.up = saved_lo, saved_up
 
@@ -742,19 +892,24 @@ class _Solver:
         self._refresh()
         return self._finish()
 
-    def _finish(self) -> LpResult:
+    def _point(self) -> np.ndarray:
+        """The full model's point (postsolve) of the current basic solution."""
         n = self.n
-        lo, up = self.lo[:n], self.up[:n]
-        x = np.clip(self.val[:n], lo, up)
-        if not self.data.feasible(x, lo, up):  # independent substitution check
+        x_kept = np.clip(self.val[:n], self.lo[:n], self.up[:n])
+        return self.lp.postsolve(x_kept, self.x_lo, self.x_up)
+
+    def _finish(self) -> LpResult:
+        data, lo, up = self.data, self.x_lo, self.x_up
+        x = self._point()
+        if not data.feasible(x, lo, up):  # independent substitution check, on the full rows
             self._refresh()
-            x = np.clip(self.val[:n], lo, up)
-            if not self.data.feasible(x, lo, up):
+            x = self._point()
+            if not data.feasible(x, lo, up):
                 raise SimplexNumericalError("optimal point failed residual re-verification")
-        obj = float(self.data.c_min @ x) * self.data.obj_sign
+        obj = float(data.c_min @ x) * data.obj_sign
         return LpResult(
             status="optimal",
-            values={i: float(x[i]) for i in range(n)},
+            values=dict(enumerate(x.tolist())),
             objective=obj,
             iterations=self.iterations,
             basis=WarmBasis(self.basis, self.status, self.art_sign),

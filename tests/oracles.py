@@ -69,6 +69,71 @@ def best_static_placement(
     return best, argbest
 
 
+def packing_search(
+    grid: GridSpec,
+    n_static: int,
+    r_s: int,
+    c_o: int,
+    boundary_weight: float,
+    step_budget: int = 400_000,
+) -> Optional[List[Cell]]:
+    """The warm-start packing search as first written, kept verbatim as the
+    oracle for gridcover.harness.pack_static_positions: counts per cell in
+    a dict, one footprint at a time.
+
+    Best placement found by a bounded depth-first packing search.
+
+    Positions are chosen as a non-decreasing sequence over cells sorted by
+    single-placement value (killing node-permutation symmetry); branches
+    whose optimistic bound (current + remaining * best-available single
+    value) cannot beat the best found are pruned.  Within the step budget
+    on desk-scale grids this is exhaustive, i.e. optimal.
+    """
+    boundary = boundary_cells(grid)
+    weight = {c: (boundary_weight if c in boundary else 1.0) for c in grid.cells()}
+    cells = sorted(grid.cells())
+    footprints = {c: sorted(sensing_footprint(c, r_s, grid)) for c in cells}
+    value = {c: sum(weight[f] for f in footprints[c]) for c in cells}
+    order = sorted(cells, key=lambda c: (-value[c], c))
+    vals = [value[c] for c in order]
+
+    best_obj = -1.0
+    best: Optional[List[Cell]] = None
+    counts: Dict[Cell, int] = {}
+    chosen: List[Cell] = []
+    steps = 0
+
+    def feasible(cell: Cell) -> bool:
+        return all(counts.get(f, 0) < c_o for f in footprints[cell])
+
+    def dfs(start_idx: int, current: float) -> None:
+        nonlocal best_obj, best, steps
+        steps += 1
+        if steps > step_budget:
+            return
+        remaining = n_static - len(chosen)
+        if remaining == 0:
+            if current > best_obj:
+                best_obj, best = current, list(chosen)
+            return
+        for idx in range(start_idx, len(order)):
+            if current + remaining * vals[idx] <= best_obj:
+                break  # vals non-increasing: no later cell can help
+            cell = order[idx]
+            if not feasible(cell):
+                continue
+            for f in footprints[cell]:
+                counts[f] = counts.get(f, 0) + 1
+            chosen.append(cell)
+            dfs(idx, current + vals[idx])
+            chosen.pop()
+            for f in footprints[cell]:
+                counts[f] -= 1
+
+    dfs(0, 0.0)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # mobile-path enumeration
 # ---------------------------------------------------------------------------

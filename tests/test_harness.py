@@ -148,6 +148,34 @@ class TestWarmStartHelpers:
         )
         assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("budget", [50, 2_000])
+    def test_pack_matches_the_reference_search(self, budget):
+        # the bitmask search visits the same cells in the same order and
+        # counts the same steps, so even a truncated search returns what
+        # the dict-based reference returns
+        from oracles import packing_search
+
+        for size in range(3, 13):
+            grid = GridSpec(size, size)
+            for n_static in range(1, 11):
+                for c_o in (1, 2, 3):
+                    got = pack_static_positions(grid, n_static, 1, c_o, 4.0, budget)
+                    assert got == packing_search(grid, n_static, 1, c_o, 4.0, budget), (
+                        size, n_static, c_o,
+                    )
+
+    @pytest.mark.parametrize(
+        "rows, cols, n_static, r_s, c_o",
+        [(10, 10, 10, 1, 1), (8, 8, 5, 1, 1), (7, 9, 4, 1, 2), (9, 9, 6, 2, 3), (12, 12, 10, 1, 3)],
+    )
+    def test_full_pack_matches_the_reference_search(self, rows, cols, n_static, r_s, c_o):
+        from oracles import packing_search
+
+        grid = GridSpec(rows, cols)
+        got = pack_static_positions(grid, n_static, r_s, c_o, 4.0)
+        assert got is not None
+        assert got == packing_search(grid, n_static, r_s, c_o, 4.0)
+
     def test_seeded_cov_plan_is_instance_feasible(self):
         grid = GridSpec(8, 8)
         covered, uncovered = static_coverage([Cell(2, 2), Cell(7, 7)], 1, grid)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gridcover.formulations import build_milp_static
+from gridcover.grid import GridSpec
 from gridcover.milp import MilpInstance
 from gridcover.simplex import (
     AT_LO,
@@ -392,3 +394,165 @@ class TestTieBreak:
             assert face.status == 0
             x = np.array([res.values[j] for j in range(n)])
             assert _face_weights(n) @ x == pytest.approx(-face.fun, abs=1e-6)
+
+
+def substituted_lp(rng, nonneg=False):
+    """A TestWarmStart.random_lp with columns y_t added, each defined by an
+    equality row a_t y_t + g_t . x = h_t that a point of the boxes meets,
+    boxed, and present in other rows and in the objective: mostly columns
+    the presolve substitutes out.  Returns the same tuple over [x | y]."""
+    c, A, senses, b, lower, upper, maximize = TestWarmStart.random_lp(rng)
+    n, mrows, k = len(c), len(senses), int(rng.integers(1, 4))
+    y_lo = rng.integers(-4, 1, size=k).astype(float)
+    y_up = y_lo + rng.integers(1, 6, size=k)
+    if nonneg:  # the same box widths, from zero
+        upper, y_up, lower, y_lo = upper - lower, y_up - y_lo, 0.0 * lower, 0.0 * y_lo
+    G = rng.integers(-3, 4, size=(k, n)).astype(float)
+    a = rng.choice([-2.0, -1.0, 1.0, 3.0], size=k)
+    x0 = rng.integers(lower, upper + 1).astype(float)
+    y0 = rng.integers(y_lo, y_up + 1).astype(float)
+    # y_t in one other row mostly (it is substituted), in two now and then
+    # (it stays: the presolve adds at most one copy of a row per column)
+    in_rows = np.zeros((mrows, k))
+    for t in range(k):
+        rows = rng.choice(mrows, size=min(mrows, int(rng.choice([1, 1, 1, 2]))), replace=False)
+        in_rows[rows, t] = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=len(rows))
+    A = np.block([[A, in_rows], [G, np.diag(a)]])
+    return (
+        np.concatenate([c, rng.integers(-4, 5, size=k).astype(float)]),
+        A,
+        senses + ["="] * k,
+        np.concatenate([b, G @ x0 + a * y0]),
+        np.concatenate([lower, y_lo]),
+        np.concatenate([upper, y_up]),
+        maximize,
+    )
+
+
+def public_arrays(data):
+    """Every public LpData array, as bytes."""
+    out = {}
+    for name in ("A", "A_csr", "AT"):
+        mat = getattr(data, name)
+        out[name] = (mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes(), mat.shape)
+    for name in ("b", "sense_codes", "c_min", "lower", "upper", "is_binary"):
+        out[name] = getattr(data, name).tobytes()
+    out["senses"], out["n"], out["m"] = list(data.senses), data.n, data.m
+    return out
+
+
+class TestPresolve:
+    """Columns defined by equality rows are substituted out of every LP;
+    answers are those of the full model."""
+
+    def test_substituted_lps_match_highs_on_the_full_model(self):
+        rng = np.random.default_rng(31)
+        kinds = {"optimal": 0, "infeasible": 0}
+        substituted = 0
+        for _ in range(200):
+            lp = substituted_lp(rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            data = LpData(build(*lp))
+            res = solve_lp(data)
+            substituted += data.reduced().cols.size
+            want_status, want_obj = highs(c, A, senses, b, lower, upper, maximize)
+            assert res.status == want_status, lp
+            kinds[want_status] += 1
+            if want_status == "optimal":
+                assert res.objective == pytest.approx(want_obj, rel=1e-7, abs=1e-7)
+                x = np.array([res.values[j] for j in range(data.n)])
+                assert len(res.values) == data.n and data.feasible(x, lower, upper)
+        assert kinds["optimal"] > 60 and kinds["infeasible"] > 20, kinds
+        assert substituted > 200
+
+    def test_presolve_substitutes_the_coverage_columns(self):
+        handle = build_milp_static(GridSpec(4, 4), 2)
+        data = LpData(handle.instance)
+        assert data._reduced is None  # nothing is presolved before a solve
+        red = data.reduced()
+        c_ids = np.arange(2 * 16, 4 * 16)  # the c block follows the x block
+        assert np.array_equal(np.sort(red.cols), c_ids)
+        assert red.n == 2 * 16 and red.A.shape == (data.m, 2 * 16)
+        assert solve_lp(data).objective == pytest.approx(solve_lp(LpData(handle.instance)).objective)
+
+    def test_warm_children_on_substituted_columns(self):
+        rng = np.random.default_rng(8)
+        checker = TestWarmStart()
+        decided = {"optimal": 0, "infeasible": 0}
+        for _ in range(120):
+            lp = substituted_lp(rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            if parent.status != "optimal" or not data.reduced().cols.size:
+                continue
+            j = int(rng.choice(data.reduced().cols))
+            e = np.zeros(len(c))
+            e[j] = 1.0
+            reach = (highs(e, A, senses, b, lower, upper, False)[1],
+                     highs(e, A, senses, b, lower, upper, True)[1])
+            for box in checker.tightenings(j, parent.values[j], lower[j], upper[j], reach):
+                got, _, direct = checker.check_child(lp, data, {j: box}, parent.basis)
+                if direct is not None:
+                    decided[direct.status] += 1
+                if got.status == "optimal":
+                    assert box[0] - 1e-9 <= got.values[j] <= box[1] + 1e-9
+        assert decided["optimal"] > 40 and decided["infeasible"] > 20, decided
+
+    def test_public_arrays_unchanged_by_solves(self):
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            lp = substituted_lp(rng)
+            data = LpData(build(*lp))
+            before = public_arrays(data)
+            parent = solve_lp(data)
+            if parent.status == "optimal":
+                j = int(data.reduced().cols[0]) if data.reduced().cols.size else 0
+                solve_lp(data, NodeBounds({j: (lp[4][j], lp[4][j])}, parent.basis))
+            assert public_arrays(data) == before
+        data = LpData(build_milp_static(GridSpec(5, 5), 3).instance)
+        before = public_arrays(data)
+        solve_lp(data)
+        assert public_arrays(data) == before
+
+    def test_optimum_maximizes_the_face_weights_of_the_full_model(self):
+        # sparse costs leave alternative optima; the substituted columns'
+        # weights ride on their rows' slacks, so the point is the full
+        # model's maximizer of the face weights
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(150):
+            c, A, senses, b, lower, upper, maximize = substituted_lp(rng, nonneg=True)
+            c = np.where(rng.random(len(c)) < 0.6, 0.0, c)
+            data = LpData(build(c, A, senses, b, lower, upper, maximize))
+            res = solve_lp(data)
+            if res.status != "optimal" or not data.reduced().cols.size:
+                continue
+            n = data.n
+            s = np.array(senses)
+            le, ge, eq = s == "<=", s == ">=", s == "="
+            sign = 1.0 if maximize else -1.0
+            # the optimal face: every row, and the objective at its optimum
+            face = linprog(
+                -_face_weights(n),
+                A_ub=np.vstack([A[le], -A[ge], -sign * c]),
+                b_ub=np.concatenate([b[le], -b[ge], [-sign * res.objective + 1e-9]]),
+                A_eq=A[eq], b_eq=b[eq],
+                bounds=np.column_stack([lower, upper]),
+                method="highs",
+            )
+            assert face.status == 0
+            x = np.array([res.values[j] for j in range(n)])
+            assert _face_weights(n) @ x == pytest.approx(-face.fun, abs=1e-6)
+            checked += 1
+        assert checked > 40
+
+
+def test_static_10x10_root_pivot_budget():
+    # a count, not a time: the 10x10, ten-node placement root LP took 3,259
+    # pivots on the unreduced model
+    data = LpData(build_milp_static(GridSpec(10, 10), 10).instance)
+    res = solve_lp(data)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(183.0, abs=1e-7)
+    assert res.iterations <= 1_000
