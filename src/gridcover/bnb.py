@@ -16,9 +16,8 @@ exactly to {0, 1} before being accepted, and the reported objective is
 recomputed from the incumbent values rather than trusted from the
 relaxation.
 
-Node exploration is single-threaded; the `deterministic` flag is honored
-trivially and two runs on identical inputs give identical node counts and
-incumbents.
+Node exploration is single-threaded, so two runs on identical inputs give
+identical node counts and incumbents.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class SolveParams:
     int_tol: float = 1e-6
     node_selection: str = "best-bound"  # "best-bound" | "depth-first"
     node_limit: Optional[int] = None  # deterministic alternative to wall-clock capping
-    deterministic: bool = True
     # caller-asserted: the objective takes integer values at every
     # integral-feasible point, so relaxation bounds may be rounded; set by
     # the formulation builders (their coverage variables behave as binaries)

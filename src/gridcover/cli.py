@@ -16,7 +16,6 @@ import sys
 from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
-from .bnb import SolveParams, solve_milp
 from .formulations import build_milp_cov, build_milp_mov, build_milp_static
 from .grid import GridSpec
 from .harness import (
@@ -99,7 +98,7 @@ def _add_common(p: argparse.ArgumentParser, mobile: bool) -> None:
     p.add_argument("--node-limit", dest="node_limit", type=int,
                    help="deterministic node-count cap (alternative to --time-limit)")
     p.add_argument("--deterministic", action="store_true", default=None,
-                   help="single-threaded search, byte-stable outputs")
+                   help="leave the CSV's wall_time field empty, so sweep files are byte-stable")
     p.add_argument("--threads", type=int,
                    help="reserved; the embedded solver is single-threaded "
                         "(default from GRIDCOVER_THREADS)")
@@ -169,15 +168,6 @@ def _require_grid(args) -> GridSpec:
     return GridSpec(int(rows), int(cols))
 
 
-def _solver_params(args) -> SolveParams:
-    return SolveParams(
-        time_limit=float(_merged(args, "time_limit")),
-        mip_gap=float(_merged(args, "gap")),
-        node_limit=_merged(args, "node_limit"),
-        deterministic=bool(_merged(args, "deterministic")),
-    )
-
-
 def _experiment_config(args, placement: str, planner: str, seeds,
                        n_static_override: Optional[int] = None) -> ExperimentConfig:
     if placement == "none":
@@ -205,7 +195,6 @@ def _experiment_config(args, placement: str, planner: str, seeds,
         time_limit=float(_merged(args, "time_limit")),
         mip_gap=float(_merged(args, "gap")),
         node_limit=_merged(args, "node_limit"),
-        deterministic=bool(_merged(args, "deterministic")),
     )
 
 

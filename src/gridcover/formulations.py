@@ -5,7 +5,9 @@ deployments and plans.
 Builders are pure and deterministic: variables and constraints are emitted
 in a fixed order (equation blocks in their presentation order; within a
 block, cells row-major, then nodes ascending, then iterations ascending),
-so exported LP text is byte-stable.
+so exported LP text is byte-stable.  Variable ids follow one arithmetic
+layout, stated on `FormulationHandle`; the decoders and encoders index
+into it as arrays.
 
 Conventions baked in here:
   - The static coverage-linking equalities are emitted for every grid cell
@@ -30,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,104 +98,92 @@ class PlanViolation:
     message: str
 
 
+@dataclass(eq=False)  # handles compare and hash by identity
 class FormulationHandle:
-    """A built instance plus the variable bookkeeping needed to decode it.
+    """A built instance plus what is needed to decode it.
 
-    Variable ids follow a fixed arithmetic layout (binaries first, coverage
-    variables after), so the id maps are materialized lazily on first use.
+    Variable ids follow one arithmetic layout: the placement binaries as
+    one C-order block of shape `x_shape`, then the coverage variables of
+    each placement in the same shape, then (mobile models only) one
+    covered-at-any-iteration variable per cell of C_1.  `x_shape` is
+    (n_static, |C|) for the static model and (n_mobile, horizon, |C_1|)
+    for the coverage and movement models; `cells` lists the cells along
+    its last axis (the grid row-major, or C_1 sorted).
     """
 
-    def __init__(
-        self,
-        kind: str,  # "static" | "cov" | "mov"
-        instance: MilpInstance,
-        grid: GridSpec,
-        n_static: int = 0,
-        n_mobile: int = 0,
-        horizon: int = 0,
-        r_s: int = 1,
-        rho_x: int = 2,
-        rho_y: int = 2,
-        c_o: int = 1,
-        boundary_weight: float = 1.0,
-        uncovered: Tuple[Cell, ...] = (),
-        static_covered_count: int = 0,
-        coverage_threshold: Optional[int] = None,
-        nothing_to_plan: bool = False,
-    ):
-        self.kind = kind
-        self.instance = instance
-        self.grid = grid
-        self.n_static = n_static
-        self.n_mobile = n_mobile
-        self.horizon = horizon
-        self.r_s = r_s
-        self.rho_x = rho_x
-        self.rho_y = rho_y
-        self.c_o = c_o
-        self.boundary_weight = boundary_weight
-        self.uncovered = uncovered
-        self.static_covered_count = static_covered_count
-        self.coverage_threshold = coverage_threshold
-        self.nothing_to_plan = nothing_to_plan
-        self._x_static: Optional[Dict[Tuple[int, Cell], int]] = None
-        self._c_static: Optional[Dict[Tuple[int, Cell], int]] = None
-        self._x_mobile: Optional[Dict[Tuple[int, int, Cell], int]] = None
-        self._c_mobile: Optional[Dict[Tuple[int, int, Cell], int]] = None
-        self._c_cell: Optional[Dict[Cell, int]] = None
+    kind: str  # "static" | "cov" | "mov"
+    instance: MilpInstance
+    grid: GridSpec
+    n_static: int = 0
+    n_mobile: int = 0
+    horizon: int = 0
+    r_s: int = 1
+    rho_x: int = 2
+    rho_y: int = 2
+    c_o: int = 1
+    boundary_weight: float = 1.0
+    uncovered: Tuple[Cell, ...] = ()
+    static_covered_count: int = 0
+    coverage_threshold: Optional[int] = None
+    nothing_to_plan: bool = False
 
     @property
-    def x_static(self) -> Dict[Tuple[int, Cell], int]:
-        if self._x_static is None:
-            cells = list(self.grid.cells())
-            n = len(cells)
-            self._x_static = {
-                (s, cell): (s - 1) * n + pos
-                for s in range(1, self.n_static + 1)
-                for pos, cell in enumerate(cells)
-            }
-        return self._x_static
+    def x_shape(self) -> Tuple[int, ...]:
+        if self.kind == "static":
+            return (self.n_static, self.grid.n_cells)
+        return (self.n_mobile, self.horizon, len(self.uncovered))
 
     @property
-    def c_static(self) -> Dict[Tuple[int, Cell], int]:
-        if self._c_static is None:
-            base = self.n_static * self.grid.n_cells
-            self._c_static = {key: base + vid for key, vid in self.x_static.items()}
-        return self._c_static
+    def cells(self) -> Tuple[Cell, ...]:
+        return tuple(self.grid.cells()) if self.kind == "static" else self.uncovered
 
-    @property
-    def x_mobile(self) -> Dict[Tuple[int, int, Cell], int]:
-        if self._x_mobile is None:
-            n1 = len(self.uncovered)
-            self._x_mobile = {
-                (l, k, cell): ((l - 1) * self.horizon + (k - 1)) * n1 + pos
-                for l in range(1, self.n_mobile + 1)
-                for k in range(1, self.horizon + 1)
-                for pos, cell in enumerate(self.uncovered)
-            }
-        return self._x_mobile
-
-    @property
-    def c_mobile(self) -> Dict[Tuple[int, int, Cell], int]:
-        if self._c_mobile is None:
-            base = self.n_mobile * self.horizon * len(self.uncovered)
-            self._c_mobile = {key: base + vid for key, vid in self.x_mobile.items()}
-        return self._c_mobile
-
-    @property
-    def c_cell(self) -> Dict[Cell, int]:
-        if self._c_cell is None:
-            base = 2 * self.n_mobile * self.horizon * len(self.uncovered)
-            self._c_cell = {cell: base + pos for pos, cell in enumerate(self.uncovered)}
-        return self._c_cell
+    def placements(self, assignment: Assignment) -> np.ndarray:
+        """The placement binaries' values, one row per node (static) or per
+        (node, iteration), node-major (mobile); unlisted ids read 0."""
+        x = self.instance.point(assignment)[: math.prod(self.x_shape)]
+        return x.reshape(-1, self.x_shape[-1])
 
     def coverage_variable_ids(self) -> range:
         """Ids of every continuous coverage variable (for integrality audits)."""
-        if self.kind == "static":
-            n = self.n_static * self.grid.n_cells
-            return range(n, 2 * n)
-        n_x = self.n_mobile * self.horizon * len(self.uncovered)
-        return range(n_x, self.instance.n_variables)
+        return range(math.prod(self.x_shape), self.instance.n_variables)
+
+
+def static_deployment(
+    grid: GridSpec, positions: Sequence[Tuple[int, int]], r_s: int, boundary_weight: float
+) -> StaticDeployment:
+    """The deployment of static nodes at `positions`: the covered/uncovered
+    partition and the boundary-weighted objective, from the geometry."""
+    covered, uncovered = static_coverage(list(positions), r_s, grid)
+    boundary = boundary_cells(grid)
+    objective = sum(
+        boundary_weight if cell in boundary else 1.0
+        for pos in positions
+        for cell in sensing_footprint(pos, r_s, grid)
+    )
+    return StaticDeployment(
+        positions=tuple(Cell(*p) for p in positions),
+        covered=frozenset(covered),
+        uncovered=frozenset(uncovered),
+        boundary_weight=boundary_weight,
+        objective_value=objective,
+    )
+
+
+def _placed(
+    handle: FormulationHandle, assignment: Assignment, labels: Sequence[str]
+) -> Iterator[List[Cell]]:
+    """Per row of `handle.placements`, in order, the cells whose binary is 1.
+    Raises DecodeError at the first row holding a fractional (or non-finite)
+    value, naming the row by its label and its first such cell."""
+    x = handle.placements(assignment)
+    rounded = np.round(x)
+    fractional = ~(np.abs(x - rounded) <= INT_TOL)
+    cells = handle.cells
+    for row, label in enumerate(labels):
+        if fractional[row].any():
+            p = int(np.argmax(fractional[row]))
+            raise DecodeError(f"{label} at {tuple(cells[p])} is fractional: {float(x[row, p])}")
+        yield [cells[p] for p in np.flatnonzero(rounded[row] == 1)]
 
 
 def _exact_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
@@ -267,10 +257,6 @@ def build_milp_static(
         raise ValueError("c_o must be >= 1")
 
     inst = MilpInstance("milp-static")
-    cells = list(grid.cells())
-    n_cells = len(cells)
-    boundary = boundary_cells(grid)
-
     handle = FormulationHandle(
         kind="static",
         instance=inst,
@@ -280,14 +266,16 @@ def build_milp_static(
         c_o=c_o,
         boundary_weight=boundary_weight,
     )
+    cells = handle.cells
+    n_cells = len(cells)
+    boundary = boundary_cells(grid)
 
-    # variable ids are arithmetic: x block then c block, node-major, cells row-major
     cell_tag = ["%d_%d" % cell for cell in cells]
     inst.add_variables(["x_s%d_" % s for s in range(1, n_static + 1)], cell_tag, "binary", 0.0, 1.0)
     inst.add_variables(
         ["c_s%d_" % s for s in range(1, n_static + 1)], cell_tag, "continuous", 0.0, 1.0
     )
-    c_base = n_static * n_cells
+    c_base = math.prod(handle.x_shape)
     weights = [boundary_weight if cell in boundary else 1.0 for cell in cells]
     inst.set_objective_arrays(np.arange(c_base, 2 * c_base), np.tile(weights, n_static), "maximize")
 
@@ -318,31 +306,12 @@ def decode_static(handle: FormulationHandle, assignment: Assignment) -> StaticDe
     if handle.kind != "static":
         raise ValueError("handle is not a static-placement formulation")
     positions: List[Cell] = []
-    for s in range(1, handle.n_static + 1):
-        chosen: List[Cell] = []
-        for cell in handle.grid.cells():
-            val = assignment.get(handle.x_static[(s, cell)], 0.0)
-            if abs(val - round(val)) > INT_TOL:
-                raise DecodeError(f"placement variable for node {s} at {tuple(cell)} is fractional: {val}")
-            if round(val) == 1:
-                chosen.append(cell)
+    labels = [f"placement variable for node {s}" for s in range(1, handle.n_static + 1)]
+    for s, chosen in enumerate(_placed(handle, assignment, labels), start=1):
         if len(chosen) != 1:
             raise DecodeError(f"static node {s} placed in {len(chosen)} cells, expected exactly 1")
         positions.append(chosen[0])
-
-    covered, uncovered = static_coverage(positions, handle.r_s, handle.grid)
-    boundary = boundary_cells(handle.grid)
-    objective = 0.0
-    for pos in positions:
-        for cell in sensing_footprint(pos, handle.r_s, handle.grid):
-            objective += handle.boundary_weight if cell in boundary else 1.0
-    return StaticDeployment(
-        positions=tuple(positions),
-        covered=frozenset(covered),
-        uncovered=frozenset(uncovered),
-        boundary_weight=handle.boundary_weight,
-        objective_value=objective,
-    )
+    return static_deployment(handle.grid, positions, handle.r_s, handle.boundary_weight)
 
 
 def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]]) -> Assignment:
@@ -353,13 +322,14 @@ def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]
         raise ValueError("handle is not a static-placement formulation")
     if len(positions) != handle.n_static:
         raise ValueError(f"expected {handle.n_static} positions, got {len(positions)}")
-    values: Assignment = {vid: 0.0 for vid in range(handle.instance.n_variables)}
-    for s, pos in enumerate(positions, start=1):
+    values = np.zeros((2,) + handle.x_shape)
+    index = {cell: p for p, cell in enumerate(handle.cells)}
+    for s, pos in enumerate(positions):
         cell = handle.grid.require(pos, "static position")
-        values[handle.x_static[(s, cell)]] = 1.0
+        values[0, s, index[cell]] = 1.0
         for covered in sensing_footprint(cell, handle.r_s, handle.grid):
-            values[handle.c_static[(s, covered)]] = 1.0
-    return values
+            values[1, s, index[covered]] = 1.0
+    return dict(enumerate(values.ravel().tolist()))
 
 
 def _check_rho_components(uncovered: Sequence[Cell], rho_x: int, rho_y: int) -> None:
@@ -434,9 +404,9 @@ def _build_mobile(
         uncovered=tuple(c1),
         static_covered_count=static_covered_count,
         coverage_threshold=coverage_threshold,
+        nothing_to_plan=not c1,
     )
     if not c1:
-        handle.nothing_to_plan = True
         return handle
 
     _check_rho_components(c1, rho_x, rho_y)
@@ -444,10 +414,8 @@ def _build_mobile(
     n_lk = n_mobile * k_max
     lk_list = [(l, k) for l in range(1, n_mobile + 1) for k in range(1, k_max + 1)]
 
-    # id layout: x block, then per-(node, iteration) coverage block, then
-    # per-cell coverage block; within blocks node-major, iteration, cell
-    cm_base = n_lk * n1
-    cc_base = 2 * n_lk * n1
+    cm_base = math.prod(handle.x_shape)
+    cc_base = 2 * cm_base
     cell_tag = ["%d_%d" % cell for cell in c1]
     inst.add_variables(["x_l%d_k%d_" % lk for lk in lk_list], cell_tag, "binary", 0.0, 1.0)
     inst.add_variables(["c_l%d_k%d_" % lk for lk in lk_list], cell_tag, "continuous", 0.0, 1.0)
@@ -574,25 +542,15 @@ def decode_plan(handle: FormulationHandle, assignment: Assignment) -> MobilePlan
         raise ValueError("handle is not a mobile-path formulation")
     positions: Dict[Tuple[int, int], Cell] = {}
     if not handle.nothing_to_plan:
-        for l in range(1, handle.n_mobile + 1):
-            for k in range(1, handle.horizon + 1):
-                chosen: List[Cell] = []
-                for cell in handle.uncovered:
-                    val = assignment.get(handle.x_mobile[(l, k, cell)], 0.0)
-                    if abs(val - round(val)) > INT_TOL:
-                        raise DecodeError(
-                            f"position variable node {l} iteration {k} at {tuple(cell)} is fractional: {val}"
-                        )
-                    if round(val) == 1:
-                        chosen.append(cell)
-                if len(chosen) > 1:
-                    raise DecodeError(
-                        f"node {l} occupies {len(chosen)} cells at iteration {k}"
-                    )
-                if handle.kind == "cov" and not chosen:
-                    raise DecodeError(f"node {l} has no position at iteration {k}")
-                if chosen:
-                    positions[(l, k)] = chosen[0]
+        lks = [(l, k) for l in range(1, handle.n_mobile + 1) for k in range(1, handle.horizon + 1)]
+        labels = ["position variable node %d iteration %d" % lk for lk in lks]
+        for (l, k), chosen in zip(lks, _placed(handle, assignment, labels)):
+            if len(chosen) > 1:
+                raise DecodeError(f"node {l} occupies {len(chosen)} cells at iteration {k}")
+            if handle.kind == "cov" and not chosen:
+                raise DecodeError(f"node {l} has no position at iteration {k}")
+            if chosen:
+                positions[(l, k)] = chosen[0]
 
     plan = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions=positions)
     problems = validate_plan(plan, handle.grid, handle.uncovered, handle.rho_x, handle.rho_y)
@@ -609,22 +567,21 @@ def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> Assignment:
     set the placement binaries, coverage variables follow from the
     footprints.  Feasibility (notably the overlap cap) is not checked
     here; substitute into the instance to verify."""
-    values: Assignment = {vid: 0.0 for vid in range(handle.instance.n_variables)}
     if handle.nothing_to_plan:
-        return values
-    c1_set = set(handle.uncovered)
-    covered: Set[Cell] = set()
+        return {}
+    values = np.zeros((2,) + handle.x_shape)
+    covered = np.zeros(len(handle.uncovered))
+    index = {cell: p for p, cell in enumerate(handle.cells)}
     for (l, k), pos in plan.positions.items():
-        if (l, k, pos) not in handle.x_mobile:
+        # the range check also keeps l or k = 0 from indexing the last node
+        if not (1 <= l <= handle.n_mobile and 1 <= k <= handle.horizon and pos in index):
             raise ValueError(f"plan position {tuple(pos)} at node {l} iteration {k} has no variable")
-        values[handle.x_mobile[(l, k, pos)]] = 1.0
+        values[0, l - 1, k - 1, index[pos]] = 1.0
         for cell in sensing_footprint(pos, handle.r_s, handle.grid):
-            if cell in c1_set:
-                values[handle.c_mobile[(l, k, cell)]] = 1.0
-                covered.add(cell)
-    for cell in covered:
-        values[handle.c_cell[cell]] = 1.0
-    return values
+            if cell in index:
+                values[1, l - 1, k - 1, index[cell]] = 1.0
+                covered[index[cell]] = 1.0
+    return dict(enumerate(np.concatenate([values.ravel(), covered]).tolist()))
 
 
 def validate_plan(

@@ -38,8 +38,10 @@ from .formulations import (
     decode_static,
     encode_plan,
     encode_static,
+    static_deployment,
 )
-from .grid import Cell, GridSpec, SensorParams, boundary_cells, sensing_footprint, static_coverage
+from .grid import Cell, GridSpec, SensorParams, boundary_cells, sensing_footprint
+from .milp import Assignment
 from .planners import BaselineConfig, greedy_plan, movements_to_reach, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
@@ -70,8 +72,6 @@ class ExperimentConfig:
     time_limit: float = 18000.0
     mip_gap: float = 0.0
     node_limit: Optional[int] = None
-    deterministic: bool = True
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -96,7 +96,6 @@ class ExperimentConfig:
             time_limit=self.time_limit,
             mip_gap=self.mip_gap,
             node_limit=self.node_limit,
-            deterministic=self.deterministic,
         )
 
 
@@ -311,7 +310,9 @@ def best_seed_plan(
 ) -> Optional[MobilePlan]:
     """Best greedy seed over all first-node start cells (plus the free
     default), scored by uncovered cells covered then fewer placements;
-    stops early once a seed covers everything."""
+    stops early once a seed covers everything.  None when no seed places
+    every node (coverage plans) or the best covers fewer than `stop_at`
+    uncovered cells (a seed short of the target is no incumbent)."""
     c1 = sorted(set(Cell(*c) for c in uncovered))
     c1_set = set(c1)
 
@@ -335,14 +336,15 @@ def best_seed_plan(
             best, best_key = plan, key
         if best_key[0] == len(c1):
             break
+    if stop_at is not None and best_key[0] < stop_at:
+        return None
     return best
 
 
-def _warm_assignment(handle: FormulationHandle, plan: Optional[MobilePlan]):
-    if plan is None:
-        return None
-    values = encode_plan(handle, plan)
-    if handle.instance.constraint_violation(values) > 1e-7:
+def _warm_assignment(handle: FormulationHandle, values: Optional[Assignment]) -> Optional[Assignment]:
+    """`values` when they satisfy every row of the handle's instance, so
+    that they can seed its solve; otherwise None."""
+    if values is None or handle.instance.constraint_violation(values) > 1e-7:
         return None
     return values
 
@@ -350,25 +352,6 @@ def _warm_assignment(handle: FormulationHandle, plan: Optional[MobilePlan]):
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
-
-
-def _deployment_from_positions(
-    grid: GridSpec, positions: Sequence[Cell], r_s: int, boundary_weight: float
-) -> StaticDeployment:
-    covered, uncovered = static_coverage(list(positions), r_s, grid)
-    boundary = boundary_cells(grid)
-    objective = sum(
-        boundary_weight if cell in boundary else 1.0
-        for pos in positions
-        for cell in sensing_footprint(pos, r_s, grid)
-    )
-    return StaticDeployment(
-        positions=tuple(Cell(*p) for p in positions),
-        covered=frozenset(covered),
-        uncovered=frozenset(uncovered),
-        boundary_weight=boundary_weight,
-        objective_value=objective,
-    )
 
 
 def place_static_milp(
@@ -379,15 +362,10 @@ def place_static_milp(
     handle = build_milp_static(
         grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
     )
-    warm = None
-    if config.warm_start:
-        packed = pack_static_positions(
-            grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
-        )
-        if packed is not None:
-            values = encode_static(handle, packed)
-            if handle.instance.constraint_violation(values) <= 1e-7:
-                warm = values
+    packed = pack_static_positions(
+        grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
+    )
+    warm = _warm_assignment(handle, None if packed is None else encode_static(handle, packed))
     result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)
     if result.incumbent is None:
         return None, result
@@ -401,7 +379,7 @@ def place_static_random(config: ExperimentConfig, seed: int) -> StaticDeployment
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     idx = rng.choice(len(cells), size=config.n_static, replace=False)
     positions = [cells[int(i)] for i in sorted(idx)]
-    return _deployment_from_positions(grid, positions, config.r_s, config.boundary_weight)
+    return static_deployment(grid, positions, config.r_s, config.boundary_weight)
 
 
 def plan_mobile_milp(
@@ -437,32 +415,25 @@ def plan_mobile_milp(
     params = config.solver_params()
     params.objective_integral = True  # coverage variables behave as binaries
 
-    warm = None
-    if config.warm_start:
-        seeded = best_seed_plan(
-            grid, uncovered, config.n_mobile, config.k_max,
-            config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
-            stop_at=stop_at,
+    seeded = best_seed_plan(
+        grid, uncovered, config.n_mobile, config.k_max,
+        config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
+        stop_at=stop_at,
+    )
+    warm = _warm_assignment(handle, None if seeded is None else encode_plan(handle, seeded))
+    if warm is None:
+        # greedy seeding cornered itself: hunt for any incumbent with a
+        # short deterministic depth-first dive before the main search
+        hunt = solve_milp(
+            handle.instance,
+            SolveParams(
+                time_limit=min(60.0, config.time_limit),
+                node_selection="depth-first",
+                node_limit=400,
+                objective_integral=True,
+            ),
         )
-        if seeded is not None and stop_at is not None:
-            reached = len({f for p in seeded.positions.values()
-                           for f in sensing_footprint(p, config.r_s, grid) if f in set(uncovered)})
-            if reached < stop_at:
-                seeded = None  # seed failed to reach the target; useless as incumbent
-        warm = _warm_assignment(handle, seeded)
-        if warm is None:
-            # greedy seeding cornered itself: hunt for any incumbent with a
-            # short deterministic depth-first dive before the main search
-            hunt = solve_milp(
-                handle.instance,
-                SolveParams(
-                    time_limit=min(60.0, config.time_limit),
-                    node_selection="depth-first",
-                    node_limit=400,
-                    objective_integral=True,
-                ),
-            )
-            warm = hunt.incumbent
+        warm = hunt.incumbent
 
     result = solve_milp(handle.instance, params, warm_start=warm)
     if result.incumbent is None:
@@ -718,4 +689,4 @@ def parse_deployment_text(
         s, i, j = (int(p) for p in parts)
         entries[s] = grid.require(Cell(i, j), "deployment position")
     positions = [entries[s] for s in sorted(entries)]
-    return _deployment_from_positions(grid, positions, r_s, boundary_weight)
+    return static_deployment(grid, positions, r_s, boundary_weight)

@@ -361,3 +361,165 @@ def milp_by_enumeration(instance, lp_solver=None) -> Tuple[str, Optional[float]]
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+# ---------------------------------------------------------------------------
+# formulation decode/encode over explicit id maps
+# ---------------------------------------------------------------------------
+# The dict-based variable maps and loop-based decoders/encoders that
+# gridcover.formulations replaced with array indexing over its arithmetic
+# layout, kept verbatim (the maps as functions of the handle) so the two
+# can be compared on random and corrupted inputs.
+
+
+def x_static(handle) -> Dict[Tuple[int, Cell], int]:
+    cells = list(handle.grid.cells())
+    n = len(cells)
+    return {
+        (s, cell): (s - 1) * n + pos
+        for s in range(1, handle.n_static + 1)
+        for pos, cell in enumerate(cells)
+    }
+
+
+def c_static(handle) -> Dict[Tuple[int, Cell], int]:
+    base = handle.n_static * handle.grid.n_cells
+    return {key: base + vid for key, vid in x_static(handle).items()}
+
+
+def x_mobile(handle) -> Dict[Tuple[int, int, Cell], int]:
+    n1 = len(handle.uncovered)
+    return {
+        (l, k, cell): ((l - 1) * handle.horizon + (k - 1)) * n1 + pos
+        for l in range(1, handle.n_mobile + 1)
+        for k in range(1, handle.horizon + 1)
+        for pos, cell in enumerate(handle.uncovered)
+    }
+
+
+def c_mobile(handle) -> Dict[Tuple[int, int, Cell], int]:
+    base = handle.n_mobile * handle.horizon * len(handle.uncovered)
+    return {key: base + vid for key, vid in x_mobile(handle).items()}
+
+
+def c_cell(handle) -> Dict[Cell, int]:
+    base = 2 * handle.n_mobile * handle.horizon * len(handle.uncovered)
+    return {cell: base + pos for pos, cell in enumerate(handle.uncovered)}
+
+
+def coverage_variable_ids(handle) -> range:
+    if handle.kind == "static":
+        n = handle.n_static * handle.grid.n_cells
+        return range(n, 2 * n)
+    n_x = handle.n_mobile * handle.horizon * len(handle.uncovered)
+    return range(n_x, handle.instance.n_variables)
+
+
+def decode_static(handle, assignment):
+    from gridcover.formulations import INT_TOL, DecodeError, StaticDeployment
+    from gridcover.grid import static_coverage
+
+    if handle.kind != "static":
+        raise ValueError("handle is not a static-placement formulation")
+    ids = x_static(handle)
+    positions: List[Cell] = []
+    for s in range(1, handle.n_static + 1):
+        chosen: List[Cell] = []
+        for cell in handle.grid.cells():
+            val = assignment.get(ids[(s, cell)], 0.0)
+            if abs(val - round(val)) > INT_TOL:
+                raise DecodeError(f"placement variable for node {s} at {tuple(cell)} is fractional: {val}")
+            if round(val) == 1:
+                chosen.append(cell)
+        if len(chosen) != 1:
+            raise DecodeError(f"static node {s} placed in {len(chosen)} cells, expected exactly 1")
+        positions.append(chosen[0])
+
+    covered, uncovered = static_coverage(positions, handle.r_s, handle.grid)
+    boundary = boundary_cells(handle.grid)
+    objective = 0.0
+    for pos in positions:
+        for cell in sensing_footprint(pos, handle.r_s, handle.grid):
+            objective += handle.boundary_weight if cell in boundary else 1.0
+    return StaticDeployment(
+        positions=tuple(positions),
+        covered=frozenset(covered),
+        uncovered=frozenset(uncovered),
+        boundary_weight=handle.boundary_weight,
+        objective_value=objective,
+    )
+
+
+def encode_static(handle, positions):
+    if handle.kind != "static":
+        raise ValueError("handle is not a static-placement formulation")
+    if len(positions) != handle.n_static:
+        raise ValueError(f"expected {handle.n_static} positions, got {len(positions)}")
+    x_ids, c_ids = x_static(handle), c_static(handle)
+    values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+    for s, pos in enumerate(positions, start=1):
+        cell = handle.grid.require(pos, "static position")
+        values[x_ids[(s, cell)]] = 1.0
+        for covered in sensing_footprint(cell, handle.r_s, handle.grid):
+            values[c_ids[(s, covered)]] = 1.0
+    return values
+
+
+def decode_plan(handle, assignment):
+    from gridcover.formulations import (
+        INT_TOL, DecodeError, MobilePlan, PlanConsistencyError, validate_plan,
+    )
+
+    if handle.kind not in ("cov", "mov"):
+        raise ValueError("handle is not a mobile-path formulation")
+    ids = x_mobile(handle)
+    positions: Dict[Tuple[int, int], Cell] = {}
+    if not handle.nothing_to_plan:
+        for l in range(1, handle.n_mobile + 1):
+            for k in range(1, handle.horizon + 1):
+                chosen: List[Cell] = []
+                for cell in handle.uncovered:
+                    val = assignment.get(ids[(l, k, cell)], 0.0)
+                    if abs(val - round(val)) > INT_TOL:
+                        raise DecodeError(
+                            f"position variable node {l} iteration {k} at {tuple(cell)} is fractional: {val}"
+                        )
+                    if round(val) == 1:
+                        chosen.append(cell)
+                if len(chosen) > 1:
+                    raise DecodeError(
+                        f"node {l} occupies {len(chosen)} cells at iteration {k}"
+                    )
+                if handle.kind == "cov" and not chosen:
+                    raise DecodeError(f"node {l} has no position at iteration {k}")
+                if chosen:
+                    positions[(l, k)] = chosen[0]
+
+    plan = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions=positions)
+    problems = validate_plan(plan, handle.grid, handle.uncovered, handle.rho_x, handle.rho_y)
+    if problems:
+        raise PlanConsistencyError(
+            "decoded plan violates its invariants (builder bug): "
+            + "; ".join(v.message for v in problems)
+        )
+    return plan
+
+
+def encode_plan(handle, plan):
+    values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+    if handle.nothing_to_plan:
+        return values
+    x_ids, c_ids, cell_ids = x_mobile(handle), c_mobile(handle), c_cell(handle)
+    c1_set = set(handle.uncovered)
+    covered: Set[Cell] = set()
+    for (l, k), pos in plan.positions.items():
+        if (l, k, pos) not in x_ids:
+            raise ValueError(f"plan position {tuple(pos)} at node {l} iteration {k} has no variable")
+        values[x_ids[(l, k, pos)]] = 1.0
+        for cell in sensing_footprint(pos, handle.r_s, handle.grid):
+            if cell in c1_set:
+                values[c_ids[(l, k, cell)]] = 1.0
+                covered.add(cell)
+    for cell in covered:
+        values[cell_ids[cell]] = 1.0
+    return values

@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gridcover.bnb import SolveParams, solve_milp
@@ -104,7 +105,7 @@ class TestStaticFormulation:
     def test_decode_rejects_fractional(self):
         handle = build_milp_static(GridSpec(3, 3), 1)
         values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
-        values[handle.x_static[(1, Cell(2, 2))]] = 0.5
+        values[handle.instance.var_id("x_s1_2_2")] = 0.5
         with pytest.raises(DecodeError, match="fractional"):
             decode_static(handle, values)
 
@@ -153,7 +154,7 @@ class TestCovFormulation:
         grid = GridSpec(3, 3)
         handle = build_milp_cov(grid, sorted(grid.cells()), 1, 2)
         values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
-        values[handle.x_mobile[(1, 1, Cell(2, 2))]] = 1.0
+        values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
         with pytest.raises(DecodeError, match="no position"):
             decode_plan(handle, values)
 
@@ -240,7 +241,7 @@ class TestDecodeEncode:
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 2, coverage_target=1)
         values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
-        values[handle.x_mobile[(1, 1, Cell(2, 2))]] = 1.0
+        values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
         plan = decode_plan(handle, values)
         assert plan.positions == {(1, 1): Cell(2, 2)}
 
@@ -248,8 +249,8 @@ class TestDecodeEncode:
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 1, coverage_target="0.1")
         values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
-        values[handle.x_mobile[(1, 1, Cell(1, 1))]] = 1.0
-        values[handle.x_mobile[(1, 1, Cell(3, 3))]] = 1.0
+        values[handle.instance.var_id("x_l1_k1_1_1")] = 1.0
+        values[handle.instance.var_id("x_l1_k1_3_3")] = 1.0
         with pytest.raises(DecodeError, match="occupies 2 cells"):
             decode_plan(handle, values)
 
@@ -282,3 +283,133 @@ class TestValidatePlan:
         plan = MobilePlan(1, 1, {(1, 1): Cell(9, 9)})
         violations = validate_plan(plan, self.grid, self.c1, 2, 2)
         assert [v.kind for v in violations] == ["grid"]
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return "raised", type(exc), str(exc)
+    if isinstance(result, dict):
+        return "ok", list(result.items())  # same keys in the same order
+    return "ok", result
+
+
+class TestArithmeticLayout:
+    """Decode and encode index the handle's arithmetic layout; they must
+    agree with the dict-based reference in `oracles` on random grids,
+    placements and plans, and on corrupted assignments."""
+
+    @staticmethod
+    def corruptions(rng, handle, values):
+        """`values` and copies of it with one placement row made fractional,
+        given a second cell, emptied, or overwritten at random."""
+        rows, width = handle.placements(values).shape
+        out = [values]
+        for how in ("fractional", "two", "none", "noise"):
+            bad = dict(values)
+            row = int(rng.integers(rows))
+            base = row * width
+            if how == "fractional":
+                bad[base + int(rng.integers(width))] = float(rng.choice([0.5, 0.25, 1e-3, 0.9999]))
+            elif how == "two":
+                for p in rng.choice(width, size=min(2, width), replace=False):
+                    bad[base + int(p)] = 1.0
+            elif how == "none":
+                for p in range(width):
+                    bad[base + p] = 0.0
+            else:
+                for vid in range(rows * width):
+                    bad[vid] = float(rng.choice([0.0, 0.0, 0.0, 1.0, 1.0 + 1e-9, 0.5]))
+            out.append(bad)
+        out.append({})  # nothing listed reads as all zeros
+        return out
+
+    def test_static_matches_the_reference(self):
+        import oracles
+
+        rng = np.random.default_rng(20261018)
+        calls = errors = 0
+        for _ in range(150):
+            grid = GridSpec(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            n_static = int(rng.integers(1, 4))
+            handle = build_milp_static(grid, n_static, int(rng.integers(0, 3)),
+                                       int(rng.integers(1, 3)), float(rng.choice([1.0, 2.5, 4.0])))
+            assert handle.coverage_variable_ids() == oracles.coverage_variable_ids(handle)
+            cells = sorted(grid.cells())
+            positions = [cells[int(i)] for i in rng.integers(len(cells), size=n_static)]
+            for placed in (positions, positions[:-1], positions + [Cell(grid.rows + 1, 1)],
+                           positions[:-1] + [Cell(0, 1)]):
+                got = _outcome(encode_static, handle, placed)
+                assert got == _outcome(oracles.encode_static, handle, placed), placed
+                calls, errors = calls + 1, errors + (got[0] == "raised")
+            for values in self.corruptions(rng, handle, encode_static(handle, positions)):
+                got = _outcome(decode_static, handle, values)
+                assert got == _outcome(oracles.decode_static, handle, values)
+                calls, errors = calls + 1, errors + (got[0] == "raised")
+        assert calls == 1500 and 1000 < errors < calls, (calls, errors)
+
+    def test_plans_match_the_reference(self):
+        import oracles
+
+        rng = np.random.default_rng(18)
+        calls = errors = 0
+        for trial in range(150):
+            grid = GridSpec(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            cells = sorted(grid.cells())
+            keep = rng.random(len(cells)) < rng.uniform(0.2, 1.0)
+            uncovered = [c for c, kept in zip(cells, keep) if kept]
+            n_mobile, k_max = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            r_s, rho = int(rng.integers(0, 2)), int(rng.integers(0, 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if trial % 2:
+                    handle = build_milp_cov(grid, uncovered, n_mobile, k_max, r_s, rho, rho, 3)
+                else:
+                    handle = build_milp_mov(grid, uncovered, grid.n_cells - len(uncovered),
+                                            n_mobile, k_max, r_s, rho, rho, 3,
+                                            coverage_target="0.5")
+            assert handle.coverage_variable_ids() == oracles.coverage_variable_ids(handle)
+            outside = [c for c in cells if c not in set(uncovered)] + [Cell(0, 1)]
+            plans = []
+            if uncovered:
+                full = {(l, k): uncovered[int(rng.integers(len(uncovered)))]
+                        for l in range(1, n_mobile + 1) for k in range(1, k_max + 1)}
+                stopped = {lk: pos for lk, pos in full.items() if lk[1] <= rng.integers(1, k_max + 1)}
+                plans += [full, stopped, {}]
+                for lk in ((0, 1), (n_mobile + 1, 1), (1, 0), (1, k_max + 1)):
+                    plans.append({**stopped, lk: uncovered[0]})
+                plans.append({**stopped, (1, 1): outside[int(rng.integers(len(outside)))]})
+            else:
+                plans += [{}, {(1, 1): Cell(1, 1)}]
+            for positions in plans:
+                plan = MobilePlan(n_mobile, k_max, positions)
+                got = _outcome(encode_plan, handle, plan)
+                assert got == _outcome(oracles.encode_plan, handle, plan), positions
+                calls, errors = calls + 1, errors + (got[0] == "raised")
+                if got[0] == "raised" or handle.nothing_to_plan:
+                    continue
+                for values in self.corruptions(rng, handle, dict(got[1])):
+                    got_plan = _outcome(decode_plan, handle, values)
+                    assert got_plan == _outcome(oracles.decode_plan, handle, values)
+                    calls, errors = calls + 1, errors + (got_plan[0] == "raised")
+        assert calls > 3000 and 2000 < errors < calls - 500, (calls, errors)
+
+    @pytest.mark.parametrize("node, iteration", [(0, 1), (3, 1), (1, 0), (1, 4)])
+    def test_encode_plan_rejects_node_or_iteration_out_of_range(self, node, iteration):
+        # ids are arithmetic, so without the range check node 0 or
+        # iteration 0 would index the last node or iteration
+        grid = GridSpec(4, 4)
+        handle = build_milp_cov(grid, sorted(grid.cells()), 2, 3)
+        plan = MobilePlan(2, 3, {(1, 1): Cell(2, 2), (node, iteration): Cell(3, 3)})
+        with pytest.raises(ValueError, match=f"node {node} iteration {iteration} has no variable"):
+            encode_plan(handle, plan)
+
+    def test_encode_plan_rejects_cell_outside_uncovered_set(self):
+        grid = GridSpec(4, 4)
+        uncovered = [c for c in grid.cells() if c != Cell(2, 2)]
+        handle = build_milp_cov(grid, uncovered, 1, 2)
+        plan = MobilePlan(1, 2, {(1, 1): Cell(3, 3), (1, 2): Cell(2, 2)})
+        with pytest.raises(ValueError, match=r"\(2, 2\) at node 1 iteration 2 has no variable"):
+            encode_plan(handle, plan)
