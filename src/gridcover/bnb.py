@@ -33,15 +33,16 @@ import numpy as np
 from .milp import Assignment, MilpInstance
 from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
 
+INT_TOL = 1e-6  # a binary within this of 0 or 1 counts as integral
+
 
 @dataclass
 class SolveParams:
     """Solver controls. Defaults follow the reference experiment setup:
-    18000 s limit, zero relative gap, 1e-6 integrality tolerance."""
+    18000 s limit, zero relative gap."""
 
     time_limit: float = 18000.0
     mip_gap: float = 0.0
-    int_tol: float = 1e-6
     node_selection: str = "best-bound"  # "best-bound" | "depth-first"
     node_limit: Optional[int] = None  # deterministic alternative to wall-clock capping
     # caller-asserted: the objective takes integer values at every
@@ -54,8 +55,6 @@ class SolveParams:
             raise ValueError("time_limit must be positive")
         if self.mip_gap < 0:
             raise ValueError("mip_gap must be >= 0")
-        if not 0 < self.int_tol < 0.5:
-            raise ValueError("int_tol must lie in (0, 0.5)")
         if self.node_selection not in ("best-bound", "depth-first"):
             raise ValueError(f"unknown node_selection {self.node_selection!r}")
 
@@ -100,13 +99,12 @@ class _Search:
 
     # -- incumbent handling -------------------------------------------------
 
-    def try_incumbent(self, values: Assignment, resolve_on_failure: bool) -> bool:
-        """Snap binaries exactly to {0,1}, re-verify, accept if improving."""
+    def try_incumbent(self, values: Assignment) -> bool:
+        """Snap binaries exactly to {0,1}, re-verify (re-solving the LP with
+        the binaries fixed when the snapped point fails), accept if improving."""
         x = self.instance.point(values)
         x[self.binaries] = np.round(x[self.binaries])
         if not self.data.feasible(x, self.data.lower, self.data.upper):
-            if not resolve_on_failure:
-                return False
             fixed = {int(v): (float(x[v]), float(x[v])) for v in self.binaries}
             res = solve_lp(self.data, fixed)
             if res.status != "optimal":
@@ -129,7 +127,7 @@ class _Search:
         t0 = time.monotonic()
 
         if warm_start is not None:
-            ok = self.try_incumbent(warm_start, resolve_on_failure=True)
+            ok = self.try_incumbent(warm_start)
             if not ok and self.inc_values is None:
                 raise ValueError("warm start assignment is not feasible for this instance")
 
@@ -200,8 +198,8 @@ class _Search:
 
             xb = np.array([res.values[int(v)] for v in self.binaries]) if self.binaries.size else np.empty(0)
             frac = np.minimum(np.abs(xb), np.abs(1.0 - xb)) if xb.size else np.empty(0)
-            if not xb.size or float(frac.max()) <= params.int_tol:
-                self.try_incumbent(res.values, resolve_on_failure=True)
+            if not xb.size or float(frac.max()) <= INT_TOL:
+                self.try_incumbent(res.values)
                 continue
 
             branch_pos = int(np.argmax(frac))

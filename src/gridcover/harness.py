@@ -382,31 +382,32 @@ def place_static_random(config: ExperimentConfig, seed: int) -> StaticDeployment
     return static_deployment(grid, positions, config.r_s, config.boundary_weight)
 
 
+def build_mobile_milp(
+    config: ExperimentConfig, deployment: Optional[StaticDeployment]
+) -> FormulationHandle:
+    """The path formulation `config.planner` selects, over the cells that
+    `deployment` leaves uncovered."""
+    grid = config.grid
+    covered = set(deployment.covered) if deployment is not None else set()
+    uncovered = sorted(set(grid.cells()) - covered)
+    if config.planner == "milp-cov":
+        return build_milp_cov(
+            grid, uncovered, config.n_mobile, config.k_max,
+            config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
+        )
+    return build_milp_mov(
+        grid, uncovered, len(covered), config.n_mobile, config.k_max,
+        config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
+        coverage_target=config.coverage_target,
+    )
+
+
 def plan_mobile_milp(
     config: ExperimentConfig, deployment: Optional[StaticDeployment]
 ) -> Tuple[FormulationHandle, Optional[MobilePlan], MilpResult]:
     """Stages 2-3, exact variants: build the selected formulation over the
     uncovered set, seed it, solve, decode the incumbent."""
-    grid = config.grid
-    covered = set(deployment.covered) if deployment is not None else set()
-    uncovered = sorted(set(grid.cells()) - covered)
-
-    if config.planner == "milp-cov":
-        handle = build_milp_cov(
-            grid, uncovered, config.n_mobile, config.k_max,
-            config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
-        )
-        stop_at = None
-    else:
-        handle = build_milp_mov(
-            grid, uncovered, len(covered), config.n_mobile, config.k_max,
-            config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
-            coverage_target=config.coverage_target,
-        )
-        stop_at = None
-        if handle.coverage_threshold is not None:
-            stop_at = max(0, handle.coverage_threshold - len(covered))
-
+    handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
         empty = MobilePlan(n_mobile=config.n_mobile, horizon=config.k_max, positions={})
         result = MilpResult("optimal", {}, 0.0, 0.0, 0.0, 0)
@@ -415,8 +416,11 @@ def plan_mobile_milp(
     params = config.solver_params()
     params.objective_integral = True  # coverage variables behave as binaries
 
+    stop_at = None
+    if handle.coverage_threshold is not None:
+        stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
     seeded = best_seed_plan(
-        grid, uncovered, config.n_mobile, config.k_max,
+        config.grid, handle.uncovered, config.n_mobile, config.k_max,
         config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
         stop_at=stop_at,
     )

@@ -1,9 +1,10 @@
 """Command-line interface: subcommands, files, exit codes."""
 
-import os
+import csv
 
 import pytest
 
+import gridcover.cli
 from gridcover.cli import main
 
 
@@ -11,6 +12,14 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+SMALL_SWEEP = ["sweep", "--rows", "4", "--cols", "4", "--l", "1", "--kmax", "2"]
 
 
 class TestPlaceStatic:
@@ -154,16 +163,6 @@ class TestExportLp:
         status, objective = solve_parsed(read_lp_text(out.read_text()))
         assert status == 0 and objective == pytest.approx(33.0)
 
-    def test_backend_export_on_place_static(self, tmp_path, capsys):
-        out = tmp_path / "model.lp"
-        code, _, _ = run(
-            ["place-static", "--rows", "3", "--cols", "3", "--ns", "1",
-             "--backend", "export-lp", "--out", str(out)],
-            capsys,
-        )
-        assert code == 0
-        assert out.read_text().startswith("Maximize")
-
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["export-lp", "--formulation", "bogus", "--rows", "3", "--cols", "3"])
@@ -201,6 +200,43 @@ class TestConfigFile:
         assert "key=value" in err
 
 
+    def test_sweep_takes_placement_and_planner_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("placement = none\nplanner = greedy\n")
+        out = tmp_path / "results.csv"
+        code, _, _ = run(SMALL_SWEEP + ["--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert (row["placement"], row["planner"], row["n_static"]) == ("none", "greedy", "0")
+        assert row["solver_status"] == "ok"
+
+    @pytest.mark.parametrize("value, wall_time_blank", [("false", False), ("true", True)])
+    def test_deterministic_key(self, tmp_path, capsys, value, wall_time_blank):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"placement = none\nplanner = greedy\ndeterministic = {value}\n")
+        out = tmp_path / "results.csv"
+        assert run(SMALL_SWEEP + ["--config", str(cfg), "--out", str(out)], capsys)[0] == 0
+        (row,) = csv_rows(out)
+        assert (row["wall_time"] == "") == wall_time_blank
+
+    def test_deterministic_key_takes_only_true_or_false(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("placement = none\nplanner = greedy\ndeterministic = maybe\n")
+        out = tmp_path / "results.csv"
+        code, _, err = run(SMALL_SWEEP + ["--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2 and "deterministic" in err
+        assert not out.exists()
+
+    def test_key_without_a_flag_on_the_command_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ns = 1\n")  # plan-cov takes the static count from --deployment
+        out = tmp_path / "plan.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["plan-cov", "--rows", "3", "--cols", "3", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -225,12 +261,35 @@ class TestSweepCommand:
         assert run(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDCOVER_THREADS", "0")
-        code, _, err = run(
-            ["baseline", "--method", "greedy", "--rows", "3", "--cols", "3",
-             "--out", str(tmp_path / "p.txt")],
-            capsys,
-        )
+    @pytest.mark.parametrize("axis, values", [
+        ("node_limit=5,10", [5, 10]),
+        ("seeds=0,1", [(0,), (1,)]),
+    ])
+    def test_axis_values_cast_by_their_flag(self, tmp_path, capsys, monkeypatch, axis, values):
+        seen = []
+        real_sweep = gridcover.cli.sweep
+
+        def recording_sweep(base, axes):
+            rows = real_sweep(base, axes)
+            seen.extend([axes, rows])
+            return rows
+
+        monkeypatch.setattr(gridcover.cli, "sweep", recording_sweep)
+        out = tmp_path / "results.csv"
+        code, _, _ = run(SMALL_SWEEP + ["--placement", "none", "--planner", "greedy",
+                                        "--axis", axis, "--out", str(out)], capsys)
+        assert code == 0
+        axes, rows = seen
+        (name,) = axes
+        assert axes[name] == values
+        assert [type(v) for v in axes[name]] == [type(v) for v in values]
+        assert all(type(row.seed) is int for row in rows)
+        assert len(csv_rows(out)) == 2
+
+    def test_axis_value_outside_the_flag_choices_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code, _, err = run(SMALL_SWEEP + ["--placement", "none", "--axis", "planner=bogus",
+                                          "--out", str(out)], capsys)
         assert code == 2
-        assert "--threads" in err
+        assert "invalid choice" in err and "bogus" in err
+        assert not out.exists()
