@@ -14,7 +14,11 @@ without its dashes; `deterministic = true|false`).  They are parsed as
 flags placed before the command line's own, so a flag beats the file and
 the file beats the default; a key the command has no flag for is a usage
 error.  `sweep --axis field=v1,v2,...` casts each value with that field's
-flag.  Exit codes: 0 success, 1 infeasible or limit reached without an
+flag.  Only the commands that solve (place-static, plan-cov, plan-mov,
+sweep) take the solver limits --time-limit, --gap and --node-limit, and
+only the ones that plan around a deployment (plan-cov, plan-mov, baseline,
+export-lp) take --deployment.  No flag or key is taken for a prefix of
+another.  Exit codes: 0 success, 1 infeasible or limit reached without an
 incumbent, 2 usage error.
 """
 
@@ -78,10 +82,11 @@ def _seed_tuple(text: str) -> Tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s)
 
 
-def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False,
-               static: bool = False, target: bool = False) -> List[argparse.Action]:
+def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False, static: bool = False,
+               target: bool = False, solve: bool = False, deployment: bool = False) -> List[argparse.Action]:
     """Add a command's shared flags; returns the actions of those that set
-    an ExperimentConfig field."""
+    an ExperimentConfig field.  `solve` adds the solver limits, `deployment`
+    the --deployment file a path model plans around."""
     p.add_argument("--config", help="file of key = value lines, read as flags before the command line's")
     p.add_argument("--out", default=out, help=f"output file path (default {out})")
     p.add_argument("--deterministic", action="store_true",
@@ -90,13 +95,17 @@ def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False,
         p.add_argument("--rows", type=int, help="grid rows (required)"),
         p.add_argument("--cols", type=int, help="grid columns (required)"),
         p.add_argument("--rs", dest="r_s", type=int, help="sensing radius in cells"),
-        p.add_argument("--time-limit", type=float, help="solver wall-clock limit, seconds"),
-        p.add_argument("--gap", dest="mip_gap", type=float, help="relative MIP gap target"),
-        p.add_argument("--node-limit", type=int,
-                       help="deterministic node-count cap (alternative to --time-limit)"),
     ]
-    if mobile:
+    if solve:
+        actions += [
+            p.add_argument("--time-limit", type=float, help="solver wall-clock limit, seconds"),
+            p.add_argument("--gap", dest="mip_gap", type=float, help="relative MIP gap target"),
+            p.add_argument("--node-limit", type=int,
+                           help="deterministic node-count cap (alternative to --time-limit)"),
+        ]
+    if deployment:
         p.add_argument("--deployment", help="deployment file from place-static")
+    if mobile:
         actions += [
             p.add_argument("--l", dest="n_mobile", type=int, help="number of mobile nodes"),
             p.add_argument("--kmax", dest="k_max", type=int, help="iteration horizon"),
@@ -120,33 +129,34 @@ def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridcover",
+        allow_abbrev=False,
         description="Grid coverage planning: exact placement and path MILPs plus baselines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("place-static", help="optimal static placement")
-    _add_flags(p, "deployment.txt", static=True)
+    p = sub.add_parser("place-static", allow_abbrev=False, help="optimal static placement")
+    _add_flags(p, "deployment.txt", static=True, solve=True)
     p.set_defaults(run=_cmd_place_static)
 
     for name, planner, help_text in (("plan-cov", "milp-cov", "coverage-maximizing paths"),
                                      ("plan-mov", "milp-mov", "movement-minimizing paths")):
-        p = sub.add_parser(name, help=help_text)
-        _add_flags(p, "plan.txt", mobile=True, target=True)
+        p = sub.add_parser(name, allow_abbrev=False, help=help_text)
+        _add_flags(p, "plan.txt", mobile=True, target=True, solve=True, deployment=True)
         p.set_defaults(run=partial(_cmd_plan, planner=planner))
 
-    p = sub.add_parser("baseline", help="greedy or random-movement baseline")
-    _add_flags(p, "plan.txt", mobile=True)
+    p = sub.add_parser("baseline", allow_abbrev=False, help="greedy or random-movement baseline")
+    _add_flags(p, "plan.txt", mobile=True, deployment=True)
     p.add_argument("--method", choices=["greedy", "random"], required=True)
     p.add_argument("--seed", type=int, default=0, help="baseline RNG seed (default 0)")
     p.set_defaults(run=_cmd_baseline)
 
-    p = sub.add_parser("export-lp", help="write a formulation as LP text without solving")
-    _add_flags(p, "model.lp", mobile=True, static=True, target=True)
+    p = sub.add_parser("export-lp", allow_abbrev=False, help="write a formulation as LP text without solving")
+    _add_flags(p, "model.lp", mobile=True, static=True, target=True, deployment=True)
     p.add_argument("--formulation", choices=["static", "cov", "mov"], required=True)
     p.set_defaults(run=_cmd_export_lp)
 
-    p = sub.add_parser("sweep", help="cartesian experiment sweep, CSV output")
-    actions = _add_flags(p, "results.csv", mobile=True, static=True, target=True) + [
+    p = sub.add_parser("sweep", allow_abbrev=False, help="cartesian experiment sweep, CSV output")
+    actions = _add_flags(p, "results.csv", mobile=True, static=True, target=True, solve=True) + [
         p.add_argument("--placement", choices=PLACEMENTS,
                        help="default milp-static, or none with --ns 0"),
         p.add_argument("--planner", choices=PLANNERS),
@@ -274,7 +284,7 @@ def _cmd_sweep(args, axis_flags: Dict[str, argparse.Action]) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     config_flag.add_argument("--config")
     try:
         path = config_flag.parse_known_args(argv)[0].config

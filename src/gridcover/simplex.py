@@ -40,6 +40,19 @@ its row's slack).  Postsolve rebuilds each substituted column from its
 row, and the substitution check on the optimum runs on the full,
 unreduced rows; LpData's public arrays always describe the full model.
 
+Before the substitution the presolve drops the rows that every optimum
+satisfies without them (_dominated_rows): lower limits on a continuous
+column whose cost favours increasing it, lying in no equality row, that
+none of the column's upper limits can fall below over the declared boxes
+(the coverage model's c_cell >= c_{l,k,cell} rows).  Narrower boxes on the
+other columns keep them implied, so every branch-and-bound node drops
+them too.  A solve whose bounds lower such a column's upper bound below
+what its dropped rows need pivots on the model that keeps every row
+(LpData.reduced(drop_rows=False)), and so does the re-solve of a reduced
+LP that came back unbounded; a warm basis of the other row set fails the
+shape check and the solve goes cold.  A dropped row's slack carries no
+face weight, so the point _settle picks is the full model's.
+
 All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
 verification), PIVOT_TOL (minimum pivot magnitude), DUAL_TOL (reduced-cost
@@ -122,7 +135,7 @@ class LpResult:
     values: Optional[Assignment] = None
     objective: Optional[float] = None
     iterations: int = 0  # simplex pivots + bound flips, all phases and attempts
-    basis: Optional[WarmBasis] = None  # set on "optimal" when there are rows
+    basis: Optional[WarmBasis] = None  # set on "optimal"
 
 
 class LpData:
@@ -161,6 +174,7 @@ class LpData:
         self.slack_lo = np.where(codes == GE, -math.inf, 0.0)
         self.slack_up = np.where(codes == LE, math.inf, 0.0)
         self._reduced: Optional[_Reduced] = None
+        self._all_rows: Optional[_Reduced] = None
 
     def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether `x` is within the bounds and satisfies every row."""
@@ -168,14 +182,88 @@ class LpData:
             return False
         return max_residual(self.A @ x, self.sense_codes, self.b) <= FEAS_TOL
 
-    def reduced(self) -> "_Reduced":
-        """The presolved model every solve works on, built on first use."""
+    def reduced(self, drop_rows: bool = True) -> "_Reduced":
+        """The presolved model a solve works on, built on first use; with
+        `drop_rows` False, the one that keeps the dominated rows."""
         if self._reduced is None:
-            self._reduced = _Reduced(self)
-        return self._reduced
+            self._reduced = _Reduced(self, drop_rows=True)
+        if drop_rows or not self._reduced.dropped.size:
+            return self._reduced
+        if self._all_rows is None:
+            self._all_rows = _Reduced(self, drop_rows=False)
+        return self._all_rows
 
 
-def _substitutions(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
+def _normalized(A_csr: sp.csr_matrix, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, a: np.ndarray):
+    """Row rows[t] solved for column cols[t] (coefficient a[t]):
+    x_j = beta_t + G_t . x over the row's other columns, read as a lower
+    or upper limit on x_j by the row's sense.  Returns (beta, G)."""
+    G = (sp.diags(-1.0 / a) @ A_csr[rows]).tocoo()
+    own = G.col == cols[G.row]
+    G = sp.csr_matrix((G.data[~own], (G.row[~own], G.col[~own])), shape=G.shape)
+    return b[rows] / a, G
+
+
+def _box_max(G: sp.csr_matrix, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The maximum of each row of G . x over the column boxes (inf where a
+    box is open on the side that bounds it); -_box_max(-G) is the minimum."""
+    g = G.data
+    v = np.where(g > 0, g * upper[G.indices], g * lower[G.indices])
+    return np.asarray(sp.csr_matrix((v, G.indices, G.indptr), shape=G.shape).sum(axis=1)).ravel()
+
+
+def _dominated_rows(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows that every optimum satisfies without them, by the
+    dual-argument row reduction of Achterberg, Bixby, Gu, Rothberg &
+    Weninger, "Presolve reductions in mixed integer programming", INFORMS
+    J. Comput. 32, 2020.  A row goes when it is a lower limit L(x) on a
+    continuous column j (a >= row with a_rj > 0, or a <= row with a_rj < 0)
+    whose cost strictly favours increasing it, j lies in no equality row,
+    and every upper limit U(x) of j (its bound, and each row bounding it
+    from above) has U - L >= 0 over the declared column boxes.  An optimum
+    that broke the row could then raise x_j to L(x): every upper limit
+    allows it, and the objective improves.  The test reads every row, so it
+    holds for the dropped rows together: the optimal face, and the point
+    _settle picks on it, are the full model's.  Narrower boxes on the other
+    columns only raise those minima; a lower upper bound on j itself can
+    break the argument, so each dropped row keeps its owner j and `need`,
+    the largest L over the boxes (see _Reduced.admits).
+
+    Returns (rows, owners, needs), rows in increasing order."""
+    A = data.A_csr
+    nrows = np.repeat(np.arange(data.m), np.diff(A.indptr))
+    cols, a = A.indices, A.data
+    code = data.sense_codes[nrows]
+    in_eq = np.zeros(data.n, dtype=bool)
+    in_eq[cols[code == EQ]] = True
+    owner = (~data.is_binary) & (data.c_min < 0) & ~in_eq
+    # the row is a lower (grows) or an upper (caps) limit on the column
+    grows = np.where(a > 0, code == GE, (a < 0) & (code == LE))
+    caps = np.where(a > 0, code == LE, (a < 0) & (code == GE))
+    cand = np.flatnonzero(grows & owner[cols])
+    if not cand.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    beta, G = _normalized(A, data.b, nrows[cand], cols[cand], a[cand])
+    need = beta + _box_max(G, data.lower, data.upper)
+    ok = need <= data.upper[cols[cand]]
+    ups = np.flatnonzero(caps & owner[cols])
+    if ups.size:
+        # every (candidate, upper limit) pair on one column: U - L >= 0
+        on_col = [sp.csr_matrix((np.ones(t.size), (np.arange(t.size), cols[t])), shape=(t.size, data.n))
+                  for t in (cand, ups)]
+        pc, pu = (on_col[0] @ on_col[1].T).nonzero()
+        pu = ups[pu]
+        beta_u, G_u = _normalized(A, data.b, nrows[pu], cols[pu], a[pu])
+        D = (G_u - G[pc]).tocsr()
+        D.eliminate_zeros()
+        low = beta_u - beta[pc] - _box_max(-D, data.lower, data.upper)
+        ok[pc[~(low >= 0)]] = False
+    # a row goes with its first passing column as the owner
+    rows, first = np.unique(nrows[cand[ok]], return_index=True)
+    return rows, cols[cand[ok]][first], need[ok][first]
+
+
+def _substitutions(A_csr: sp.csr_matrix, A: sp.csc_matrix, codes: np.ndarray, is_binary: np.ndarray):
     """The (columns, rows) that the presolve substitutes: equality rows in
     order, each giving up the continuous column of its largest coefficient
     (ties to the lowest id) when the row holds no column substituted
@@ -184,14 +272,14 @@ def _substitutions(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
     through one row.  A column qualifies only when it lies in at most one
     row besides its own, so a substitution adds at most one copy of its
     row's terms to the model."""
-    A = data.A_csr
-    indptr, indices, coefs = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    eligible = ((~data.is_binary) & (np.diff(data.A.indptr) <= 2)).tolist()
-    gone = [False] * data.n  # substituted
-    seen = [False] * data.n  # in a chosen row
+    n = A.shape[1]
+    indptr, indices, coefs = A_csr.indptr.tolist(), A_csr.indices.tolist(), A_csr.data.tolist()
+    eligible = ((~is_binary) & (np.diff(A.indptr) <= 2)).tolist()
+    gone = [False] * n  # substituted
+    seen = [False] * n  # in a chosen row
     cols: List[int] = []
     rows: List[int] = []
-    for r in np.flatnonzero(data.sense_codes == EQ).tolist():
+    for r in np.flatnonzero(codes == EQ).tolist():
         ids = indices[indptr[r] : indptr[r + 1]]
         if any(gone[j] for j in ids):
             continue
@@ -213,25 +301,41 @@ def _substitutions(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Reduced:
-    """An LpData's model with columns substituted out (the column
-    substitution of Andersen & Andersen, "Presolving in linear programming",
-    Math. Prog. 71, 1995).  Column j, substituted through equality row r,
-    is replaced in every other row i by (b_r - sum_{k != j} a_rk x_k)/a_rj.
-    Row r stays, and its slack s_r = a_rj x_j takes over j's box (scaled by
-    a_rj), its cost and its face weight (scaled by 1/a_rj).  The feasible
-    sets correspond one to one and the objectives agree, so the optimal
-    face and the point _settle picks on it are those of the full model.
-    With no column substituted this is the model itself.
+    """An LpData's model with dominated rows dropped (see _dominated_rows)
+    and then columns substituted out (the column substitution of Andersen &
+    Andersen, "Presolving in linear programming", Math. Prog. 71, 1995).
+    Column j, substituted through equality row r, is replaced in every
+    other row i by (b_r - sum_{k != j} a_rk x_k)/a_rj.  Row r stays, and
+    its slack s_r = a_rj x_j takes over j's box (scaled by a_rj), its cost
+    and its face weight (scaled by 1/a_rj).  The feasible sets correspond
+    one to one and the objectives agree, so the optimal face and the point
+    _settle picks on it are those of the full model.  With no row dropped
+    and no column substituted this is the model itself.
 
     `A`, `AT`, `A_csr`, `b`, `n` and `m` mean what they mean on LpData,
-    over the `kept` columns; `cost` and `face` span the kept columns and
-    then the slacks; `cols`, `rows`, `piv` (= a_rj) and `row_terms` (rows
-    `rows` over the kept columns) rebuild the substituted columns."""
+    over the `kept` columns and the rows not `dropped`; `slack_lo` and
+    `slack_up` bound those rows' slacks; `cost` and `face` span the kept
+    columns and then the slacks; `cols`, `rows` (indexed among the rows
+    left), `piv` (= a_rj) and `row_terms` (rows `rows` over the kept
+    columns) rebuild the substituted columns."""
 
-    def __init__(self, data: LpData):
-        n, m = data.n, data.m
-        self.m = m
-        self.cols, self.rows = cols, rows = _substitutions(data)
+    def __init__(self, data: LpData, drop_rows: bool):
+        n = data.n
+        if drop_rows:
+            self.dropped, self.owners, self.needs = _dominated_rows(data)
+        else:
+            self.dropped = self.owners = np.zeros(0, dtype=np.int64)
+            self.needs = np.zeros(0)
+        A, A_csr, b = data.A, data.A_csr, data.b
+        self.slack_lo, self.slack_up, codes = data.slack_lo, data.slack_up, data.sense_codes
+        if self.dropped.size:
+            live = np.ones(data.m, dtype=bool)
+            live[self.dropped] = False
+            A_csr, b, codes = A_csr[live], b[live], codes[live]
+            A = A_csr.tocsc()
+            self.slack_lo, self.slack_up = self.slack_lo[live], self.slack_up[live]
+        self.m = m = len(b)
+        self.cols, self.rows = cols, rows = _substitutions(A_csr, A, codes, data.is_binary)
         keep = np.ones(n, dtype=bool)
         keep[cols] = False
         self.kept = kept = np.flatnonzero(keep)
@@ -240,43 +344,47 @@ class _Reduced:
         self.cost = np.concatenate([data.c_min[kept], np.zeros(m)])
         self.face = np.concatenate([w[kept], np.zeros(m)])
         if not cols.size:
-            self.A, self.AT, self.A_csr, self.b = data.A, data.AT, data.A_csr, data.b
+            self.A, self.A_csr, self.b = A, A_csr, b
+            self.AT = A.T.tocsr() if self.dropped.size else data.AT
             return
-        self.piv = piv = np.asarray(data.A_csr[rows, cols]).ravel()
+        self.piv = piv = np.asarray(A_csr[rows, cols]).ravel()
         self.cost[k + rows] = data.c_min[cols] / piv
         self.face[k + rows] = w[cols] / piv
-        self.row_terms = terms = data.A_csr[rows][:, kept]
+        self.row_terms = terms = A_csr[rows][:, kept]
         terms.eliminate_zeros()
         # M[i, t] = a_{i, cols[t]} / piv[t] off row rows[t]: the multiple of
         # row rows[t] that takes column cols[t] out of row i
-        M = data.A[:, cols].tocoo()
+        M = A[:, cols].tocoo()
         off = M.row != rows[M.col]
         M = sp.csr_matrix(
             (M.data[off] / piv[M.col[off]], (M.row[off], M.col[off])), shape=(m, cols.size)
         )
-        A = (data.A[:, kept] - M @ terms).tocsc()
+        A = (A[:, kept] - M @ terms).tocsc()
         A.eliminate_zeros()
         A.sort_indices()
         self.A, self.AT, self.A_csr = A, A.T.tocsr(), A.tocsr()
-        self.b = data.b - M @ data.b[rows]
+        self.b = b - M @ b[rows]
         # the range of s_r that the kept columns' declared boxes imply: a
         # slack bound outside it can never bind (see boxes)
-        at_lo = terms.data * data.lower[kept][terms.indices]
-        at_up = terms.data * data.upper[kept][terms.indices]
-        low, high = (
-            np.asarray(sp.csr_matrix((v, terms.indices, terms.indptr), shape=terms.shape).sum(axis=1)).ravel()
-            for v in (np.minimum(at_lo, at_up), np.maximum(at_lo, at_up))
-        )
-        self.implied_lo, self.implied_up = data.b[rows] - high, data.b[rows] - low
+        lo, up = data.lower[kept], data.upper[kept]
+        self.implied_lo = b[rows] - _box_max(terms, lo, up)
+        self.implied_up = b[rows] + _box_max(-terms, lo, up)
 
-    def boxes(self, lower: np.ndarray, upper: np.ndarray, slack_lo, slack_up):
+    def admits(self, upper: np.ndarray) -> bool:
+        """Whether the rows dropped stay implied under the column upper
+        bounds `upper` (tightened or not): no owner's bound may fall below
+        what its dropped rows need."""
+        return bool(np.all(upper[self.owners] >= self.needs))
+
+    def boxes(self, lower: np.ndarray, upper: np.ndarray):
         """Bounds of the kept columns and the slacks, from the full model's
-        column bounds (tightened or not) and slack bounds.  A substituted
+        column bounds (tightened or not).  A substituted
         column's bound that the other columns' declared boxes already imply
         is left off its slack: tighter boxes only narrow that implied range,
         so the feasible set stays the same, and a slack that cannot reach
         such a bound never leaves the basis on a degenerate step there."""
-        lo, up = np.concatenate([lower[self.kept], slack_lo]), np.concatenate([upper[self.kept], slack_up])
+        lo = np.concatenate([lower[self.kept], self.slack_lo])
+        up = np.concatenate([upper[self.kept], self.slack_up])
         if self.cols.size:
             a, b = self.piv * lower[self.cols], self.piv * upper[self.cols]
             s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
@@ -349,13 +457,13 @@ class _Solver:
     (keyed by the LpData's variable ids).  It pivots on the reduced model
     (`lp`) and checks and reports on the full one (`data`)."""
 
-    def __init__(self, data: LpData, extra_bounds: Optional[Dict[int, Tuple[float, float]]]):
+    def __init__(
+        self,
+        data: LpData,
+        extra_bounds: Optional[Dict[int, Tuple[float, float]]],
+        drop_rows: bool = True,
+    ):
         self.data = data
-        self.lp = lp = data.reduced()
-        n, m = lp.n, data.m
-        self.n, self.m = n, m
-        self.ncols = n + 2 * m  # kept structurals | slacks | artificials
-
         x_lo, x_up = data.lower, data.upper
         if extra_bounds:
             x_lo, x_up = x_lo.copy(), x_up.copy()
@@ -363,7 +471,14 @@ class _Solver:
                 x_lo[vid] = max(x_lo[vid], xl)
                 x_up[vid] = min(x_up[vid], xu)
         self.x_lo, self.x_up = x_lo, x_up  # the full model's column bounds
-        lo, up = lp.boxes(x_lo, x_up, data.slack_lo, data.slack_up)
+        lp = data.reduced(drop_rows)
+        if not lp.admits(x_up):
+            lp = data.reduced(drop_rows=False)
+        self.lp = lp
+        n, m = lp.n, lp.m
+        self.n, self.m = n, m
+        self.ncols = n + 2 * m  # kept structurals | slacks | artificials
+        lo, up = lp.boxes(x_lo, x_up)
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.up = np.concatenate([up, np.full(m, math.inf)])
         self.art_sign = np.ones(m)
@@ -491,15 +606,24 @@ class _Solver:
         return chosen
 
     def _solve_unconstrained(self) -> LpResult:
-        # without rows nothing is substituted: the columns are the model's
+        # without rows nothing is substituted (a dropped row is never an
+        # equality): the columns are the model's
         c, lo, up = self.data.c_min, self.lo, self.up
         if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
             return LpResult(status="unbounded")
         # a zero-cost column goes where _settle would put it (its weight is positive)
         to_up = (c < 0) | ((c == 0) & np.isfinite(up))
         values = np.where(to_up, up, np.where(np.isfinite(lo), lo, 0.0))
+        if not self.data.feasible(values, self.x_lo, self.x_up):  # rows dropped as implied
+            raise SimplexNumericalError("optimal point failed residual re-verification")
         obj = float(self.data.c_min @ values) * self.data.obj_sign
-        return LpResult(status="optimal", values=dict(enumerate(values.tolist())), objective=obj)
+        status = np.where(to_up, AT_UP, np.where(np.isfinite(lo), AT_LO, FREE)).astype(np.int8)
+        return LpResult(
+            status="optimal",
+            values=dict(enumerate(values.tolist())),
+            objective=obj,
+            basis=WarmBasis(np.zeros(0, dtype=np.int64), status, np.ones(0)),
+        )
 
     # -- core loop ------------------------------------------------------------
 
@@ -942,6 +1066,11 @@ def solve_lp(
         if res is not None:
             return res
         spent = solver.iterations
-    res = _Solver(data, extra_bounds).solve()
+    solver = _Solver(data, extra_bounds)
+    res = solver.solve()
+    if res.status == "unbounded" and solver.lp.dropped.size:
+        # the dropped rows are implied at an optimum; with none, solve with them
+        spent += res.iterations
+        res = _Solver(data, extra_bounds, drop_rows=False).solve()
     res.iterations += spent
     return res

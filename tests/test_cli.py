@@ -137,6 +137,17 @@ class TestBaseline:
         assert "coverage:" in stdout and "movements: 3" in stdout
 
 
+    @pytest.mark.parametrize("flag", [["--time-limit", "-5"], ["--gap", "-1"], ["--node-limit", "0"]])
+    def test_solver_limit_exits_two(self, tmp_path, capsys, flag):
+        # a baseline solves nothing, so it takes no solver limit
+        out = tmp_path / "p.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--method", "greedy", "--rows", "4", "--cols", "4",
+                  "--out", str(out)] + flag)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 class TestExportLp:
     def test_cov_export_declares_binaries(self, tmp_path, capsys):
         out = tmp_path / "model.lp"
@@ -167,6 +178,16 @@ class TestExportLp:
         with pytest.raises(SystemExit) as exc:
             main(["export-lp", "--formulation", "bogus", "--rows", "3", "--cols", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--time-limit", "5"], ["--gap", "0.1"], ["--node-limit", "3"]])
+    def test_solver_limit_exits_two(self, tmp_path, capsys, flag):
+        # writing the model solves nothing, so it takes no solver limit
+        out = tmp_path / "model.lp"
+        with pytest.raises(SystemExit) as exc:
+            main(["export-lp", "--formulation", "static", "--rows", "3", "--cols", "3",
+                  "--out", str(out)] + flag)
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -227,6 +248,17 @@ class TestConfigFile:
         assert code == 2 and "deterministic" in err
         assert not out.exists()
 
+    def test_truncated_key_exits_two(self, tmp_path, capsys):
+        # "alp" is not "alpha": no key or flag is taken for a prefix of another
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alp = 2\n")
+        out = tmp_path / "d.txt"
+        for argv in (["--config", str(cfg)], ["--alp", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["place-static", "--rows", "3", "--cols", "3", "--out", str(out)] + argv)
+            assert exc.value.code == 2
+        assert not out.exists()
+
     def test_key_without_a_flag_on_the_command_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ns = 1\n")  # plan-cov takes the static count from --deployment
@@ -285,6 +317,15 @@ class TestSweepCommand:
         assert [type(v) for v in axes[name]] == [type(v) for v in values]
         assert all(type(row.seed) is int for row in rows)
         assert len(csv_rows(out)) == 2
+
+    def test_deployment_flag_exits_two(self, tmp_path, capsys):
+        # a sweep places its own static nodes; it reads no deployment file
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL_SWEEP + ["--placement", "none", "--planner", "greedy",
+                                "--deployment", str(tmp_path / "missing.txt"), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_axis_value_outside_the_flag_choices_exits_two(self, tmp_path, capsys):
         out = tmp_path / "results.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gridcover.formulations import build_milp_static
+from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
 from gridcover.grid import GridSpec
 from gridcover.milp import MilpInstance
 from gridcover.simplex import (
@@ -359,7 +359,7 @@ class TestWarmStart:
         checked = 0
         for _ in range(60):
             data = LpData(build(*self.random_lp(rng)))
-            solver = _Solver(data, None)
+            solver = _Solver(data, None, drop_rows=False)
             if solver.solve().status != "optimal":
                 continue
             for _ in range(20):
@@ -556,3 +556,141 @@ def test_static_10x10_root_pivot_budget():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(183.0, abs=1e-7)
     assert res.iterations <= 1_000
+
+
+def dominated_lp(rng):
+    """A TestWarmStart.random_lp with owner columns z_t added, each with a
+    cost that favours increasing it, an upper-limit row z_t <= sum of its
+    own columns y_k in [0, h_k] (each y_k also in one row of the LP), and
+    one lower-limit row z_t >= y_k + off_k per y_k, written as a >= row or
+    as a <= row with the signs flipped.  Mostly off_k = 0 and z_t's bound
+    is at least every h_k, so the lower-limit rows are implied at every
+    optimum; now and then an offset, or a bound on z_t below some h_k,
+    makes one that must stay.  Returns the same tuple over [x | y | z]."""
+    c, A, senses, b, lower, upper, maximize = TestWarmStart.random_lp(rng)
+    n, mrows = len(c), len(senses)
+    groups = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))]
+    k, t = sum(groups), len(groups)
+    h = rng.integers(1, 4, size=k).astype(float)
+    off = np.where(rng.random(k) < 0.2, rng.choice([0.5, 1.0], size=k), 0.0)
+    z_up = np.array([
+        max(h[sum(groups[:g]) : sum(groups[: g + 1])]) + rng.choice([0.0, 0.0, 1.0, -1.0, math.inf])
+        for g in range(t)
+    ])
+    ncols = n + k + t
+    rows, new_senses, new_b = [], [], []
+    y = n
+    for g, size in enumerate(groups):
+        z, ys = n + k + g, np.arange(y, y + size)
+        y += size
+        row = np.zeros(ncols)
+        row[z], row[ys] = 1.0, -1.0
+        rows.append(row * float(rng.choice([1.0, 2.0])))
+        new_senses.append("<=")
+        new_b.append(0.0)
+        for j in ys:
+            row = np.zeros(ncols)
+            row[z], row[j] = 1.0, -1.0
+            scale, flip = float(rng.choice([1.0, 3.0])), bool(rng.integers(0, 2))
+            rows.append(-scale * row if flip else scale * row)
+            new_senses.append("<=" if flip else ">=")
+            new_b.append(-scale * off[j - n] if flip else scale * off[j - n])
+    in_rows = np.zeros((mrows, k))
+    in_rows[rng.integers(0, mrows, size=k), np.arange(k)] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=k)
+    A = np.vstack([np.hstack([A, in_rows, np.zeros((mrows, t))]), np.array(rows)])
+    z_cost = rng.integers(1, 4, size=t).astype(float) * (1.0 if maximize else -1.0)
+    return (
+        np.concatenate([c, rng.integers(-3, 4, size=k).astype(float), z_cost]),
+        A,
+        senses + new_senses,
+        np.concatenate([b, new_b]),
+        np.concatenate([lower, np.zeros(k), np.minimum(np.where(rng.random(t) < 0.15, 1.0, 0.0), z_up)]),
+        np.concatenate([upper, h, z_up]),
+        maximize,
+    )
+
+
+class TestDominatedRows:
+    """Rows every optimum satisfies (lower limits on a column whose cost
+    favours increasing it, below all its upper limits) are dropped from
+    every LP whose bounds keep them implied; answers are the full model's."""
+
+    def test_planted_rows_match_highs_on_the_full_model(self):
+        rng = np.random.default_rng(64)
+        kinds = {"optimal": 0, "infeasible": 0}
+        dropped = 0
+        for _ in range(200):
+            lp = dominated_lp(rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            data = LpData(build(*lp))
+            res = solve_lp(data)
+            dropped += data.reduced().dropped.size
+            want_status, want_obj = highs(c, A, senses, b, lower, upper, maximize)
+            assert res.status == want_status, lp
+            kinds[want_status] += 1
+            if want_status == "optimal":
+                assert res.objective == pytest.approx(want_obj, rel=1e-7, abs=1e-7), lp
+                x = np.array([res.values[j] for j in range(data.n)])
+                assert data.feasible(x, lower, upper)
+                # the same point as the solve that keeps every row: the
+                # dropped rows' slacks carry no face weight
+                full = _Solver(data, None, drop_rows=False).solve()
+                assert np.allclose(x, [full.values[j] for j in range(data.n)], atol=1e-7), lp
+        assert kinds["optimal"] > 80 and kinds["infeasible"] > 40, kinds
+        assert dropped > 300
+
+    def test_children_below_what_a_dropped_row_needs_keep_the_rows(self):
+        # a lower upper bound on an owner column can make a dropped row bind:
+        # such a child solves with every row, warm (from the parent's basis,
+        # which that model declines, then cold) and cold alike
+        rng = np.random.default_rng(19)
+        checker = TestWarmStart()
+        children = grandchildren = 0
+        for _ in range(150):
+            lp = dominated_lp(rng)
+            lower, upper = lp[4], lp[5]
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            red = data.reduced()
+            if parent.status != "optimal" or not red.dropped.size:
+                continue
+            j = int(red.owners[0])
+            need = float(red.needs[red.owners == j].max())  # the most any of j's rows needs
+            below = sorted({top for top in (need - 0.5, lower[j]) if lower[j] <= top < need})
+            for top, rows_kept in [(need, False)] + [(top, True) for top in below]:
+                bounds = {j: (lower[j], top)}
+                assert (_Solver(data, bounds).m == data.m) == rows_kept
+                child, _, _ = checker.check_child(lp, data, bounds, parent.basis)
+                children += 1
+                if child.status != "optimal":
+                    continue
+                # the child's basis warm-starts its own children
+                k = int(rng.integers(0, data.n))
+                box = (lower[k], (lower[k] + child.values[k]) / 2)
+                if k != j and box[1] < upper[k]:
+                    _, _, direct = checker.check_child(lp, data, {**bounds, k: box}, child.basis)
+                    grandchildren += direct is not None
+        assert children > 150 and grandchildren > 100, (children, grandchildren)
+
+    def test_coverage_model_drops_its_linking_rows_and_movement_model_none(self):
+        grid = GridSpec(6, 6)
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        cov = LpData(build_milp_cov(grid, cells, 2, 4).instance)
+        red = cov.reduced()
+        assert red.dropped.size == 36 * 2 * 4 and red.m == cov.m - 288
+        # the owners are the covered-any-iteration columns, after the x and c_{l,k} blocks
+        assert np.array_equal(np.unique(red.owners), 2 * 2 * 4 * 36 + np.arange(36))
+        # the movement model's coverage columns carry no cost
+        mov = LpData(build_milp_mov(grid, cells, 0, 2, 4).instance)
+        assert mov.reduced().dropped.size == 0 and mov.reduced(drop_rows=False) is mov.reduced()
+
+
+def test_coverage_6x6_root_pivot_budget():
+    # a count, not a time: the full-grid 6x6, L=2, K=4 coverage root LP took
+    # 1,287 pivots with its 288 coverage-linking rows
+    grid = GridSpec(6, 6)
+    cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+    res = solve_lp(LpData(build_milp_cov(grid, cells, 2, 4).instance))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(36.0, abs=1e-7)
+    assert res.iterations <= 800
