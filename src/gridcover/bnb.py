@@ -47,7 +47,8 @@ class SolveParams:
     node_limit: Optional[int] = None  # deterministic alternative to wall-clock capping
     # caller-asserted: the objective takes integer values at every
     # integral-feasible point, so relaxation bounds may be rounded; set by
-    # the formulation builders (their coverage variables behave as binaries)
+    # the callers that solve a formulation, such as harness.plan_mobile_milp
+    # (the coverage variables behave as binaries there)
     objective_integral: bool = False
 
     def __post_init__(self) -> None:

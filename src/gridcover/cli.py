@@ -228,7 +228,8 @@ def _cmd_plan(args, planner: str) -> int:
     print(f"coverage: {row.coverage_pct:.2f}% ({row.covered_cells}/{row.total_cells} cells)")
     print(f"movements: {row.movements_raw} raw, {row.movements_trimmed} trimmed, "
           f"{row.movements_to_target if row.movements_to_target is not None else 'target not reached'} to target")
-    print(f"solver: {result.status}, objective {result.objective:g}, bound {result.best_bound:g}")
+    bound = "none" if result.best_bound is None else f"{result.best_bound:g}"  # stopped before the root LP
+    print(f"solver: {result.status}, objective {result.objective:g}, bound {bound}")
     print(f"wrote {args.out}")
     return 0
 

@@ -669,6 +669,8 @@ def parse_plan_text(text: str, n_mobile: int, horizon: int) -> MobilePlan:
         if len(parts) != 4:
             raise ValueError(f"plan line {ln}: expected 'l k i j', got {raw!r}")
         l, k, i, j = (int(p) for p in parts)
+        if (l, k) in positions:
+            raise ValueError(f"plan line {ln}: node {l} iteration {k} given twice")
         positions[(l, k)] = Cell(i, j)
     return MobilePlan(n_mobile=n_mobile, horizon=horizon, positions=positions)
 
@@ -691,6 +693,8 @@ def parse_deployment_text(
         if len(parts) != 3:
             raise ValueError(f"deployment line {ln}: expected 's i j', got {raw!r}")
         s, i, j = (int(p) for p in parts)
+        if s in entries:
+            raise ValueError(f"deployment line {ln}: node {s} given twice")
         entries[s] = grid.require(Cell(i, j), "deployment position")
     positions = [entries[s] for s in sorted(entries)]
     return static_deployment(grid, positions, r_s, boundary_weight)

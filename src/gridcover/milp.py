@@ -338,10 +338,11 @@ class MilpInstance:
         """The constraint matrix, one row per constraint (empty rows kept)."""
         if "matrix" not in self._views:
             rows = np.repeat(np.arange(self.n_constraints), self.row_lengths)
-            self._views["matrix"] = sp.csr_matrix(
+            # the terms come row by row, so the column-major build needs no sort
+            self._views["matrix"] = sp.csc_matrix(
                 (self.term_coefs, (rows, self.term_ids)),
                 shape=(self.n_constraints, self.n_variables),
-            )
+            ).tocsr()
         return self._views["matrix"]
 
     # -- queries ----------------------------------------------------------

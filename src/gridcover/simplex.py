@@ -53,6 +53,12 @@ LP that came back unbounded; a warm basis of the other row set fails the
 shape check and the solve goes cold.  A dropped row's slack carries no
 face weight, so the point _settle picks is the full model's.
 
+One matrix per layer: LpData.A_csr is MilpInstance.matrix() (empty rows
+sliced off); _Reduced keeps its rows (A_csr) and one CSC store of every
+column a solve pivots on, [A | I | I] (kept columns, slacks, artificials).
+A solve writes its artificial signs into a copy, F; the basis matrix is
+F[:, basis] and a row of the tableau is F^T v.
+
 All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
 verification), PIVOT_TOL (minimum pivot magnitude), DUAL_TOL (reduced-cost
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -145,7 +152,7 @@ class LpData:
 
     def __init__(self, instance: MilpInstance):
         self.instance = instance
-        self.n = n = instance.n_variables
+        self.n = instance.n_variables
         self.lower = instance.lower
         self.upper = instance.upper
         self.is_binary = instance.is_binary
@@ -157,18 +164,11 @@ class LpData:
         self.trivially_infeasible = (
             max_residual(np.zeros(np.count_nonzero(empty)), codes[empty], rhs[empty]) > FEAS_TOL
         )
-        kept = lengths[~empty]
         self.sense_codes = codes = codes[~empty]
-        m = len(kept)
-        self.m = m
+        self.m = len(codes)
         self.b = rhs[~empty]
         self.senses = [SENSES[c] for c in codes.tolist()]
-        rows = np.repeat(np.arange(m), kept)
-        self.A = sp.csc_matrix(
-            (instance.term_coefs, (rows, instance.term_ids)), shape=(m, n), dtype=float
-        )
-        self.AT = self.A.T.tocsr()
-        self.A_csr = self.A.tocsr()
+        self.A_csr = instance.matrix()[~empty] if empty.any() else instance.matrix()
 
         # slack bounds by sense: <= gives [0, inf), = gives [0, 0], >= gives (-inf, 0]
         self.slack_lo = np.where(codes == GE, -math.inf, 0.0)
@@ -176,11 +176,16 @@ class LpData:
         self._reduced: Optional[_Reduced] = None
         self._all_rows: Optional[_Reduced] = None
 
+    @cached_property
+    def A(self) -> sp.csc_matrix:
+        """A_csr by columns, derived on first use (the presolve reads it)."""
+        return self.A_csr.tocsc()
+
     def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether `x` is within the bounds and satisfies every row."""
         if np.any(x < lower - BOUND_TOL) or np.any(x > upper + BOUND_TOL):
             return False
-        return max_residual(self.A @ x, self.sense_codes, self.b) <= FEAS_TOL
+        return max_residual(self.A_csr @ x, self.sense_codes, self.b) <= FEAS_TOL
 
     def reduced(self, drop_rows: bool = True) -> "_Reduced":
         """The presolved model a solve works on, built on first use; with
@@ -263,7 +268,7 @@ def _dominated_rows(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols[cand[ok]][first], need[ok][first]
 
 
-def _substitutions(A_csr: sp.csr_matrix, A: sp.csc_matrix, codes: np.ndarray, is_binary: np.ndarray):
+def _substitutions(A_csr: sp.csr_matrix, codes: np.ndarray, is_binary: np.ndarray):
     """The (columns, rows) that the presolve substitutes: equality rows in
     order, each giving up the continuous column of its largest coefficient
     (ties to the lowest id) when the row holds no column substituted
@@ -272,9 +277,9 @@ def _substitutions(A_csr: sp.csr_matrix, A: sp.csc_matrix, codes: np.ndarray, is
     through one row.  A column qualifies only when it lies in at most one
     row besides its own, so a substitution adds at most one copy of its
     row's terms to the model."""
-    n = A.shape[1]
+    n = A_csr.shape[1]
     indptr, indices, coefs = A_csr.indptr.tolist(), A_csr.indices.tolist(), A_csr.data.tolist()
-    eligible = ((~is_binary) & (np.diff(A.indptr) <= 2)).tolist()
+    eligible = ((~is_binary) & (np.bincount(A_csr.indices, minlength=n) <= 2)).tolist()
     gone = [False] * n  # substituted
     seen = [False] * n  # in a chosen row
     cols: List[int] = []
@@ -300,6 +305,11 @@ def _substitutions(A_csr: sp.csr_matrix, A: sp.csc_matrix, codes: np.ndarray, is
     return np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
 
 
+def _with_units(A: sp.csc_matrix, m: int) -> sp.csc_matrix:
+    """[A | I | I]: A's columns, then a unit column per row twice over."""
+    return sp.hstack([A, sp.identity(m, format="csc"), sp.identity(m, format="csc")], format="csc")
+
+
 class _Reduced:
     """An LpData's model with dominated rows dropped (see _dominated_rows)
     and then columns substituted out (the column substitution of Andersen &
@@ -312,12 +322,14 @@ class _Reduced:
     _settle picks on it are those of the full model.  With no row dropped
     and no column substituted this is the model itself.
 
-    `A`, `AT`, `A_csr`, `b`, `n` and `m` mean what they mean on LpData,
-    over the `kept` columns and the rows not `dropped`; `slack_lo` and
-    `slack_up` bound those rows' slacks; `cost` and `face` span the kept
-    columns and then the slacks; `cols`, `rows` (indexed among the rows
-    left), `piv` (= a_rj) and `row_terms` (rows `rows` over the kept
-    columns) rebuild the substituted columns."""
+    `A_csr`, `b`, `n` and `m` mean what they mean on LpData, over the
+    `kept` columns and the rows not `dropped`; `columns` is the CSC matrix
+    [A | I | I] of every column a solve pivots on: the kept columns, the
+    slacks and the artificials (whose signs each solve sets; see
+    _Solver.F).  `slack_lo` and `slack_up` bound the rows' slacks; `cost`
+    and `face` span the kept columns and then the slacks; `cols`, `rows`
+    (indexed among the rows left), `piv` (= a_rj) and `row_terms` (rows
+    `rows` over the kept columns) rebuild the substituted columns."""
 
     def __init__(self, data: LpData, drop_rows: bool):
         n = data.n
@@ -335,7 +347,7 @@ class _Reduced:
             A = A_csr.tocsc()
             self.slack_lo, self.slack_up = self.slack_lo[live], self.slack_up[live]
         self.m = m = len(b)
-        self.cols, self.rows = cols, rows = _substitutions(A_csr, A, codes, data.is_binary)
+        self.cols, self.rows = cols, rows = _substitutions(A_csr, codes, data.is_binary)
         keep = np.ones(n, dtype=bool)
         keep[cols] = False
         self.kept = kept = np.flatnonzero(keep)
@@ -344,8 +356,8 @@ class _Reduced:
         self.cost = np.concatenate([data.c_min[kept], np.zeros(m)])
         self.face = np.concatenate([w[kept], np.zeros(m)])
         if not cols.size:
-            self.A, self.A_csr, self.b = A, A_csr, b
-            self.AT = A.T.tocsr() if self.dropped.size else data.AT
+            self.A_csr, self.b = A_csr, b
+            self.columns = _with_units(A, m)
             return
         self.piv = piv = np.asarray(A_csr[rows, cols]).ravel()
         self.cost[k + rows] = data.c_min[cols] / piv
@@ -362,7 +374,7 @@ class _Reduced:
         A = (A[:, kept] - M @ terms).tocsc()
         A.eliminate_zeros()
         A.sort_indices()
-        self.A, self.AT, self.A_csr = A, A.T.tocsr(), A.tocsr()
+        self.A_csr, self.columns = A.tocsr(), _with_units(A, m)
         self.b = b - M @ b[rows]
         # the range of s_r that the kept columns' declared boxes imply: a
         # slack bound outside it can never bind (see boxes)
@@ -405,31 +417,17 @@ class _Reduced:
 
 
 class _Basis:
-    """LU factorization of the basis plus product-form eta updates."""
+    """LU factorization of the basis columns of F plus product-form eta
+    updates."""
 
-    def __init__(self, cols_getter, m: int):
-        self._col = cols_getter  # j -> (indices, values)
-        self.m = m
+    def __init__(self, F: sp.csc_matrix):
+        self.F = F
         self.lu = None
         self.etas: List[Tuple[int, np.ndarray]] = []
 
     def refactor(self, basis: np.ndarray) -> None:
-        m = self.m
-        idx_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        indptr = np.empty(m + 1, dtype=np.int64)
-        indptr[0] = 0
-        for t, j in enumerate(basis):
-            idx, val = self._col(j)
-            idx_parts.append(idx)
-            val_parts.append(val)
-            indptr[t + 1] = indptr[t] + len(idx)
-        B = sp.csc_matrix(
-            (np.concatenate(val_parts), np.concatenate(idx_parts), indptr),
-            shape=(m, m),
-        )
         try:
-            self.lu = spla.splu(B)
+            self.lu = spla.splu(self.F[:, basis])
         except RuntimeError as exc:  # singular basis
             raise SimplexNumericalError(f"singular basis: {exc}") from exc
         self.etas = []
@@ -481,27 +479,22 @@ class _Solver:
         lo, up = lp.boxes(x_lo, x_up)
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.up = np.concatenate([up, np.full(m, math.inf)])
-        self.art_sign = np.ones(m)
         self.iterations = 0
         self.degenerate_steps = 0
-        self._unit_idx = [np.array([r]) for r in range(m)]
-        self._plus_one = np.array([1.0])
-        self._minus_one = np.array([-1.0])
 
-    def col(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        n, m, A = self.n, self.m, self.lp.A
-        if j < n:
-            sl = slice(A.indptr[j], A.indptr[j + 1])
-            return A.indices[sl], A.data[sl]
-        if j < n + m:
-            return self._unit_idx[j - n], self._plus_one
-        r = j - n - m
-        return self._unit_idx[r], (self._plus_one if self.art_sign[r] > 0 else self._minus_one)
+    def _set_art_sign(self, art_sign: np.ndarray) -> None:
+        """Fix the artificial signs: F = [A | I | diag(art_sign)]."""
+        self.art_sign = art_sign
+        self.F = self.lp.columns.copy()
+        self.F.data[-self.m :] = art_sign
+        self._rows = self.F.T
+        self.fact = _Basis(self.F)
 
     def col_dense(self, j: int) -> np.ndarray:
+        F = self.F
         v = np.zeros(self.m)
-        idx, val = self.col(j)
-        v[idx] = val
+        sl = slice(F.indptr[j], F.indptr[j + 1])
+        v[F.indices[sl]] = F.data[sl]
         return v
 
     # -- setup --------------------------------------------------------------
@@ -536,9 +529,9 @@ class _Solver:
         n, m = self.n, self.m
         self._place_nonbasic(np.full(self.ncols, AT_LO, dtype=np.int8))
 
-        r = self.lp.b - self.lp.A @ self.val[:n]  # the value each slack must take
+        r = self.lp.b - self.lp.A_csr @ self.val[:n]  # the value each slack must take
         left = r - self.val[n : n + m]  # what an artificial takes with the slack at its bound
-        self.art_sign = np.where(left >= 0, 1.0, -1.0)
+        self._set_art_sign(np.where(left >= 0, 1.0, -1.0))
         slack_ok = (r >= self.lo[n : n + m] - 1e-12) & (r <= self.up[n : n + m] + 1e-12)
         crash = self._crash_columns(left, slack_ok)
         basis = np.where(
@@ -559,7 +552,6 @@ class _Solver:
         unused[self.basis[self.basis >= n + m] - n - m] = False
         self.lo[art_cols[unused]] = 0.0
         self.up[art_cols[unused]] = 0.0
-        self.fact = _Basis(self.col, m)
         self.fact.refactor(self.basis)
         return None
 
@@ -645,13 +637,8 @@ class _Solver:
         return direction, w, min(t_own, t_rows), t_own, t_rows, limits
 
     def _row_times(self, v: np.ndarray) -> np.ndarray:
-        """v^T [A | I | sign] over every column."""
-        n, m = self.n, self.m
-        out = np.empty(self.ncols)
-        out[:n] = self.lp.AT @ v
-        out[n : n + m] = v
-        out[n + m :] = self.art_sign * v
-        return out
+        """v^T F over every column."""
+        return self._rows @ v
 
     def _reduced_costs(self, c_all: np.ndarray) -> np.ndarray:
         return c_all - self._row_times(self.fact.btran(c_all[self.basis]))
@@ -774,7 +761,7 @@ class _Solver:
         self.fact.refactor(self.basis)
         nb_val = self.val.copy()
         nb_val[self.basis] = 0.0
-        rhs = self.lp.b - self.lp.A @ nb_val[:n] - nb_val[n : n + m]
+        rhs = self.lp.b - self.lp.A_csr @ nb_val[:n] - nb_val[n : n + m]
         rhs -= self.art_sign * nb_val[n + m :]
         self.xb = self.fact.ftran(rhs)
         self.val[self.basis] = self.xb
@@ -922,13 +909,12 @@ class _Solver:
         n, m = self.n, self.m
         if warm.basis.shape != (m,) or warm.status.shape != (self.ncols,):
             return None
-        self.art_sign = warm.art_sign
+        self._set_art_sign(warm.art_sign)
         self.lo[n + m :] = 0.0  # artificials only ever rest at zero
         self.up[n + m :] = 0.0
         self.basis = warm.basis.copy()
         self._place_nonbasic(warm.status)
         self.status[self.basis] = BASIC
-        self.fact = _Basis(self.col, m)
         self._refresh()
 
         c, c_tilted = self._phase2_costs()

@@ -99,6 +99,30 @@ class TestPlanCommands:
         assert code == 1
         assert "increase" in err
 
+    @pytest.mark.parametrize("command, kmax", [("plan-cov", "2"), ("plan-mov", "4")])
+    def test_search_stopped_before_the_root_lp_prints_no_bound(self, tmp_path, capsys, command, kmax):
+        # with no node allowed the plan is the warm start, and no LP bound exists
+        plan = tmp_path / "plan.txt"
+        code, stdout, _ = run(
+            [command, "--rows", "6", "--cols", "6", "--l", "2", "--kmax", kmax,
+             "--node-limit", "0", "--out", str(plan)],
+            capsys,
+        )
+        assert code == 0
+        assert "bound none" in stdout
+        assert plan.read_text().strip() != ""
+
+    def test_repeated_deployment_node_exits_two(self, tmp_path, capsys):
+        deployment = tmp_path / "deployment.txt"
+        deployment.write_text("1 2 2\n1 5 5\n")
+        code, _, err = run(
+            ["plan-cov", "--rows", "6", "--cols", "6", "--l", "1", "--kmax", "2",
+             "--deployment", str(deployment), "--out", str(tmp_path / "p.txt")],
+            capsys,
+        )
+        assert code == 2
+        assert "deployment line 2" in err
+
     def test_plan_cov_nothing_to_plan(self, tmp_path, capsys):
         deployment = tmp_path / "deployment.txt"
         deployment.write_text("1 2 2\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridcover.formulations import MobilePlan, build_milp_cov, encode_plan
+from gridcover.formulations import MobilePlan, build_milp_cov, build_milp_static, encode_plan
 from gridcover.grid import Cell, GridSpec, SensorParams, evaluate_plan, static_coverage
 from gridcover.harness import (
     ExperimentConfig,
@@ -105,6 +105,10 @@ class TestPersistence:
         back = parse_plan_text(text, 2, 3)
         assert back.positions == plan.positions
 
+    def test_plan_text_rejects_a_repeated_placement(self):
+        with pytest.raises(ValueError, match="plan line 3: node 1 iteration 1 given twice"):
+            parse_plan_text("1 1 2 2\n1 2 3 4\n1 1 5 5\n", 2, 3)
+
     def test_deployment_text_roundtrip(self):
         grid = GridSpec(6, 6)
         covered, uncovered = static_coverage([Cell(2, 2), Cell(5, 5)], 1, grid)
@@ -113,6 +117,10 @@ class TestPersistence:
         assert deployment.positions == (Cell(2, 2), Cell(5, 5))
         assert deployment.covered == frozenset(covered)
         assert deployment_text(deployment) == text
+
+    def test_deployment_text_rejects_a_repeated_node(self):
+        with pytest.raises(ValueError, match="deployment line 2: node 1 given twice"):
+            parse_deployment_text("1 2 2\n1 5 5\n", GridSpec(6, 6), 1, 4.0)
 
     def test_results_csv_deterministic_mode(self):
         config = tiny_config(rows=4, cols=4, n_static=0, placement="none",
@@ -221,6 +229,15 @@ class TestTracedNames:
 
         namespace = importlib.import_module(module)
         assert [name for name in names if not callable(getattr(namespace, name, None))] == []
+
+    def test_lpdata_has_the_arrays_the_highs_check_reads(self):
+        # perfbench's highs_check rebuilds each captured root LP from these
+        from gridcover.bnb import LpData
+
+        data = LpData(build_milp_static(GridSpec(3, 3), 1).instance)
+        names = ["senses", "A_csr", "b", "c_min", "lower", "upper", "obj_sign", "is_binary"]
+        assert [name for name in names if not hasattr(data, name)] == []
+        assert data.A_csr.shape == (len(data.senses), len(data.c_min))
 
 
 class TestBestSeedPlan:

@@ -368,6 +368,68 @@ class TestWarmStart:
         assert checked > 400
 
 
+class TestColumnStore:
+    """A solve reads every column from one store F = [A | I | diag(art_sign)]
+    over the presolved model, and factorizes exactly its basic columns."""
+
+    @staticmethod
+    def dense_columns(solver):
+        lp = solver.lp
+        return np.hstack([lp.A_csr.toarray(), np.eye(lp.m), np.diag(solver.art_sign)])
+
+    def test_cold_and_warm_solves_factor_the_dense_columns(self, monkeypatch):
+        import gridcover.simplex as simplex
+
+        bases, factored = [], []
+        refactor, splu = simplex._Basis.refactor, simplex.spla.splu
+
+        def spy_refactor(basis_self, basis):
+            bases.append(basis.copy())
+            refactor(basis_self, basis)
+
+        def spy_splu(B):
+            factored.append(B.toarray())
+            return splu(B)
+
+        monkeypatch.setattr(simplex._Basis, "refactor", spy_refactor)
+        monkeypatch.setattr(simplex.spla, "splu", spy_splu)
+
+        def check(solver, run):
+            bases.clear()
+            factored.clear()
+            try:
+                res = run()
+            except simplex.SimplexNumericalError:
+                res = None
+            if not hasattr(solver, "F"):  # settled without a pivot
+                return res, 0
+            dense = self.dense_columns(solver)
+            assert np.array_equal(solver.F.toarray(), dense)
+            assert len(bases) == len(factored) > 0
+            for basis, B in zip(bases, factored):
+                assert np.array_equal(B, dense[:, basis])
+            return res, len(bases)
+
+        rng = np.random.default_rng(77)
+        counts = {"cold": 0, "warm": 0, "negative signs": 0}
+        for _ in range(80):
+            lp = TestWarmStart.random_lp(rng)
+            data = LpData(build(*lp))
+            cold = _Solver(data, None)
+            parent, k = check(cold, cold.solve)
+            counts["cold"] += k
+            if k:
+                counts["negative signs"] += int(np.sum(cold.art_sign < 0))
+            if parent is None or parent.status != "optimal":
+                continue
+            j = int(rng.integers(data.n))
+            x_j = parent.values[j]
+            for box in TestWarmStart.tightenings(j, x_j, lp[4][j], lp[5][j], (x_j, x_j)):
+                warm = _Solver(data, NodeBounds({j: box}, parent.basis))
+                counts["warm"] += check(warm, lambda: warm.solve_warm(parent.basis))[1]
+        assert min(counts.values()) > 20, counts
+
+
 class TestTieBreak:
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_optimum_maximizes_the_face_weights(self, scale):
@@ -432,7 +494,7 @@ def substituted_lp(rng, nonneg=False):
 def public_arrays(data):
     """Every public LpData array, as bytes."""
     out = {}
-    for name in ("A", "A_csr", "AT"):
+    for name in ("A", "A_csr"):
         mat = getattr(data, name)
         out[name] = (mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes(), mat.shape)
     for name in ("b", "sense_codes", "c_min", "lower", "upper", "is_binary"):
@@ -472,7 +534,8 @@ class TestPresolve:
         red = data.reduced()
         c_ids = np.arange(2 * 16, 4 * 16)  # the c block follows the x block
         assert np.array_equal(np.sort(red.cols), c_ids)
-        assert red.n == 2 * 16 and red.A.shape == (data.m, 2 * 16)
+        assert red.n == 2 * 16 and red.A_csr.shape == (data.m, 2 * 16)
+        assert red.columns.shape == (data.m, 2 * 16 + 2 * data.m)
         assert solve_lp(data).objective == pytest.approx(solve_lp(LpData(handle.instance)).objective)
 
     def test_warm_children_on_substituted_columns(self):
