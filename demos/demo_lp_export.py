@@ -27,7 +27,7 @@ def main():
     result = solve_milp(handle.instance)
     solution_lines = "\n".join(
         f"{handle.instance.variables[vid].name} {value:g}"
-        for vid, value in sorted(result.incumbent.items())
+        for vid, value in enumerate(result.incumbent.tolist())
         if value > 0.5
     )
     print(f"\nsolver returned objective {result.objective:g}; nonzero values:")

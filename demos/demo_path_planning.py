@@ -30,7 +30,7 @@ def main():
     covered, uncovered = static_coverage([Cell(2, 2), Cell(5, 5)], 1, grid)
     print(f"static nodes cover {len(covered)}/{grid.n_cells}; "
           f"{len(uncovered)} cells left for the mobiles\n")
-    params = SensorParams(r_s=1, rho_x=2, rho_y=2, c_o=3)
+    params = SensorParams(r_s=1)
     deployment = SimpleNamespace(covered=frozenset(covered), C_2=frozenset(covered))
 
     # maximize coverage within 3 iterations

@@ -19,7 +19,6 @@ from .grid import (
     static_coverage,
 )
 from .milp import (
-    Assignment,
     InstanceStats,
     LinearConstraint,
     MilpInstance,

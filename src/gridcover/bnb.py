@@ -14,7 +14,8 @@ node's answer is the point a cold solve gives, up to rounding noise.
 Every incumbent is re-verified by substitution with its binaries snapped
 exactly to {0, 1} before being accepted, and the reported objective is
 recomputed from the incumbent values rather than trusted from the
-relaxation.
+relaxation.  Points (LP answers, the warm start, the incumbent) are float
+vectors indexed by variable id, as everywhere in the package.
 
 Node exploration is single-threaded, so two runs on identical inputs give
 identical node counts and incumbents.
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .milp import Assignment, MilpInstance
+from .milp import MilpInstance
 from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
 
 INT_TOL = 1e-6  # a binary within this of 0 or 1 counts as integral
@@ -63,7 +64,7 @@ class SolveParams:
 @dataclass
 class MilpResult:
     status: str  # "optimal" | "feasible" | "no-incumbent" | "infeasible" | "unbounded"
-    incumbent: Optional[Assignment]
+    incumbent: Optional[np.ndarray]  # the point, one value per variable id
     objective: Optional[float]
     best_bound: Optional[float]
     gap: Optional[float]
@@ -93,48 +94,52 @@ class _Search:
             and bool(np.all(self.data.is_binary[instance.objective_ids]))
             and bool(np.all(np.isfinite(coefs) & (coefs == np.round(coefs))))
         )
-        self.inc_values: Optional[Assignment] = None
+        self.incumbent: Optional[np.ndarray] = None
         self.inc_score = -math.inf
         self.final_bound_score: Optional[float] = None
         self.nodes_explored = 0
 
     # -- incumbent handling -------------------------------------------------
 
-    def try_incumbent(self, values: Assignment) -> bool:
+    def try_incumbent(self, point: np.ndarray) -> bool:
         """Snap binaries exactly to {0,1}, re-verify (re-solving the LP with
         the binaries fixed when the snapped point fails), accept if improving."""
-        x = self.instance.point(values)
+        x = point.copy()
         x[self.binaries] = np.round(x[self.binaries])
         if not self.data.feasible(x, self.data.lower, self.data.upper):
             fixed = {int(v): (float(x[v]), float(x[v])) for v in self.binaries}
             res = solve_lp(self.data, fixed)
             if res.status != "optimal":
                 return False
-            x = self.instance.point(res.values)
+            x = res.values
             x[self.binaries] = np.round(x[self.binaries])
             if not self.data.feasible(x, self.data.lower, self.data.upper):
                 return False
         score = self.sign * float(self.c0 @ x)
         if score > self.inc_score + 1e-12:
             self.inc_score = score
-            self.inc_values = {i: float(x[i]) for i in range(self.data.n)}
+            self.incumbent = x
             return True
         return False
 
     # -- search -------------------------------------------------------------
 
-    def run(self, warm_start: Optional[Assignment]) -> MilpResult:
+    def run(self, warm_start: Optional[np.ndarray]) -> MilpResult:
         params = self.params
         t0 = time.monotonic()
 
         if warm_start is not None:
-            ok = self.try_incumbent(warm_start)
-            if not ok and self.inc_values is None:
-                raise ValueError("warm start assignment is not feasible for this instance")
+            warm_start = np.asarray(warm_start, dtype=float)
+            if warm_start.shape != (self.data.n,):
+                raise ValueError(
+                    f"warm start has shape {warm_start.shape}, expected ({self.data.n},)"
+                )
+            if not self.try_incumbent(warm_start):
+                raise ValueError("warm start point is not feasible for this instance")
 
         # bound from variable boxes alone: when an incumbent already attains
         # it (e.g. full-coverage plans), no relaxation needs solving
-        if self.inc_values is not None:
+        if self.incumbent is not None:
             c_score = self.sign * self.c0
             nz = np.flatnonzero(c_score)
             box = float(
@@ -197,8 +202,8 @@ class _Search:
             if node_score <= self.inc_score + 1e-9:
                 continue
 
-            xb = np.array([res.values[int(v)] for v in self.binaries]) if self.binaries.size else np.empty(0)
-            frac = np.minimum(np.abs(xb), np.abs(1.0 - xb)) if xb.size else np.empty(0)
+            xb = res.values[self.binaries]
+            frac = np.minimum(np.abs(xb), np.abs(1.0 - xb))
             if not xb.size or float(frac.max()) <= INT_TOL:
                 self.try_incumbent(res.values)
                 continue
@@ -221,7 +226,7 @@ class _Search:
                 stack.append((-node_score, seq + 1, first))
                 seq += 2
 
-            if self.inc_values is not None and params.mip_gap > 0:
+            if self.incumbent is not None and params.mip_gap > 0:
                 bound_now = self._open_bound(open_nodes)
                 gap_now = _relative_gap(
                     self.sign * self.inc_score, self.sign * bound_now
@@ -240,65 +245,38 @@ class _Search:
         return best
 
     def _finish(self, hit_limit: bool, saw_unbounded: bool, open_nodes) -> MilpResult:
-        if saw_unbounded:
-            return MilpResult(
-                status="unbounded",
-                incumbent=None,
-                objective=None,
-                best_bound=None,
-                gap=None,
-                nodes_explored=self.nodes_explored,
-            )
         if self.final_bound_score is not None:
             bound_score = self.final_bound_score
         else:
             bound_score = self._open_bound(open_nodes) if open_nodes else self.inc_score
-        if self.inc_values is None:
-            if open_nodes or hit_limit:
-                bound = self.sign * bound_score if math.isfinite(bound_score) else None
-                return MilpResult(
-                    status="no-incumbent",
-                    incumbent=None,
-                    objective=None,
-                    best_bound=bound,
-                    gap=None,
-                    nodes_explored=self.nodes_explored,
-                )
-            return MilpResult(
-                status="infeasible",
-                incumbent=None,
-                objective=None,
-                best_bound=None,
-                gap=None,
-                nodes_explored=self.nodes_explored,
-            )
-
-        objective = self.sign * self.inc_score
+        # without an incumbent and with nothing left open, bound_score is -inf
         bound = self.sign * bound_score if math.isfinite(bound_score) else None
-        gap = _relative_gap(objective, bound)
-        closed = not open_nodes or (gap is not None and gap <= self.params.mip_gap + 1e-12)
-        status = "optimal" if closed and not (hit_limit and open_nodes) else "feasible"
-        return MilpResult(
-            status=status,
-            incumbent=self.inc_values,
-            objective=objective,
-            best_bound=bound,
-            gap=gap,
-            nodes_explored=self.nodes_explored,
-        )
+        incumbent, objective, gap = self.incumbent, None, None
+        if saw_unbounded:
+            status, incumbent, bound = "unbounded", None, None
+        elif incumbent is None:
+            status = "no-incumbent" if open_nodes or hit_limit else "infeasible"
+        else:
+            objective = self.sign * self.inc_score
+            gap = _relative_gap(objective, bound)
+            closed = not open_nodes or (gap is not None and gap <= self.params.mip_gap + 1e-12)
+            status = "optimal" if closed and not (hit_limit and open_nodes) else "feasible"
+        return MilpResult(status, incumbent, objective, bound, gap, self.nodes_explored)
 
 
 def solve_milp(
     instance: MilpInstance,
     params: Optional[SolveParams] = None,
-    warm_start: Optional[Assignment] = None,
+    warm_start: Optional[np.ndarray] = None,
 ) -> MilpResult:
     """Solve a MilpInstance to proven optimality or until a limit is hit.
 
     On status "optimal" the objective equals the true optimum (node tree
-    exhausted or gap target met).  `warm_start` seeds the incumbent with a
-    feasible assignment (verified here; infeasible seeds raise ValueError);
-    correctness is unaffected, pruning just tightens.  Numerical failures
-    from the LP engine propagate as SimplexNumericalError.
+    exhausted or gap target met), and `incumbent` is the optimal point, a
+    float vector of length n_variables.  `warm_start` seeds the incumbent
+    with a feasible point of that length (verified here; a seed of another
+    shape or an infeasible one raises ValueError); correctness is
+    unaffected, pruning just tightens.  Numerical failures from the LP
+    engine propagate as SimplexNumericalError.
     """
     return _Search(instance, params or SolveParams()).run(warm_start)

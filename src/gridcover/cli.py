@@ -226,8 +226,9 @@ def _cmd_plan(args, planner: str) -> int:
     row = self_describing_row(config, 0, deployment, plan, result.status,
                               result.objective, result.best_bound, result.gap, 0.0)
     print(f"coverage: {row.coverage_pct:.2f}% ({row.covered_cells}/{row.total_cells} cells)")
-    print(f"movements: {row.movements_raw} raw, {row.movements_trimmed} trimmed, "
-          f"{row.movements_to_target if row.movements_to_target is not None else 'target not reached'} to target")
+    to_target = ("target not reached" if row.movements_to_target is None
+                 else f"{row.movements_to_target} to target")
+    print(f"movements: {row.movements_raw} raw, {row.movements_trimmed} trimmed, {to_target}")
     bound = "none" if result.best_bound is None else f"{result.best_bound:g}"  # stopped before the root LP
     print(f"solver: {result.status}, objective {result.objective:g}, bound {bound}")
     print(f"wrote {args.out}")

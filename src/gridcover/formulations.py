@@ -1,6 +1,6 @@
 """The three coverage MILPs: static placement, coverage maximization and
-movement minimization, plus decoding of solver assignments back into
-deployments and plans.
+movement minimization, plus decoding of solver points (float vectors
+indexed by variable id) back into deployments and plans.
 
 Builders are pure and deterministic: variables and constraints are emitted
 in a fixed order (equation blocks in their presentation order; within a
@@ -37,13 +37,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 import numpy as np
 
 from .grid import Cell, GridSpec, boundary_cells, sensing_footprint, static_coverage
-from .milp import Assignment, MilpInstance
+from .milp import MilpInstance
 
 INT_TOL = 1e-6
 
 
 class DecodeError(ValueError):
-    """Assignment cannot be decoded into a deployment/plan."""
+    """A point cannot be decoded into a deployment/plan."""
 
 
 class PlanConsistencyError(RuntimeError):
@@ -137,11 +137,17 @@ class FormulationHandle:
     def cells(self) -> Tuple[Cell, ...]:
         return tuple(self.grid.cells()) if self.kind == "static" else self.uncovered
 
-    def placements(self, assignment: Assignment) -> np.ndarray:
-        """The placement binaries' values, one row per node (static) or per
-        (node, iteration), node-major (mobile); unlisted ids read 0."""
-        x = self.instance.point(assignment)[: math.prod(self.x_shape)]
-        return x.reshape(-1, self.x_shape[-1])
+    def placements(self, point: np.ndarray) -> np.ndarray:
+        """The placement binaries' values in `point`, one row per node
+        (static) or per (node, iteration), node-major (mobile).  Raises
+        DecodeError unless `point` holds one value per variable."""
+        point = np.asarray(point, dtype=float)
+        if point.shape != (self.instance.n_variables,):
+            raise DecodeError(
+                f"a point of shape {point.shape} for {self.instance.n_variables} variables"
+            )
+        rows, width = math.prod(self.x_shape[:-1]), self.x_shape[-1]  # width 0: nothing to plan
+        return point[: rows * width].reshape(rows, width)
 
     def coverage_variable_ids(self) -> range:
         """Ids of every continuous coverage variable (for integrality audits)."""
@@ -170,12 +176,12 @@ def static_deployment(
 
 
 def _placed(
-    handle: FormulationHandle, assignment: Assignment, labels: Sequence[str]
+    handle: FormulationHandle, x: np.ndarray, labels: Sequence[str]
 ) -> Iterator[List[Cell]]:
-    """Per row of `handle.placements`, in order, the cells whose binary is 1.
-    Raises DecodeError at the first row holding a fractional (or non-finite)
-    value, naming the row by its label and its first such cell."""
-    x = handle.placements(assignment)
+    """Per row of `x` (the handle's placements), in order, the cells whose
+    binary is 1.  Raises DecodeError at the first row holding a fractional
+    (or non-finite) value, naming the row by its label and its first such
+    cell."""
     rounded = np.round(x)
     fractional = ~(np.abs(x - rounded) <= INT_TOL)
     cells = handle.cells
@@ -300,23 +306,23 @@ def build_milp_static(
     return handle
 
 
-def decode_static(handle: FormulationHandle, assignment: Assignment) -> StaticDeployment:
-    """Positions from an integral-feasible assignment: exactly one placed
-    cell per node; covered/uncovered computed from the geometry."""
+def decode_static(handle: FormulationHandle, point: np.ndarray) -> StaticDeployment:
+    """Positions from an integral-feasible point: exactly one placed cell
+    per node; covered/uncovered computed from the geometry."""
     if handle.kind != "static":
         raise ValueError("handle is not a static-placement formulation")
     positions: List[Cell] = []
     labels = [f"placement variable for node {s}" for s in range(1, handle.n_static + 1)]
-    for s, chosen in enumerate(_placed(handle, assignment, labels), start=1):
+    for s, chosen in enumerate(_placed(handle, handle.placements(point), labels), start=1):
         if len(chosen) != 1:
             raise DecodeError(f"static node {s} placed in {len(chosen)} cells, expected exactly 1")
         positions.append(chosen[0])
     return static_deployment(handle.grid, positions, handle.r_s, handle.boundary_weight)
 
 
-def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]]) -> Assignment:
-    """Variable values realizing a concrete placement: placement binaries
-    set, coverage variables equal to the footprint indicators.  Feasibility
+def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """The point realizing a concrete placement: placement binaries set,
+    coverage variables equal to the footprint indicators.  Feasibility
     (the overlap cap) is the caller's to verify by substitution."""
     if handle.kind != "static":
         raise ValueError("handle is not a static-placement formulation")
@@ -329,7 +335,7 @@ def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]
         values[0, s, index[cell]] = 1.0
         for covered in sensing_footprint(cell, handle.r_s, handle.grid):
             values[1, s, index[covered]] = 1.0
-    return dict(enumerate(values.ravel().tolist()))
+    return values.ravel()
 
 
 def _check_rho_components(uncovered: Sequence[Cell], rho_x: int, rho_y: int) -> None:
@@ -534,17 +540,18 @@ def build_milp_mov(
     )
 
 
-def decode_plan(handle: FormulationHandle, assignment: Assignment) -> MobilePlan:
-    """Extract (node, iteration) positions from an integral-feasible
-    assignment and verify the plan invariants; violations here indicate a
-    builder bug and raise PlanConsistencyError."""
+def decode_plan(handle: FormulationHandle, point: np.ndarray) -> MobilePlan:
+    """Extract (node, iteration) positions from an integral-feasible point
+    and verify the plan invariants; violations here indicate a builder bug
+    and raise PlanConsistencyError."""
     if handle.kind not in ("cov", "mov"):
         raise ValueError("handle is not a mobile-path formulation")
+    x = handle.placements(point)
     positions: Dict[Tuple[int, int], Cell] = {}
     if not handle.nothing_to_plan:
         lks = [(l, k) for l in range(1, handle.n_mobile + 1) for k in range(1, handle.horizon + 1)]
         labels = ["position variable node %d iteration %d" % lk for lk in lks]
-        for (l, k), chosen in zip(lks, _placed(handle, assignment, labels)):
+        for (l, k), chosen in zip(lks, _placed(handle, x, labels)):
             if len(chosen) > 1:
                 raise DecodeError(f"node {l} occupies {len(chosen)} cells at iteration {k}")
             if handle.kind == "cov" and not chosen:
@@ -562,13 +569,13 @@ def decode_plan(handle: FormulationHandle, assignment: Assignment) -> MobilePlan
     return plan
 
 
-def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> Assignment:
-    """Variable values realizing `plan` in the handle's instance: positions
-    set the placement binaries, coverage variables follow from the
-    footprints.  Feasibility (notably the overlap cap) is not checked
-    here; substitute into the instance to verify."""
+def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> np.ndarray:
+    """The point realizing `plan` in the handle's instance: positions set
+    the placement binaries, coverage variables follow from the footprints.
+    Feasibility (notably the overlap cap) is not checked here; substitute
+    into the instance to verify."""
     if handle.nothing_to_plan:
-        return {}
+        return np.zeros(handle.instance.n_variables)
     values = np.zeros((2,) + handle.x_shape)
     covered = np.zeros(len(handle.uncovered))
     index = {cell: p for p, cell in enumerate(handle.cells)}
@@ -581,7 +588,7 @@ def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> Assignment:
             if cell in index:
                 values[1, l - 1, k - 1, index[cell]] = 1.0
                 covered[index[cell]] = 1.0
-    return dict(enumerate(np.concatenate([values.ravel(), covered]).tolist()))
+    return np.concatenate([values.ravel(), covered])
 
 
 def validate_plan(

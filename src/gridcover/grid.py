@@ -55,25 +55,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SensorParams:
-    """Sensing radius, one-step traveling range and overlap cap.
-
-    r_s counts cells sensed in each direction (footprint is a clipped
-    (2*r_s+1)^2 square); rho_x / rho_y bound the per-iteration row/column
-    displacement; c_o caps how many times a cell may be counted covered.
-    """
+    """What coverage accounting reads of a sensor: r_s counts cells sensed
+    in each direction (the footprint is a clipped (2*r_s+1)^2 square)."""
 
     r_s: int = 1
-    rho_x: int = 2
-    rho_y: int = 2
-    c_o: int = 3
 
     def __post_init__(self) -> None:
         if self.r_s < 0:
             raise ValueError("sensing radius must be >= 0")
-        if self.rho_x < 0 or self.rho_y < 0:
-            raise ValueError("traveling ranges must be >= 0")
-        if self.c_o < 1:
-            raise ValueError("overlap factor must be >= 1")
 
 
 @dataclass(frozen=True)

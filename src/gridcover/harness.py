@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -41,7 +41,6 @@ from .formulations import (
     static_deployment,
 )
 from .grid import Cell, GridSpec, SensorParams, boundary_cells, sensing_footprint
-from .milp import Assignment
 from .planners import BaselineConfig, greedy_plan, movements_to_reach, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
@@ -89,7 +88,7 @@ class ExperimentConfig:
 
     @property
     def sensor_params(self) -> SensorParams:
-        return SensorParams(self.r_s, self.rho_x, self.rho_y, self.c_o_mobile)
+        return SensorParams(self.r_s)
 
     def solver_params(self) -> SolveParams:
         return SolveParams(
@@ -341,12 +340,12 @@ def best_seed_plan(
     return best
 
 
-def _warm_assignment(handle: FormulationHandle, values: Optional[Assignment]) -> Optional[Assignment]:
-    """`values` when they satisfy every row of the handle's instance, so
-    that they can seed its solve; otherwise None."""
-    if values is None or handle.instance.constraint_violation(values) > 1e-7:
+def _warm_assignment(handle: FormulationHandle, point: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """`point` when it satisfies every row of the handle's instance, so
+    that it can seed its solve; otherwise None."""
+    if point is None or handle.instance.constraint_violation(point) > 1e-7:
         return None
-    return values
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +409,7 @@ def plan_mobile_milp(
     handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
         empty = MobilePlan(n_mobile=config.n_mobile, horizon=config.k_max, positions={})
-        result = MilpResult("optimal", {}, 0.0, 0.0, 0.0, 0)
+        result = MilpResult("optimal", np.zeros(handle.instance.n_variables), 0.0, 0.0, 0.0, 0)
         return handle, empty, result
 
     params = config.solver_params()
@@ -618,13 +617,8 @@ def sweep(base: ExperimentConfig, axes: Dict[str, Sequence]) -> List[ResultRow]:
 # persistence
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = [
-    "rows", "cols", "n_static", "n_mobile", "k_max", "r_s", "rho_x", "rho_y",
-    "c_o_static", "c_o_mobile", "boundary_weight", "coverage_target",
-    "placement", "planner", "seed", "coverage_pct", "covered_cells",
-    "total_cells", "movements_raw", "movements_trimmed", "movements_to_target",
-    "solver_status", "objective", "best_bound", "gap", "wall_time", "note",
-]
+# the CSV columns: ResultRow's fields in order, less the deployment and plan objects
+RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name not in ("deployment", "plan")]
 
 
 def _csv_field(value) -> str:
@@ -657,22 +651,6 @@ def plan_text(plan: MobilePlan) -> str:
     """Line-oriented plan: `l k i j` per placement, (l, k) ascending."""
     lines = [f"{l} {k} {pos.i} {pos.j}" for (l, k), pos in sorted(plan.positions.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_plan_text(text: str, n_mobile: int, horizon: int) -> MobilePlan:
-    positions: Dict[Tuple[int, int], Cell] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"plan line {ln}: expected 'l k i j', got {raw!r}")
-        l, k, i, j = (int(p) for p in parts)
-        if (l, k) in positions:
-            raise ValueError(f"plan line {ln}: node {l} iteration {k} given twice")
-        positions[(l, k)] = Cell(i, j)
-    return MobilePlan(n_mobile=n_mobile, horizon=horizon, positions=positions)
 
 
 def deployment_text(deployment: StaticDeployment) -> str:

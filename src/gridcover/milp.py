@@ -21,6 +21,10 @@ Names are not stored one per variable: a block of variables added together
 is named `prefix + tag` for every prefix (outer) and tag (inner), so a name
 is computed from an id and an id recovered from a name by arithmetic.
 `variables` and `constraints` are read-only tuple views, built on demand.
+
+A point (a value for every variable: a solver's answer, a warm start, an
+encoded deployment or plan) is a float vector of length n_variables,
+indexed by variable id.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import scipy.sparse as sp
 
 VarId = int
 ConstraintId = int
-Assignment = Dict[int, float]
 
 SENSES = ("<=", "=", ">=")  # a row's sense code indexes this tuple
 LE, EQ, GE = 0, 1, 2
@@ -380,24 +383,9 @@ class MilpInstance:
             )
         return self._views["constraints"]
 
-    def objective_value(self, values: Assignment) -> float:
-        return sum(
-            c * values.get(v, 0.0)
-            for v, c in zip(self.objective_ids.tolist(), self.objective_coefs.tolist())
-        )
-
-    def point(self, values: Assignment) -> np.ndarray:
-        """Dense vector of `values` (unlisted ids are 0, foreign ids ignored)."""
-        ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-        vals = np.fromiter(values.values(), dtype=float, count=len(values))
-        mine = (ids >= 0) & (ids < self.n_variables)
-        x = np.zeros(self.n_variables)
-        x[ids[mine]] = vals[mine]
-        return x
-
-    def constraint_violation(self, values: Assignment) -> float:
-        """Largest residual of any constraint under `values` (0 if feasible)."""
-        return max_residual(self.matrix() @ self.point(values), self.sense_codes, self.rhs)
+    def constraint_violation(self, x: np.ndarray) -> float:
+        """Largest residual of any constraint at the point `x` (0 if feasible)."""
+        return max_residual(self.matrix() @ x, self.sense_codes, self.rhs)
 
 
 def max_residual(lhs: np.ndarray, codes: np.ndarray, rhs: np.ndarray) -> float:
@@ -487,9 +475,9 @@ def write_lp_text(instance: MilpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution_values(text: str, instance: MilpInstance) -> Assignment:
-    """Parse `name value` lines into a total assignment (unlisted ids -> 0)."""
-    values: Assignment = {vid: 0.0 for vid in range(instance.n_variables)}
+def parse_solution_values(text: str, instance: MilpInstance) -> np.ndarray:
+    """Parse `name value` lines into a point (unlisted variables are 0)."""
+    values = np.zeros(instance.n_variables)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:

@@ -77,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .milp import EQ, GE, LE, SENSES, Assignment, MilpInstance, max_residual
+from .milp import EQ, GE, LE, SENSES, MilpInstance, max_residual
 
 FEAS_TOL = 1e-7
 RC_TOL = 1e-9
@@ -139,7 +139,7 @@ class NodeBounds(dict):
 @dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    values: Optional[Assignment] = None
+    values: Optional[np.ndarray] = None  # the point, one value per variable id
     objective: Optional[float] = None
     iterations: int = 0  # simplex pivots + bound flips, all phases and attempts
     basis: Optional[WarmBasis] = None  # set on "optimal"
@@ -612,7 +612,7 @@ class _Solver:
         status = np.where(to_up, AT_UP, np.where(np.isfinite(lo), AT_LO, FREE)).astype(np.int8)
         return LpResult(
             status="optimal",
-            values=dict(enumerate(values.tolist())),
+            values=values,
             objective=obj,
             basis=WarmBasis(np.zeros(0, dtype=np.int64), status, np.ones(0)),
         )
@@ -1019,7 +1019,7 @@ class _Solver:
         obj = float(data.c_min @ x) * data.obj_sign
         return LpResult(
             status="optimal",
-            values=dict(enumerate(x.tolist())),
+            values=x,
             objective=obj,
             iterations=self.iterations,
             basis=WarmBasis(self.basis, self.status, self.art_sign),

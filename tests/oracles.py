@@ -332,10 +332,11 @@ def milp_by_enumeration(instance, lp_solver=None) -> Tuple[str, Optional[float]]
     if not others:
         n = len(binaries)
         for bits in itertools.product((0.0, 1.0), repeat=n):
-            x = dict(zip(binaries, bits))
+            x = np.zeros(instance.n_variables)
+            x[binaries] = bits
             feasible = True
             for con in instance.constraints:
-                lhs = sum(coef * x.get(v, 0.0) for v, coef in con.terms)
+                lhs = sum(coef * x[v] for v, coef in con.terms)
                 if con.sense == "<=" and lhs > con.rhs + 1e-9:
                     feasible = False
                 elif con.sense == ">=" and lhs < con.rhs - 1e-9:
@@ -346,7 +347,7 @@ def milp_by_enumeration(instance, lp_solver=None) -> Tuple[str, Optional[float]]
                     break
             if not feasible:
                 continue
-            val = instance.objective_value(x)
+            val = float(instance.objective() @ x)
             if best is None or (val > best if sense_max else val < best):
                 best = val
     else:

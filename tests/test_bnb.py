@@ -68,7 +68,19 @@ class TestBasics:
         for v in vs:
             assert res.incumbent[v] in (0.0, 1.0)
         assert m.constraint_violation(res.incumbent) <= FEAS_TOL
-        assert m.objective_value(res.incumbent) == pytest.approx(res.objective)
+        assert m.objective() @ res.incumbent == pytest.approx(res.objective)
+
+    def test_incumbent_is_a_float_vector_over_every_variable(self):
+        m = MilpInstance()
+        bs = [m.add_variable(f"b{i}", "binary", 0, 1) for i in range(3)]
+        ys = [m.add_variable(f"y{i}", "continuous", 0, 2) for i in range(2)]
+        m.add_constraint([(b, 1) for b in bs], "<=", 2)
+        m.add_constraint([(ys[0], 1), (ys[1], 1), (bs[0], -1)], "<=", 1.5)
+        m.set_objective([(v, 1) for v in bs + ys], "maximize")
+        res = solve_milp(m)
+        assert res.status == "optimal" and res.objective == pytest.approx(4.5)
+        assert isinstance(res.incumbent, np.ndarray)
+        assert res.incumbent.dtype == np.float64 and res.incumbent.shape == (m.n_variables,)
 
     def test_gap_definition(self):
         m = MilpInstance()
@@ -100,14 +112,26 @@ class TestWarmStart:
     def test_feasible_seed_does_not_change_optimum(self):
         m, vs = self.build()
         cold = solve_milp(m)
-        warm = solve_milp(m, warm_start={vs[0]: 1.0, vs[1]: 0.0, vs[2]: 0.0, vs[3]: 0.0})
+        warm = solve_milp(m, warm_start=np.array([1.0, 0.0, 0.0, 0.0]))
         assert cold.status == warm.status == "optimal"
         assert cold.objective == warm.objective == pytest.approx(2.0)
 
     def test_infeasible_seed_rejected(self):
         m, vs = self.build()
         with pytest.raises(ValueError, match="warm start"):
-            solve_milp(m, warm_start={v: 1.0 for v in vs})
+            solve_milp(m, warm_start=np.ones(len(vs)))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
+    def test_seed_of_another_shape_rejected(self, shape):
+        m, _ = self.build()
+        with pytest.raises(ValueError, match=r"warm start has shape .*, expected \(4,\)"):
+            solve_milp(m, warm_start=np.zeros(shape))
+
+    def test_seed_left_unchanged(self):
+        m, _ = self.build()
+        seed = np.array([1.0, 1e-12, 0.0, 0.0])  # the solver snaps its binaries
+        solve_milp(m, warm_start=seed)
+        assert seed.tolist() == [1.0, 1e-12, 0.0, 0.0]
 
     def test_optimal_seed_short_circuits(self):
         # seed attains the bound implied by variable boxes: zero nodes needed
@@ -115,7 +139,7 @@ class TestWarmStart:
         vs = [m.add_variable(f"v{i}", "binary", 0, 1) for i in range(3)]
         m.add_constraint([(v, 1) for v in vs], "<=", 3)
         m.set_objective([(v, 1) for v in vs], "maximize")
-        res = solve_milp(m, warm_start={v: 1.0 for v in vs})
+        res = solve_milp(m, warm_start=np.ones(len(vs)))
         assert res.status == "optimal" and res.nodes_explored == 0
 
 
@@ -136,7 +160,7 @@ class TestLimits:
         b = solve_milp(m)
         assert a.nodes_explored == b.nodes_explored
         assert a.objective == b.objective
-        assert a.incumbent == b.incumbent
+        assert np.array_equal(a.incumbent, b.incumbent)
 
     @pytest.mark.parametrize("order", ["best-bound", "depth-first"])
     def test_warm_node_solves_give_the_cold_answers(self, monkeypatch, order):
@@ -153,7 +177,7 @@ class TestLimits:
                 cold = solve_lp(data, dict(bounds))
                 assert res.status == cold.status
                 if res.status == "optimal":
-                    gap = max(abs(res.values[j] - cold.values[j]) for j in range(data.n))
+                    gap = np.abs(res.values - cold.values).max()
                     assert gap <= 1e-9
                 warm_solves.append(res.status)
             return res

@@ -112,6 +112,16 @@ class TestPlanCommands:
         assert "bound none" in stdout
         assert plan.read_text().strip() != ""
 
+    def test_plan_short_of_the_target_says_so_once(self, tmp_path, capsys):
+        # one node for two iterations covers 17 of 36 cells, short of the default full target
+        code, stdout, _ = run(
+            ["plan-cov", "--rows", "6", "--cols", "6", "--l", "1", "--kmax", "2",
+             "--node-limit", "0", "--out", str(tmp_path / "plan.txt")],
+            capsys,
+        )
+        assert code == 0
+        assert "movements: 2 raw, 2 trimmed, target not reached\n" in stdout
+
     def test_repeated_deployment_node_exits_two(self, tmp_path, capsys):
         deployment = tmp_path / "deployment.txt"
         deployment.write_text("1 2 2\n1 5 5\n")

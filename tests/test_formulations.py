@@ -100,11 +100,20 @@ class TestStaticFormulation:
     def test_decode_rejects_all_zero(self):
         handle = build_milp_static(GridSpec(3, 3), 1)
         with pytest.raises(DecodeError, match="expected exactly 1"):
-            decode_static(handle, {vid: 0.0 for vid in range(handle.instance.n_variables)})
+            decode_static(handle, np.zeros(handle.instance.n_variables))
+
+    @pytest.mark.parametrize("size", [0, 17, 19])
+    def test_decode_rejects_a_point_of_another_length(self, size):
+        handle = build_milp_static(GridSpec(3, 3), 1)
+        point = encode_static(handle, [Cell(2, 2)])
+        assert point.shape == (18,) and decode_static(handle, point).positions == (Cell(2, 2),)
+        bad = point[:size] if size < 18 else np.append(point, 0.0)
+        with pytest.raises(DecodeError, match=rf"shape \({size},\) for 18 variables"):
+            decode_static(handle, bad)
 
     def test_decode_rejects_fractional(self):
         handle = build_milp_static(GridSpec(3, 3), 1)
-        values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+        values = np.zeros(handle.instance.n_variables)
         values[handle.instance.var_id("x_s1_2_2")] = 0.5
         with pytest.raises(DecodeError, match="fractional"):
             decode_static(handle, values)
@@ -121,8 +130,11 @@ class TestCovFormulation:
     def test_empty_uncovered_flags_nothing_to_plan(self):
         handle = build_milp_cov(GridSpec(3, 3), [], 1, 2)
         assert handle.nothing_to_plan
-        plan = decode_plan(handle, {})
+        plan = decode_plan(handle, np.zeros(0))
         assert plan.movements == 0
+        assert encode_plan(handle, plan).shape == (0,)
+        with pytest.raises(DecodeError, match=r"shape \(1,\) for 0 variables"):
+            decode_plan(handle, np.zeros(1))
 
     def test_3x3_single_shot_covers_everything(self):
         grid = GridSpec(3, 3)
@@ -153,7 +165,7 @@ class TestCovFormulation:
     def test_decode_requires_position_each_iteration(self):
         grid = GridSpec(3, 3)
         handle = build_milp_cov(grid, sorted(grid.cells()), 1, 2)
-        values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+        values = np.zeros(handle.instance.n_variables)
         values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
         with pytest.raises(DecodeError, match="no position"):
             decode_plan(handle, values)
@@ -235,12 +247,25 @@ class TestDecodeEncode:
         plan = decode_plan(handle, res.incumbent)
         values = encode_plan(handle, plan)
         assert handle.instance.constraint_violation(values) <= FEAS_TOL
-        assert handle.instance.objective_value(values) == pytest.approx(res.objective)
+        assert handle.instance.objective() @ values == pytest.approx(res.objective)
+
+    @pytest.mark.parametrize("kind", ["cov", "mov"])
+    def test_decode_rejects_a_point_of_another_length(self, kind):
+        grid = GridSpec(3, 3)
+        if kind == "cov":
+            handle = build_milp_cov(grid, sorted(grid.cells()), 1, 2)
+        else:
+            handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 2, coverage_target=1)
+        values = encode_plan(handle, MobilePlan(1, 2, {(1, 1): Cell(2, 2), (1, 2): Cell(2, 2)}))
+        assert decode_plan(handle, values).movements == 2
+        for bad in (values[:-1], np.append(values, 0.0), values.reshape(1, -1), np.zeros(0)):
+            with pytest.raises(DecodeError, match="a point of shape"):
+                decode_plan(handle, bad)
 
     def test_single_placement_decodes(self):
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 2, coverage_target=1)
-        values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+        values = np.zeros(handle.instance.n_variables)
         values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
         plan = decode_plan(handle, values)
         assert plan.positions == {(1, 1): Cell(2, 2)}
@@ -248,7 +273,7 @@ class TestDecodeEncode:
     def test_multi_cell_assignment_rejected(self):
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 1, coverage_target="0.1")
-        values = {vid: 0.0 for vid in range(handle.instance.n_variables)}
+        values = np.zeros(handle.instance.n_variables)
         values[handle.instance.var_id("x_l1_k1_1_1")] = 1.0
         values[handle.instance.var_id("x_l1_k1_3_3")] = 1.0
         with pytest.raises(DecodeError, match="occupies 2 cells"):
@@ -286,13 +311,21 @@ class TestValidatePlan:
 
 
 def _outcome(fn, *args):
-    """A call's result, or its exception's type and message."""
+    """A call's result, or its exception's type and message.  The reference
+    in `oracles` takes and gives points as dicts keyed by every variable
+    id; they are passed and compared as the lists of their values."""
+    if fn.__module__ == "oracles":
+        args = [dict(enumerate(a.tolist())) if isinstance(a, np.ndarray) else a for a in args]
     try:
         result = fn(*args)
     except Exception as exc:  # compared, not handled
         return "raised", type(exc), str(exc)
     if isinstance(result, dict):
-        return "ok", list(result.items())  # same keys in the same order
+        assert list(result) == list(range(len(result)))
+        return "ok", list(result.values())
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64 and result.ndim == 1
+        return "ok", result.tolist()
     return "ok", result
 
 
@@ -308,7 +341,7 @@ class TestArithmeticLayout:
         rows, width = handle.placements(values).shape
         out = [values]
         for how in ("fractional", "two", "none", "noise"):
-            bad = dict(values)
+            bad = values.copy()
             row = int(rng.integers(rows))
             base = row * width
             if how == "fractional":
@@ -323,7 +356,7 @@ class TestArithmeticLayout:
                 for vid in range(rows * width):
                     bad[vid] = float(rng.choice([0.0, 0.0, 0.0, 1.0, 1.0 + 1e-9, 0.5]))
             out.append(bad)
-        out.append({})  # nothing listed reads as all zeros
+        out.append(np.zeros_like(values))
         return out
 
     def test_static_matches_the_reference(self):
@@ -390,7 +423,7 @@ class TestArithmeticLayout:
                 calls, errors = calls + 1, errors + (got[0] == "raised")
                 if got[0] == "raised" or handle.nothing_to_plan:
                     continue
-                for values in self.corruptions(rng, handle, dict(got[1])):
+                for values in self.corruptions(rng, handle, np.array(got[1])):
                     got_plan = _outcome(decode_plan, handle, values)
                     assert got_plan == _outcome(oracles.decode_plan, handle, values)
                     calls, errors = calls + 1, errors + (got_plan[0] == "raised")

@@ -172,7 +172,7 @@ def plan_of(horizon, *steps):
 
 
 class TestEvaluatePlan:
-    params = SensorParams(r_s=1, rho_x=2, rho_y=2, c_o=3)
+    params = SensorParams(r_s=1)
 
     def test_empty(self):
         report = evaluate_plan(None, None, self.params, GridSpec(3, 3))

@@ -12,7 +12,6 @@ from gridcover.harness import (
     deployment_text,
     pack_static_positions,
     parse_deployment_text,
-    parse_plan_text,
     plan_text,
     results_csv,
     run_pipeline,
@@ -96,18 +95,11 @@ class TestSweep:
 
 
 class TestPersistence:
-    def test_plan_text_roundtrip(self):
+    def test_plan_text_format(self):
         plan = MobilePlan(2, 3, {
-            (1, 1): Cell(2, 2), (1, 2): Cell(3, 4), (2, 1): Cell(5, 5),
+            (2, 1): Cell(5, 5), (1, 2): Cell(3, 4), (1, 1): Cell(2, 2),
         })
-        text = plan_text(plan)
-        assert text.splitlines() == ["1 1 2 2", "1 2 3 4", "2 1 5 5"]
-        back = parse_plan_text(text, 2, 3)
-        assert back.positions == plan.positions
-
-    def test_plan_text_rejects_a_repeated_placement(self):
-        with pytest.raises(ValueError, match="plan line 3: node 1 iteration 1 given twice"):
-            parse_plan_text("1 1 2 2\n1 2 3 4\n1 1 5 5\n", 2, 3)
+        assert plan_text(plan).splitlines() == ["1 1 2 2", "1 2 3 4", "2 1 5 5"]
 
     def test_deployment_text_roundtrip(self):
         grid = GridSpec(6, 6)
@@ -134,6 +126,24 @@ class TestPersistence:
         # wall_time column is blank in deterministic files
         for line in a.splitlines()[1:]:
             assert line.split(",")[-2] == ""
+
+    def test_csv_header_is_the_result_columns(self):
+        text = results_csv([])
+        assert text == (
+            "rows,cols,n_static,n_mobile,k_max,r_s,rho_x,rho_y,c_o_static,c_o_mobile,"
+            "boundary_weight,coverage_target,placement,planner,seed,coverage_pct,"
+            "covered_cells,total_cells,movements_raw,movements_trimmed,"
+            "movements_to_target,solver_status,objective,best_bound,gap,wall_time,note\n"
+        )
+
+    @pytest.mark.parametrize("planner", ["milp-cov", "milp-mov"])
+    def test_csv_of_solved_rows_holds_no_numpy_reprs(self, planner):
+        # _csv_field writes floats with repr, which spells a numpy scalar
+        # "np.float64(...)" under numpy 2
+        config = tiny_config(rows=5, cols=5, n_static=1, k_max=4, planner=planner, coverage_target="0.9")
+        rows = run_pipeline(config)
+        assert rows[0].solver_status == "optimal" and rows[0].objective is not None
+        assert "np." not in results_csv(rows)
 
     def test_csv_quotes_notes(self):
         config = tiny_config(rows=5, cols=5, n_static=0, placement="none",

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
@@ -161,11 +162,12 @@ class TestConstraintViolation:
         m.add_constraint([(x, 1.0)], ">=", 2.0)
         m.add_constraint([(y, 2.0)], "=", 2.0)
         m.add_constraint([], "<=", 1.0)
-        assert m.constraint_violation({x: 2.0, y: 1.0}) == 0.0
-        assert m.constraint_violation({x: 3.5, y: 1.0}) == pytest.approx(0.5)
-        assert m.constraint_violation({x: 0.5, y: 1.0}) == pytest.approx(1.5)
-        assert m.constraint_violation({x: 2.0, y: 3.0}) == pytest.approx(4.0)
-        assert m.constraint_violation({}) == pytest.approx(2.0)
+        assert (x, y) == (0, 1)
+        assert m.constraint_violation(np.array([2.0, 1.0])) == 0.0
+        assert m.constraint_violation(np.array([3.5, 1.0])) == pytest.approx(0.5)
+        assert m.constraint_violation(np.array([0.5, 1.0])) == pytest.approx(1.5)
+        assert m.constraint_violation(np.array([2.0, 3.0])) == pytest.approx(4.0)
+        assert m.constraint_violation(np.zeros(2)) == pytest.approx(2.0)
 
 
 class TestInstanceStats:
@@ -271,11 +273,11 @@ class TestWriteLpText:
 class TestParseSolutionValues:
     def test_single_value(self):
         m = tiny_instance()
-        assert parse_solution_values("x 1\n", m) == {0: 1.0}
+        assert parse_solution_values("x 1\n", m).tolist() == [1.0]
 
     def test_empty_text_defaults_to_zero(self):
         m = tiny_instance()
-        assert parse_solution_values("", m) == {0: 0.0}
+        assert parse_solution_values("", m).tolist() == [0.0]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown variable"):

@@ -47,8 +47,17 @@ class TestBasics:
         m.set_objective([(x, 1.0)], "maximize")
         res = solve_lp(m)
         assert res.status == "optimal"
-        assert res.values == {0: 1.0}
+        assert res.values.tolist() == [1.0]
         assert res.objective == 1.0
+
+    def test_values_are_a_float_vector_over_every_variable(self):
+        m = build(np.array([1.0, -1.0, 2.0]), np.array([[1.0, 1.0, 1.0]]), ["<="],
+                  np.array([2.0]), np.zeros(3), np.full(3, 3.0), True)
+        res = solve_lp(m)
+        assert res.status == "optimal"
+        assert isinstance(res.values, np.ndarray)
+        assert res.values.dtype == np.float64 and res.values.shape == (3,)
+        assert res.values.tolist() == pytest.approx([0.0, 0.0, 2.0])
 
     def test_two_variable_vertex(self):
         # oracle-checked: max 3x + 2y, x+y <= 4, x <= 2, 0 <= x,y <= 10
@@ -124,7 +133,7 @@ class TestBasics:
         m.add_constraint([(1, 1.0), (3, -1.0)], ">=", 0.5)
         m.set_objective([(0, 1.0), (1, 2.0), (2, 0.5), (3, 1.0)], "maximize")
         r1, r2 = solve_lp(m), solve_lp(m)
-        assert r1.values == r2.values and r1.objective == r2.objective
+        assert np.array_equal(r1.values, r2.values) and r1.objective == r2.objective
 
     def test_lpdata_reuse_matches_instance_solve(self):
         m = MilpInstance()
@@ -204,10 +213,9 @@ class TestRandomizedOracle:
             if res.status != "optimal":
                 continue
             assert residuals_ok(inst, res.values)
-            recomputed = inst.objective_value(res.values)
+            recomputed = inst.objective() @ res.values
             assert recomputed == pytest.approx(res.objective, abs=1e-7)
-            for j, v in res.values.items():
-                assert lower[j] - 1e-9 <= v <= upper[j] + 1e-9
+            assert np.all((lower - 1e-9 <= res.values) & (res.values <= upper + 1e-9))
 
 
 def highs(c, A, senses, b, lower, upper, maximize):
@@ -274,8 +282,7 @@ class TestWarmStart:
             for res in (cold, want_obj):
                 ref = res.objective if hasattr(res, "objective") else res
                 assert got.objective == pytest.approx(ref, rel=1e-7, abs=1e-7)
-            x = np.array([got.values[j] for j in range(data.n)])
-            assert data.feasible(x, lo, up)
+            assert data.feasible(got.values, lo, up)
         assert direct is None or direct.status == want_status
         return got, cold, direct
 
@@ -339,7 +346,7 @@ class TestWarmStart:
         got = solve_lp(data, NodeBounds(bounds, other))
         cold = solve_lp(data, bounds)
         assert got.status == "optimal" and got.objective == pytest.approx(1.5)
-        assert got.values == cold.values
+        assert np.array_equal(got.values, cold.values)
         assert got.iterations == cold.iterations  # no warm pivot was made
 
     def test_random_foreign_bases_give_right_answers(self):
@@ -454,8 +461,7 @@ class TestTieBreak:
                 method="highs",
             )
             assert face.status == 0
-            x = np.array([res.values[j] for j in range(n)])
-            assert _face_weights(n) @ x == pytest.approx(-face.fun, abs=1e-6)
+            assert _face_weights(n) @ res.values == pytest.approx(-face.fun, abs=1e-6)
 
 
 def substituted_lp(rng, nonneg=False):
@@ -522,8 +528,7 @@ class TestPresolve:
             kinds[want_status] += 1
             if want_status == "optimal":
                 assert res.objective == pytest.approx(want_obj, rel=1e-7, abs=1e-7)
-                x = np.array([res.values[j] for j in range(data.n)])
-                assert len(res.values) == data.n and data.feasible(x, lower, upper)
+                assert res.values.shape == (data.n,) and data.feasible(res.values, lower, upper)
         assert kinds["optimal"] > 60 and kinds["infeasible"] > 20, kinds
         assert substituted > 200
 
@@ -605,8 +610,7 @@ class TestPresolve:
                 method="highs",
             )
             assert face.status == 0
-            x = np.array([res.values[j] for j in range(n)])
-            assert _face_weights(n) @ x == pytest.approx(-face.fun, abs=1e-6)
+            assert _face_weights(n) @ res.values == pytest.approx(-face.fun, abs=1e-6)
             checked += 1
         assert checked > 40
 
@@ -693,12 +697,11 @@ class TestDominatedRows:
             kinds[want_status] += 1
             if want_status == "optimal":
                 assert res.objective == pytest.approx(want_obj, rel=1e-7, abs=1e-7), lp
-                x = np.array([res.values[j] for j in range(data.n)])
-                assert data.feasible(x, lower, upper)
+                assert data.feasible(res.values, lower, upper)
                 # the same point as the solve that keeps every row: the
                 # dropped rows' slacks carry no face weight
                 full = _Solver(data, None, drop_rows=False).solve()
-                assert np.allclose(x, [full.values[j] for j in range(data.n)], atol=1e-7), lp
+                assert np.allclose(res.values, full.values, atol=1e-7), lp
         assert kinds["optimal"] > 80 and kinds["infeasible"] > 40, kinds
         assert dropped > 300
 
