@@ -86,9 +86,6 @@ class MobilePlan:
     def movements(self) -> int:
         return len(self.positions)
 
-    def node_path(self, node: int) -> List[Optional[Cell]]:
-        return [self.positions.get((node, k)) for k in range(1, self.horizon + 1)]
-
 
 @dataclass(frozen=True)
 class PlanViolation:

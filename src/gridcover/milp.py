@@ -15,7 +15,8 @@ owning instance (ids from one instance are meaningless in another).
 Variable bounds are metadata, not constraint rows, so constraint counts
 match the usual "number of constraints" bookkeeping that excludes range
 bounds.  Constraint order is insertion order and is part of the
-deterministic export contract.
+deterministic export contract.  The LP text export formats each distinct
+number once and writes each section as one gathered token stream.
 
 Names are not stored one per variable: a block of variables added together
 is named `prefix + tag` for every prefix (outer) and tag (inner), so a name
@@ -413,24 +414,38 @@ def _num(value: float) -> str:
     return repr(value)
 
 
-def _terms_lines(names: List[str], lengths, ids, coefs) -> List[str]:
-    """Text of each row's nonzero terms, `a1 x1 + a2 x2 - a3 x3`, "" for none."""
+# 0..999 as written alone, then as written after a thousands part
+_UNITS = np.array([*map(str, range(1000)), *(f"{v:03d}" for v in range(1000))], dtype=object)
+
+
+def _distinct(values: np.ndarray) -> Tuple[list, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = np.unique(values)
+    return distinct.tolist(), np.searchsorted(distinct, values)
+
+
+def _rows_text(names: np.ndarray, lengths, ids, coefs, lead: np.ndarray, tail) -> str:
+    """Rows `lead[r] a1 x1 + a2 x2 - a3 x3 tail[r]` as one string (a row with
+    no nonzero term gets "0", written into `lead`): a head and a name token
+    per term are placed by position between the rows' lead and tail tokens."""
     nonzero = coefs != 0.0
     rows = np.repeat(np.arange(len(lengths)), lengths)[nonzero]
-    ids, coefs = ids[nonzero], coefs[nonzero]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    values, which = np.unique(coefs, return_inverse=True)
-    # coefficient text per distinct value: [as a row's first term, as a later one]
-    heads = []
-    for v in values.tolist():
-        heads += [f"- {_num(-v)} " if v < 0 else f"+ {_num(v)} ", f"{_num(v)} "]
-    texts = [
-        heads[h] + names[vid]
-        for h, vid in zip((2 * which + first).tolist(), ids.tolist())
-    ]
-    starts = _row_starts(np.bincount(rows, minlength=len(lengths))).tolist()
-    return [" ".join(texts[a:b]) for a, b in zip(starts, starts[1:])]
+    counts = np.bincount(rows, minlength=len(lengths))
+    lead[counts == 0, -1] += "0"
+    width = lead.shape[1] + 1  # a row's tokens besides its terms
+    starts = width * np.arange(len(lengths)) + 2 * _row_starts(counts)[:-1]
+    tokens = np.empty(width * len(lengths) + 2 * len(rows), dtype=object)
+    tokens[starts[:, None] + np.arange(width - 1)] = lead
+    tokens[starts + (width - 1) + 2 * counts] = tail
+    values, which = _distinct(coefs[nonzero])
+    heads = []  # per distinct value: its head as a later term, then as a row's first
+    for v in values:
+        heads += [f" - {_num(-v)} " if v < 0 else f" + {_num(v)} ", f"{_num(v)} "]
+    first = np.diff(rows, prepend=-1) != 0
+    at = width * rows + (width - 1) + 2 * np.arange(len(rows))
+    tokens[at] = np.array(heads, dtype=object)[2 * which + first]
+    tokens[at + 1] = names[ids[nonzero]]
+    return "".join(tokens.tolist())
 
 
 def write_lp_text(instance: MilpInstance) -> str:
@@ -438,59 +453,65 @@ def write_lp_text(instance: MilpInstance) -> str:
 
     Sections: Maximize/Minimize, Subject To (insertion order, one line per
     constraint `cK: a1 x1 + a2 x2 <= b`), Bounds (one explicit line per
-    variable; infinities spelled -inf/+inf), Binary, End.
+    variable; infinities spelled -inf/+inf), Binary, End.  No Python code
+    runs per term, row or variable: each distinct coefficient, right-hand
+    side and bound is formatted once, and a section is one array of string
+    tokens, gathered into place by position and joined once.
     """
-    names = instance.variable_names()
-    lines: List[str] = []
-    lines.append("Maximize" if instance.objective_sense == "maximize" else "Minimize")
+    names = np.array(instance.variable_names(), dtype=object)
     order = np.argsort(instance.objective_ids, kind="stable")
-    ids = instance.objective_ids[order]
-    obj = _terms_lines(names, [len(ids)], ids, instance.objective_coefs[order])[0]
-    lines.append(f" obj: {obj}" if obj else " obj: 0")
+    obj = _rows_text(names, [len(order)], instance.objective_ids[order],
+                     instance.objective_coefs[order], np.array([[" obj: "]], dtype=object), "\n")
+    # row k is named by two tokens from tables, " c" + str(k // 1000) and
+    # k % 1000: a str() per row would cost as much as placing its terms
+    thousands, units = np.divmod(np.arange(1, instance.n_constraints + 1), 1000)
+    lead = np.empty((len(units), 3), dtype=object)
+    prefixes = [" c", *(f" c{t}" for t in range(1, thousands.max(initial=0) + 1))]
+    lead[:, 0] = np.array(prefixes, dtype=object)[thousands]
+    lead[:, 1], lead[:, 2] = _UNITS[units + 1000 * (thousands > 0)], ": "
+    rhs, rhs_at = _distinct(instance.rhs)
+    tails = [[f" {sense} {t}\n" for sense in SENSES] for t in map(_num, rhs)]
+    tails = np.array(tails, dtype=object).reshape(-1, len(SENSES))
+    rows = _rows_text(names, instance.row_lengths, instance.term_ids, instance.term_coefs,
+                      lead, tails[rhs_at, instance.sense_codes])
 
-    lines.append("Subject To")
-    bodies = _terms_lines(names, instance.row_lengths, instance.term_ids, instance.term_coefs)
-    for k, (body, code, rhs) in enumerate(
-        zip(bodies, instance.sense_codes.tolist(), instance.rhs.tolist()), start=1
-    ):
-        lines.append(f" c{k}: {body or '0'} {SENSES[code]} {_num(rhs)}")
+    values, at = _distinct(np.concatenate([instance.lower, instance.upper]))
+    lo, up = at[: len(names)], at[len(names) :]
+    text = [_num(v) if math.isfinite(v) else f"{v:+}" for v in values]
+    below, equal, above = (np.array([pattern.format(t) for t in text], dtype=object)
+                           for pattern in (" {} <= ", " = {}\n", " <= {}\n"))
+    free = np.isneginf(instance.lower) & np.isposinf(instance.upper)
+    bounds = np.empty((len(names), 3), dtype=object)
+    bounds[:, 0] = np.where(free | (lo == up), " ", below[lo])
+    bounds[:, 1] = names
+    bounds[:, 2] = np.where(free, " free\n", np.where(lo == up, equal[lo], above[up]))
 
-    lines.append("Bounds")
-    lowers, uppers = instance.lower.tolist(), instance.upper.tolist()
-    text = {v: _num(v) for v in {*lowers, *uppers} - {-math.inf, math.inf}}
-    text.update({-math.inf: "-inf", math.inf: "+inf"})
-    for name, lo, up in zip(names, lowers, uppers):
-        if lo == -math.inf and up == math.inf:
-            lines.append(f" {name} free")
-        elif lo == up:
-            lines.append(f" {name} = {text[lo]}")
-        else:
-            lines.append(f" {text[lo]} <= {name} <= {text[up]}")
-
-    binaries = np.flatnonzero(instance.is_binary).tolist()
-    if binaries:
-        lines.append("Binary")
-        lines.extend(f" {names[vid]}" for vid in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    binaries = names[instance.is_binary].tolist()
+    binary = "".join(["Binary\n ", "\n ".join(binaries), "\n"]) if binaries else ""
+    return "".join([instance.objective_sense.capitalize(), "\n", obj, "Subject To\n", rows,
+                    "Bounds\n", "".join(bounds.ravel().tolist()), binary, "End\n"])
 
 
 def parse_solution_values(text: str, instance: MilpInstance) -> np.ndarray:
-    """Parse `name value` lines into a point (unlisted variables are 0)."""
-    values = np.zeros(instance.n_variables)
+    """Parse `name value` lines into a point (unlisted variables are 0).  A
+    name given twice, or a value that is not a finite number, is an error."""
+    values = np.full(instance.n_variables, np.nan)  # nan: not given yet
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {ln}: expected 'name value', got {raw!r}")
         name, sval = parts
         vid = instance._find_name(name)
         if vid is None:
             raise ValueError(f"line {ln}: unknown variable name {name!r}")
+        if not np.isnan(values[vid]):
+            raise ValueError(f"line {ln}: variable {name!r} given twice")
         try:
             values[vid] = float(sval)
         except ValueError as exc:
             raise ValueError(f"line {ln}: unparseable value {sval!r}") from exc
-    return values
+        if not math.isfinite(values[vid]):
+            raise ValueError(f"line {ln}: non-finite value {sval!r}")
+    return np.nan_to_num(values, nan=0.0)

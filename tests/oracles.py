@@ -524,3 +524,80 @@ def encode_plan(handle, plan):
     for cell in covered:
         values[cell_ids[cell]] = 1.0
     return values
+
+
+# ---------------------------------------------------------------------------
+# LP text export, line by line
+# ---------------------------------------------------------------------------
+# The writer that gridcover.milp.write_lp_text replaced with one gathered
+# token stream per section, kept as it was (with its own copies of the
+# number formatter, the sense names and the row offsets) so the two can be
+# compared byte for byte.
+
+
+def _lp_num(value: float) -> str:
+    """Shortest decimal that round-trips; integral values print bare."""
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def _lp_terms_lines(names: List[str], lengths, ids, coefs) -> List[str]:
+    """Text of each row's nonzero terms, `a1 x1 + a2 x2 - a3 x3`, "" for none."""
+    nonzero = coefs != 0.0
+    rows = np.repeat(np.arange(len(lengths)), lengths)[nonzero]
+    ids, coefs = ids[nonzero], coefs[nonzero]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    values, which = np.unique(coefs, return_inverse=True)
+    # coefficient text per distinct value: [as a row's first term, as a later one]
+    heads = []
+    for v in values.tolist():
+        heads += [f"- {_lp_num(-v)} " if v < 0 else f"+ {_lp_num(v)} ", f"{_lp_num(v)} "]
+    texts = [
+        heads[h] + names[vid]
+        for h, vid in zip((2 * which + first).tolist(), ids.tolist())
+    ]
+    counts = np.bincount(rows, minlength=len(lengths))
+    starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    return [" ".join(texts[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def reference_lp_text(instance) -> str:
+    """LP text of a MilpInstance, one line at a time: Maximize/Minimize,
+    Subject To (`cK: a1 x1 + a2 x2 <= b`), Bounds (one explicit line per
+    variable; infinities spelled -inf/+inf), Binary, End."""
+    senses = ("<=", "=", ">=")
+    names = instance.variable_names()
+    lines: List[str] = []
+    lines.append("Maximize" if instance.objective_sense == "maximize" else "Minimize")
+    order = np.argsort(instance.objective_ids, kind="stable")
+    ids = instance.objective_ids[order]
+    obj = _lp_terms_lines(names, [len(ids)], ids, instance.objective_coefs[order])[0]
+    lines.append(f" obj: {obj}" if obj else " obj: 0")
+
+    lines.append("Subject To")
+    bodies = _lp_terms_lines(names, instance.row_lengths, instance.term_ids, instance.term_coefs)
+    for k, (body, code, rhs) in enumerate(
+        zip(bodies, instance.sense_codes.tolist(), instance.rhs.tolist()), start=1
+    ):
+        lines.append(f" c{k}: {body or '0'} {senses[code]} {_lp_num(rhs)}")
+
+    lines.append("Bounds")
+    lowers, uppers = instance.lower.tolist(), instance.upper.tolist()
+    text = {v: _lp_num(v) for v in {*lowers, *uppers} - {-math.inf, math.inf}}
+    text.update({-math.inf: "-inf", math.inf: "+inf"})
+    for name, lo, up in zip(names, lowers, uppers):
+        if lo == -math.inf and up == math.inf:
+            lines.append(f" {name} free")
+        elif lo == up:
+            lines.append(f" {name} = {text[lo]}")
+        else:
+            lines.append(f" {text[lo]} <= {name} <= {text[up]}")
+
+    binaries = np.flatnonzero(instance.is_binary).tolist()
+    if binaries:
+        lines.append("Binary")
+        lines.extend(f" {names[vid]}" for vid in binaries)
+    lines.append("End")
+    return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from gridcover.milp import (
 )
 
 from lp_reader import read_lp_text, solve_parsed
+from oracles import reference_lp_text
 
 
 class TestAddVariable:
@@ -270,6 +271,122 @@ class TestWriteLpText:
         assert len(binary_section.split()) == 1200
 
 
+# values that exercise the number formatter: signed zeros, fractions, and
+# integral values on both sides of the 1e15 switch to repr
+LP_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 7.0, 0.5, -0.25, 1 / 3, -2.5e-7,
+             999999999999999.0, 1e15, -1e15, 3e17, -(2.0**53), 1e300)
+BINARY_BOUNDS = ((0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 1.0))
+
+
+def _random_bounds(rng: random.Random):
+    kind = rng.choice(("free", "fixed", "lower", "upper", "boxed"))
+    v, w = rng.choice(LP_VALUES), rng.choice(LP_VALUES)
+    if kind == "free":
+        return -math.inf, math.inf
+    if kind == "fixed":
+        return (v, v) if rng.random() < 0.9 else rng.choice(((math.inf,) * 2, (-math.inf,) * 2))
+    if kind == "lower":
+        return v, math.inf
+    if kind == "upper":
+        return -math.inf, v
+    return (min(v, w), max(v, w)) if v != w else (v, v + 1.5)
+
+
+def random_lp_instance(rng: random.Random):
+    """A model mixing `add_variable` names with `add_variables` blocks, every
+    bound shape, empty and all-zero rows, signed zeros, fractional and huge
+    values, and an objective that is unset, empty, all zero or shuffled.
+    Returns the model and whether both naming routes were used."""
+    m = MilpInstance("random")
+    routes = set()
+    for part in range(rng.randrange(0, 5)):
+        kind = rng.choice(("binary", "continuous"))
+        if rng.random() < 0.5:
+            for _ in range(rng.randrange(1, 4)):
+                lo, up = rng.choice(BINARY_BOUNDS) if kind == "binary" else _random_bounds(rng)
+                m.add_variable(f"v{m.n_variables}", kind, lo, up)
+            routes.add("single")
+        else:
+            lo, up = rng.choice(BINARY_BOUNDS) if kind == "binary" else _random_bounds(rng)
+            prefixes = [f"b{part}_{p}_" for p in range(rng.randrange(1, 3))]
+            tags = [f"{t}_{rng.randrange(9)}" for t in range(rng.randrange(1, 4))]
+            m.add_variables(prefixes, tags, kind, lo, up)
+            routes.add("block")
+    n = m.n_variables
+    for _ in range(rng.randrange(0, 4) if rng.random() < 0.85 else 0):
+        lengths = [rng.randrange(0, min(n, 4) + 1) for _ in range(rng.randrange(1, 4))]
+        ids = [v for k in lengths for v in rng.sample(range(n), k)]
+        zero_rows = rng.random() < 0.2
+        coefs = [rng.choice((0.0, -0.0)) if zero_rows else rng.choice(LP_VALUES) for _ in ids]
+        sense = rng.choice(("<=", "=", ">="))
+        rhs = [rng.choice(LP_VALUES[:-1]) for _ in lengths]
+        if len(lengths) == 1 and rng.random() < 0.5:
+            m.add_constraint(list(zip(ids, coefs)), sense, rhs[0])
+        else:
+            m.add_constraints(lengths, ids, coefs, sense, rhs)
+    objective = rng.random()
+    if n and objective < 0.7:
+        ids = rng.sample(range(n), rng.randrange(0, n + 1))
+        coefs = [0.0] * len(ids) if objective < 0.1 else [rng.choice(LP_VALUES) for _ in ids]
+        m.set_objective_arrays(ids, coefs, rng.choice(("maximize", "minimize")))
+    elif objective < 0.85:
+        m.set_objective([], "minimize")
+    return m, routes == {"single", "block"}
+
+
+def _lp_cases(m: MilpInstance, mixed_names: bool) -> dict:
+    """Whether model `m` exercises each case of the LP writer."""
+    coefs, rhs = m.term_coefs, m.rhs
+    numbers = np.concatenate([coefs, rhs, m.lower, m.upper, m.objective_coefs])
+    numbers = numbers[np.isfinite(numbers)]
+    lo, up = m.lower, m.upper
+    integral = numbers == np.round(numbers)
+    return {
+        "empty row": bool(np.any(m.row_lengths == 0)),
+        "all-zero row": any(t and all(c == 0 for _, c in t) for t, _, _ in m.constraints),
+        "-0.0 coefficient": bool(np.any((coefs == 0) & np.signbit(coefs))),
+        "-0.0 rhs": bool(np.any((rhs == 0) & np.signbit(rhs))),
+        "fractional value": not integral.all(),
+        "integral value >= 1e15": bool(np.any(integral & (abs(numbers) >= 1e15))),
+        "free bound": bool(np.any(np.isneginf(lo) & np.isposinf(up))),
+        "fixed bound": bool(np.any(lo == up)),
+        "half-infinite bound": bool(np.any(np.isinf(lo) != np.isinf(up))),
+        "boxed bound": bool(np.any(np.isfinite(lo) & np.isfinite(up) & (lo < up))),
+        "no constraints": m.n_constraints == 0,
+        "no binaries": not m.is_binary.any(),
+        "empty objective": len(m.objective_ids) == 0,
+        "all-zero objective": len(m.objective_ids) > 0 and not m.objective_coefs.any(),
+        "mixed names": mixed_names,
+    }
+
+
+class TestWriteLpTextMatchesReference:
+    """The gathered-token writer against the line-by-line reference, byte
+    for byte."""
+
+    def test_criterion_1_8x8_models(self):
+        grid = GridSpec(8, 8)
+        cells = sorted(grid.cells())
+        models = [build_milp_static(grid, n).instance for n in (1, 3, 5, 10)]
+        for n in (1, 3, 5):
+            for k in (1, 4):
+                models.append(build_milp_cov(grid, cells, n, k).instance)
+                models.append(build_milp_mov(grid, cells, 0, n, k, coverage_target=1).instance)
+        assert len(models) == 16
+        for m in models:
+            assert write_lp_text(m) == reference_lp_text(m)
+
+    def test_random_instances(self):
+        rng = random.Random(11)
+        seen = set()
+        for trial in range(400):
+            m, mixed_names = random_lp_instance(rng)
+            seen |= {case for case, hit in _lp_cases(m, mixed_names).items() if hit}
+            assert write_lp_text(m) == reference_lp_text(m), f"instance {trial}"
+        missing = set(_lp_cases(MilpInstance(), False)) - seen
+        assert not missing, f"no random instance had: {sorted(missing)}"
+
+
 class TestParseSolutionValues:
     def test_single_value(self):
         m = tiny_instance()
@@ -286,3 +403,12 @@ class TestParseSolutionValues:
     def test_unparseable_value_rejected(self):
         with pytest.raises(ValueError, match="unparseable"):
             parse_solution_values("x abc", tiny_instance())
+
+    def test_repeated_name_rejected(self):
+        with pytest.raises(ValueError, match="line 2: variable 'x' given twice"):
+            parse_solution_values("x 1\nx 0", tiny_instance())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="line 1: non-finite value"):
+            parse_solution_values(f"x {value}", tiny_instance())
