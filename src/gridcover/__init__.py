@@ -42,7 +42,7 @@ from .formulations import (
     encode_plan,
     validate_plan,
 )
-from .planners import BaselineConfig, greedy_plan, movements_to_reach, random_plan
+from .planners import BaselineConfig, greedy_plan, random_plan
 from .harness import ExperimentConfig, ResultRow, run_pipeline, sweep
 
 __version__ = "0.1.0"

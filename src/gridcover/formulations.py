@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from .grid import Cell, GridSpec, boundary_cells, sensing_footprint, static_coverage
+from .grid import Cell, GridSpec, _exact_fraction, boundary_cells, sensing_footprint, static_coverage
 from .milp import MilpInstance
 
 INT_TOL = 1e-6
@@ -187,18 +187,6 @@ def _placed(
             p = int(np.argmax(fractional[row]))
             raise DecodeError(f"{label} at {tuple(cells[p])} is fractional: {float(x[row, p])}")
         yield [cells[p] for p in np.flatnonzero(rounded[row] == 1)]
-
-
-def _exact_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
-    """Exact rational from user input; floats go via their shortest decimal
-    repr so 0.9 means 9/10, not the binary float below it."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
 
 
 def _windows(

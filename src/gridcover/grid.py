@@ -6,13 +6,18 @@ sensing radius r_s covers the clipped (2*r_s+1) x (2*r_s+1) square around
 it; a mobile node may travel up to rho_x rows and rho_y columns per
 iteration.  Coverage ratios are kept as exact integer pairs so threshold
 comparisons never depend on floating point.
+
+`evaluate_plan` is the one replay of a deployment and a mobile plan: it
+walks the placements once, in (iteration, node) ascending order, and its
+report answers every count a result row needs (coverage, raw and trimmed
+movements, movements to a target).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 
 class Cell(NamedTuple):
@@ -71,14 +76,16 @@ class CoverageReport:
 
     covered_count / total_cells is the exact coverage ratio; multiplicity
     counts, per cell, how many (node, iteration) mobile footprints contain
-    it (static coverage is not part of the multiplicity); movements is the
-    number of (node, iteration) placements present in the plan.
+    it (static coverage is not part of the multiplicity).  `ledger` is the
+    covered-cell count with the static nodes alone, then after each
+    placement in (iteration, node) ascending order; movements is the
+    number of placements in the plan.
     """
 
     covered: frozenset
     total_cells: int
     multiplicity: Dict[Cell, int] = field(repr=False)
-    movements: int = 0
+    ledger: Tuple[int, ...] = field(repr=False)
 
     @property
     def covered_count(self) -> int:
@@ -91,6 +98,36 @@ class CoverageReport:
     @property
     def coverage_pct(self) -> float:
         return 100.0 * len(self.covered) / self.total_cells
+
+    @property
+    def movements(self) -> int:
+        return len(self.ledger) - 1
+
+    @property
+    def movements_trimmed(self) -> int:
+        """Placements up to the last one that raised the covered count (0
+        when none did): trailing no-gain placements are dropped."""
+        gains = [n for n in range(1, len(self.ledger)) if self.ledger[n] > self.ledger[n - 1]]
+        return gains[-1] if gains else 0
+
+    def movements_to(self, target: Union[int, float, str, Fraction]) -> Optional[int]:
+        """Placements after which coverage first reaches `target` of the
+        grid, compared exactly; 0 when the static nodes alone reach it,
+        None when the plan never does."""
+        need = _exact_fraction(target) * self.total_cells
+        return next((n for n, count in enumerate(self.ledger) if count >= need), None)
+
+
+def _exact_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
+    """Exact rational from user input; floats go via their shortest decimal
+    repr so 0.9 means 9/10, not the binary float below it."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    return Fraction(value)
 
 
 def sensing_footprint(center: Tuple[int, int], r_s: int, grid: GridSpec) -> Set[Cell]:
@@ -152,27 +189,28 @@ def evaluate_plan(static, plan, params: SensorParams, grid: GridSpec) -> Coverag
     nodes); `plan` is anything with a `positions` mapping of
     (node, iteration) -> cell (or None for no mobiles).  A cell counts as
     covered if a static footprint or any mobile placement's footprint
-    contains it.  Out-of-grid plan positions raise, listing the offending
-    (node, iteration) pairs.
+    contains it.  The placements are replayed once, in (iteration, node)
+    ascending order, recording the covered count after each in the
+    report's ledger.  Out-of-grid plan positions raise, listing the
+    offending (node, iteration) pairs.
     """
-    covered: Set[Cell] = set()
-    if static is not None:
-        covered |= set(static.C_2)
-
+    covered: Set[Cell] = set(static.C_2) if static is not None else set()
     positions = dict(plan.positions) if plan is not None else {}
     bad = sorted(lk for lk, pos in positions.items() if pos not in grid)
     if bad:
         raise ValueError(f"plan positions outside grid at (node, iteration): {bad}")
 
     multiplicity: Dict[Cell, int] = {}
-    for lk in sorted(positions):
+    ledger = [len(covered)]
+    for lk in sorted(positions, key=lambda lk: (lk[1], lk[0])):
         for cell in sensing_footprint(positions[lk], params.r_s, grid):
             multiplicity[cell] = multiplicity.get(cell, 0) + 1
             covered.add(cell)
+        ledger.append(len(covered))
 
     return CoverageReport(
         covered=frozenset(covered),
         total_cells=grid.n_cells,
         multiplicity=multiplicity,
-        movements=len(positions),
+        ledger=tuple(ledger),
     )

@@ -4,7 +4,8 @@ coverage accounting, and machine-readable persistence.
 A pipeline run is: (1) place static nodes (exact MILP or seeded uniform
 random without replacement), (2) compute the uncovered set, (3) run the
 selected planner (exact coverage/movement MILP or a baseline), (4)
-recompute coverage and movement counts from the stored plan (solver
+recompute coverage and movement counts from the stored plan with one
+`grid.evaluate_plan` replay, in (iteration, node) order (solver
 objectives are never trusted for reporting).  One result row per seed.
 
 Exact solves are warm-started with constructive heuristics (a packing
@@ -20,7 +21,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -30,7 +30,6 @@ from .formulations import (
     FormulationHandle,
     MobilePlan,
     StaticDeployment,
-    _exact_fraction,
     build_milp_cov,
     build_milp_mov,
     build_milp_static,
@@ -40,8 +39,9 @@ from .formulations import (
     encode_static,
     static_deployment,
 )
-from .grid import Cell, GridSpec, SensorParams, boundary_cells, sensing_footprint
-from .planners import BaselineConfig, greedy_plan, movements_to_reach, random_plan
+from .grid import (Cell, GridSpec, SensorParams, _exact_fraction, boundary_cells, evaluate_plan,
+                   sensing_footprint)
+from .planners import BaselineConfig, greedy_plan, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ValueError("placement 'none' requires n_static == 0")
         if self.placement != "none" and self.n_static < 1:
             raise ValueError("static placement requires n_static >= 1")
+        if not 0 < _exact_fraction(self.coverage_target) <= 1:
+            raise ValueError("coverage_target must lie in (0, 1]")
 
     @property
     def grid(self) -> GridSpec:
@@ -340,14 +342,6 @@ def best_seed_plan(
     return best
 
 
-def _warm_assignment(handle: FormulationHandle, point: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """`point` when it satisfies every row of the handle's instance, so
-    that it can seed its solve; otherwise None."""
-    if point is None or handle.instance.constraint_violation(point) > 1e-7:
-        return None
-    return point
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
@@ -364,7 +358,7 @@ def place_static_milp(
     packed = pack_static_positions(
         grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
     )
-    warm = _warm_assignment(handle, None if packed is None else encode_static(handle, packed))
+    warm = None if packed is None else encode_static(handle, packed)
     result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)
     if result.incumbent is None:
         return None, result
@@ -423,7 +417,7 @@ def plan_mobile_milp(
         config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
         stop_at=stop_at,
     )
-    warm = _warm_assignment(handle, None if seeded is None else encode_plan(handle, seeded))
+    warm = None if seeded is None else encode_plan(handle, seeded)
     if warm is None:
         # greedy seeding cornered itself: hunt for any incumbent with a
         # short deterministic depth-first dive before the main search
@@ -442,33 +436,6 @@ def plan_mobile_milp(
     if result.incumbent is None:
         return handle, None, result
     return handle, decode_plan(handle, result.incumbent), result
-
-
-def trimmed_movements(
-    plan: Optional[MobilePlan],
-    deployment: Optional[StaticDeployment],
-    params: SensorParams,
-    grid: GridSpec,
-) -> int:
-    """Placement count up to the last placement that added new coverage,
-    scanning in (iteration, node) ascending order; trailing no-gain
-    placements are dropped."""
-    if plan is None:
-        return 0
-    covered: Set[Cell] = set(deployment.covered) if deployment is not None else set()
-    count = 0
-    last_gain = 0
-    for k in range(1, plan.horizon + 1):
-        for l in range(1, plan.n_mobile + 1):
-            pos = plan.positions.get((l, k))
-            if pos is None:
-                continue
-            count += 1
-            fresh = sensing_footprint(pos, params.r_s, grid) - covered
-            if fresh:
-                last_gain = count
-                covered |= fresh
-    return last_gain
 
 
 def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
@@ -548,12 +515,9 @@ def self_describing_row(
     wall_time: float,
     note: str = "",
 ) -> ResultRow:
-    """Assemble a row, recomputing coverage from the stored plan."""
-    from .grid import evaluate_plan  # local import keeps module load order simple
-
-    grid = config.grid
-    params = config.sensor_params
-    report = evaluate_plan(deployment, plan, params, grid)
+    """Assemble a row, recomputing every count from one replay of the
+    stored deployment and plan."""
+    report = evaluate_plan(deployment, plan, config.sensor_params, config.grid)
     return ResultRow(
         rows=config.rows,
         cols=config.cols,
@@ -574,10 +538,8 @@ def self_describing_row(
         covered_cells=report.covered_count,
         total_cells=report.total_cells,
         movements_raw=report.movements,
-        movements_trimmed=trimmed_movements(plan, deployment, params, grid),
-        movements_to_target=movements_to_reach(plan, deployment, params, grid, config.coverage_target)
-        if plan is not None
-        else (0 if deployment is not None and _static_meets_target(config, deployment) else None),
+        movements_trimmed=report.movements_trimmed,
+        movements_to_target=report.movements_to(config.coverage_target),
         solver_status=status,
         objective=objective,
         best_bound=bound,
@@ -587,11 +549,6 @@ def self_describing_row(
         deployment=deployment,
         plan=plan,
     )
-
-
-def _static_meets_target(config: ExperimentConfig, deployment: StaticDeployment) -> bool:
-    target = _exact_fraction(config.coverage_target)
-    return Fraction(len(deployment.covered), config.grid.n_cells) >= target
 
 
 def sweep(base: ExperimentConfig, axes: Dict[str, Sequence]) -> List[ResultRow]:

@@ -173,6 +173,8 @@ def _check_kind_and_bounds(label: str, kind: str, lower: float, upper: float) ->
         raise ValueError(f"unknown variable kind {kind!r}")
     if not lower <= upper:
         raise ValueError(f"inverted bounds for {label}: [{lower}, {upper}]")
+    if lower == math.inf or upper == -math.inf:
+        raise ValueError(f"{label} fixed at an infinity: [{lower}, {upper}]")
     if kind == "binary" and not (0 <= lower and upper <= 1):
         raise ValueError(f"binary {label} must have bounds within [0, 1]")
 

@@ -1,5 +1,4 @@
-"""Greedy and random-movement baseline planners, plus shared movement
-accounting.
+"""Greedy and random-movement baseline planners.
 
 Both baselines are fully reproducible: every random draw comes from a
 PCG64 generator seeded with SeedSequence([seed, node_index]), giving each
@@ -10,15 +9,13 @@ coverage gain still counts only cells not already covered.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple, Union
 
 import numpy as np
 
-from .formulations import MobilePlan, _exact_fraction
-from .grid import Cell, GridSpec, SensorParams, reachable_window, sensing_footprint
+from .formulations import MobilePlan
+from .grid import Cell, GridSpec, reachable_window, sensing_footprint
 
 
 @dataclass(frozen=True)
@@ -99,32 +96,3 @@ def random_plan(grid: GridSpec, static, cfg: BaselineConfig) -> MobilePlan:
             positions[(l, k)] = nxt
             current[l - 1] = nxt
     return MobilePlan(n_mobile=cfg.n_mobile, horizon=cfg.k_max, positions=positions)
-
-
-def movements_to_reach(
-    plan: MobilePlan,
-    static,
-    params: SensorParams,
-    grid: GridSpec,
-    coverage_target: Union[int, float, str, Fraction],
-) -> Optional[int]:
-    """Number of placements, scanned in (iteration, node) ascending order,
-    after which cumulative coverage first reaches the target ratio; 0 when
-    static coverage alone suffices, None when the plan never gets there.
-    Comparison is exact (rational arithmetic)."""
-    target = _exact_fraction(coverage_target)
-    total = grid.n_cells
-    covered: Set[Cell] = set(static.covered) if static is not None else set()
-    if Fraction(len(covered), total) >= target:
-        return 0
-    count = 0
-    for k in range(1, plan.horizon + 1):
-        for l in range(1, plan.n_mobile + 1):
-            pos = plan.positions.get((l, k))
-            if pos is None:
-                continue
-            count += 1
-            covered |= sensing_footprint(pos, params.r_s, grid)
-            if Fraction(len(covered), total) >= target:
-                return count
-    return None

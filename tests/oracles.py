@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from gridcover.grid import Cell, GridSpec, boundary_cells, sensing_footprint
+from gridcover.grid import Cell, GridSpec, _exact_fraction, boundary_cells, sensing_footprint
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +601,68 @@ def reference_lp_text(instance) -> str:
         lines.extend(f" {names[vid]}" for vid in binaries)
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# movement counts, one replay per count
+# ---------------------------------------------------------------------------
+# The three replays that CoverageReport's ledger replaced, kept as they were
+# (each with its own covered set) so the ledger's counts can be compared
+# against them.
+
+
+def trimmed_movements(plan, deployment, params, grid: GridSpec) -> int:
+    """Placement count up to the last placement that added new coverage,
+    scanning in (iteration, node) ascending order; trailing no-gain
+    placements are dropped."""
+    if plan is None:
+        return 0
+    covered: Set[Cell] = set(deployment.covered) if deployment is not None else set()
+    count = 0
+    last_gain = 0
+    for k in range(1, plan.horizon + 1):
+        for l in range(1, plan.n_mobile + 1):
+            pos = plan.positions.get((l, k))
+            if pos is None:
+                continue
+            count += 1
+            fresh = sensing_footprint(pos, params.r_s, grid) - covered
+            if fresh:
+                last_gain = count
+                covered |= fresh
+    return last_gain
+
+
+def movements_to_reach(plan, static, params, grid: GridSpec, coverage_target) -> Optional[int]:
+    """Number of placements, scanned in (iteration, node) ascending order,
+    after which cumulative coverage first reaches the target ratio; 0 when
+    static coverage alone suffices, None when the plan never gets there.
+    Comparison is exact (rational arithmetic)."""
+    target = _exact_fraction(coverage_target)
+    total = grid.n_cells
+    covered: Set[Cell] = set(static.covered) if static is not None else set()
+    if Fraction(len(covered), total) >= target:
+        return 0
+    count = 0
+    for k in range(1, plan.horizon + 1):
+        for l in range(1, plan.n_mobile + 1):
+            pos = plan.positions.get((l, k))
+            if pos is None:
+                continue
+            count += 1
+            covered |= sensing_footprint(pos, params.r_s, grid)
+            if Fraction(len(covered), total) >= target:
+                return count
+    return None
+
+
+def movements_to_target(plan, deployment, params, grid: GridSpec, coverage_target) -> Optional[int]:
+    """A result row's movements to target: `movements_to_reach` with a
+    plan; without one, 0 when the deployment alone reaches the target and
+    None otherwise."""
+    if plan is not None:
+        return movements_to_reach(plan, deployment, params, grid, coverage_target)
+    target = _exact_fraction(coverage_target)
+    if deployment is not None and Fraction(len(deployment.covered), grid.n_cells) >= target:
+        return 0
+    return None

@@ -280,11 +280,9 @@ def test_criterion_5_movement_minimization_10x10():
     handle, cov_plan, cov_result = plan_mobile_milp(cov_cfg, deployment)
     record("tableIV-cov", handle, cov_result.incumbent)
     assert cov_plan is not None
-    from gridcover.planners import movements_to_reach
-
-    cov_movements = movements_to_reach(
-        cov_plan, deployment, cov_cfg.sensor_params, cov_cfg.grid, 1
-    )
+    cov_movements = evaluate_plan(
+        deployment, cov_plan, cov_cfg.sensor_params, cov_cfg.grid
+    ).movements_to(1)
     assert cov_movements is not None, "coverage plan never reaches full coverage"
     assert cov_movements >= movements
     elapsed = time.perf_counter() - t0

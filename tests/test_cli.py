@@ -133,6 +133,19 @@ class TestPlanCommands:
         assert code == 2
         assert "deployment line 2" in err
 
+    @pytest.mark.parametrize("target, message", [("-1", "must lie in"), ("abc", "abc")])
+    def test_coverage_target_outside_the_range_exits_two(self, tmp_path, capsys, target, message):
+        # checked with the config, before anything is solved or written
+        plan = tmp_path / "plan.txt"
+        code, stdout, err = run(
+            ["plan-cov", "--rows", "3", "--cols", "3", "--l", "1", "--kmax", "1",
+             "--cr", target, "--out", str(plan)],
+            capsys,
+        )
+        assert code == 2
+        assert message in err and stdout == ""
+        assert not plan.exists()
+
     def test_plan_cov_nothing_to_plan(self, tmp_path, capsys):
         deployment = tmp_path / "deployment.txt"
         deployment.write_text("1 2 2\n")
@@ -359,6 +372,14 @@ class TestSweepCommand:
             main(SMALL_SWEEP + ["--placement", "none", "--planner", "greedy",
                                 "--deployment", str(tmp_path / "missing.txt"), "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_coverage_target_above_one_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code, _, err = run(["sweep", "--rows", "3", "--cols", "3", "--ns", "0", "--planner", "greedy",
+                            "--cr", "1.5", "--out", str(out)], capsys)
+        assert code == 2
+        assert "coverage_target must lie in (0, 1]" in err
         assert not out.exists()
 
     def test_axis_value_outside_the_flag_choices_exits_two(self, tmp_path, capsys):

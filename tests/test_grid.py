@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcover.formulations import MobilePlan
+from gridcover.formulations import MobilePlan, static_deployment
 from gridcover.grid import (
     Cell,
     GridSpec,
@@ -18,6 +18,8 @@ from gridcover.grid import (
     sensing_footprint,
     static_coverage,
 )
+
+import oracles
 
 
 def cells(*pairs):
@@ -220,3 +222,65 @@ class TestEvaluatePlan:
     def test_exact_ratio(self):
         report = evaluate_plan(None, plan_of(1, (1, 1)), self.params, GridSpec(3, 3))
         assert report.coverage_ratio == Fraction(4, 9)
+
+    def test_ledger_replays_in_iteration_then_node_order(self):
+        # (iteration, node) order: node 2's first cell before node 1's second
+        plan = MobilePlan(2, 2, {
+            (1, 1): Cell(1, 1), (1, 2): Cell(1, 7), (2, 1): Cell(1, 4), (2, 2): Cell(1, 4),
+        })
+        report = evaluate_plan(None, plan, self.params, GridSpec(1, 7))
+        assert report.ledger == (0, 2, 5, 7, 7)
+        assert report.movements == 4
+        assert report.movements_trimmed == 3
+        assert report.movements_to(Fraction(5, 7)) == 2
+        assert report.movements_to(1) == 3
+
+
+class TestCoverageLedger:
+    """The report's movement counts against the separate replays they
+    replaced (`tests/oracles.py`)."""
+
+    params = SensorParams(r_s=1)
+
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        r_s=st.integers(0, 2),
+        # a coverage target lies in (0, 1]; the row's only int target is 1
+        target=st.one_of(
+            st.just(1),
+            st.floats(0, 1, exclude_min=True),
+            st.fractions(0, 1, max_denominator=40).filter(bool),
+            st.fractions(0, 1, max_denominator=40).filter(bool).map(str),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_the_reference_replays(self, rows, cols, r_s, target, data):
+        grid = GridSpec(rows, cols)
+        params = SensorParams(r_s)
+        cell = st.builds(Cell, st.integers(1, rows), st.integers(1, cols))
+        static = data.draw(st.lists(cell, max_size=3))
+        deployment = static_deployment(grid, static, r_s, 4.0) if static else None
+        plan = None
+        if data.draw(st.booleans()):
+            n_mobile, horizon = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+            # a missing key is a stopped node; the keys come in drawn order
+            keys = data.draw(st.lists(
+                st.tuples(st.integers(1, n_mobile), st.integers(1, horizon)), unique=True))
+            plan = MobilePlan(n_mobile, horizon, {key: data.draw(cell) for key in keys})
+
+        report = evaluate_plan(deployment, plan, params, grid)
+        assert report.movements_trimmed == oracles.trimmed_movements(plan, deployment, params, grid)
+        assert report.movements_to(target) == oracles.movements_to_target(
+            plan, deployment, params, grid, target)
+
+    def test_no_plan(self):
+        grid = GridSpec(3, 3)
+        full = static_deployment(grid, [Cell(2, 2)], 1, 4.0)
+        corner = static_deployment(grid, [Cell(1, 1)], 1, 4.0)
+        assert evaluate_plan(full, None, self.params, grid).movements_to(1) == 0
+        assert evaluate_plan(corner, None, self.params, grid).movements_to(1) is None
+        assert evaluate_plan(corner, None, self.params, grid).movements_to("4/9") == 0
+        assert evaluate_plan(None, None, self.params, grid).movements_to(1) is None
+        assert evaluate_plan(corner, None, self.params, grid).movements_trimmed == 0

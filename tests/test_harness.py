@@ -17,7 +17,6 @@ from gridcover.harness import (
     run_pipeline,
     seed_mobile_plan,
     sweep,
-    trimmed_movements,
 )
 from gridcover.simplex import FEAS_TOL
 
@@ -74,6 +73,11 @@ class TestRunPipeline:
             tiny_config(placement="magic")
         with pytest.raises(ValueError):
             tiny_config(placement="none", n_static=2)
+
+    @pytest.mark.parametrize("target", [0, "0", -1, 1.5, "3/2"])
+    def test_coverage_target_outside_zero_one_rejected(self, target):
+        with pytest.raises(ValueError, match=r"coverage_target must lie in \(0, 1\]"):
+            tiny_config(coverage_target=target)
 
 
 class TestSweep:
@@ -221,7 +225,7 @@ class TestWarmStartHelpers:
         plan = MobilePlan(1, 3, {
             (1, 1): Cell(2, 2), (1, 2): Cell(1, 1), (1, 3): Cell(2, 2),
         })
-        assert trimmed_movements(plan, None, SensorParams(), grid) == 1
+        assert evaluate_plan(None, plan, SensorParams(), grid).movements_trimmed == 1
 
 
 class TestTracedNames:

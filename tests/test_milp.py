@@ -36,6 +36,22 @@ class TestAddVariable:
         with pytest.raises(ValueError, match="bounds"):
             m.add_variable("x", "continuous", 2, 1)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf])
+    def test_fixed_at_an_infinity_rejected(self, bound):
+        m = MilpInstance()
+        with pytest.raises(ValueError, match="infinity"):
+            m.add_variable("x", "continuous", bound, bound)
+        with pytest.raises(ValueError, match="infinity"):
+            m.add_variables(["x_"], ["1"], "continuous", bound, bound)
+        assert m.n_variables == 0
+
+    def test_infinite_bounds_make_a_free_variable(self):
+        m = MilpInstance()
+        m.add_variable("x", "continuous", -math.inf, math.inf)
+        m.add_variables(["y_"], ["1"], "continuous", -math.inf, math.inf)
+        text = write_lp_text(m)
+        assert " x free\n" in text and " y_1 free\n" in text
+
     def test_binary_bounds_inside_unit_box(self):
         m = MilpInstance()
         with pytest.raises(ValueError):
@@ -284,7 +300,7 @@ def _random_bounds(rng: random.Random):
     if kind == "free":
         return -math.inf, math.inf
     if kind == "fixed":
-        return (v, v) if rng.random() < 0.9 else rng.choice(((math.inf,) * 2, (-math.inf,) * 2))
+        return v, v  # a variable fixed at an infinity is rejected
     if kind == "lower":
         return v, math.inf
     if kind == "upper":

@@ -14,12 +14,7 @@ from gridcover.grid import (
     sensing_footprint,
     static_coverage,
 )
-from gridcover.planners import (
-    BaselineConfig,
-    greedy_plan,
-    movements_to_reach,
-    random_plan,
-)
+from gridcover.planners import BaselineConfig, greedy_plan, random_plan
 
 
 def fixed_start(*cells, **kw):
@@ -144,14 +139,15 @@ class TestMovementsToReach:
 
         class Dep:
             covered = frozenset(grid.cells())
+            C_2 = covered
 
         plan = greedy_plan(grid, Dep(), fixed_start((1, 1), k_max=2))
-        assert movements_to_reach(plan, Dep(), self.params, grid, 1) == 0
+        assert evaluate_plan(Dep(), plan, self.params, grid).movements_to(1) == 0
 
     def test_single_center_placement(self):
         grid = GridSpec(3, 3)
         plan = greedy_plan(grid, None, fixed_start((2, 2), k_max=1))
-        assert movements_to_reach(plan, None, self.params, grid, 1) == 1
+        assert evaluate_plan(None, plan, self.params, grid).movements_to(1) == 1
 
     def test_four_step_sweep(self):
         from gridcover.formulations import MobilePlan
@@ -160,19 +156,20 @@ class TestMovementsToReach:
         plan = MobilePlan(1, 4, {
             (1, 1): Cell(2, 2), (1, 2): Cell(2, 4), (1, 3): Cell(4, 2), (1, 4): Cell(5, 4),
         })
-        assert movements_to_reach(plan, None, self.params, grid, 1) == 4
+        assert evaluate_plan(None, plan, self.params, grid).movements_to(1) == 4
 
     def test_never_reached_is_none(self):
         grid = GridSpec(9, 9)
         plan = greedy_plan(grid, None, fixed_start((1, 1), k_max=1))
-        assert movements_to_reach(plan, None, self.params, grid, 1) is None
+        assert evaluate_plan(None, plan, self.params, grid).movements_to(1) is None
 
     def test_exact_fraction_threshold(self):
         grid = GridSpec(3, 3)
         plan = greedy_plan(grid, None, fixed_start((1, 1), k_max=1))
+        report = evaluate_plan(None, plan, self.params, grid)
         # footprint of (1,1) covers 4 of 9 cells
-        assert movements_to_reach(plan, None, self.params, grid, Fraction(4, 9)) == 1
-        assert movements_to_reach(plan, None, self.params, grid, "0.5") is None
+        assert report.movements_to(Fraction(4, 9)) == 1
+        assert report.movements_to("0.5") is None
 
 
 class TestConfigValidation:
