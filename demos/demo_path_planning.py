@@ -31,7 +31,7 @@ def main():
     print(f"static nodes cover {len(covered)}/{grid.n_cells}; "
           f"{len(uncovered)} cells left for the mobiles\n")
     params = SensorParams(r_s=1)
-    deployment = SimpleNamespace(covered=frozenset(covered), C_2=frozenset(covered))
+    deployment = SimpleNamespace(covered=frozenset(covered))
 
     # maximize coverage within 3 iterations
     cov = build_milp_cov(grid, sorted(uncovered), n_mobile=1, k_max=3)

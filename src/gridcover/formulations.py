@@ -60,14 +60,6 @@ class StaticDeployment:
     boundary_weight: float
     objective_value: float
 
-    @property
-    def C_2(self) -> FrozenSet[Cell]:
-        return self.covered
-
-    @property
-    def C_1(self) -> FrozenSet[Cell]:
-        return self.uncovered
-
 
 @dataclass(frozen=True)
 class MobilePlan:

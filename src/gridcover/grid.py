@@ -185,7 +185,7 @@ def static_coverage(
 def evaluate_plan(static, plan, params: SensorParams, grid: GridSpec) -> CoverageReport:
     """Coverage accounting for a static deployment plus a mobile plan.
 
-    `static` is anything with a `C_2` cell set (or None for no static
+    `static` is anything with a `covered` cell set (or None for no static
     nodes); `plan` is anything with a `positions` mapping of
     (node, iteration) -> cell (or None for no mobiles).  A cell counts as
     covered if a static footprint or any mobile placement's footprint
@@ -194,7 +194,7 @@ def evaluate_plan(static, plan, params: SensorParams, grid: GridSpec) -> Coverag
     report's ledger.  Out-of-grid plan positions raise, listing the
     offending (node, iteration) pairs.
     """
-    covered: Set[Cell] = set(static.C_2) if static is not None else set()
+    covered: Set[Cell] = set(static.covered) if static is not None else set()
     positions = dict(plan.positions) if plan is not None else {}
     bad = sorted(lk for lk, pos in positions.items() if pos not in grid)
     if bad:

@@ -9,8 +9,10 @@ recompute coverage and movement counts from the stored plan with one
 objectives are never trusted for reporting).  One result row per seed.
 
 Exact solves are warm-started with constructive heuristics (a packing
-search for placement, an overlap-respecting greedy for paths); seeding
-only tightens pruning and never affects correctness.  Deployments, plans
+search for placement, an overlap-respecting greedy for paths, and a
+bounded backtracking search over the greedy's choices when no greedy
+start yields a plan); seeding only tightens pruning and never affects
+correctness.  Deployments, plans
 and result rows are persisted as line-oriented text so every reported
 number can be re-derived offline.
 """
@@ -45,6 +47,7 @@ from .planners import BaselineConfig, greedy_plan, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
+SEED_SEARCH_STEPS = 20_000  # slots the backtracking seed may visit
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,15 @@ def pack_static_positions(
     return best
 
 
+def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: int):
+    """Each uncovered cell's footprint within `c1`, and its step window
+    within `c1` in sorted order."""
+    c1_set = set(c1)
+    fp = {c: [f for f in sensing_footprint(c, r_s, grid) if f in c1_set] for c in c1}
+    win = {c: sorted(f for f in c1 if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y) for c in c1}
+    return fp, win
+
+
 def seed_mobile_plan(
     grid: GridSpec,
     uncovered: Sequence[Cell],
@@ -230,8 +242,7 @@ def seed_mobile_plan(
     if not c1:
         return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={})
     c1_set = set(c1)
-    fp = {c: [f for f in sensing_footprint(c, r_s, grid) if f in c1_set] for c in c1}
-    win = {c: sorted(f for f in c1 if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y) for c in c1}
+    fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
 
     counts: Dict[Cell, int] = {c: 0 for c in c1}
     covered: Set[Cell] = set()
@@ -311,9 +322,11 @@ def best_seed_plan(
 ) -> Optional[MobilePlan]:
     """Best greedy seed over all first-node start cells (plus the free
     default), scored by uncovered cells covered then fewer placements;
-    stops early once a seed covers everything.  None when no seed places
-    every node (coverage plans) or the best covers fewer than `stop_at`
-    uncovered cells (a seed short of the target is no incumbent)."""
+    stops early once a seed covers everything.  When no greedy seed places
+    every node (coverage plans) or reaches `stop_at` uncovered cells (a
+    seed short of the target is no incumbent), the seed is the first plan
+    of a bounded backtracking search over the greedy's own rules
+    (_backtrack_plan), or None when that finds none."""
     c1 = sorted(set(Cell(*c) for c in uncovered))
     c1_set = set(c1)
 
@@ -337,9 +350,94 @@ def best_seed_plan(
             best, best_key = plan, key
         if best_key[0] == len(c1):
             break
-    if stop_at is not None and best_key[0] < stop_at:
-        return None
+    if best is None or (stop_at is not None and best_key[0] < stop_at):
+        fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
+        return _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at)
     return best
+
+
+def _backtrack_plan(
+    c1: List[Cell],
+    fp: Dict[Cell, List[Cell]],
+    win: Dict[Cell, List[Cell]],
+    n_mobile: int,
+    k_max: int,
+    c_o: int,
+    stop_at: Optional[int],
+) -> Optional[MobilePlan]:
+    """Depth-first search over the greedy seeder's choices: slots in (k, l)
+    order, each node within the step window of its last cell, no footprint
+    cell covered more than c_o times, candidates by new-coverage gain
+    descending (ties lexicographic).  The first plan that places every
+    node (coverage, `stop_at` None) or that covers `stop_at` cells with
+    the remaining nodes stopped (movement; a node with no candidate stops)
+    is returned; None when there is none within SEED_SEARCH_STEPS slots.
+    Cut early, since no plan lies below them: a coverage branch in which a
+    node has no cell left to go to, and a movement branch whose open slots
+    cannot cover the cells still missing."""
+    slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
+    most = max((len(f) for f in fp.values()), default=0)
+    counts: Dict[Cell, int] = {c: 0 for c in c1}
+    positions: Dict[Tuple[int, int], Cell] = {}
+    current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
+    stopped: Set[int] = set()
+    covered = 0
+    steps = 0
+
+    def fits(cell: Cell) -> bool:
+        return all(counts[f] < c_o for f in fp[cell])
+
+    def reach(l: int) -> List[Cell]:
+        return c1 if current[l] is None else win[current[l]]
+
+    def search(s: int) -> Optional[bool]:
+        """True once a plan is found, False when none extends the slots
+        filled, None when the step budget runs out."""
+        nonlocal covered, steps
+        steps += 1
+        if steps > SEED_SEARCH_STEPS:
+            return None
+        if stop_at is not None:
+            if covered >= stop_at:
+                return True
+            open_slots = sum(1 for _, l in slots[s:] if l not in stopped)
+            if covered + open_slots * most < stop_at:
+                return False
+        if s == len(slots):
+            return stop_at is None
+        k, l = slots[s]
+        if l in stopped:
+            return search(s + 1)
+        if stop_at is None and not all(any(map(fits, reach(m))) for _, m in slots[s + 1 : s + n_mobile]):
+            return False  # counts only grow, so that node has no cell at its slot either
+        last = current[l]
+        gains = [(-sum(1 for f in fp[c] if not counts[f]), c) for c in reach(l) if fits(c)]
+        if not gains:
+            if stop_at is None:
+                return False  # coverage plans must place every node
+            stopped.add(l)
+            found = search(s + 1)
+            stopped.discard(l)
+            return found
+        for neg_gain, cell in sorted(gains):
+            positions[(l, k)] = cell
+            current[l] = cell
+            covered -= neg_gain
+            for f in fp[cell]:
+                counts[f] += 1
+            found = search(s + 1)
+            if found is not False:
+                return found
+            for f in fp[cell]:
+                counts[f] -= 1
+            covered += neg_gain
+            current[l] = last
+            del positions[(l, k)]
+        return False
+
+    if not search(0):
+        return None
+    return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +516,6 @@ def plan_mobile_milp(
         stop_at=stop_at,
     )
     warm = None if seeded is None else encode_plan(handle, seeded)
-    if warm is None:
-        # greedy seeding cornered itself: hunt for any incumbent with a
-        # short deterministic depth-first dive before the main search
-        hunt = solve_milp(
-            handle.instance,
-            SolveParams(
-                time_limit=min(60.0, config.time_limit),
-                node_selection="depth-first",
-                node_limit=400,
-                objective_integral=True,
-            ),
-        )
-        warm = hunt.incumbent
-
     result = solve_milp(handle.instance, params, warm_start=warm)
     if result.incumbent is None:
         return handle, None, result

@@ -23,7 +23,10 @@ Both end on the same point: among alternative optima, the one that
 maximizes a fixed generic weighting of the structural columns (_settle).
 So a branch-and-bound node gets the same answer, up to rounding noise,
 whichever basis its solve started from.  Basis factorizations use scipy's
-sparse LU with product-form eta updates between refactorizations.
+sparse LU; the pivots since the last refactorization (at most
+REFACTOR_EVERY, counted across phases) form an eta file kept in compact
+product form, I - P T Q^T, so that a solve with the basis is the LU solve
+and two dense products (see _Basis).
 
 Every solve, cold or warm, root, node or repair, pivots on a presolved
 model (_Reduced), built on an LpData's first solve and kept on it.  A
@@ -417,37 +420,69 @@ class _Reduced:
 
 
 class _Basis:
-    """LU factorization of the basis columns of F plus product-form eta
-    updates."""
+    """LU factorization of the basis columns of F plus the eta file of the
+    pivots since, kept in the compact product form of Schreiber & Van Loan,
+    "A storage-efficient WY representation for products of Householder
+    transformations", SIAM J. Sci. Stat. Comput. 10, 1989, applied to eta
+    matrices.  Pivot i on row r_i with entering column w_i = B_{i-1}^{-1} a
+    has E_i^{-1} = I - p_i e_{r_i}^T, p_i = (w_i - e_{r_i}) / w_i[r_i], and
+
+        E_k^{-1} ... E_1^{-1} = I - P T Q^T,
+
+    where P = [p_1 .. p_k] (stored by rows, `Pt`), Q = [e_{r_1} .. e_{r_k}]
+    (`rows`) and T is unit lower triangular.  So ftran and btran are two
+    dense products each, with no loop over the etas.  The file holds at most
+    REFACTOR_EVERY etas; the callers refactorize when it is `full`."""
 
     def __init__(self, F: sp.csc_matrix):
         self.F = F
         self.lu = None
-        self.etas: List[Tuple[int, np.ndarray]] = []
+        m = F.shape[0]
+        self.Pt = np.empty((REFACTOR_EVERY, m))
+        self.T = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY))
+        self.rows = np.empty(REFACTOR_EVERY, dtype=np.intp)
+        self.k = 0
+
+    @property
+    def full(self) -> bool:
+        return self.k == REFACTOR_EVERY
 
     def refactor(self, basis: np.ndarray) -> None:
         try:
             self.lu = spla.splu(self.F[:, basis])
         except RuntimeError as exc:  # singular basis
             raise SimplexNumericalError(f"singular basis: {exc}") from exc
-        self.etas = []
+        self.k = 0
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
+        """B^{-1} rhs = (I - P T Q^T) B_0^{-1} rhs."""
         z = self.lu.solve(rhs)
-        for r, w in self.etas:
-            zr = z[r] / w[r]
-            z -= w * zr
-            z[r] = zr
+        k = self.k
+        if k:
+            z -= (self.T[:k, :k] @ z[self.rows[:k]]) @ self.Pt[:k]
         return z
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        v = rhs.copy()
-        for r, w in reversed(self.etas):
-            v[r] -= (w @ v - v[r]) / w[r]
+        """B^{-T} rhs = B_0^{-T} (I - Q T^T P^T) rhs; a row pivoted on twice
+        takes both of its terms."""
+        k = self.k
+        if not k:
+            return self.lu.solve(rhs, trans="T")
+        u = (self.Pt[:k] @ rhs) @ self.T[:k, :k]
+        v = rhs - np.bincount(self.rows[:k], weights=u, minlength=len(rhs))
         return self.lu.solve(v, trans="T")
 
     def push_eta(self, r: int, w: np.ndarray) -> None:
-        self.etas.append((r, w.copy()))
+        """Append the eta of a pivot on row r with entering column w."""
+        k = self.k
+        p = self.Pt[k]
+        np.divide(w, w[r], out=p)
+        p[r] -= 1.0 / w[r]
+        # T_{k+1} = [[T_k, 0], [-p_r^T T_k, 1]] with p_r = P[r, :k]
+        self.T[k, :k] = -(self.Pt[:k, r] @ self.T[:k, :k])
+        self.T[k, k] = 1.0
+        self.rows[k] = r
+        self.k = k + 1
 
 
 class _Solver:
@@ -664,14 +699,12 @@ class _Solver:
         degen_run = 0
         bland_trigger = 2 * (m + self.ncols)
         max_iters = 50000 + 20 * (m + self.ncols)
-        since_refactor = 0
         gamma = np.ones(self.ncols)  # Devex reference weights
         d = None  # reduced costs, updated incrementally between refactors
 
         for _ in range(max_iters):
-            if since_refactor >= REFACTOR_EVERY:
+            if self.fact.full:
                 self._refresh()
-                since_refactor = 0
                 d = None
 
             d_fresh = d is None
@@ -751,7 +784,6 @@ class _Solver:
                 self.basis[r] = q
                 self.status[q] = BASIC
                 self.fact.push_eta(r, w)
-                since_refactor += 1
 
         raise SimplexNumericalError("simplex iteration limit exceeded")
 
@@ -806,11 +838,9 @@ class _Solver:
         movable = lo < up
         max_iters = 2 * self.m + 100
         d = None
-        since_refactor = 0
         for it in range(max_iters + 1):
-            if since_refactor >= REFACTOR_EVERY:
+            if self.fact.full:
                 self._refresh()
-                since_refactor = 0
                 d = None
             if d is None:
                 shifted = self._dual_feasible_costs(c, self._reduced_costs(c), perturb=it == 0)
@@ -876,7 +906,6 @@ class _Solver:
             self.status[q] = BASIC
             self.fact.push_eta(r, w)
             self.iterations += 1
-            since_refactor += 1
         return None
 
     def _proves_infeasible(self, y: np.ndarray) -> bool:

@@ -205,7 +205,6 @@ class TestEvaluatePlan:
 
         class Dep:
             covered = frozenset({Cell(1, 1)})
-            C_2 = covered
 
         report = evaluate_plan(Dep(), plan_of(1, (3, 3)), self.params, g)
         assert Cell(1, 1) in report.covered

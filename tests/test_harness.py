@@ -262,3 +262,71 @@ class TestBestSeedPlan:
         assert best_seed_plan(grid, c1, 1, 1, 1, 2, 2, 3, stop_at=10) is None
         plan = best_seed_plan(grid, c1, 1, 1, 1, 2, 2, 3, stop_at=9)
         assert plan is not None and plan.positions == {(1, 1): Cell(2, 2)}
+
+
+class TestBacktrackSeed:
+    """When no greedy start yields a plan, best_seed_plan searches the
+    greedy's own choices with backtracking."""
+
+    # the static deployment of the 8x8 coverage table's L=3 / N_s=5 row
+    TABLE8_STATIC = [(2, 2), (2, 7), (7, 2), (5, 7), (8, 7)]
+
+    @staticmethod
+    def accepted(handle, plan):
+        from gridcover.bnb import SolveParams, _Search
+
+        search = _Search(handle.instance, SolveParams())
+        return search.try_incumbent(encode_plan(handle, plan))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("flip_i, flip_j", [(False, False), (True, False), (False, True), (True, True)])
+    def test_table8_coverage_row_where_every_greedy_start_fails(self, transpose, flip_i, flip_j):
+        # under each of the 8x8 grid's symmetries: the search order is not
+        # symmetric, and the transposed deployments take thousands of steps
+        from gridcover.formulations import validate_plan
+
+        grid = GridSpec(8, 8)
+        static = [(j, i) if transpose else (i, j) for i, j in self.TABLE8_STATIC]
+        static = [(9 - i if flip_i else i, 9 - j if flip_j else j) for i, j in static]
+        _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
+        c1 = sorted(uncovered)
+        assert all(seed_mobile_plan(grid, c1, 3, 4, 1, 2, 2, 3, first_start=s) is None
+                   for s in [None] + c1)
+        plan = best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3)
+        assert plan is not None and plan.movements == 12  # every node, every iteration
+        assert validate_plan(plan, grid, c1, 2, 2) == []
+        assert self.accepted(build_milp_cov(grid, c1, 3, 4), plan)
+
+    def test_movement_seed_reaches_the_target(self):
+        from gridcover.formulations import build_milp_mov, validate_plan
+        from gridcover.grid import sensing_footprint
+
+        grid = GridSpec(5, 5)
+        c1 = sorted(grid.cells())
+        plan = best_seed_plan(grid, c1, 1, 4, 1, 2, 2, 3, stop_at=25)
+        assert plan is not None
+        assert validate_plan(plan, grid, c1, 2, 2) == []
+        assert set().union(*(sensing_footprint(p, 1, grid) for p in plan.positions.values())) == set(c1)
+        assert self.accepted(build_milp_mov(grid, c1, 0, 1, 4), plan)
+
+    def test_no_seed_when_the_target_is_out_of_reach(self):
+        grid = GridSpec(5, 5)
+        c1 = sorted(grid.cells())
+        # a 3x3 footprint per placement: one covers 9 cells, three cover no 5x5
+        for k_max in (1, 3):
+            assert best_seed_plan(grid, c1, 1, k_max, 1, 2, 2, 3, stop_at=25) is None
+
+    @pytest.mark.parametrize("rows, cols, static, n_mobile, k_max, stop_at, want", [
+        (8, 8, [(2, 2), (7, 7)], 2, 4, None,
+         "1 1 1 4\n1 2 3 4\n1 3 5 2\n1 4 7 2\n2 1 2 7\n2 2 4 7\n2 3 6 5\n2 4 7 4\n"),
+        (8, 8, [(2, 2), (2, 7), (7, 4)], 1, 4, None, "1 1 5 2\n1 2 3 4\n1 3 5 6\n1 4 7 7\n"),
+        (6, 6, [], 2, 4, 20, "1 1 2 3\n1 2 4 5\n2 1 5 2\n"),
+        (10, 10, [(2, 2), (5, 5), (8, 8), (2, 9)], 3, 4, 40,
+         "1 1 5 9\n1 2 3 7\n1 3 5 7\n2 1 2 5\n2 2 1 6\n2 3 3 4\n3 1 5 2\n3 2 7 2\n3 3 9 4\n"),
+        (7, 9, [(4, 5)], 2, 3, None, "1 1 2 2\n1 2 4 2\n1 3 6 2\n2 1 2 8\n2 2 4 8\n2 3 6 6\n"),
+    ])
+    def test_greedy_seeds_are_kept(self, rows, cols, static, n_mobile, k_max, stop_at, want):
+        grid = GridSpec(rows, cols)
+        _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
+        plan = best_seed_plan(grid, sorted(uncovered), n_mobile, k_max, 1, 2, 2, 3, stop_at=stop_at)
+        assert plan_text(plan) == want

@@ -139,7 +139,6 @@ class TestMovementsToReach:
 
         class Dep:
             covered = frozenset(grid.cells())
-            C_2 = covered
 
         plan = greedy_plan(grid, Dep(), fixed_start((1, 1), k_max=2))
         assert evaluate_plan(Dep(), plan, self.params, grid).movements_to(1) == 0

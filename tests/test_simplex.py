@@ -14,6 +14,7 @@ from gridcover.simplex import (
     AT_UP,
     FEAS_TOL,
     FREE,
+    REFACTOR_EVERY,
     LpData,
     NodeBounds,
     _face_weights,
@@ -435,6 +436,80 @@ class TestColumnStore:
                 warm = _Solver(data, NodeBounds({j: box}, parent.basis))
                 counts["warm"] += check(warm, lambda: warm.solve_warm(parent.basis))[1]
         assert min(counts.values()) > 20, counts
+
+
+class TestEtaFile:
+    """The compact eta file (I - P T Q^T after the LU solve) against dense
+    solves with the current basis matrix, on bases of a real coverage model."""
+
+    @staticmethod
+    def optimal_solver():
+        grid = GridSpec(8, 8)
+        handle = build_milp_cov(grid, sorted(grid.cells()), n_mobile=1, k_max=2)
+        data = LpData(handle.instance)
+        res = solve_lp(data)
+        assert res.status == "optimal"
+        solver = _Solver(data, None)
+        solver._set_art_sign(res.basis.art_sign)
+        basis = res.basis.basis.copy()
+        solver.fact.refactor(basis)
+        return solver, basis
+
+    @staticmethod
+    def assert_solves(fact, F, basis, rng):
+        B = F[:, basis].toarray()
+        for _ in range(2):
+            rhs = rng.standard_normal(B.shape[0])
+            for got, want in ((fact.ftran(rhs), np.linalg.solve(B, rhs)),
+                              (fact.btran(rhs), np.linalg.solve(B.T, rhs))):
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_ftran_and_btran_match_dense_solves_over_a_full_file(self):
+        rng = np.random.default_rng(5)
+        solver, basis = self.optimal_solver()
+        fact, F = solver.fact, solver.F
+        self.assert_solves(fact, F, basis, rng)
+        in_basis = set(basis.tolist())
+        pivoted = []
+        twice = 0
+        while not fact.full:
+            q = int(rng.choice([j for j in range(F.shape[1]) if j not in in_basis]))
+            w = fact.ftran(solver.col_dense(q))
+            size = np.abs(w)
+            if size.max() < 0.1:
+                continue
+            # pivot on a row pivoted before whenever its entry is large enough
+            again = [r for r in pivoted if size[r] >= 0.1 * size.max()]
+            r = again[0] if again else int(np.argmax(size))
+            twice += bool(again)
+            fact.push_eta(r, w)
+            in_basis.discard(int(basis[r]))
+            in_basis.add(q)
+            basis[r] = q
+            pivoted.append(r)
+            self.assert_solves(fact, F, basis, rng)
+        assert fact.k == len(pivoted) == REFACTOR_EVERY
+        assert twice > 0
+        fact.refactor(basis)
+        assert fact.k == 0 and not fact.full
+        self.assert_solves(fact, F, basis, rng)
+
+    def test_no_solve_carries_more_than_a_full_file(self, monkeypatch):
+        import gridcover.simplex as simplex
+
+        lengths = []
+        push = simplex._Basis.push_eta
+
+        def spy_push(fact, r, w):
+            assert not fact.full
+            push(fact, r, w)
+            lengths.append(fact.k)
+
+        monkeypatch.setattr(simplex._Basis, "push_eta", spy_push)
+        grid = GridSpec(8, 8)
+        handle = build_milp_cov(grid, sorted(grid.cells()), n_mobile=2, k_max=4)
+        assert solve_lp(handle.instance).status == "optimal"
+        assert max(lengths) == REFACTOR_EVERY
 
 
 class TestTieBreak:
