@@ -181,7 +181,7 @@ def _planning_config(
 ) -> Tuple[ExperimentConfig, Optional[StaticDeployment]]:
     """The config of a path-planning command and the --deployment it plans
     around (None without one)."""
-    config = _config(args, placement="none", **fixed)
+    config = _config(args, placement="none", n_static=0, **fixed)
     if not args.deployment:
         return config, None
     with open(args.deployment) as fh:
@@ -255,7 +255,7 @@ def _cmd_export_lp(args) -> int:
     else:
         # --ns belongs to the static formulation; the path models take the
         # static count from --deployment
-        handle = build_mobile_milp(*_planning_config(args, planner="milp-" + args.formulation, n_static=0))
+        handle = build_mobile_milp(*_planning_config(args, planner="milp-" + args.formulation))
     _write(args.out, write_lp_text(handle.instance))
     print(f"wrote {args.out}")
     return 0

@@ -9,18 +9,20 @@ recompute coverage and movement counts from the stored plan with one
 objectives are never trusted for reporting).  One result row per seed.
 
 Exact solves are warm-started with constructive heuristics (a packing
-search for placement, an overlap-respecting greedy for paths, and a
-bounded backtracking search over the greedy's choices when no greedy
-start yields a plan); seeding only tightens pruning and never affects
-correctness.  Deployments, plans
-and result rows are persisted as line-oriented text so every reported
-number can be re-derived offline.
+search for placement, an overlap-respecting multi-start greedy for paths,
+and a bounded backtracking search over the greedy's choices when no
+greedy start yields a plan); seeding only tightens pruning and never
+affects correctness.  The three searches share one coverage counter:
+footprints are bitmasks, counts are c_o bitmask layers, and
+`_add_footprint` adds one placement.  The path searches of one
+`best_seed_plan` call share one set of footprint and step-window tables.
+Deployments, plans and result rows are persisted as line-oriented text so
+every reported number can be re-derived offline.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -47,18 +49,20 @@ from .planners import BaselineConfig, greedy_plan, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
+PACK_SEARCH_STEPS = 400_000  # search nodes the static packing seed may visit
 SEED_SEARCH_STEPS = 20_000  # slots the backtracking seed may visit
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One pipeline configuration. Defaults mirror the reference setup:
-    r_s=1, rho=2, c_o=1 for placement and 3 for path planning, boundary
-    weight 4, 18000 s time limit, zero gap."""
+    one static node placed by the MILP (as the CLI's --ns), r_s=1, rho=2,
+    c_o=1 for placement and 3 for path planning, boundary weight 4,
+    18000 s time limit, zero gap."""
 
     rows: int = 8
     cols: int = 8
-    n_static: int = 0
+    n_static: int = 1
     n_mobile: int = 1
     k_max: int = 4
     r_s: int = 1
@@ -143,25 +147,34 @@ class ResultRow:
 # ---------------------------------------------------------------------------
 
 
+def _add_footprint(layers: List[int], fp: int) -> List[int]:
+    """Coverage counts as c_o bitmask layers (layer k holds the cells
+    covered more than k times), with one more cover of every cell in the
+    mask `fp`; a new list, since searches keep the counts they came from.
+    A footprint fits under the cap when it misses the top layer, and its
+    gain is its cells outside layer 0."""
+    carry, added = fp, []
+    for layer in layers:
+        added.append(layer | carry)
+        carry = fp & layer
+    return added
+
+
 def pack_static_positions(
     grid: GridSpec,
     n_static: int,
     r_s: int,
     c_o: int,
     boundary_weight: float,
-    step_budget: int = 400_000,
 ) -> Optional[List[Cell]]:
     """Best placement found by a bounded depth-first packing search.
 
     Positions are chosen as a non-decreasing sequence over cells sorted by
     single-placement value (killing node-permutation symmetry); branches
     whose optimistic bound (current + remaining * best-available single
-    value) cannot beat the best found are pruned.  Within the step budget
-    on desk-scale grids this is exhaustive, i.e. optimal.
-
-    Footprints are bitmasks over the cells (Python ints), and coverage
-    counts are c_o layers: layer k holds the cells covered more than k
-    times, so a cell fits when its footprint misses the top layer.
+    value) cannot beat the best found are pruned.  Within PACK_SEARCH_STEPS
+    on desk-scale grids this is exhaustive, i.e. optimal.  Footprints are
+    bitmasks over the sorted cells, counted in c_o layers (_add_footprint).
     """
     boundary = boundary_cells(grid)
     weight = {c: (boundary_weight if c in boundary else 1.0) for c in grid.cells()}
@@ -172,7 +185,7 @@ def pack_static_positions(
     order = sorted(cells, key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
     masks = [sum(bit[f] for f in footprints[c]) for c in order]
-    top = c_o - 1
+    n_cells, budget = len(order), PACK_SEARCH_STEPS
 
     best_obj = -1.0
     best: Optional[List[Cell]] = None
@@ -182,26 +195,21 @@ def pack_static_positions(
     def dfs(start_idx: int, current: float, layers: List[int]) -> None:
         nonlocal best_obj, best, steps
         steps += 1
-        if steps > step_budget:
+        if steps > budget:
             return
         remaining = n_static - len(chosen)
         if remaining == 0:
             if current > best_obj:
                 best_obj, best = current, list(chosen)
             return
-        for idx in range(start_idx, len(order)):
+        full = layers[-1]  # the cells already covered c_o times
+        for idx in range(start_idx, n_cells):
             if current + remaining * vals[idx] <= best_obj:
                 break  # vals non-increasing: no later cell can help
-            fp = masks[idx]
-            if fp & layers[top]:
-                continue  # a footprint cell is already covered c_o times
-            # add one to the count of every footprint cell
-            carry, added = fp, []
-            for layer in layers:
-                added.append(layer | carry)
-                carry = fp & layer
+            if masks[idx] & full:
+                continue
             chosen.append(order[idx])
-            dfs(idx, current + vals[idx], added)
+            dfs(idx, current + vals[idx], _add_footprint(layers, masks[idx]))
             chosen.pop()
 
     dfs(0, 0.0, [0] * c_o)
@@ -209,12 +217,14 @@ def pack_static_positions(
 
 
 def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: int):
-    """Each uncovered cell's footprint within `c1`, and its step window
-    within `c1` in sorted order."""
-    c1_set = set(c1)
-    fp = {c: [f for f in sensing_footprint(c, r_s, grid) if f in c1_set] for c in c1}
-    win = {c: sorted(f for f in c1 if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y) for c in c1}
-    return fp, win
+    """Each cell of the sorted uncovered set `c1`, by its index there: its
+    footprint within `c1` as a bitmask over those indices, and its step
+    window within `c1` as a sorted list of them."""
+    index = {c: n for n, c in enumerate(c1)}
+    masks = [sum(1 << index[f] for f in sensing_footprint(c, r_s, grid) if f in index) for c in c1]
+    windows = [[n for n, f in enumerate(c1) if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y]
+               for c in c1]
+    return masks, windows
 
 
 def seed_mobile_plan(
@@ -229,84 +239,75 @@ def seed_mobile_plan(
     stop_at: Optional[int] = None,
     first_start: Optional[Cell] = None,
 ) -> Optional[MobilePlan]:
-    """Overlap-respecting greedy plan confined to the uncovered set, used to
-    seed the exact solves.  Nodes pick the feasible reachable cell with the
-    largest new-coverage gain (ties lexicographic).  With `stop_at` set
-    (movement minimization), planning stops once that many uncovered cells
-    are covered, zero-gain moves become transit moves toward the nearest
-    uncovered cell, and stuck nodes stop; without it every node must be
-    placed each iteration and a stuck node aborts the seeding (None).
-    `first_start` pins node 1's initial cell (multi-start restarts).
-    """
+    """One start of the greedy seeder (_greedy_plan) over the uncovered set;
+    `first_start` pins node 1's initial cell."""
     c1 = sorted(set(Cell(*c) for c in uncovered))
-    if not c1:
-        return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={})
-    c1_set = set(c1)
-    fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
+    first = None if first_start is None else c1.index(Cell(*first_start))
+    seeded = _greedy_plan(c1, _seed_tables(grid, c1, r_s, rho_x, rho_y), n_mobile, k_max, c_o,
+                          stop_at, first)
+    return None if seeded is None else seeded[0]
 
-    counts: Dict[Cell, int] = {c: 0 for c in c1}
-    covered: Set[Cell] = set()
+
+def _greedy_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int, stop_at: Optional[int],
+                 first: Optional[int]) -> Optional[Tuple[MobilePlan, int]]:
+    """Overlap-respecting greedy plan confined to the uncovered set `c1`,
+    used to seed the exact solves, with the number of `c1` cells it covers.
+    Nodes pick the feasible reachable cell with the largest new-coverage
+    gain (ties lexicographic).  With `stop_at` set (movement minimization),
+    planning stops once that many uncovered cells are covered, zero-gain
+    moves become transit moves toward the nearest uncovered cell, and stuck
+    nodes stop; without it every node must be placed each iteration and a
+    stuck node aborts the seeding (None).  `first` is node 1's initial
+    cell, by its index in `c1`, or None to let the greedy pick it."""
+    if not c1:
+        return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={}), 0
+    masks, windows = tables
+    layers = [0] * c_o
     positions: Dict[Tuple[int, int], Cell] = {}
-    current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
+    current: Dict[int, Optional[int]] = {l: None for l in range(1, n_mobile + 1)}
     stopped: Set[int] = set()
 
-    def feasible(cell: Cell) -> bool:
-        return all(counts[f] < c_o for f in fp[cell])
-
-    def place(l: int, k: int, cell: Cell) -> None:
-        positions[(l, k)] = cell
-        current[l] = cell
-        for f in fp[cell]:
-            counts[f] += 1
-            covered.add(f)
-
-    def transit_choice(cands: List[Cell]) -> Optional[Cell]:
-        hole = sorted(c1_set - covered)
+    def transit_choice(cands: List[int]) -> Optional[int]:
+        hole = [c1[n] for n in range(len(c1)) if not layers[0] >> n & 1]
         if not hole:
             return None
-        best_cell, best_d = None, math.inf
-        for cand in cands:
-            d = min(max(abs(cand.i - h.i), abs(cand.j - h.j)) for h in hole)
-            if d < best_d:
-                best_cell, best_d = cand, d
-        return best_cell
+        return min(cands, key=lambda n: min(max(abs(c1[n].i - h.i), abs(c1[n].j - h.j)) for h in hole))
 
-    def cap_pressure(cell: Cell) -> Tuple[int, int]:
-        # prefer parking spots that exhaust the fewest cells' remaining cap
-        exhausted = sum(1 for f in fp[cell] if counts[f] + 1 >= c_o)
-        return exhausted, len(fp[cell])
+    def cap_pressure(n: int) -> Tuple[int, int]:
+        # prefer parking spots that exhaust the fewest cells' remaining cap;
+        # only reached when c_o > 1, since under a cap of 1 a cell that fits
+        # gains at least itself
+        return (masks[n] & layers[-2]).bit_count(), masks[n].bit_count()
 
     for k in range(1, k_max + 1):
         for l in range(1, n_mobile + 1):
             if l in stopped:
                 continue
-            if stop_at is not None and len(covered) >= stop_at:
+            if stop_at is not None and layers[0].bit_count() >= stop_at:
                 stopped.add(l)
                 continue
-            cands = c1 if current[l] is None else win[current[l]]
-            if first_start is not None and l == 1 and k == 1:
-                cands = [Cell(*first_start)]
-            cands = [c for c in cands if feasible(c)]
+            cands = range(len(c1)) if current[l] is None else windows[current[l]]
+            if first is not None and l == 1 and k == 1:
+                cands = [first]
+            cands = [n for n in cands if not masks[n] & layers[-1]]
             if not cands:
                 if stop_at is None:
                     return None  # coverage plans must place every node
                 stopped.add(l)
                 continue
-            best_cell, best_gain = None, -1
-            for cand in cands:
-                gain = sum(1 for f in fp[cand] if f not in covered)
-                if gain > best_gain:
-                    best_cell, best_gain = cand, gain
-            if best_gain == 0:
+            best = max(cands, key=lambda n: (masks[n] & ~layers[0]).bit_count())  # first of the best
+            if not masks[best] & ~layers[0]:
                 if stop_at is not None:
-                    best_cell = transit_choice(cands)
-                    if best_cell is None:
+                    best = transit_choice(cands)
+                    if best is None:
                         stopped.add(l)
                         continue
                 else:
-                    best_cell = min(cands, key=lambda c: (cap_pressure(c), c))
-            place(l, k, best_cell)
-    return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=positions)
+                    best = min(cands, key=lambda n: (cap_pressure(n), n))
+            positions[(l, k)] = c1[best]
+            current[l] = best
+            layers = _add_footprint(layers, masks[best])
+    return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=positions), layers[0].bit_count()
 
 
 def best_seed_plan(
@@ -326,45 +327,29 @@ def best_seed_plan(
     every node (coverage plans) or reaches `stop_at` uncovered cells (a
     seed short of the target is no incumbent), the seed is the first plan
     of a bounded backtracking search over the greedy's own rules
-    (_backtrack_plan), or None when that finds none."""
+    (_backtrack_plan), or None when that finds none.  All starts and the
+    search share one set of tables."""
     c1 = sorted(set(Cell(*c) for c in uncovered))
-    c1_set = set(c1)
-
-    def covered_by(plan: MobilePlan) -> int:
-        hit = set()
-        for pos in plan.positions.values():
-            hit.update(f for f in sensing_footprint(pos, r_s, grid) if f in c1_set)
-        return len(hit)
-
+    tables = _seed_tables(grid, c1, r_s, rho_x, rho_y)
     best: Optional[MobilePlan] = None
     best_key = (-1, 0)
-    for start in [None] + c1:
-        plan = seed_mobile_plan(
-            grid, c1, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
-            stop_at=stop_at, first_start=start,
-        )
-        if plan is None:
+    for first in [None, *range(len(c1))]:
+        seeded = _greedy_plan(c1, tables, n_mobile, k_max, c_o, stop_at, first)
+        if seeded is None:
             continue
-        key = (covered_by(plan), -plan.movements)
+        plan, covered = seeded
+        key = (covered, -plan.movements)
         if key > best_key:
             best, best_key = plan, key
         if best_key[0] == len(c1):
             break
     if best is None or (stop_at is not None and best_key[0] < stop_at):
-        fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
-        return _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at)
+        return _backtrack_plan(c1, tables, n_mobile, k_max, c_o, stop_at)
     return best
 
 
-def _backtrack_plan(
-    c1: List[Cell],
-    fp: Dict[Cell, List[Cell]],
-    win: Dict[Cell, List[Cell]],
-    n_mobile: int,
-    k_max: int,
-    c_o: int,
-    stop_at: Optional[int],
-) -> Optional[MobilePlan]:
+def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
+                    stop_at: Optional[int]) -> Optional[MobilePlan]:
     """Depth-first search over the greedy seeder's choices: slots in (k, l)
     order, each node within the step window of its last cell, no footprint
     cell covered more than c_o times, candidates by new-coverage gain
@@ -375,29 +360,27 @@ def _backtrack_plan(
     Cut early, since no plan lies below them: a coverage branch in which a
     node has no cell left to go to, and a movement branch whose open slots
     cannot cover the cells still missing."""
+    masks, windows = tables
     slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
-    most = max((len(f) for f in fp.values()), default=0)
-    counts: Dict[Cell, int] = {c: 0 for c in c1}
+    most = max((fp.bit_count() for fp in masks), default=0)
     positions: Dict[Tuple[int, int], Cell] = {}
-    current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
+    current: Dict[int, Optional[int]] = {l: None for l in range(1, n_mobile + 1)}
     stopped: Set[int] = set()
-    covered = 0
     steps = 0
 
-    def fits(cell: Cell) -> bool:
-        return all(counts[f] < c_o for f in fp[cell])
+    def reach(l: int, top: int) -> List[int]:
+        cands = range(len(c1)) if current[l] is None else windows[current[l]]
+        return [n for n in cands if not masks[n] & top]
 
-    def reach(l: int) -> List[Cell]:
-        return c1 if current[l] is None else win[current[l]]
-
-    def search(s: int) -> Optional[bool]:
+    def search(s: int, layers: List[int]) -> Optional[bool]:
         """True once a plan is found, False when none extends the slots
         filled, None when the step budget runs out."""
-        nonlocal covered, steps
+        nonlocal steps
         steps += 1
         if steps > SEED_SEARCH_STEPS:
             return None
         if stop_at is not None:
+            covered = layers[0].bit_count()
             if covered >= stop_at:
                 return True
             open_slots = sum(1 for _, l in slots[s:] if l not in stopped)
@@ -407,35 +390,29 @@ def _backtrack_plan(
             return stop_at is None
         k, l = slots[s]
         if l in stopped:
-            return search(s + 1)
-        if stop_at is None and not all(any(map(fits, reach(m))) for _, m in slots[s + 1 : s + n_mobile]):
+            return search(s + 1, layers)
+        if stop_at is None and not all(reach(m, layers[-1]) for _, m in slots[s + 1 : s + n_mobile]):
             return False  # counts only grow, so that node has no cell at its slot either
         last = current[l]
-        gains = [(-sum(1 for f in fp[c] if not counts[f]), c) for c in reach(l) if fits(c)]
+        gains = sorted((-(masks[n] & ~layers[0]).bit_count(), n) for n in reach(l, layers[-1]))
         if not gains:
             if stop_at is None:
                 return False  # coverage plans must place every node
             stopped.add(l)
-            found = search(s + 1)
+            found = search(s + 1, layers)
             stopped.discard(l)
             return found
-        for neg_gain, cell in sorted(gains):
-            positions[(l, k)] = cell
-            current[l] = cell
-            covered -= neg_gain
-            for f in fp[cell]:
-                counts[f] += 1
-            found = search(s + 1)
+        for _, n in gains:
+            positions[(l, k)] = c1[n]
+            current[l] = n
+            found = search(s + 1, _add_footprint(layers, masks[n]))
             if found is not False:
                 return found
-            for f in fp[cell]:
-                counts[f] -= 1
-            covered += neg_gain
-            current[l] = last
-            del positions[(l, k)]
+        current[l] = last
+        del positions[(l, k)]
         return False
 
-    if not search(0):
+    if not search(0, [0] * c_o):
         return None
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
 

@@ -666,3 +666,194 @@ def movements_to_target(plan, deployment, params, grid: GridSpec, coverage_targe
     if deployment is not None and Fraction(len(deployment.covered), grid.n_cells) >= target:
         return 0
     return None
+
+
+# ---------------------------------------------------------------------------
+# mobile warm-start seeds over per-cell count dictionaries
+# ---------------------------------------------------------------------------
+# The greedy seeder, its multi-start search and the backtracking search as
+# first written, before they shared the packing search's bitmask layers:
+# counts in a dict, covered cells in a set or a counter, the tables rebuilt
+# per start and the backtracking undone by hand.  Kept so the harness's
+# seeds can be compared with them plan for plan.
+
+
+def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: int):
+    """Each uncovered cell's footprint within `c1`, and its step window
+    within `c1` in sorted order."""
+    c1_set = set(c1)
+    fp = {c: [f for f in sensing_footprint(c, r_s, grid) if f in c1_set] for c in c1}
+    win = {c: sorted(f for f in c1 if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y) for c in c1}
+    return fp, win
+
+
+def greedy_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
+                     stop_at=None, first_start=None):
+    """The reference for gridcover.harness.seed_mobile_plan."""
+    from gridcover.formulations import MobilePlan
+
+    c1 = sorted(set(Cell(*c) for c in uncovered))
+    if not c1:
+        return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={})
+    c1_set = set(c1)
+    fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
+
+    counts: Dict[Cell, int] = {c: 0 for c in c1}
+    covered: Set[Cell] = set()
+    positions: Dict[Tuple[int, int], Cell] = {}
+    current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
+    stopped: Set[int] = set()
+
+    def feasible(cell: Cell) -> bool:
+        return all(counts[f] < c_o for f in fp[cell])
+
+    def place(l: int, k: int, cell: Cell) -> None:
+        positions[(l, k)] = cell
+        current[l] = cell
+        for f in fp[cell]:
+            counts[f] += 1
+            covered.add(f)
+
+    def transit_choice(cands: List[Cell]) -> Optional[Cell]:
+        hole = sorted(c1_set - covered)
+        if not hole:
+            return None
+        best_cell, best_d = None, math.inf
+        for cand in cands:
+            d = min(max(abs(cand.i - h.i), abs(cand.j - h.j)) for h in hole)
+            if d < best_d:
+                best_cell, best_d = cand, d
+        return best_cell
+
+    def cap_pressure(cell: Cell) -> Tuple[int, int]:
+        exhausted = sum(1 for f in fp[cell] if counts[f] + 1 >= c_o)
+        return exhausted, len(fp[cell])
+
+    for k in range(1, k_max + 1):
+        for l in range(1, n_mobile + 1):
+            if l in stopped:
+                continue
+            if stop_at is not None and len(covered) >= stop_at:
+                stopped.add(l)
+                continue
+            cands = c1 if current[l] is None else win[current[l]]
+            if first_start is not None and l == 1 and k == 1:
+                cands = [Cell(*first_start)]
+            cands = [c for c in cands if feasible(c)]
+            if not cands:
+                if stop_at is None:
+                    return None
+                stopped.add(l)
+                continue
+            best_cell, best_gain = None, -1
+            for cand in cands:
+                gain = sum(1 for f in fp[cand] if f not in covered)
+                if gain > best_gain:
+                    best_cell, best_gain = cand, gain
+            if best_gain == 0:
+                if stop_at is not None:
+                    best_cell = transit_choice(cands)
+                    if best_cell is None:
+                        stopped.add(l)
+                        continue
+                else:
+                    best_cell = min(cands, key=lambda c: (cap_pressure(c), c))
+            place(l, k, best_cell)
+    return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=positions)
+
+
+def best_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
+                   stop_at=None, step_budget: int = 20_000):
+    """The reference for gridcover.harness.best_seed_plan; `step_budget`
+    is the backtracking search's slot budget."""
+    c1 = sorted(set(Cell(*c) for c in uncovered))
+    c1_set = set(c1)
+
+    def covered_by(plan) -> int:
+        hit = set()
+        for pos in plan.positions.values():
+            hit.update(f for f in sensing_footprint(pos, r_s, grid) if f in c1_set)
+        return len(hit)
+
+    best = None
+    best_key = (-1, 0)
+    for start in [None] + c1:
+        plan = greedy_seed_plan(grid, c1, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
+                                stop_at=stop_at, first_start=start)
+        if plan is None:
+            continue
+        key = (covered_by(plan), -plan.movements)
+        if key > best_key:
+            best, best_key = plan, key
+        if best_key[0] == len(c1):
+            break
+    if best is None or (stop_at is not None and best_key[0] < stop_at):
+        fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
+        return _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget)
+    return best
+
+
+def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget):
+    from gridcover.formulations import MobilePlan
+
+    slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
+    most = max((len(f) for f in fp.values()), default=0)
+    counts: Dict[Cell, int] = {c: 0 for c in c1}
+    positions: Dict[Tuple[int, int], Cell] = {}
+    current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
+    stopped: Set[int] = set()
+    covered = 0
+    steps = 0
+
+    def fits(cell: Cell) -> bool:
+        return all(counts[f] < c_o for f in fp[cell])
+
+    def reach(l: int) -> List[Cell]:
+        return c1 if current[l] is None else win[current[l]]
+
+    def search(s: int) -> Optional[bool]:
+        nonlocal covered, steps
+        steps += 1
+        if steps > step_budget:
+            return None
+        if stop_at is not None:
+            if covered >= stop_at:
+                return True
+            open_slots = sum(1 for _, l in slots[s:] if l not in stopped)
+            if covered + open_slots * most < stop_at:
+                return False
+        if s == len(slots):
+            return stop_at is None
+        k, l = slots[s]
+        if l in stopped:
+            return search(s + 1)
+        if stop_at is None and not all(any(map(fits, reach(m))) for _, m in slots[s + 1 : s + n_mobile]):
+            return False
+        last = current[l]
+        gains = [(-sum(1 for f in fp[c] if not counts[f]), c) for c in reach(l) if fits(c)]
+        if not gains:
+            if stop_at is None:
+                return False
+            stopped.add(l)
+            found = search(s + 1)
+            stopped.discard(l)
+            return found
+        for neg_gain, cell in sorted(gains):
+            positions[(l, k)] = cell
+            current[l] = cell
+            covered -= neg_gain
+            for f in fp[cell]:
+                counts[f] += 1
+            found = search(s + 1)
+            if found is not False:
+                return found
+            for f in fp[cell]:
+                counts[f] -= 1
+            covered += neg_gain
+            current[l] = last
+            del positions[(l, k)]
+        return False
+
+    if not search(0):
+        return None
+    return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))

@@ -1,9 +1,12 @@
 """Pipeline orchestration, persistence, and warm-start seeding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from gridcover import harness
 from gridcover.formulations import MobilePlan, build_milp_cov, build_milp_static, encode_plan
 from gridcover.grid import Cell, GridSpec, SensorParams, evaluate_plan, static_coverage
 from gridcover.harness import (
@@ -67,6 +70,10 @@ class TestRunPipeline:
         assert len(rows) == 1
         assert rows[0].solver_status == "infeasible"
         assert "increase" in rows[0].note
+
+    def test_default_config_constructs(self):
+        config = ExperimentConfig()
+        assert (config.placement, config.n_static) == ("milp-static", 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -172,17 +179,18 @@ class TestWarmStartHelpers:
         assert got == pytest.approx(want)
 
     @pytest.mark.parametrize("budget", [50, 2_000])
-    def test_pack_matches_the_reference_search(self, budget):
+    def test_pack_matches_the_reference_search(self, budget, monkeypatch):
         # the bitmask search visits the same cells in the same order and
         # counts the same steps, so even a truncated search returns what
         # the dict-based reference returns
         from oracles import packing_search
 
+        monkeypatch.setattr(harness, "PACK_SEARCH_STEPS", budget)
         for size in range(3, 13):
             grid = GridSpec(size, size)
             for n_static in range(1, 11):
                 for c_o in (1, 2, 3):
-                    got = pack_static_positions(grid, n_static, 1, c_o, 4.0, budget)
+                    got = pack_static_positions(grid, n_static, 1, c_o, 4.0)
                     assert got == packing_search(grid, n_static, 1, c_o, 4.0, budget), (
                         size, n_static, c_o,
                     )
@@ -330,3 +338,62 @@ class TestBacktrackSeed:
         _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
         plan = best_seed_plan(grid, sorted(uncovered), n_mobile, k_max, 1, 2, 2, 3, stop_at=stop_at)
         assert plan_text(plan) == want
+
+
+class TestSeedsMatchTheReference:
+    """The three warm-start searches share one coverage counter (bitmask
+    layers) and one set of tables per best_seed_plan call; the dict-based
+    seeders they replaced (tests/oracles.py) give the same plan, or None,
+    on every instance."""
+
+    @staticmethod
+    def instances(count, seed):
+        """Random grids 2-9 x 2-9 with 0-4 static nodes, r_s 0-2, unequal
+        step ranges 0-2, c_o 1-3, and stop_at None, 0, partial or full."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            grid = GridSpec(rng.randint(2, 9), rng.randint(2, 9))
+            r_s = rng.randint(0, 2)
+            static = rng.sample(sorted(grid.cells()), rng.randint(0, 4))
+            c1 = sorted(static_coverage(static, r_s, grid)[1])
+            args = (rng.randint(1, 3), rng.randint(1, 4), r_s, rng.randint(0, 2), rng.randint(0, 2),
+                    rng.randint(1, 3))
+            stop_at = rng.choice([None, None, 0, rng.randint(1, max(1, len(c1))), len(c1)])
+            yield grid, c1, args, stop_at
+
+    def test_best_seed_plan(self, monkeypatch):
+        # a smaller step budget keeps the reference quick, and a search
+        # that runs out of it must run out at the same step
+        searched = []
+        backtrack = harness._backtrack_plan
+        monkeypatch.setattr(harness, "_backtrack_plan", lambda *a: searched.append(a) or backtrack(*a))
+        monkeypatch.setattr(harness, "SEED_SEARCH_STEPS", 2_000)
+        outcomes = set()
+        for n, (grid, c1, args, stop_at) in enumerate(self.instances(200, 14)):
+            got = best_seed_plan(grid, c1, *args, stop_at=stop_at)
+            want = oracles.best_seed_plan(grid, c1, *args, stop_at=stop_at, step_budget=2_000)
+            assert (got and got.positions) == (want and want.positions), (n, grid, c1, args, stop_at)
+            outcomes.add((stop_at is None, got is None))
+        # every mode seeds and fails, and the backtracking search runs often
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        assert len(searched) >= 40
+
+    def test_single_start_greedy(self):
+        for n, (grid, c1, args, stop_at) in enumerate(self.instances(100, 15)):
+            for start in [None] + c1:
+                got = seed_mobile_plan(grid, c1, *args, stop_at=stop_at, first_start=start)
+                want = oracles.greedy_seed_plan(grid, c1, *args, stop_at=stop_at, first_start=start)
+                assert (got and got.positions) == (want and want.positions), (n, start)
+
+    @pytest.mark.parametrize("sym", range(8))
+    def test_table8_coverage_row_under_each_symmetry(self, sym):
+        # the 8x8 L=3 / N_s=5 row, where every greedy start fails and the
+        # backtracking search takes up to 2,132 steps
+        grid = GridSpec(8, 8)
+        static = [(j, i) if sym & 4 else (i, j) for i, j in TestBacktrackSeed.TABLE8_STATIC]
+        static = [(9 - i if sym & 1 else i, 9 - j if sym & 2 else j) for i, j in static]
+        c1 = sorted(static_coverage([Cell(*p) for p in static], 1, grid)[1])
+        for stop_at in (None, len(c1)):
+            got = best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
+            want = oracles.best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
+            assert got is not None and got.positions == want.positions
