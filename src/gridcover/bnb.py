@@ -31,10 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .milp import MilpInstance
+from .milp import INT_TOL, MilpInstance
 from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
-
-INT_TOL = 1e-6  # a binary within this of 0 or 1 counts as integral
 
 
 @dataclass

@@ -37,9 +37,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 import numpy as np
 
 from .grid import Cell, GridSpec, _exact_fraction, boundary_cells, sensing_footprint, static_coverage
-from .milp import MilpInstance
-
-INT_TOL = 1e-6
+from .milp import INT_TOL, MilpInstance
 
 
 class DecodeError(ValueError):

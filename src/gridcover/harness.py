@@ -614,14 +614,17 @@ def self_describing_row(
 
 def sweep(base: ExperimentConfig, axes: Dict[str, Sequence]) -> List[ResultRow]:
     """Cartesian sweep over config fields; rows ordered by config index
-    (sorted axis names, values in given order), one row per seed.  Per-cell
-    failures are recorded as error rows and the sweep continues."""
+    (sorted axis names, values in given order), one row per seed.  Every
+    cell's config is built before any cell runs, so a cell that makes no
+    valid config raises ValueError before anything is solved.  Failures of
+    a cell's run are recorded as error rows and the sweep continues."""
     if not axes:
         return []
     names = sorted(axes)
+    configs = [replace(base, **dict(zip(names, combo)))
+               for combo in itertools.product(*(axes[n] for n in names))]
     out: List[ResultRow] = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        cfg = replace(base, **dict(zip(names, combo)))
+    for cfg in configs:
         try:
             out.extend(run_pipeline(cfg))
         except Exception as exc:  # pragma: no cover - defensive

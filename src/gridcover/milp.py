@@ -43,6 +43,7 @@ ConstraintId = int
 
 SENSES = ("<=", "=", ">=")  # a row's sense code indexes this tuple
 LE, EQ, GE = 0, 1, 2
+INT_TOL = 1e-6  # a binary within this of 0 or 1 counts as integral
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 _TAG_RE = re.compile(r"^[A-Za-z0-9_.\-]*$")
 

@@ -19,14 +19,18 @@ certificate, and a warm "optimal" passes the same substitution check as a
 cold one.  A basis that is not dual feasible, a stall past the dual's pivot
 cap or a numerical failure falls back to the cold solve.
 
-Both end on the same point: among alternative optima, the one that
-maximizes a fixed generic weighting of the structural columns (_settle).
-So a branch-and-bound node gets the same answer, up to rounding noise,
-whichever basis its solve started from.  Basis factorizations use scipy's
-sparse LU; the pivots since the last refactorization (at most
-REFACTOR_EVERY, counted across phases) form an eta file kept in compact
-product form, I - P T Q^T, so that a solve with the basis is the LU solve
-and two dense products (see _Basis).
+Both end in one finish (_Solver._optimize): the primal simplex on the
+tilted costs, then on the exact ones, then _settle, which moves to the
+point among alternative optima that maximizes a fixed generic weighting of
+the structural columns.  So a branch-and-bound node gets the same answer,
+up to rounding noise, whichever basis its solve started from.  The primal
+and the dual loops change the basis through one _Solver._pivot and read a
+tableau row through one _Solver._tableau_row.
+
+Basis factorizations use scipy's sparse LU; the pivots since the last
+refactorization (at most REFACTOR_EVERY, counted across phases) form an eta
+file kept in compact product form, I - P T Q^T, so that a solve with the
+basis is the LU solve and two dense products (see _Basis).
 
 Every solve, cold or warm, root, node or repair, pivots on a presolved
 model (_Reduced), built on an LpData's first solve and kept on it.  A
@@ -488,7 +492,9 @@ class _Basis:
 class _Solver:
     """One solve over an LpData with optional extra bound tightenings
     (keyed by the LpData's variable ids).  It pivots on the reduced model
-    (`lp`) and checks and reports on the full one (`data`)."""
+    (`lp`) and checks and reports on the full one (`data`).  `_pivot` is the
+    one basis change of the primal (run_phase) and the dual (_dual_phase)
+    loops; `_optimize` is the finish that `solve` and `solve_warm` share."""
 
     def __init__(
         self,
@@ -568,69 +574,38 @@ class _Solver:
         left = r - self.val[n : n + m]  # what an artificial takes with the slack at its bound
         self._set_art_sign(np.where(left >= 0, 1.0, -1.0))
         slack_ok = (r >= self.lo[n : n + m] - 1e-12) & (r <= self.up[n : n + m] + 1e-12)
-        crash = self._crash_columns(left, slack_ok)
-        basis = np.where(
-            slack_ok, np.arange(n, n + m), np.arange(n + m, n + 2 * m)
-        )
+        self.basis = np.where(slack_ok, np.arange(n, n + m), np.arange(n + m, n + 2 * m))
         xb = np.where(slack_ok, r, np.abs(left))
-        for row, (j, value) in crash.items():
-            self.val[basis[row]] = self.lo[basis[row]]  # displaced (fixed) slack at its value
-            self.status[basis[row]] = AT_LO
-            basis[row] = j
-            xb[row] = value
-        self.basis = basis
+        # a crash column takes its row from the fixed slack, which stays
+        # nonbasic at its value; seated at its own value, it leaves every
+        # residual unchanged, so the start stays feasible
+        rows, cols = self._crash_columns(left)
+        self.basis[rows] = cols
+        xb[rows] = self.val[cols]
         self.status[self.basis] = BASIC
         self.val[self.basis] = self.xb = xb
         # artificials not seated in the basis stay pinned at zero
-        art_cols = np.arange(n + m, n + 2 * m)
-        unused = np.ones(m, dtype=bool)
-        unused[self.basis[self.basis >= n + m] - n - m] = False
-        self.lo[art_cols[unused]] = 0.0
-        self.up[art_cols[unused]] = 0.0
+        self.up[n + m :][self.status[n + m :] != BASIC] = 0.0
         self.fact.refactor(self.basis)
         return None
 
-    def _crash_columns(self, r: np.ndarray, slack_ok: np.ndarray):
-        """Seat structural columns in rows whose slack is fixed (equality
-        rows): a column is eligible when its other nonzeros touch only rows
-        with free slacks, so the seated set is permutable to triangular and
-        the implied starting value (residual over coefficient) can be
-        checked against the column's own bounds.  Cuts the starting count
-        of degenerate fixed-slack basics dramatically."""
-        n, m = self.n, self.m
-        lo_s, up_s = self.lo[n : n + m], self.up[n : n + m]
-        fixed_row = lo_s == up_s
-        if not fixed_row.any():
-            return {}
-        A_csr = self.lp.A_csr
-        # a column is crash-eligible iff all its fixed-row entries are in one row
-        fixed_hits = np.zeros(n, dtype=np.int32)
-        for row in np.flatnonzero(fixed_row):
-            sl = slice(A_csr.indptr[row], A_csr.indptr[row + 1])
-            fixed_hits[A_csr.indices[sl]] += 1
-        chosen: Dict[int, Tuple[int, float]] = {}
-        used = set()
-        for row in np.flatnonzero(fixed_row):
-            if abs(r[row]) > 1e-12:
-                continue  # only already-satisfied rows can be seated value-neutrally
-            sl = slice(A_csr.indptr[row], A_csr.indptr[row + 1])
-            cols = A_csr.indices[sl]
-            coefs = A_csr.data[sl]
-            best = None
-            for j, a in zip(cols, coefs):
-                if fixed_hits[j] != 1 or j in used or abs(a) < 0.01:
-                    continue
-                if self.lo[j] >= self.up[j]:  # fixed variables cannot pivot later
-                    continue
-                key = (-abs(a), j)
-                if best is None or key < best[0]:
-                    best = (key, int(j))
-            if best is not None:
-                # seating at the current nonbasic value leaves every residual
-                # unchanged, so the start stays feasible
-                used.add(best[1])
-                chosen[int(row)] = (best[1], float(self.val[best[1]]))
-        return chosen
+    def _crash_columns(self, left: np.ndarray):
+        """Structural columns to seat in rows whose slack is fixed (equality
+        rows) and whose residual `left` is already zero: per such row, the
+        movable column of the largest |a| >= 0.01 (ties to the lowest id)
+        among those whose only fixed-row entry lies in that row, so the
+        seated set is permutable to triangular.  Cuts the starting count of
+        degenerate fixed-slack basics dramatically.  Returns (rows, columns)."""
+        n, A = self.n, self.lp.A_csr
+        rows = np.repeat(np.arange(self.m), np.diff(A.indptr))
+        cols, a = A.indices, np.abs(A.data)
+        fixed = self.lo[n + rows] == self.up[n + rows]
+        ok = fixed & (np.bincount(cols[fixed], minlength=n) == 1)[cols]
+        ok &= (np.abs(left[rows]) <= 1e-12) & (a >= 0.01) & (self.lo[cols] < self.up[cols])
+        e = np.flatnonzero(ok)
+        e = e[np.lexsort((cols[e], -a[e], rows[e]))]
+        e = e[np.diff(rows[e], prepend=-1) != 0]  # each row's first
+        return rows[e], cols[e]
 
     def _solve_unconstrained(self) -> LpResult:
         # without rows nothing is substituted (a dropped row is never an
@@ -671,18 +646,30 @@ class _Solver:
         t_rows = float(limits.min()) if self.m else math.inf
         return direction, w, min(t_own, t_rows), t_own, t_rows, limits
 
-    def _row_times(self, v: np.ndarray) -> np.ndarray:
-        """v^T F over every column."""
-        return self._rows @ v
-
     def _reduced_costs(self, c_all: np.ndarray) -> np.ndarray:
-        return c_all - self._row_times(self.fact.btran(c_all[self.basis]))
+        return c_all - self._rows @ self.fact.btran(c_all[self.basis])
 
-    def _pivot_row(self, r: int) -> np.ndarray:
-        """Row r of the full tableau B^{-1}[A | I | sign]."""
+    def _tableau_row(self, r: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row r of the basis inverse, rho, and of the full tableau
+        B^{-1}[A | I | sign], alpha = rho^T F."""
         e = np.zeros(self.m)
         e[r] = 1.0
-        return self._row_times(self.fact.btran(e))
+        rho = self.fact.btran(e)
+        return rho, self._rows @ rho
+
+    def _pivot(self, r: int, q: int, w: np.ndarray, theta: float, to_lower: bool) -> None:
+        """The basis change of both loops: column q (w = B^{-1} F_q) moves by
+        theta and takes row r, whose column leaves to its lower bound when
+        `to_lower`, else to its upper one."""
+        leaving = self.basis[r]
+        self.xb -= theta * w
+        self.val[q] += theta
+        self.xb[r] = self.val[q]
+        self.status[leaving] = AT_LO if to_lower else AT_UP
+        self.val[leaving] = self.lo[leaving] if to_lower else self.up[leaving]
+        self.basis[r] = q
+        self.status[q] = BASIC
+        self.fact.push_eta(r, w)
 
     def run_phase(self, c_all: np.ndarray) -> str:
         """Minimize c_all over the current basis state. Returns "optimal"
@@ -743,47 +730,37 @@ class _Solver:
                 degen_run = 0
                 bland = False
 
-            delta = direction * w
+            theta = direction * t
             if t_own <= t_rows:
                 # bound-to-bound flip, basis unchanged
-                self.xb -= delta * t_own
+                self.xb -= theta * w
                 self.val[q] = up[q] if direction > 0 else lo[q]
                 self.status[q] = AT_UP if direction > 0 else AT_LO
+                continue
+            cand = np.flatnonzero(limits <= t + 1e-9 * (1.0 + t))
+            # prefer evicting a bound-fixed basic (it can never re-enter, so
+            # even a zero-length pivot makes permanent progress), then the
+            # largest pivot magnitude for stability
+            fixed_leave = lo[self.basis[cand]] >= up[self.basis[cand]]
+            r = int(cand[np.lexsort((cand, -np.abs(w[cand]), ~fixed_leave))[0]])
+
+            # the pivot row drives both the Devex weights and an incremental
+            # reduced-cost update (exact recompute happens at every
+            # refactorization)
+            alpha = self._tableau_row(r)[1]
+            aq = alpha[q]
+            if abs(aq) > PIVOT_TOL:
+                d_q = d[q]
+                d -= (d_q / aq) * alpha
+                d[q] = 0.0
+                ratio = alpha / aq
+                np.maximum(gamma, ratio * ratio * gamma[q], out=gamma)
+                gamma[self.basis[r]] = max(gamma[q] / (aq * aq), 1.0)
+                if gamma.max() > 1e8:
+                    gamma[:] = 1.0
             else:
-                cand = np.flatnonzero(limits <= t + 1e-9 * (1.0 + t))
-                # prefer evicting a bound-fixed basic (it can never re-enter,
-                # so even a zero-length pivot makes permanent progress), then
-                # the largest pivot magnitude for stability
-                fixed_leave = lo[self.basis[cand]] >= up[self.basis[cand]]
-                r = int(cand[np.lexsort((cand, -np.abs(w[cand]), ~fixed_leave))[0]])
-                leaving = self.basis[r]
-                self.xb -= delta * t
-                leave_to_lower = delta[r] > 0
-                self.status[leaving] = AT_LO if leave_to_lower else AT_UP
-                self.val[leaving] = lo[leaving] if leave_to_lower else up[leaving]
-                self.val[q] = self.val[q] + direction * t
-                self.xb[r] = self.val[q]
-
-                # the pivot row drives both the Devex weights and an
-                # incremental reduced-cost update (exact recompute happens at
-                # every refactorization)
-                alpha = self._pivot_row(r)
-                aq = alpha[q]
-                if abs(aq) > PIVOT_TOL:
-                    d_q = d[q]
-                    d -= (d_q / aq) * alpha
-                    d[q] = 0.0
-                    ratio = alpha / aq
-                    np.maximum(gamma, ratio * ratio * gamma[q], out=gamma)
-                    gamma[leaving] = max(gamma[q] / (aq * aq), 1.0)
-                    if gamma.max() > 1e8:
-                        gamma[:] = 1.0
-                else:
-                    d = None  # pivot too small for a safe update
-
-                self.basis[r] = q
-                self.status[q] = BASIC
-                self.fact.push_eta(r, w)
+                d = None  # pivot too small for a safe update
+            self._pivot(r, q, w, theta, direction * w[r] > 0)
 
         raise SimplexNumericalError("simplex iteration limit exceeded")
 
@@ -863,10 +840,7 @@ class _Solver:
             # reduced cost on its bound's side
             leave_to_lower = below[r] > 0
             s = 1.0 if leave_to_lower else -1.0
-            e = np.zeros(self.m)
-            e[r] = 1.0
-            rho = self.fact.btran(e)  # row r of the basis inverse
-            alpha = self._row_times(rho)
+            rho, alpha = self._tableau_row(r)
             sa = s * alpha
             stat = self.status
             cand = np.flatnonzero(
@@ -892,19 +866,10 @@ class _Solver:
             w = self.fact.ftran(self.col_dense(q))
             if abs(w[r]) < PIVOT_TOL or abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
                 return None  # row and column disagree: numerical trouble
-            leaving = self.basis[r]
-            bound = lo[leaving] if leave_to_lower else up[leaving]
-            theta = (self.xb[r] - bound) / w[r]
-            self.xb -= theta * w
-            self.val[q] += theta
-            self.xb[r] = self.val[q]
-            self.status[leaving] = AT_LO if leave_to_lower else AT_UP
-            self.val[leaving] = bound
+            bound = lo[self.basis[r]] if leave_to_lower else up[self.basis[r]]
+            self._pivot(r, q, w, (self.xb[r] - bound) / w[r], leave_to_lower)
             d += (s * t) * alpha
             d[q] = 0.0
-            self.basis[r] = q
-            self.status[q] = BASIC
-            self.fact.push_eta(r, w)
             self.iterations += 1
         return None
 
@@ -915,7 +880,7 @@ class _Solver:
         rounding noise in `y` is dropped first."""
         n, m = self.n, self.m
         y = np.where(np.abs(y) > 1e-12 * np.abs(y).max(), y, 0.0)
-        g = self._row_times(y)[: n + m]
+        g = (self._rows @ y)[: n + m]
         lo, up = self.lo[: n + m], self.up[: n + m]
         nz = g != 0.0
         g, lo, up = g[nz], lo[nz], up[nz]
@@ -946,18 +911,12 @@ class _Solver:
         self.status[self.basis] = BASIC
         self._refresh()
 
-        c, c_tilted = self._phase2_costs()
-        outcome = self._dual_phase(c_tilted)
-        if outcome != "feasible":
-            if outcome == "infeasible":
-                return LpResult(status="infeasible", iterations=self.iterations)
-            return None
-        # the cold solve's last phases, from a basis that is already close
-        if self.run_phase(c_tilted) != "optimal" or self.run_phase(c) != "optimal":
-            return None  # a child of a bounded LP is bounded: numerical trouble
-        self._settle(c)
-        self._refresh()
-        return self._finish()
+        outcome = self._dual_phase(self._phase2_costs()[1])
+        if outcome == "infeasible":
+            return LpResult(status="infeasible", iterations=self.iterations)
+        # the cold solve's finish, from a basis that is already close; a child
+        # of a bounded LP is bounded, so "unbounded" is numerical trouble
+        return self._optimize() if outcome == "feasible" else None
 
     def _phase2_costs(self):
         """The exact phase-2 costs, and the same tilted by TIE_EPS toward the
@@ -1000,11 +959,9 @@ class _Solver:
         # in droves; a phase with exact costs then settles the true optimum
         # from the (near-optimal) basis, and _settle picks one point of the
         # optimal face
-        jitter = _jitter(self.ncols)
         c1 = np.zeros(self.ncols)
-        c1[n + m :] = 1.0 + 1e-3 * jitter[n + m :]
-        outcome = self.run_phase(c1)
-        if outcome == "unbounded":
+        c1[n + m :] = 1.0 + 1e-3 * _jitter(self.ncols)[n + m :]
+        if self.run_phase(c1) == "unbounded":
             raise SimplexNumericalError("phase 1 reported unbounded")
         self._refresh()
         art_sum = float(self.val[n + m :].sum())
@@ -1016,18 +973,16 @@ class _Solver:
         self.up[n + m :] = 0.0
         np.clip(self.val[n + m :], 0.0, 0.0, out=self.val[n + m :])
         self.xb = self.val[self.basis]
+        return self._optimize() or LpResult(status="unbounded", iterations=self.iterations)
 
-        c2, c2_tilted = self._phase2_costs()
-        outcome = self.run_phase(c2_tilted)
-        if outcome == "unbounded":
-            return LpResult(status="unbounded", iterations=self.iterations)
-
-        # exact costs from the tilted optimum: usually a few pivots
-        outcome = self.run_phase(c2)
-        if outcome == "unbounded":
-            return LpResult(status="unbounded", iterations=self.iterations)
-
-        self._settle(c2)
+    def _optimize(self) -> Optional[LpResult]:
+        """The finish of both solves, from a primal feasible basis: the
+        primal simplex on the tilted costs, then on the exact ones (usually a
+        few pivots), then _settle; None when a phase reports "unbounded"."""
+        c, tilted = self._phase2_costs()
+        if self.run_phase(tilted) != "optimal" or self.run_phase(c) != "optimal":
+            return None
+        self._settle(c)
         self._refresh()
         return self._finish()
 

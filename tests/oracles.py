@@ -857,3 +857,55 @@ def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget):
     if not search(0):
         return None
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
+
+
+# ---------------------------------------------------------------------------
+# the simplex's crash basis, row by row
+# ---------------------------------------------------------------------------
+# The crash pick that gridcover.simplex._Solver._crash_columns replaced with
+# one array pick over the CSR entries, kept as it was (a method body over the
+# solver's state at the cold start, `self` read as `solver`) so the two can
+# be compared seat for seat.  Its unused `slack_ok` parameter is dropped.
+
+
+def reference_crash_columns(solver, r: np.ndarray):
+    """Seat structural columns in rows whose slack is fixed (equality
+    rows): a column is eligible when its other nonzeros touch only rows
+    with free slacks, so the seated set is permutable to triangular and
+    the implied starting value (residual over coefficient) can be
+    checked against the column's own bounds.  Cuts the starting count
+    of degenerate fixed-slack basics dramatically."""
+    n, m = solver.n, solver.m
+    lo_s, up_s = solver.lo[n : n + m], solver.up[n : n + m]
+    fixed_row = lo_s == up_s
+    if not fixed_row.any():
+        return {}
+    A_csr = solver.lp.A_csr
+    # a column is crash-eligible iff all its fixed-row entries are in one row
+    fixed_hits = np.zeros(n, dtype=np.int32)
+    for row in np.flatnonzero(fixed_row):
+        sl = slice(A_csr.indptr[row], A_csr.indptr[row + 1])
+        fixed_hits[A_csr.indices[sl]] += 1
+    chosen: Dict[int, Tuple[int, float]] = {}
+    used = set()
+    for row in np.flatnonzero(fixed_row):
+        if abs(r[row]) > 1e-12:
+            continue  # only already-satisfied rows can be seated value-neutrally
+        sl = slice(A_csr.indptr[row], A_csr.indptr[row + 1])
+        cols = A_csr.indices[sl]
+        coefs = A_csr.data[sl]
+        best = None
+        for j, a in zip(cols, coefs):
+            if fixed_hits[j] != 1 or j in used or abs(a) < 0.01:
+                continue
+            if solver.lo[j] >= solver.up[j]:  # fixed variables cannot pivot later
+                continue
+            key = (-abs(a), j)
+            if best is None or key < best[0]:
+                best = (key, int(j))
+        if best is not None:
+            # seating at the current nonbasic value leaves every residual
+            # unchanged, so the start stays feasible
+            used.add(best[1])
+            chosen[int(row)] = (best[1], float(solver.val[best[1]]))
+    return chosen

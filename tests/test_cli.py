@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, files, exit codes."""
 
 import csv
+import shlex
+from pathlib import Path
 
 import pytest
 
 import gridcover.cli
+import gridcover.harness
 from gridcover.cli import main
 
 
@@ -389,3 +392,31 @@ class TestSweepCommand:
         assert code == 2
         assert "invalid choice" in err and "bogus" in err
         assert not out.exists()
+
+    def test_contradictory_axis_exits_two_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        # the n_static=0 cell cannot take the milp-static placement that --ns 1
+        # (the default) chose for the sweep; the n_static=5 cell comes first
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "results.csv"
+        code, _, err = run(["sweep", "--rows", "10", "--cols", "10", "--planner", "greedy",
+                            "--l", "3", "--kmax", "4", "--seeds", "0,1", "--axis", "n_static=5,0",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "n_static" in err
+        assert calls == []
+        assert not out.exists()
+
+    def test_readme_sweep_example_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (line,) = [ln for ln in readme.replace("\\\n", " ").splitlines()
+                   if ln.startswith("gridcover sweep")]
+        argv = shlex.split(line)[1:]
+        out = tmp_path / "results.csv"
+        code, _, _ = run(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        rows = csv_rows(out)
+        axis = argv[argv.index("--axis") + 1]
+        seeds = argv[argv.index("--seeds") + 1]
+        assert len(rows) == len(axis.split(",")) * len(seeds.split(","))
+        assert {row["solver_status"] for row in rows} == {"ok"}

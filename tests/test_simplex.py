@@ -22,7 +22,7 @@ from gridcover.simplex import (
     solve_lp,
 )
 
-from oracles import lp_by_vertex_enumeration
+from oracles import lp_by_vertex_enumeration, reference_crash_columns
 
 
 def build(c, A, senses, b, lower, upper, maximize=True):
@@ -169,6 +169,58 @@ class TestStart:
                 else:
                     want = (FREE, 0.0)
                 assert (solver.status[j], solver.val[j]) == want
+
+
+def crash_seats(monkeypatch, starts):
+    """Run `starts` (callables that cold-start solvers) with _crash_columns
+    checked against the row-by-row reference at each call; returns the
+    number of rows seated."""
+    seated = []
+    crash = _Solver._crash_columns
+
+    def checked(self, left):
+        want = reference_crash_columns(self, left)
+        rows, cols = crash(self, left)
+        got = dict(zip(rows.tolist(), zip(cols.tolist(), self.val[cols].tolist())))
+        assert got == want
+        seated.append(len(got))
+        return rows, cols
+
+    monkeypatch.setattr(_Solver, "_crash_columns", checked)
+    for start in starts:
+        start()
+    return sum(seated)
+
+
+class TestCrash:
+    """The crash basis seats, per fixed, already satisfied row, the same
+    column as the row-by-row reference (largest |a|, ties to the lowest id)."""
+
+    def test_random_lps_with_equality_rows(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        starts = []
+        for t in range(300):
+            lp = (TestWarmStart.random_lp, dominated_lp, substituted_lp)[t % 3](rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            if "=" not in senses:
+                continue
+            # now and then a row whose every |a| is below 0.01, which seats nothing
+            A[int(rng.integers(0, len(senses)))] *= float(rng.choice([1.0, 0.002]))
+            if t % 2:  # equality rows that the lower bounds satisfy
+                b = np.where(np.array(senses) == "=", A @ lower, b)
+            data = LpData(build(c, A, senses, b, lower, upper, maximize))
+            j = int(rng.integers(0, len(c)))
+            starts.append(_Solver(data, None).start)
+            starts.append(_Solver(data, {j: (lower[j], lower[j])}).start)  # a fixed column
+        assert crash_seats(monkeypatch, starts) > 0
+
+    def test_6x6_models(self, monkeypatch):
+        grid = GridSpec(6, 6)
+        cells = sorted(grid.cells())
+        models = [build_milp_static(grid, 4), build_milp_cov(grid, cells, 2, 3),
+                  build_milp_mov(grid, cells, 0, 2, 3)]
+        starts = [_Solver(LpData(h.instance), None).start for h in models]
+        assert crash_seats(monkeypatch, starts) > 0
 
 
 class TestRandomizedOracle:
