@@ -18,8 +18,8 @@ Conventions baked in here:
     reachable window of the current one); an equality would force a node
     to occupy every window cell at once, contradicting the one-cell
     position constraint.
-  - Mobile-node variables exist only over the uncovered set: windows are
-    intersected with it and out-of-grid cells are silently clipped.
+  - Mobile-node variables exist only over the uncovered set: footprint and
+    step windows are `grid.windows` over it (clipped, intersected with it).
   - The movement-minimization coverage threshold folds the static
     contribution in as a constant and rounds the required covered-cell
     count up to the nearest integer (the left side is integral at any
@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 
 import numpy as np
 
-from .grid import Cell, GridSpec, _exact_fraction, boundary_cells, sensing_footprint, static_coverage
+from .grid import Cell, GridSpec, _exact_fraction, cell_weights, sensing_footprint, static_coverage, windows
 from .milp import INT_TOL, MilpInstance
 
 
@@ -147,9 +147,9 @@ def static_deployment(
     """The deployment of static nodes at `positions`: the covered/uncovered
     partition and the boundary-weighted objective, from the geometry."""
     covered, uncovered = static_coverage(list(positions), r_s, grid)
-    boundary = boundary_cells(grid)
+    weight = dict(zip(grid.cells(), cell_weights(grid, boundary_weight).tolist()))
     objective = sum(
-        boundary_weight if cell in boundary else 1.0
+        weight[cell]
         for pos in positions
         for cell in sensing_footprint(pos, r_s, grid)
     )
@@ -179,32 +179,14 @@ def _placed(
         yield [cells[p] for p in np.flatnonzero(rounded[row] == 1)]
 
 
-def _windows(
-    grid: GridSpec, at: np.ndarray, dr: int, dc: int, index_of: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """For each cell (a row of `at`, 1-based (i, j)), the cells of the
-    clipped (2*dr+1) x (2*dc+1) box around it that `index_of` (row-major grid
-    position -> index, or -1) maps, as their indices in row-major order.
-    Returns (window lengths, the windows concatenated)."""
-    if dr < 0 or dc < 0:
-        return np.zeros(len(at), dtype=np.int64), np.empty(0, dtype=np.int64)
-    dr, dc = min(dr, grid.rows - 1), min(dc, grid.cols - 1)  # wider boxes only clip
-    p = at[:, :1] + np.repeat(np.arange(-dr, dr + 1), 2 * dc + 1)
-    q = at[:, 1:] + np.tile(np.arange(-dc, dc + 1), 2 * dr + 1)
-    inside = (p >= 1) & (p <= grid.rows) & (q >= 1) & (q <= grid.cols)
-    found = np.where(inside, index_of[np.where(inside, (p - 1) * grid.cols + q - 1, 0)], -1)
-    keep = found >= 0
-    return keep.sum(axis=1), found[keep]
-
-
-def _windowed_templates(heads: np.ndarray, lengths: np.ndarray, windows: np.ndarray):
+def _windowed_templates(heads: np.ndarray, lengths: np.ndarray, flat: np.ndarray):
     """Row templates `[(head, 1), (w, -1) for w in window]`, one per window."""
     lengths = lengths + 1
     is_head = np.zeros(lengths.sum(), dtype=bool)
     is_head[np.cumsum(lengths) - lengths] = True
     ids = np.empty(len(is_head), dtype=np.int64)
     ids[is_head] = heads
-    ids[~is_head] = windows
+    ids[~is_head] = flat
     return ids, np.where(is_head, 1.0, -1.0), lengths
 
 
@@ -249,7 +231,6 @@ def build_milp_static(
     )
     cells = handle.cells
     n_cells = len(cells)
-    boundary = boundary_cells(grid)
 
     cell_tag = ["%d_%d" % cell for cell in cells]
     inst.add_variables(["x_s%d_" % s for s in range(1, n_static + 1)], cell_tag, "binary", 0.0, 1.0)
@@ -257,7 +238,7 @@ def build_milp_static(
         ["c_s%d_" % s for s in range(1, n_static + 1)], cell_tag, "continuous", 0.0, 1.0
     )
     c_base = math.prod(handle.x_shape)
-    weights = [boundary_weight if cell in boundary else 1.0 for cell in cells]
+    weights = cell_weights(grid, boundary_weight)
     inst.set_objective_arrays(np.arange(c_base, 2 * c_base), np.tile(weights, n_static), "maximize")
 
     node_base = np.arange(n_static) * n_cells
@@ -265,8 +246,7 @@ def build_milp_static(
     # one cell per static node
     inst.add_constraints(np.full(n_static, n_cells), np.arange(c_base), np.ones(c_base), "=", 1.0)
     # coverage linking, per cell then node: c equals the footprint-window sum of x
-    at = np.column_stack(np.divmod(cell_ids, grid.cols)) + 1
-    templates = _windowed_templates(c_base + cell_ids, *_windows(grid, at, r_s, r_s, cell_ids))
+    templates = _windowed_templates(c_base + cell_ids, *windows(grid, cells, r_s, r_s))
     inst.add_constraints(
         *_rows_from_templates(
             *templates, np.repeat(cell_ids, n_static), np.tile(node_base, n_cells)
@@ -313,33 +293,20 @@ def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]
     return values.ravel()
 
 
-def _check_rho_components(uncovered: Sequence[Cell], rho_x: int, rho_y: int) -> None:
+def _check_rho_components(lengths: np.ndarray, flat: np.ndarray) -> None:
     """Warn when the uncovered set splits into components no single-step
     move can bridge (a node seeded in one component can never reach the
-    others)."""
-    cells = set(uncovered)
-    if not cells or rho_x < 0 or rho_y < 0:
-        return
-    if rho_x >= 1 and rho_y >= 1:
-        rows = {i for i, _ in cells}
-        columns = {j for _, j in cells}
-        if len(cells) == len(rows) * len(columns) and (
-            max(rows) - min(rows) + 1 == len(rows)
-            and max(columns) - min(columns) + 1 == len(columns)
-        ):
-            return  # a full rectangle is trivially step-connected
-    seen = set()
-    frontier = [min(cells)]
-    seen.add(frontier[0])
-    while frontier:
-        i, j = frontier.pop()
-        for p in range(i - rho_x, i + rho_x + 1):
-            for q in range(j - rho_y, j + rho_y + 1):
-                nxt = (p, q)
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    if len(seen) != len(cells):
+    others).  (lengths, flat) is its step-window table; each cell takes the
+    least label in its window until no label changes."""
+    if not flat.size:
+        return  # a negative step range: no moves, nothing to bridge
+    starts = np.cumsum(lengths) - lengths
+    label = np.arange(len(lengths))
+    for _ in range(len(lengths)):  # labels settle within a component's size
+        label, last = np.minimum.reduceat(label[flat], starts), label
+        if np.array_equal(label, last):
+            break
+    if label.any():
         warnings.warn(
             "uncovered set splits into step-unreachable components; "
             "single-node plans cannot cover all of it",
@@ -368,9 +335,7 @@ def _build_mobile(
     if c_o < 1:
         raise ValueError("c_o must be >= 1")
 
-    c1 = sorted(set(Cell(*c) for c in uncovered))
-    for cell in c1:
-        grid.require(cell, "uncovered cell")
+    c1 = sorted(set(Cell(*c) for c in uncovered))  # windows() rejects cells off the grid
     inst = MilpInstance(f"milp-{kind}")
     handle = FormulationHandle(
         kind=kind,
@@ -390,7 +355,8 @@ def _build_mobile(
     if not c1:
         return handle
 
-    _check_rho_components(c1, rho_x, rho_y)
+    steps = windows(grid, c1, rho_x, rho_y)
+    _check_rho_components(*steps)
     n1 = len(c1)
     n_lk = n_mobile * k_max
     lk_list = [(l, k) for l in range(1, n_mobile + 1) for k in range(1, k_max + 1)]
@@ -420,21 +386,18 @@ def _build_mobile(
             float(coverage_threshold - static_covered_count),
         )
 
-    at = np.array(c1, dtype=np.int64)
-    index_of = np.full(grid.n_cells, -1)
-    index_of[(at[:, 0] - 1) * grid.cols + at[:, 1] - 1] = pos_ids
     lk_base = np.arange(n_lk) * n1
 
     # mobility, per cell, node, iteration: next position only within the
     # step window of the current one
-    templates = _windowed_templates(n1 + pos_ids, *_windows(grid, at, rho_x, rho_y, index_of))
+    templates = _windowed_templates(n1 + pos_ids, *steps)
     moves = lk_base.reshape(n_mobile, k_max)[:, :-1].ravel()
     inst.add_constraints(
         *_rows_from_templates(*templates, np.repeat(pos_ids, len(moves)), np.tile(moves, n1)),
         "<=", 0.0,
     )
     # per-(node, iteration) coverage equals the footprint-window sum
-    templates = _windowed_templates(cm_base + pos_ids, *_windows(grid, at, r_s, r_s, index_of))
+    templates = _windowed_templates(cm_base + pos_ids, *windows(grid, c1, r_s, r_s))
     inst.add_constraints(
         *_rows_from_templates(*templates, np.repeat(pos_ids, n_lk), np.tile(lk_base, n1)),
         "=", 0.0,

@@ -7,6 +7,11 @@ it; a mobile node may travel up to rho_x rows and rho_y columns per
 iteration.  Coverage ratios are kept as exact integer pairs so threshold
 comparisons never depend on floating point.
 
+`windows` is the one clipped-box table (the boxes of a sorted cell list,
+as indices into it): the MILP builders, the warm-start tables and the step
+component check read it.  `cell_weights` is the one row-major vector of
+boundary weights.
+
 `evaluate_plan` is the one replay of a deployment and a mobile plan: it
 walks the placements once, in (iteration, node) ascending order, and its
 report answers every count a result row needs (coverage, raw and trimmed
@@ -15,9 +20,12 @@ movements, movements to a target).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 
 class Cell(NamedTuple):
@@ -132,13 +140,8 @@ def _exact_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
 
 def sensing_footprint(center: Tuple[int, int], r_s: int, grid: GridSpec) -> Set[Cell]:
     """Cells sensed by a node at `center`: the Chebyshev ball of radius r_s
-    clipped to the grid."""
-    ci, cj = grid.require(center, "footprint center")
-    return {
-        Cell(i, j)
-        for i in range(max(1, ci - r_s), min(grid.rows, ci + r_s) + 1)
-        for j in range(max(1, cj - r_s), min(grid.cols, cj + r_s) + 1)
-    }
+    clipped to the grid (the step window with both reaches r_s)."""
+    return reachable_window(grid.require(center, "footprint center"), r_s, r_s, grid)
 
 
 def reachable_window(center: Tuple[int, int], rho_x: int, rho_y: int, grid: GridSpec) -> Set[Cell]:
@@ -152,14 +155,43 @@ def reachable_window(center: Tuple[int, int], rho_x: int, rho_y: int, grid: Grid
     }
 
 
+def windows(grid: GridSpec, cells: Sequence[Cell], dr: int, dc: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The clipped-box table.  For each of the sorted `cells`, the cells of
+    the clipped (2*dr+1) x (2*dc+1) box around it that are among `cells`,
+    as their indices in `cells`, in row-major order; a negative reach gives
+    empty boxes.  Raises ValueError for a cell off the grid.  Returns (box
+    lengths, the boxes concatenated)."""
+    n = len(cells)
+    at = np.fromiter(itertools.chain.from_iterable(cells), np.int64, 2 * n).reshape(n, 2)
+    on_grid = ((at >= 1) & (at <= (grid.rows, grid.cols))).all(axis=1)
+    if not on_grid.all():
+        grid.require(cells[int(np.argmin(on_grid))])
+    if dr < 0 or dc < 0:
+        return np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64)
+    index_of = np.full(grid.n_cells, -1)
+    index_of[(at[:, 0] - 1) * grid.cols + at[:, 1] - 1] = np.arange(n)
+    dr, dc = min(dr, grid.rows - 1), min(dc, grid.cols - 1)  # wider boxes only clip
+    p = at[:, :1] + np.repeat(np.arange(-dr, dr + 1), 2 * dc + 1)
+    q = at[:, 1:] + np.tile(np.arange(-dc, dc + 1), 2 * dr + 1)
+    inside = (p >= 1) & (p <= grid.rows) & (q >= 1) & (q <= grid.cols)
+    found = np.where(inside, index_of[np.where(inside, (p - 1) * grid.cols + q - 1, 0)], -1)
+    keep = found >= 0
+    return keep.sum(axis=1), found[keep]
+
+
 def boundary_cells(grid: GridSpec) -> Set[Cell]:
     """Perimeter cells. For M, N >= 2 there are exactly 2(M+N-2); 1-row or
     1-column grids degenerate to every cell being boundary."""
-    return {
-        cell
-        for cell in grid.cells()
-        if cell.i in (1, grid.rows) or cell.j in (1, grid.cols)
-    }
+    return {cell for cell, w in zip(grid.cells(), cell_weights(grid, 0.0).tolist()) if w == 0.0}
+
+
+def cell_weights(grid: GridSpec, boundary_weight: float) -> np.ndarray:
+    """Each cell's weight in the boundary-weighted objective, row-major:
+    `boundary_weight` on the perimeter, 1 elsewhere.  The one definition of
+    the perimeter (boundary_cells reads it)."""
+    weights = np.full((grid.rows, grid.cols), boundary_weight, dtype=float)
+    weights[1:-1, 1:-1] = 1.0
+    return weights.ravel()
 
 
 def interior_cells(grid: GridSpec) -> Set[Cell]:

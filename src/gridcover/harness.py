@@ -14,8 +14,8 @@ and a bounded backtracking search over the greedy's choices when no
 greedy start yields a plan); seeding only tightens pruning and never
 affects correctness.  The three searches share one coverage counter:
 footprints are bitmasks, counts are c_o bitmask layers, and
-`_add_footprint` adds one placement.  The path searches of one
-`best_seed_plan` call share one set of footprint and step-window tables.
+`_add_footprint` adds one placement; their tables are `grid.windows`
+tables, one set shared by the path searches of a `best_seed_plan` call.
 Deployments, plans and result rows are persisted as line-oriented text so
 every reported number can be re-derived offline.
 """
@@ -43,8 +43,7 @@ from .formulations import (
     encode_static,
     static_deployment,
 )
-from .grid import (Cell, GridSpec, SensorParams, _exact_fraction, boundary_cells, evaluate_plan,
-                   sensing_footprint)
+from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan, windows
 from .planners import BaselineConfig, greedy_plan, random_plan
 
 PLACEMENTS = ("milp-static", "random-static", "none")
@@ -160,6 +159,11 @@ def _add_footprint(layers: List[int], fp: int) -> List[int]:
     return added
 
 
+def _boxes(table: Tuple[np.ndarray, np.ndarray]) -> List[List[int]]:
+    """A `grid.windows` table as one list of indices per cell."""
+    return [box.tolist() for box in np.split(table[1], np.cumsum(table[0]))[:-1]]
+
+
 def pack_static_positions(
     grid: GridSpec,
     n_static: int,
@@ -176,20 +180,18 @@ def pack_static_positions(
     on desk-scale grids this is exhaustive, i.e. optimal.  Footprints are
     bitmasks over the sorted cells, counted in c_o layers (_add_footprint).
     """
-    boundary = boundary_cells(grid)
-    weight = {c: (boundary_weight if c in boundary else 1.0) for c in grid.cells()}
-    cells = sorted(grid.cells())
-    bit = {c: 1 << i for i, c in enumerate(cells)}
-    footprints = {c: sorted(sensing_footprint(c, r_s, grid)) for c in cells}
-    value = {c: sum(weight[f] for f in footprints[c]) for c in cells}
-    order = sorted(cells, key=lambda c: (-value[c], c))
+    cells = list(grid.cells())
+    footprints = _boxes(windows(grid, cells, r_s, r_s))
+    weights = cell_weights(grid, boundary_weight).tolist()
+    value = [sum(weights[f] for f in fp) for fp in footprints]
+    order = sorted(range(len(cells)), key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
-    masks = [sum(bit[f] for f in footprints[c]) for c in order]
+    masks = [sum(1 << f for f in footprints[c]) for c in order]
     n_cells, budget = len(order), PACK_SEARCH_STEPS
 
     best_obj = -1.0
     best: Optional[List[Cell]] = None
-    chosen: List[Cell] = []
+    chosen: List[int] = []
     steps = 0
 
     def dfs(start_idx: int, current: float, layers: List[int]) -> None:
@@ -200,7 +202,7 @@ def pack_static_positions(
         remaining = n_static - len(chosen)
         if remaining == 0:
             if current > best_obj:
-                best_obj, best = current, list(chosen)
+                best_obj, best = current, [cells[c] for c in chosen]
             return
         full = layers[-1]  # the cells already covered c_o times
         for idx in range(start_idx, n_cells):
@@ -220,11 +222,8 @@ def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: in
     """Each cell of the sorted uncovered set `c1`, by its index there: its
     footprint within `c1` as a bitmask over those indices, and its step
     window within `c1` as a sorted list of them."""
-    index = {c: n for n, c in enumerate(c1)}
-    masks = [sum(1 << index[f] for f in sensing_footprint(c, r_s, grid) if f in index) for c in c1]
-    windows = [[n for n, f in enumerate(c1) if abs(f.i - c.i) <= rho_x and abs(f.j - c.j) <= rho_y]
-               for c in c1]
-    return masks, windows
+    masks = [sum(1 << n for n in fp) for fp in _boxes(windows(grid, c1, r_s, r_s))]
+    return masks, _boxes(windows(grid, c1, rho_x, rho_y))
 
 
 def seed_mobile_plan(
@@ -616,13 +615,18 @@ def sweep(base: ExperimentConfig, axes: Dict[str, Sequence]) -> List[ResultRow]:
     """Cartesian sweep over config fields; rows ordered by config index
     (sorted axis names, values in given order), one row per seed.  Every
     cell's config is built before any cell runs, so a cell that makes no
-    valid config raises ValueError before anything is solved.  Failures of
-    a cell's run are recorded as error rows and the sweep continues."""
+    valid config raises ValueError, naming its axis values, before anything
+    is solved.  Failures of a cell's run are error rows; the sweep goes on."""
     if not axes:
         return []
     names = sorted(axes)
-    configs = [replace(base, **dict(zip(names, combo)))
-               for combo in itertools.product(*(axes[n] for n in names))]
+    configs = []
+    for combo in itertools.product(*(axes[n] for n in names)):
+        try:
+            configs.append(replace(base, **dict(zip(names, combo))))
+        except ValueError as exc:
+            cell = ", ".join(f"{n}={v}" for n, v in zip(names, combo))
+            raise ValueError(f"sweep cell {cell}: {exc}") from exc
     out: List[ResultRow] = []
     for cfg in configs:
         try:

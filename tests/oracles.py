@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -909,3 +910,46 @@ def reference_crash_columns(solver, r: np.ndarray):
             used.add(best[1])
             chosen[int(row)] = (best[1], float(solver.val[best[1]]))
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# step-connectivity of the uncovered set, by breadth-first search
+# ---------------------------------------------------------------------------
+# The check that gridcover.formulations._check_rho_components replaced with
+# min-label propagation over the builder's step-window table, kept as it
+# was, so the two can be compared warning for warning.
+
+
+def _check_rho_components(uncovered: Sequence[Cell], rho_x: int, rho_y: int) -> None:
+    """Warn when the uncovered set splits into components no single-step
+    move can bridge (a node seeded in one component can never reach the
+    others)."""
+    cells = set(uncovered)
+    if not cells or rho_x < 0 or rho_y < 0:
+        return
+    if rho_x >= 1 and rho_y >= 1:
+        rows = {i for i, _ in cells}
+        columns = {j for _, j in cells}
+        if len(cells) == len(rows) * len(columns) and (
+            max(rows) - min(rows) + 1 == len(rows)
+            and max(columns) - min(columns) + 1 == len(columns)
+        ):
+            return  # a full rectangle is trivially step-connected
+    seen = set()
+    frontier = [min(cells)]
+    seen.add(frontier[0])
+    while frontier:
+        i, j = frontier.pop()
+        for p in range(i - rho_x, i + rho_x + 1):
+            for q in range(j - rho_y, j + rho_y + 1):
+                nxt = (p, q)
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    if len(seen) != len(cells):
+        warnings.warn(
+            "uncovered set splits into step-unreachable components; "
+            "single-node plans cannot cover all of it",
+            UserWarning,
+            stacklevel=3,
+        )

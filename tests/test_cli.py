@@ -407,6 +407,20 @@ class TestSweepCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_contradictory_cell_is_named_by_its_axis_values(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "results.csv"
+        code, _, err = run(["sweep", "--rows", "6", "--cols", "6", "--planner", "greedy", "--l", "1",
+                            "--kmax", "2", "--seeds", "0", "--axis", "n_static=2,0",
+                            "--axis", "k_max=2,3", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == (
+            "error: sweep cell k_max=2, n_static=0: static placement requires n_static >= 1\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
     def test_readme_sweep_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (line,) = [ln for ln in readme.replace("\\\n", " ").splitlines()

@@ -1,6 +1,7 @@
 """The three MILP builders, decoders and plan validation."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from gridcover.bnb import SolveParams, solve_milp
 from gridcover.formulations import (
     DecodeError,
+    _check_rho_components,
     MobilePlan,
     build_milp_cov,
     build_milp_mov,
@@ -20,10 +22,11 @@ from gridcover.formulations import (
     encode_static,
     validate_plan,
 )
-from gridcover.grid import Cell, GridSpec, static_coverage
+from gridcover.grid import Cell, GridSpec, static_coverage, windows
 from gridcover.milp import instance_stats
 from gridcover.simplex import FEAS_TOL
 
+import oracles
 from oracles import best_static_placement, best_coverage_plan, min_movements_plan
 
 EXACT = SolveParams(objective_integral=True)
@@ -180,6 +183,60 @@ class TestCovFormulation:
                 values[(n_mobile, k_max)] = solve_handle(handle).objective
         assert values[(1, 1)] <= values[(1, 2)] <= values[(2, 2)]
         assert values[(1, 1)] <= values[(2, 1)] <= values[(2, 2)]
+
+
+def _warns(check, *args) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check(*args)
+    return any("step-unreachable" in str(w.message) for w in caught)
+
+
+class TestStepComponents:
+    """The mobile builder labels the uncovered set's step components by
+    min-label propagation over its step-window table; the breadth-first
+    search it replaced (tests/oracles.py) warns on the same sets."""
+
+    @staticmethod
+    def shapes(rng, grid):
+        """Random subsets, the full grid and a sub-rectangle (where the old
+        search returned early), a checkerboard, a single cell, and a
+        serpentine and a grid less every third diagonal, which take many
+        propagation rounds."""
+        cells = sorted(grid.cells())
+        yield sorted(rng.sample(cells, rng.randint(1, len(cells))))
+        yield cells
+        i0, j0 = rng.randint(1, grid.rows), rng.randint(1, grid.cols)
+        i1, j1 = rng.randint(i0, grid.rows), rng.randint(j0, grid.cols)
+        yield [c for c in cells if i0 <= c.i <= i1 and j0 <= c.j <= j1]
+        yield [c for c in cells if (c.i + c.j) % 2 == rng.randint(0, 1)]
+        yield [rng.choice(cells)]
+        yield [c for c in cells if c.i % 2 or c.j == (grid.cols if c.i % 4 == 2 else 1)]
+        yield [c for c in cells if (c.i - c.j) % 3]
+
+    def test_warns_where_the_reference_search_warns(self):
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(120):
+            grid = GridSpec(rng.randint(1, 9), rng.randint(1, 9))
+            for c1 in self.shapes(rng, grid):
+                if not c1:
+                    continue
+                steps = [(0, 0), (1, 1), (1, 0), (0, 2), (rng.randint(-1, 3), rng.randint(-1, 3))]
+                for rho in steps:
+                    want = _warns(oracles._check_rho_components, c1, *rho)
+                    assert _warns(_check_rho_components, *windows(grid, c1, *rho)) == want, (
+                        grid, c1, rho,
+                    )
+                    outcomes.add(want)
+        assert outcomes == {False, True}
+
+    def test_serpentine_is_one_component(self):
+        grid = GridSpec(9, 9)
+        snake = [c for c in grid.cells() if c.i % 2 or c.j == (9 if c.i % 4 == 2 else 1)]
+        assert not _warns(_check_rho_components, *windows(grid, snake, 1, 1))
+        cut = [c for c in snake if c != Cell(4, 1)]
+        assert _warns(_check_rho_components, *windows(grid, cut, 1, 1))
 
 
 class TestMovFormulation:

@@ -1,5 +1,6 @@
 """Grid geometry and coverage accounting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from gridcover.grid import (
     GridSpec,
     SensorParams,
     boundary_cells,
+    cell_weights,
     evaluate_plan,
     interior_cells,
     reachable_window,
     sensing_footprint,
     static_coverage,
+    windows,
 )
 
 import oracles
@@ -128,6 +131,61 @@ class TestBoundary:
     def test_degenerate_single_row(self):
         g = GridSpec(1, 5)
         assert boundary_cells(g) == set(g.cells())
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 7), (3, 4), (6, 6)])
+    def test_cell_weights_mark_the_boundary(self, rows, cols):
+        g = GridSpec(rows, cols)
+        boundary = {c for c in g.cells() if c.i in (1, rows) or c.j in (1, cols)}
+        assert boundary_cells(g) == boundary
+        want = [2.5 if cell in boundary else 1.0 for cell in g.cells()]
+        assert cell_weights(g, 2.5).tolist() == want
+
+
+class TestWindows:
+    """`windows` is the set form (`sensing_footprint`, `reachable_window`)
+    intersected with the cell list, as indices into it in row-major order."""
+
+    @staticmethod
+    def subsets(rng, grid):
+        cells = sorted(grid.cells())
+        yield []
+        yield [rng.choice(cells)]
+        yield sorted(rng.sample(cells, rng.randint(0, len(cells))))
+        yield cells
+
+    def test_matches_the_set_form(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            grid = GridSpec(rng.randint(1, 9), rng.randint(1, 9))
+            for cells in self.subsets(rng, grid):
+                dr, dc = rng.randint(-1, grid.rows + 1), rng.randint(-1, grid.cols + 1)
+                members = set(cells)
+                for reach in ((dr, dc), (dc, dr), (dr, dr)):
+                    lengths, flat = windows(grid, cells, *reach)
+                    assert len(lengths) == len(cells) and lengths.sum() == len(flat)
+                    start = 0
+                    for cell, n in zip(cells, lengths.tolist()):
+                        box = reachable_window(cell, *reach, grid)
+                        if reach[0] == reach[1]:
+                            assert box == sensing_footprint(cell, reach[0], grid)
+                        want = sorted(cells.index(c) for c in box & members)
+                        assert flat[start : start + n].tolist() == want, (grid, cells, reach, cell)
+                        start += n
+
+    @pytest.mark.parametrize(
+        "rows,cols,cells,bad",
+        [
+            (3, 3, [(1, 1), (1, 4)], (1, 4)),
+            (3, 3, [(0, 2), (1, 1)], (0, 2)),
+            # as many cells as the grid has, one of them off it
+            (2, 2, [(1, 1), (1, 2), (2, 1), (2, 3)], (2, 3)),
+            (2, 2, [(1, 1), (1, 2), (2, 1), (3, 2)], (3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("reach", [(1, 1), (0, 0), (-1, 1)])
+    def test_cells_outside_the_grid_rejected(self, rows, cols, cells, bad, reach):
+        with pytest.raises(ValueError, match=rf"cell \({bad[0]}, {bad[1]}\) outside {rows}x{cols} grid"):
+            windows(GridSpec(rows, cols), [Cell(*c) for c in cells], *reach)
 
 
 class TestStaticCoverage:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from gridcover import harness
-from gridcover.formulations import MobilePlan, build_milp_cov, build_milp_static, encode_plan
+from gridcover.formulations import MobilePlan, build_milp_cov, build_milp_mov, build_milp_static, encode_plan
 from gridcover.grid import Cell, GridSpec, SensorParams, evaluate_plan, static_coverage
 from gridcover.harness import (
     ExperimentConfig,
@@ -227,6 +227,20 @@ class TestWarmStartHelpers:
         for pos in plan.positions.values():
             covered |= sensing_footprint(pos, 1, grid)
         assert len(covered) >= 20
+
+    @pytest.mark.parametrize(
+        "uncovered", [[(1, 1), (1, 2), (2, 1), (2, 3)], [(2, 2), (0, 1)], [(3, 1)]]
+    )
+    def test_uncovered_cells_off_the_grid_rejected(self, uncovered):
+        # the first list is exactly as long as the 2x2 grid
+        grid = GridSpec(2, 2)
+        c1 = [Cell(*c) for c in uncovered]
+        reach = dict(n_mobile=1, k_max=2, r_s=1, rho_x=1, rho_y=1, c_o=2)
+        for make in (build_milp_cov, seed_mobile_plan, best_seed_plan):
+            with pytest.raises(ValueError, match="outside 2x2 grid"):
+                make(grid, c1, **reach)
+        with pytest.raises(ValueError, match="outside 2x2 grid"):
+            build_milp_mov(grid, c1, 0, **reach)
 
     def test_trimmed_movements_drops_trailing_no_gain(self):
         grid = GridSpec(3, 3)
