@@ -6,11 +6,16 @@ ties) or depth-first order with most-fractional branching.  Binaries that
 are equally fractional in exact arithmetic (several at 0.5 in the
 symmetric cover models) differ in the LP point by rounding noise, and
 np.argmax takes the largest computed fraction, so such a tie falls to
-that noise, not to a fixed order.  The root relaxation is solved cold by the
-bounded-variable simplex.  Every other node's bound map is a NodeBounds
-that carries its parent's optimal basis (one object, shared by the two
-siblings), from which the simplex re-optimizes with a few dual pivots; the
-node's answer is the point a cold solve gives, up to rounding noise.
+that noise, not to a fixed order.  A seeded search may close before any
+LP: when the seed attains the bound of the variable boxes alone, or the
+bound on the root LP that the LP's symmetry quotient proves
+(quotient.lp_bound), it ends "optimal" at 0 nodes, as a root LP no better
+than the seed would have ended it.  Otherwise the root relaxation is
+solved cold by the bounded-variable simplex.  Every other node's bound map
+is a NodeBounds that carries its parent's optimal basis (one object,
+shared by the two siblings), from which the simplex re-optimizes with a
+few dual pivots; the node's answer is the point a cold solve gives, up to
+rounding noise.
 Every incumbent is re-verified by substitution with its binaries snapped
 exactly to {0, 1} before being accepted, and the reported objective is
 recomputed from the incumbent values rather than trusted from the
@@ -32,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .milp import INT_TOL, MilpInstance
+from .quotient import lp_bound
 from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
 
 
@@ -120,6 +126,29 @@ class _Search:
             return True
         return False
 
+    # -- bounds before the root ---------------------------------------------
+
+    def _box_bound(self) -> float:
+        """The largest score over the variable boxes alone."""
+        c_score = self.sign * self.c0
+        nz = np.flatnonzero(c_score)
+        if not nz.size:
+            return 0.0
+        ends = np.where(c_score[nz] > 0, self.data.upper[nz], self.data.lower[nz])
+        return float(np.sum(c_score[nz] * ends))
+
+    def _quotient_bound(self) -> float:
+        """The largest score of the root LP, as the LP's symmetry quotient
+        bounds it (inf when it proves none); computed once per instance."""
+        bound = lp_bound(self.instance, self.data)
+        return math.inf if bound is None else self.sign * bound
+
+    def _attains(self, bound: float) -> bool:
+        """Whether the incumbent reaches the score bound `bound`."""
+        if self.integral_objective and math.isfinite(bound):
+            bound = math.floor(bound + 1e-6)
+        return self.inc_score >= bound - 1e-9
+
     # -- search -------------------------------------------------------------
 
     def run(self, warm_start: Optional[np.ndarray]) -> MilpResult:
@@ -135,25 +164,14 @@ class _Search:
             if not self.try_incumbent(warm_start):
                 raise ValueError("warm start point is not feasible for this instance")
 
-        # bound from variable boxes alone: when an incumbent already attains
-        # it (e.g. full-coverage plans), no relaxation needs solving
-        if self.incumbent is not None:
-            c_score = self.sign * self.c0
-            nz = np.flatnonzero(c_score)
-            box = float(
-                np.sum(
-                    np.where(
-                        c_score[nz] > 0,
-                        c_score[nz] * self.data.upper[nz],
-                        c_score[nz] * self.data.lower[nz],
-                    )
-                )
-            ) if nz.size else 0.0
-            if self.integral_objective and math.isfinite(box):
-                box = math.floor(box + 1e-6)
-            if self.inc_score >= box - 1e-9:
-                self.final_bound_score = self.inc_score
-                return self._finish(False, False, [])
+        # a seeded search that attains a bound proven before any LP is done:
+        # the bound from the variable boxes alone (e.g. full-coverage plans),
+        # then the symmetry quotient's bound on the root LP
+        if self.incumbent is not None and (
+            self._attains(self._box_bound()) or self._attains(self._quotient_bound())
+        ):
+            self.final_bound_score = self.inc_score
+            return self._finish(False, False, [])
 
         # (negated score bound, insertion seq, bound-tightening map); below
         # the root the map is a NodeBounds holding the parent's basis

@@ -18,14 +18,16 @@ flag.  Only the commands that solve (place-static, plan-cov, plan-mov,
 sweep) take the solver limits --time-limit, --gap and --node-limit, and
 only the ones that plan around a deployment (plan-cov, plan-mov, baseline,
 export-lp) take --deployment.  No flag or key is taken for a prefix of
-another.  Exit codes: 0 success, 1 infeasible or limit reached without an
-incumbent, 2 usage error.
+another.  A warning prints as `warning: <message>` on stderr.  Exit codes:
+0 success, 1 infeasible or limit reached without an incumbent, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -284,6 +286,12 @@ def _cmd_sweep(args, axis_flags: Dict[str, argparse.Action]) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as the command line shows it: its message, without the
+    source path and line that Python's default adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     config_flag = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
@@ -294,7 +302,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the file's flags go right after the command, before the user's
             argv = argv[:1] + _config_file_flags(path) + argv[1:]
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.run(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -311,7 +311,7 @@ def _check_rho_components(lengths: np.ndarray, flat: np.ndarray) -> None:
             "uncovered set splits into step-unreachable components; "
             "single-node plans cannot cover all of it",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of build_milp_cov / build_milp_mov
         )
 
 

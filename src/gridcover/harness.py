@@ -23,6 +23,7 @@ every reported number can be re-derived offline.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -45,6 +46,7 @@ from .formulations import (
 )
 from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan, windows
 from .planners import BaselineConfig, greedy_plan, random_plan
+from .quotient import lp_bound
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
@@ -170,6 +172,7 @@ def pack_static_positions(
     r_s: int,
     c_o: int,
     boundary_weight: float,
+    stop_at: Optional[float] = None,
 ) -> Optional[List[Cell]]:
     """Best placement found by a bounded depth-first packing search.
 
@@ -179,6 +182,9 @@ def pack_static_positions(
     value) cannot beat the best found are pruned.  Within PACK_SEARCH_STEPS
     on desk-scale grids this is exhaustive, i.e. optimal.  Footprints are
     bitmasks over the sorted cells, counted in c_o layers (_add_footprint).
+    With `stop_at`, a proven bound on every placement's value, the search
+    stops once its best reaches it: the best is replaced only on a strict
+    gain, so the full search would return the same placement.
     """
     cells = list(grid.cells())
     footprints = _boxes(windows(grid, cells, r_s, r_s))
@@ -203,6 +209,8 @@ def pack_static_positions(
         if remaining == 0:
             if current > best_obj:
                 best_obj, best = current, [cells[c] for c in chosen]
+                if stop_at is not None and best_obj >= stop_at:
+                    steps = budget  # no placement beats it: end the search
             return
         full = layers[-1]  # the cells already covered c_o times
         for idx in range(start_idx, n_cells):
@@ -421,6 +429,20 @@ def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
 # ---------------------------------------------------------------------------
 
 
+def _packing_bound(config: ExperimentConfig, handle: FormulationHandle) -> Optional[int]:
+    """A proven bound on every placement's packing value, or None.  Under a
+    cap of one the packing value is the static model's objective, so the
+    quotient bound on its LP (the one the solve reads) bounds it; with an
+    integral boundary weight every value is an integer, summed exactly, so
+    the bound may be floored and a placement that reaches it is the best.
+    (Sums of a fractional weight are rounded, and two placements of equal
+    value could then differ in the last bit.)"""
+    if config.c_o_static != 1 or not float(config.boundary_weight).is_integer():
+        return None
+    bound = lp_bound(handle.instance)
+    return None if bound is None else math.floor(bound + 1e-6)
+
+
 def place_static_milp(
     config: ExperimentConfig,
 ) -> Tuple[Optional[StaticDeployment], MilpResult]:
@@ -430,7 +452,8 @@ def place_static_milp(
         grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
     )
     packed = pack_static_positions(
-        grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
+        grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight,
+        stop_at=_packing_bound(config, handle),
     )
     warm = None if packed is None else encode_static(handle, packed)
     result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)

@@ -1,0 +1,178 @@
+"""A bound on an LP relaxation from the LP's symmetry quotient.
+
+The models here are symmetric: nodes are interchangeable, and so are the
+grid's reflections where nothing breaks them.  Such an LP has an optimum
+that is constant on each class of an equitable partition of its rows and
+columns, and the quotient LP over those classes has the same optimal
+value.  Colour refinement finds the coarsest such partition without
+knowing the formulation (Grohe, Kersting, Mladenov & Selman, "Dimension
+reduction via colour refinement", ESA 2014): columns start coloured by
+(cost, bounds, kind) and rows by (sense, rhs), and each round splits a
+class by the multiset of (neighbour colour, coefficient) of its members.
+A multiset is compared by the wrapping sum of a 64-bit hash of its
+elements.
+
+The quotient has one variable per column class J, with the class's box
+and cost |J| c_j, and one row per row class, whose coefficient on J is
+the sum over J of one member row.  Its row duals z, lifted to the full
+rows as y_r = z_i / |P_i|, are dual feasible for the full LP when the
+partition is equitable.  The bound itself is evaluated on the full model
+from y (Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
+linear programming", Math. Prog. 99, 2004): y^T b plus the minimum of
+(c - A^T y)_j x_j over each column's box, after duals of the wrong sign
+are clipped to 0.  That holds for any y, so a wrong partition (a hash
+collision, say) can only weaken the bound; an infeasible or unbounded
+quotient, or a nonzero reduced cost on an infinite bound, gives none.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+import scipy.sparse as sp
+
+from .milp import GE, LE, SENSES, MilpInstance
+from .simplex import LpData, SimplexNumericalError, solve_lp
+
+
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each key (uint64, wrapping)."""
+    z = keys * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _classes(*keys: np.ndarray) -> np.ndarray:
+    """Each position by the index of its tuple of `keys` among the distinct
+    tuples in lexicographic order (keys[0] most significant)."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    out = np.empty(order.size, dtype=np.int64)
+    out[order] = np.cumsum(new) - 1
+    return out
+
+
+def _split(colour: np.ndarray, keys: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """`colour` refined by the multiset of `keys` over each member's terms
+    (member t owns keys[indptr[t]:indptr[t + 1]])."""
+    sig = np.zeros(len(colour), dtype=np.uint64)
+    own = np.diff(indptr) > 0
+    if own.any():
+        sig[own] = np.add.reduceat(_mix(keys.astype(np.uint64)), indptr[:-1][own])
+    return _classes(colour, sig)
+
+
+def refine(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
+    """The coarsest equitable partition of `data`'s rows and columns that
+    colour refinement reaches: (row colour, column colour), each colour an
+    index from 0."""
+    A = data.A_csr
+    owner = np.repeat(np.arange(data.m), np.diff(A.indptr))  # each term's row
+    coef = _classes(A.data)
+    by_col = np.argsort(A.indices, kind="stable")  # the terms column by column
+    col_indptr = np.zeros(data.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(A.indices, minlength=data.n), out=col_indptr[1:])
+    n_coef = int(coef.max(initial=0)) + 1
+
+    rows = _classes(data.sense_codes, data.b)
+    cols = _classes(data.c_min, data.lower, data.upper, data.is_binary)
+    while True:
+        counts = rows.max(initial=-1), cols.max(initial=-1)
+        rows = _split(rows, cols[A.indices] * n_coef + coef, A.indptr)
+        cols = _split(cols, rows[owner[by_col]] * n_coef + coef[by_col], col_indptr)
+        if (rows.max(initial=-1), cols.max(initial=-1)) == counts:
+            return rows, cols
+
+
+def dual_bound(
+    data: LpData,
+    y: np.ndarray,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
+) -> Optional[float]:
+    """The bound that the row multipliers `y` (in the sign convention of
+    LpResult.duals) prove on the LP over the column boxes [lower, upper]
+    (the declared ones by default), in the instance's own sense: an upper
+    bound on a maximum, a lower bound on a minimum.  None when a column
+    with a nonzero reduced cost is unbounded on the side that cost
+    favours."""
+    lower = data.lower if lower is None else lower
+    upper = data.upper if upper is None else upper
+    codes = data.sense_codes
+    y = np.where(codes == LE, np.minimum(y, 0.0), np.where(codes == GE, np.maximum(y, 0.0), y))
+    d = data.c_min - data.A_csr.T @ y
+    nz = np.flatnonzero(d)
+    end = np.where(d[nz] > 0, lower[nz], upper[nz])  # each term's minimizing bound
+    if not np.isfinite(end).all():
+        return None
+    return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
+
+
+def _quotient(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Tuple[MilpInstance, np.ndarray]:
+    """The quotient LP of the partition (rows, cols), and the row class of
+    each of its rows."""
+    k_cols = int(cols.max(initial=-1)) + 1
+    _, rep_rows = np.unique(rows, return_index=True)  # the first member of each class
+    _, rep_cols = np.unique(cols, return_index=True)
+    S = sp.csr_matrix((np.ones(data.n), (np.arange(data.n), cols)), shape=(data.n, k_cols))
+    Q = (data.A_csr[rep_rows] @ S).tocsr()
+    Q.eliminate_zeros()
+
+    q = MilpInstance("quotient")
+    # one block of variables per distinct box; var[J] is class J's variable
+    lower, upper = data.lower[rep_cols], data.upper[rep_cols]
+    box_of = _classes(lower, upper)
+    order = np.argsort(box_of, kind="stable")
+    var = np.empty(k_cols, dtype=np.int64)
+    var[order] = np.arange(k_cols)
+    for g in range(int(box_of.max(initial=-1)) + 1):
+        members = np.flatnonzero(box_of == g)
+        lo, up = lower[members[0]], upper[members[0]]
+        q.add_variables([f"q{g}_"], [str(t) for t in range(members.size)], "continuous", lo, up)
+    class_of = []
+    for code in np.unique(data.sense_codes[rep_rows]).tolist():
+        sel = np.flatnonzero(data.sense_codes[rep_rows] == code)
+        block = Q[sel]
+        q.add_constraints(np.diff(block.indptr), var[block.indices], block.data, SENSES[code],
+                          data.b[rep_rows[sel]])
+        class_of.append(sel)
+    cost = np.bincount(cols, minlength=k_cols) * data.c_min[rep_cols]
+    on = np.flatnonzero(cost)
+    q.set_objective_arrays(var[on], cost[on], "minimize")  # the internal sense, as the duals
+    return q, np.concatenate(class_of) if class_of else np.zeros(0, dtype=np.int64)
+
+
+def partition_bound(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Optional[float]:
+    """The bound (see dual_bound) from the quotient LP of the partition
+    (rows, cols), colours indexed from 0; None when the quotient has no
+    optimum or its lifted duals prove none."""
+    q, class_of = _quotient(data, rows, cols)
+    q_data = LpData(q)
+    try:
+        res = solve_lp(q_data)
+    except SimplexNumericalError:
+        return None
+    if res.status != "optimal":
+        return None
+    z = np.zeros(int(rows.max(initial=-1)) + 1)
+    z[class_of[q.row_lengths > 0]] = res.duals  # LpData drops the empty rows
+    return dual_bound(data, z[rows] / np.bincount(rows)[rows])
+
+
+def lp_bound(instance: MilpInstance, data: Optional[LpData] = None) -> Optional[float]:
+    """The quotient bound on `instance`'s LP relaxation (see partition_bound),
+    computed once per instance and kept with its other derived views;
+    `data` is the instance's LpData when the caller has one."""
+    views = instance._views
+    if "lp_bound" not in views:
+        data = LpData(instance) if data is None else data
+        views["lp_bound"] = (
+            None if data.trivially_infeasible or not data.m else partition_bound(data, *refine(data))
+        )
+    return views["lp_bound"]

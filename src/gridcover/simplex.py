@@ -27,6 +27,12 @@ up to rounding noise, whichever basis its solve started from.  The primal
 and the dual loops change the basis through one _Solver._pivot and read a
 tableau row through one _Solver._tableau_row.
 
+An optimal LpResult carries the row duals B^-T c_B of its optimal basis,
+mapped back to the full model's rows (_Reduced.full_duals): a dropped row's
+dual is 0, and a substitution row's takes the multiples of it that the
+presolve subtracted from the other rows.  They are the duals of the
+internal minimization of c_min.
+
 Basis factorizations use scipy's sparse LU; the pivots since the last
 refactorization (at most REFACTOR_EVERY, counted across phases) form an eta
 file kept in compact product form, I - P T Q^T, so that a solve with the
@@ -150,6 +156,9 @@ class LpResult:
     objective: Optional[float] = None
     iterations: int = 0  # simplex pivots + bound flips, all phases and attempts
     basis: Optional[WarmBasis] = None  # set on "optimal"
+    # set on "optimal": one dual per LpData row, of the internal minimization
+    # of c_min (so <= 0 on a <= row and >= 0 on a >= row)
+    duals: Optional[np.ndarray] = None
 
 
 class LpData:
@@ -375,7 +384,7 @@ class _Reduced:
         # row rows[t] that takes column cols[t] out of row i
         M = A[:, cols].tocoo()
         off = M.row != rows[M.col]
-        M = sp.csr_matrix(
+        self.M = M = sp.csr_matrix(
             (M.data[off] / piv[M.col[off]], (M.row[off], M.col[off])), shape=(m, cols.size)
         )
         A = (A[:, kept] - M @ terms).tocsc()
@@ -411,6 +420,20 @@ class _Reduced:
             lo[at] = np.where(s_lo <= self.implied_lo, -math.inf, s_lo)
             up[at] = np.where(s_up >= self.implied_up, math.inf, s_up)
         return lo, up
+
+    def full_duals(self, y: np.ndarray, m: int) -> np.ndarray:
+        """The duals of the full model's `m` rows from those `y` of this
+        model's rows: each row here is its full row less M times the
+        substitution rows, so a substitution row takes its own dual less
+        M^T y, and a dropped row, which no optimum needs, takes 0."""
+        if self.cols.size:
+            y = y.copy()
+            y[self.rows] -= self.M.T @ y
+        if not self.dropped.size:
+            return y
+        full = np.zeros(m)
+        full[np.setdiff1d(np.arange(m), self.dropped, assume_unique=True)] = y
+        return full
 
     def postsolve(self, x_kept: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """The full point: kept columns as given, each substituted column
@@ -625,6 +648,7 @@ class _Solver:
             values=values,
             objective=obj,
             basis=WarmBasis(np.zeros(0, dtype=np.int64), status, np.ones(0)),
+            duals=np.zeros(self.data.m),
         )
 
     # -- core loop ------------------------------------------------------------
@@ -1001,12 +1025,14 @@ class _Solver:
             if not data.feasible(x, lo, up):
                 raise SimplexNumericalError("optimal point failed residual re-verification")
         obj = float(data.c_min @ x) * data.obj_sign
+        y = self.fact.btran(self._phase2_costs()[0][self.basis])  # B^-T c_B
         return LpResult(
             status="optimal",
             values=x,
             objective=obj,
             iterations=self.iterations,
             basis=WarmBasis(self.basis, self.status, self.art_sign),
+            duals=self.lp.full_duals(y, data.m),
         )
 
 

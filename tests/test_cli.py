@@ -82,6 +82,23 @@ class TestPlanCommands:
         assert "coverage: 100.00%" in stdout
         assert plan.read_text().strip() != ""
 
+    def test_step_warning_prints_its_message_only(self, tmp_path, capsys):
+        # the node at (2, 4) splits the 3x7 grid's uncovered set into two
+        # halves no single step bridges
+        deployment = tmp_path / "deployment.txt"
+        deployment.write_text("1 2 4\n")
+        code, _, err = run(
+            ["plan-cov", "--rows", "3", "--cols", "7", "--l", "1", "--kmax", "2",
+             "--rho-x", "1", "--rho-y", "1", "--deployment", str(deployment),
+             "--out", str(tmp_path / "plan.txt")],
+            capsys,
+        )
+        assert code == 0
+        assert err == (
+            "warning: uncovered set splits into step-unreachable components; "
+            "single-node plans cannot cover all of it\n"
+        )
+
     def test_plan_mov_5x5_four_movements(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         code, stdout, _ = run(

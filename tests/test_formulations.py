@@ -165,6 +165,20 @@ class TestCovFormulation:
         cols = {pos.j for pos in plan.positions.values()}
         assert cols <= {1, 2, 3} or cols <= {5, 6, 7}
 
+    def test_step_warning_names_the_builders_caller(self):
+        grid = GridSpec(3, 7)
+        _, uncovered = static_coverage([Cell(2, 4)], 1, grid)
+        builds = [
+            lambda: build_milp_cov(grid, sorted(uncovered), 1, 2, 1, 1, 1, 3),
+            lambda: build_milp_mov(grid, sorted(uncovered), 21 - len(uncovered), 1, 2, 1, 1, 1, 3,
+                                   coverage_target="2/3"),
+        ]
+        for build in builds:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_decode_requires_position_each_iteration(self):
         grid = GridSpec(3, 3)
         handle = build_milp_cov(grid, sorted(grid.cells()), 1, 2)

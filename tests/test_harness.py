@@ -3,11 +3,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
-from gridcover import harness
-from gridcover.formulations import MobilePlan, build_milp_cov, build_milp_mov, build_milp_static, encode_plan
+from gridcover import bnb, harness
+from gridcover.bnb import SolveParams, solve_milp
+from gridcover.formulations import (
+    MobilePlan,
+    build_milp_cov,
+    build_milp_mov,
+    build_milp_static,
+    encode_plan,
+    encode_static,
+    static_deployment,
+)
 from gridcover.grid import Cell, GridSpec, SensorParams, evaluate_plan, static_coverage
 from gridcover.harness import (
     ExperimentConfig,
@@ -411,3 +421,94 @@ class TestSeedsMatchTheReference:
             got = best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
             want = oracles.best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
             assert got is not None and got.positions == want.positions
+
+
+class TestRootBound:
+    """A seeded static solve closes on the symmetry quotient's bound before
+    its root LP, and the packing search stops at that bound; every answer is
+    the one the solve without the bound gives."""
+
+    @staticmethod
+    def without_bound(monkeypatch):
+        monkeypatch.setattr(bnb, "lp_bound", lambda *args: None)
+        monkeypatch.setattr(harness, "lp_bound", lambda *args: None)
+
+    @staticmethod
+    def same(a, b):
+        """Whether two results agree in everything but the node count."""
+        fields = ("status", "objective", "best_bound", "gap")
+        return [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields] and np.array_equal(
+            a.incumbent, b.incumbent)
+
+    @pytest.mark.parametrize("size, n_static, value", [(10, 10, 183.0), (8, 8, None), (8, 3, 72.0), (8, 5, 108.0)])
+    def test_packing_seeds_close_before_the_root(self, size, n_static, value, monkeypatch):
+        grid = GridSpec(size, size)
+        handle = build_milp_static(grid, n_static)
+        seed = encode_static(handle, pack_static_positions(grid, n_static, 1, 1, 4.0))
+        got = solve_milp(handle.instance, SolveParams(), warm_start=seed)
+        assert got.status == "optimal" and got.nodes_explored == 0
+        assert np.array_equal(got.incumbent, seed) and got.best_bound == got.objective
+        if value is not None:
+            assert got.objective == value
+        self.without_bound(monkeypatch)
+        want = solve_milp(build_milp_static(grid, n_static).instance, SolveParams(), warm_start=seed)
+        assert want.nodes_explored == 1 and self.same(got, want)
+
+    def test_seed_below_the_bound_solves_the_root(self, monkeypatch):
+        def solve():
+            handle = build_milp_static(GridSpec(8, 8), 3)
+            seed = [Cell(1, 1), Cell(1, 4), Cell(1, 7)]  # disjoint footprints, short of 72
+            return solve_milp(handle.instance, SolveParams(), warm_start=encode_static(handle, seed))
+
+        got = solve()
+        self.without_bound(monkeypatch)
+        want = solve()
+        assert got.nodes_explored == want.nodes_explored >= 1
+        assert self.same(got, want) and got.objective == 72.0
+
+    def test_placements_match_the_solve_without_the_bound(self, monkeypatch):
+        cases = [(10, 10, 4.0), (10, 10, 1.0)] + [(r, n, a) for r, n in [(8, 3), (8, 5), (7, 4)]
+                                                    for a in (1.0, 1.3, 4.0)]
+        configs = [ExperimentConfig(rows=r, cols=r, n_static=n, boundary_weight=a) for r, n, a in cases]
+        got = [harness.place_static_milp(cfg) for cfg in configs]
+        self.without_bound(monkeypatch)
+        for cfg, (deployment, result) in zip(configs, got):
+            want_deployment, want = harness.place_static_milp(cfg)
+            assert deployment == want_deployment and self.same(result, want), cfg
+            assert result.nodes_explored <= want.nodes_explored
+
+    def test_packing_stop_keeps_the_placement(self):
+        met = 0
+        for size in (6, 8, 10, 12):
+            for n_static in (3, 5, 7, 10):
+                for alpha in (1.0, 1.3, 4.0):
+                    cfg = ExperimentConfig(rows=size, cols=size, n_static=n_static, boundary_weight=alpha)
+                    stop_at = harness._packing_bound(cfg, build_milp_static(cfg.grid, n_static, 1, 1, alpha))
+                    if alpha == 1.3:
+                        assert stop_at is None  # a fractional weight's sums are rounded: no stop
+                        continue
+                    got = pack_static_positions(cfg.grid, n_static, 1, 1, alpha, stop_at=stop_at)
+                    assert got == pack_static_positions(cfg.grid, n_static, 1, 1, alpha), cfg
+                    met += got is not None and static_deployment(cfg.grid, got, 1, alpha).objective_value == stop_at
+        assert met > 20, met  # the bound is met, so the search stops, on most of these grids
+
+    def test_packing_search_stops_at_the_first_placement_that_reaches_the_value(self):
+        # mov10's search finds placements of lower value before its best
+        # (183): below 183 it returns one of those, never one short of the
+        # value it was told to stop at
+        grid = GridSpec(10, 10)
+        values = []
+        for stop_at in range(171, 184):
+            got = pack_static_positions(grid, 10, 1, 1, 4.0, stop_at=stop_at)
+            values.append(static_deployment(grid, got, 1, 4.0).objective_value)
+            assert values[-1] >= stop_at
+        assert values == sorted(values) and values[0] < values[-1] == 183.0
+
+    def test_no_stop_under_a_cap_above_one(self, monkeypatch):
+        stops = []
+        pack = harness.pack_static_positions
+        monkeypatch.setattr(harness, "pack_static_positions",
+                            lambda *args, stop_at=None: stops.append(stop_at) or pack(*args, stop_at=stop_at))
+        for c_o in (1, 2, 3):
+            harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=5, c_o_static=c_o))
+        assert stops == [108, None, None]

@@ -8,7 +8,8 @@ from scipy.optimize import linprog
 
 from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
 from gridcover.grid import GridSpec
-from gridcover.milp import MilpInstance
+from gridcover.milp import GE, LE, MilpInstance
+from gridcover.quotient import dual_bound
 from gridcover.simplex import (
     AT_LO,
     AT_UP,
@@ -887,3 +888,59 @@ def test_coverage_6x6_root_pivot_budget():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(36.0, abs=1e-7)
     assert res.iterations <= 800
+
+
+class TestDuals:
+    """An optimal LpResult carries the full model's row duals: the bound
+    that quotient.dual_bound evaluates from them on the full rows is the
+    LP's value, cold and warm, with the presolve's substituted columns and
+    dropped rows mapped back."""
+
+    @staticmethod
+    def check(data, res, lower, upper):
+        assert res.duals.shape == (data.m,)
+        # the internal minimization's signs: <= 0 on <= rows, >= 0 on >= rows
+        codes = data.sense_codes
+        assert np.all(res.duals[codes == LE] <= 1e-9) and np.all(res.duals[codes == GE] >= -1e-9)
+        bound = dual_bound(data, res.duals, lower, upper)
+        assert bound is not None
+        assert bound == pytest.approx(res.objective, rel=1e-7, abs=1e-7)
+
+    @pytest.mark.parametrize("make, seed", [
+        (TestWarmStart.random_lp, 5), (substituted_lp, 6), (dominated_lp, 7),
+    ])
+    def test_cold_and_warm_duals_prove_the_lp_value(self, make, seed):
+        rng = np.random.default_rng(seed)
+        checked = {"cold": 0, "warm": 0}
+        for _ in range(200):
+            lp = make(rng)
+            lower, upper = lp[4], lp[5]
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            if parent.status != "optimal":
+                continue
+            self.check(data, parent, lower, upper)
+            checked["cold"] += 1
+            j = int(rng.integers(0, data.n))
+            for box in TestWarmStart.tightenings(j, parent.values[j], lower[j], upper[j],
+                                                 (lower[j], upper[j])):
+                lo, up = lower.copy(), upper.copy()
+                lo[j], up[j] = max(lo[j], box[0]), min(up[j], box[1])
+                child = NodeBounds({j: box}, parent.basis)
+                for res in (solve_lp(data, child), _Solver(data, child).solve_warm(parent.basis)):
+                    if res is not None and res.status == "optimal":
+                        self.check(data, res, lo, up)
+                        checked["warm"] += 1
+        assert checked["cold"] > 60 and checked["warm"] > 200, checked
+
+    def test_presolved_models_map_their_duals_back(self):
+        # the static model substitutes its coverage columns and the coverage
+        # model also drops its linking rows: both report the full rows' duals
+        grid = GridSpec(6, 6)
+        cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
+        static, cov = build_milp_static(grid, 3), build_milp_cov(grid, cells, 2, 2)
+        for handle in (static, cov):
+            data = LpData(handle.instance)
+            self.check(data, solve_lp(data), data.lower, data.upper)
+        assert LpData(static.instance).reduced().cols.size
+        assert LpData(cov.instance).reduced().dropped.size
