@@ -13,8 +13,8 @@ bound on the root LP that the LP's symmetry quotient proves
 than the seed would have ended it.  Otherwise the root relaxation is
 solved cold by the bounded-variable simplex.  Every other node's bound map
 is a NodeBounds that carries its parent's optimal basis (one object,
-shared by the two siblings), from which the simplex re-optimizes with a
-few dual pivots; the node's answer is the point a cold solve gives, up to
+shared by the two siblings), from which the simplex re-optimizes with the
+dual simplex; the node's answer is the point a cold solve gives, up to
 rounding noise.
 Every incumbent is re-verified by substitution with its binaries snapped
 exactly to {0, 1} before being accepted, and the reported objective is

@@ -14,7 +14,11 @@ its bounds (a branch-and-bound parent; see NodeBounds).  That basis stays
 dual feasible, so a bounded dual simplex (largest-infeasibility leaving
 row, Harris ratio test) over slightly perturbed costs restores primal
 feasibility, and the primal simplex on the tilted and then the exact costs
-cleans up.  A warm "infeasible" is accepted only with a verified Farkas
+cleans up.  The perturbation sits a hundredfold below the phase-2 tilt, so
+the dual ends on a vertex that is already optimal for the tilted costs and
+the clean-up is a pivot or none; one as large as the tilt would leave the
+dual on the perturbed costs' optimum, for the clean-up to walk back from.
+A warm "infeasible" is accepted only with a verified Farkas
 certificate, and a warm "optimal" passes the same substitution check as a
 cold one.  A basis that is not dual feasible, a stall past the dual's pivot
 cap or a numerical failure falls back to the cold solve.
@@ -76,7 +80,12 @@ All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
 verification), PIVOT_TOL (minimum pivot magnitude), DUAL_TOL (reduced-cost
 sign error a warm basis may carry), SUBST_TOL (smallest relative coefficient
-through which the presolve substitutes a column).
+through which the presolve substitutes a column), TIE_EPS (the phase-2 tilt,
+TIE_EPS times face weights in [0.5, 1.5)) and DUAL_PERTURB (the warm dual's
+cost perturbation, DUAL_PERTURB (1 + |c_j|) (1 + jitter_j) per column).  The
+scales nest: RC_TOL lies below the smallest tilt (5e-8), and on the paper's
+models, whose costs are at most 1 in size, the largest perturbation step
+(4e-9) lies an order of magnitude below it.
 """
 
 from __future__ import annotations
@@ -99,8 +108,11 @@ PIVOT_TOL = 1e-8
 REFACTOR_EVERY = 64
 DEGEN_STEP = 1e-10
 DUAL_TOL = 1e-7  # reduced-cost sign error a warm basis may carry
-DUAL_PERTURB = 1e-7  # scale of the warm solve's dual-feasible cost perturbation
 TIE_EPS = 1e-7  # tilt of the phase-2 costs toward the point _settle picks
+# scale of the warm dual's cost perturbation: a hundredth of the tilt, so
+# the dual ends on a vertex that is optimal for the tilted costs and the
+# primal clean-up has (almost) nothing to undo
+DUAL_PERTURB = TIE_EPS / 100
 SUBST_TOL = 1e-2  # smallest |a_rj| / max |a_r.| through which column j is substituted
 
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3

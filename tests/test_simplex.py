@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
 from gridcover.grid import GridSpec
+from gridcover.harness import ExperimentConfig, build_mobile_milp, place_static_milp, plan_mobile_milp
 from gridcover.milp import GE, LE, MilpInstance
 from gridcover.quotient import dual_bound
 from gridcover.simplex import (
@@ -16,6 +17,7 @@ from gridcover.simplex import (
     FEAS_TOL,
     FREE,
     REFACTOR_EVERY,
+    TIE_EPS,
     LpData,
     NodeBounds,
     _face_weights,
@@ -877,6 +879,55 @@ class TestDominatedRows:
         # the movement model's coverage columns carry no cost
         mov = LpData(build_milp_mov(grid, cells, 0, 2, 4).instance)
         assert mov.reduced().dropped.size == 0 and mov.reduced(drop_rows=False) is mov.reduced()
+
+
+# the capped search of the 8x8 coverage table's L=1, N_s=3 row, which holds
+# every warm node LP of that table, and the 10x10 movement plan
+TABLE8_L1_NS3 = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
+                                 placement="milp-static", planner="milp-cov",
+                                 time_limit=240, node_limit=40)
+MOV10 = ExperimentConfig(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4,
+                         placement="milp-static", planner="milp-mov", coverage_target=1,
+                         time_limit=300, node_limit=60)
+
+
+def test_table8_warm_node_pivot_budget(monkeypatch):
+    # a count, not a time: the 39 warm node LPs of this 40-node search took
+    # 2,520 pivots while the warm dual's cost perturbation was as large as
+    # the phase-2 tilt (1e-7), and 2,283 at a tenth of it
+    import gridcover.bnb as bnb
+
+    warm = []
+
+    def spy(data, bounds=None):
+        res = solve_lp(data, bounds)
+        if getattr(bounds, "basis", None) is not None:
+            warm.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    cfg = TABLE8_L1_NS3
+    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    assert res.nodes_explored == 40 and len(warm) == 39
+    assert sum(warm) <= 2_100
+
+
+def test_warm_dual_perturbation_stays_below_the_tilt():
+    # the dual must end on a vertex that is optimal for the tilted costs, so
+    # its largest perturbation step stays an order of magnitude below the
+    # smallest tilt; a tenth of the tilt (DUAL_PERTURB 1e-8) lies below it,
+    # but its dual still ends off the tilted optimum often enough to break
+    # the pivot budget above
+    for cfg in (TABLE8_L1_NS3, MOV10):
+        data = LpData(build_mobile_milp(cfg, place_static_milp(cfg)[0]).instance)
+        for drop_rows in (True, False):
+            solver = _Solver(data, None, drop_rows=drop_rows)
+            solver.status = np.full(solver.ncols, AT_LO, dtype=np.int8)
+            tilted = solver._phase2_costs()[1]
+            # with every reduced cost at zero, the shift is the perturbation itself
+            _, step = solver._dual_feasible_costs(tilted, np.zeros(solver.ncols), perturb=True)
+            tilt = TIE_EPS * solver.lp.face[solver.lp.face > 0].min()
+            assert 0 < 10 * step.max() < tilt
 
 
 def test_coverage_6x6_root_pivot_budget():
