@@ -32,7 +32,7 @@ def main():
     handle = build_milp_static(grid, n_static=5, r_s=1, c_o=1, boundary_weight=4)
 
     # warm-start the exact solve with a packing search, then prove/improve
-    warm = encode_static(handle, pack_static_positions(grid, 5, 1, 1, 4.0))
+    warm = encode_static(handle, pack_static_positions(handle))
     result = solve_milp(
         handle.instance,
         SolveParams(time_limit=120, objective_integral=True),

@@ -19,7 +19,8 @@ Conventions baked in here:
     to occupy every window cell at once, contradicting the one-cell
     position constraint.
   - Mobile-node variables exist only over the uncovered set: footprint and
-    step windows are `grid.windows` over it (clipped, intersected with it).
+    step windows are `grid.windows` over it (clipped, intersected with it),
+    the handle's `footprints` and `steps`.
   - The movement-minimization coverage threshold folds the static
     contribution in as a constant and rounds the required covered-cell
     count up to the nearest integer (the left side is integral at any
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -87,7 +89,7 @@ class PlanViolation:
 
 @dataclass(eq=False)  # handles compare and hash by identity
 class FormulationHandle:
-    """A built instance plus what is needed to decode it.
+    """A built instance plus what is needed to decode and to seed it.
 
     Variable ids follow one arithmetic layout: the placement binaries as
     one C-order block of shape `x_shape`, then the coverage variables of
@@ -96,6 +98,10 @@ class FormulationHandle:
     (n_static, |C|) for the static model and (n_mobile, horizon, |C_1|)
     for the coverage and movement models; `cells` lists the cells along
     its last axis (the grid row-major, or C_1 sorted).
+
+    `footprints` and `steps` are the `grid.windows` tables over `cells` at
+    reach r_s and (rho_x, rho_y), each computed once, when first read: the
+    builder reads them, and so do the encoders and the warm-start seeders.
     """
 
     kind: str  # "static" | "cov" | "mov"
@@ -123,6 +129,19 @@ class FormulationHandle:
     @property
     def cells(self) -> Tuple[Cell, ...]:
         return tuple(self.grid.cells()) if self.kind == "static" else self.uncovered
+
+    @cached_property
+    def footprints(self) -> Tuple[np.ndarray, np.ndarray]:
+        return windows(self.grid, self.cells, self.r_s, self.r_s)
+
+    @cached_property
+    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        return windows(self.grid, self.cells, self.rho_x, self.rho_y)
+
+    def footprint(self, p: int) -> np.ndarray:
+        """The `footprints` row of `cells[p]`: the cells it senses, by index."""
+        lengths, flat = self.footprints
+        return flat[lengths[:p].sum() : lengths[: p + 1].sum()]
 
     def placements(self, point: np.ndarray) -> np.ndarray:
         """The placement binaries' values in `point`, one row per node
@@ -246,7 +265,7 @@ def build_milp_static(
     # one cell per static node
     inst.add_constraints(np.full(n_static, n_cells), np.arange(c_base), np.ones(c_base), "=", 1.0)
     # coverage linking, per cell then node: c equals the footprint-window sum of x
-    templates = _windowed_templates(c_base + cell_ids, *windows(grid, cells, r_s, r_s))
+    templates = _windowed_templates(c_base + cell_ids, *handle.footprints)
     inst.add_constraints(
         *_rows_from_templates(
             *templates, np.repeat(cell_ids, n_static), np.tile(node_base, n_cells)
@@ -286,10 +305,9 @@ def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]
     values = np.zeros((2,) + handle.x_shape)
     index = {cell: p for p, cell in enumerate(handle.cells)}
     for s, pos in enumerate(positions):
-        cell = handle.grid.require(pos, "static position")
-        values[0, s, index[cell]] = 1.0
-        for covered in sensing_footprint(cell, handle.r_s, handle.grid):
-            values[1, s, index[covered]] = 1.0
+        p = index[handle.grid.require(pos, "static position")]
+        values[0, s, p] = 1.0
+        values[1, s, handle.footprint(p)] = 1.0
     return values.ravel()
 
 
@@ -335,7 +353,7 @@ def _build_mobile(
     if c_o < 1:
         raise ValueError("c_o must be >= 1")
 
-    c1 = sorted(set(Cell(*c) for c in uncovered))  # windows() rejects cells off the grid
+    c1 = sorted(set(Cell(*c) for c in uncovered))
     inst = MilpInstance(f"milp-{kind}")
     handle = FormulationHandle(
         kind=kind,
@@ -355,8 +373,7 @@ def _build_mobile(
     if not c1:
         return handle
 
-    steps = windows(grid, c1, rho_x, rho_y)
-    _check_rho_components(*steps)
+    _check_rho_components(*handle.steps)  # the tables reject cells off the grid
     n1 = len(c1)
     n_lk = n_mobile * k_max
     lk_list = [(l, k) for l in range(1, n_mobile + 1) for k in range(1, k_max + 1)]
@@ -390,14 +407,14 @@ def _build_mobile(
 
     # mobility, per cell, node, iteration: next position only within the
     # step window of the current one
-    templates = _windowed_templates(n1 + pos_ids, *steps)
+    templates = _windowed_templates(n1 + pos_ids, *handle.steps)
     moves = lk_base.reshape(n_mobile, k_max)[:, :-1].ravel()
     inst.add_constraints(
         *_rows_from_templates(*templates, np.repeat(pos_ids, len(moves)), np.tile(moves, n1)),
         "<=", 0.0,
     )
     # per-(node, iteration) coverage equals the footprint-window sum
-    templates = _windowed_templates(cm_base + pos_ids, *windows(grid, c1, r_s, r_s))
+    templates = _windowed_templates(cm_base + pos_ids, *handle.footprints)
     inst.add_constraints(
         *_rows_from_templates(*templates, np.repeat(pos_ids, n_lk), np.tile(lk_base, n1)),
         "=", 0.0,
@@ -522,10 +539,9 @@ def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> np.ndarray:
         if not (1 <= l <= handle.n_mobile and 1 <= k <= handle.horizon and pos in index):
             raise ValueError(f"plan position {tuple(pos)} at node {l} iteration {k} has no variable")
         values[0, l - 1, k - 1, index[pos]] = 1.0
-        for cell in sensing_footprint(pos, handle.r_s, handle.grid):
-            if cell in index:
-                values[1, l - 1, k - 1, index[cell]] = 1.0
-                covered[index[cell]] = 1.0
+        sensed = handle.footprint(index[pos])
+        values[1, l - 1, k - 1, sensed] = 1.0
+        covered[sensed] = 1.0
     return np.concatenate([values.ravel(), covered])
 
 

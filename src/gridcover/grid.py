@@ -8,9 +8,10 @@ iteration.  Coverage ratios are kept as exact integer pairs so threshold
 comparisons never depend on floating point.
 
 `windows` is the one clipped-box table (the boxes of a sorted cell list,
-as indices into it): the MILP builders, the warm-start tables and the step
-component check read it.  `cell_weights` is the one row-major vector of
-boundary weights.
+as indices into it).  A formulation handle builds its footprint and step
+tables with it, once each; the MILP builders, the encoders, the warm-start
+seeders and the step component check read those.  `cell_weights` is the
+one row-major vector of boundary weights.
 
 `evaluate_plan` is the one replay of a deployment and a mobile plan: it
 walks the placements once, in (iteration, node) ascending order, and its

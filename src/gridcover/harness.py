@@ -14,8 +14,9 @@ and a bounded backtracking search over the greedy's choices when no
 greedy start yields a plan); seeding only tightens pruning and never
 affects correctness.  The three searches share one coverage counter:
 footprints are bitmasks, counts are c_o bitmask layers, and
-`_add_footprint` adds one placement; their tables are `grid.windows`
-tables, one set shared by the path searches of a `best_seed_plan` call.
+`_add_footprint` adds one placement.  Each seeder takes the
+`FormulationHandle` it seeds and reads that model's geometry from it: its
+footprint and step tables are the ones the builder built the model from.
 Deployments, plans and result rows are persisted as line-oriented text so
 every reported number can be re-derived offline.
 """
@@ -44,7 +45,7 @@ from .formulations import (
     encode_static,
     static_deployment,
 )
-from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan, windows
+from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan
 from .planners import BaselineConfig, greedy_plan, random_plan
 from .quotient import lp_bound
 
@@ -167,14 +168,10 @@ def _boxes(table: Tuple[np.ndarray, np.ndarray]) -> List[List[int]]:
 
 
 def pack_static_positions(
-    grid: GridSpec,
-    n_static: int,
-    r_s: int,
-    c_o: int,
-    boundary_weight: float,
-    stop_at: Optional[float] = None,
+    handle: FormulationHandle, stop_at: Optional[float] = None
 ) -> Optional[List[Cell]]:
-    """Best placement found by a bounded depth-first packing search.
+    """Best placement of the handle's static nodes found by a bounded
+    depth-first packing search.
 
     Positions are chosen as a non-decreasing sequence over cells sorted by
     single-placement value (killing node-permutation symmetry); branches
@@ -186,9 +183,9 @@ def pack_static_positions(
     stops once its best reaches it: the best is replaced only on a strict
     gain, so the full search would return the same placement.
     """
-    cells = list(grid.cells())
-    footprints = _boxes(windows(grid, cells, r_s, r_s))
-    weights = cell_weights(grid, boundary_weight).tolist()
+    cells, n_static = handle.cells, handle.n_static
+    footprints = _boxes(handle.footprints)
+    weights = cell_weights(handle.grid, handle.boundary_weight).tolist()
     value = [sum(weights[f] for f in fp) for fp in footprints]
     order = sorted(range(len(cells)), key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
@@ -222,43 +219,32 @@ def pack_static_positions(
             dfs(idx, current + vals[idx], _add_footprint(layers, masks[idx]))
             chosen.pop()
 
-    dfs(0, 0.0, [0] * c_o)
+    dfs(0, 0.0, [0] * handle.c_o)
     return best
 
 
-def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: int):
-    """Each cell of the sorted uncovered set `c1`, by its index there: its
-    footprint within `c1` as a bitmask over those indices, and its step
-    window within `c1` as a sorted list of them."""
-    masks = [sum(1 << n for n in fp) for fp in _boxes(windows(grid, c1, r_s, r_s))]
-    return masks, _boxes(windows(grid, c1, rho_x, rho_y))
+def _seed_tables(handle: FormulationHandle):
+    """Each cell of the handle's uncovered set, by its index there: its
+    footprint as a bitmask over those indices, and its step window as a
+    sorted list of them."""
+    return [sum(1 << n for n in fp) for fp in _boxes(handle.footprints)], _boxes(handle.steps)
 
 
 def seed_mobile_plan(
-    grid: GridSpec,
-    uncovered: Sequence[Cell],
-    n_mobile: int,
-    k_max: int,
-    r_s: int,
-    rho_x: int,
-    rho_y: int,
-    c_o: int,
-    stop_at: Optional[int] = None,
-    first_start: Optional[Cell] = None,
+    handle: FormulationHandle, stop_at: Optional[int] = None, first_start: Optional[Cell] = None
 ) -> Optional[MobilePlan]:
-    """One start of the greedy seeder (_greedy_plan) over the uncovered set;
-    `first_start` pins node 1's initial cell."""
-    c1 = sorted(set(Cell(*c) for c in uncovered))
-    first = None if first_start is None else c1.index(Cell(*first_start))
-    seeded = _greedy_plan(c1, _seed_tables(grid, c1, r_s, rho_x, rho_y), n_mobile, k_max, c_o,
-                          stop_at, first)
+    """One start of the greedy seeder (_greedy_plan) over the handle's
+    uncovered set; `first_start` pins node 1's initial cell."""
+    first = None if first_start is None else handle.uncovered.index(Cell(*first_start))
+    seeded = _greedy_plan(handle, _seed_tables(handle), stop_at, first)
     return None if seeded is None else seeded[0]
 
 
-def _greedy_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int, stop_at: Optional[int],
+def _greedy_plan(handle: FormulationHandle, tables, stop_at: Optional[int],
                  first: Optional[int]) -> Optional[Tuple[MobilePlan, int]]:
-    """Overlap-respecting greedy plan confined to the uncovered set `c1`,
-    used to seed the exact solves, with the number of `c1` cells it covers.
+    """Overlap-respecting greedy plan confined to the handle's uncovered set
+    `c1`, used to seed the exact solves, with the number of `c1` cells it
+    covers.
     Nodes pick the feasible reachable cell with the largest new-coverage
     gain (ties lexicographic).  With `stop_at` set (movement minimization),
     planning stops once that many uncovered cells are covered, zero-gain
@@ -266,10 +252,11 @@ def _greedy_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int, st
     nodes stop; without it every node must be placed each iteration and a
     stuck node aborts the seeding (None).  `first` is node 1's initial
     cell, by its index in `c1`, or None to let the greedy pick it."""
+    c1, n_mobile, k_max = handle.uncovered, handle.n_mobile, handle.horizon
     if not c1:
         return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={}), 0
     masks, windows = tables
-    layers = [0] * c_o
+    layers = [0] * handle.c_o
     positions: Dict[Tuple[int, int], Cell] = {}
     current: Dict[int, Optional[int]] = {l: None for l in range(1, n_mobile + 1)}
     stopped: Set[int] = set()
@@ -317,17 +304,7 @@ def _greedy_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int, st
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=positions), layers[0].bit_count()
 
 
-def best_seed_plan(
-    grid: GridSpec,
-    uncovered: Sequence[Cell],
-    n_mobile: int,
-    k_max: int,
-    r_s: int,
-    rho_x: int,
-    rho_y: int,
-    c_o: int,
-    stop_at: Optional[int] = None,
-) -> Optional[MobilePlan]:
+def best_seed_plan(handle: FormulationHandle, stop_at: Optional[int] = None) -> Optional[MobilePlan]:
     """Best greedy seed over all first-node start cells (plus the free
     default), scored by uncovered cells covered then fewer placements;
     stops early once a seed covers everything.  When no greedy seed places
@@ -336,27 +313,25 @@ def best_seed_plan(
     of a bounded backtracking search over the greedy's own rules
     (_backtrack_plan), or None when that finds none.  All starts and the
     search share one set of tables."""
-    c1 = sorted(set(Cell(*c) for c in uncovered))
-    tables = _seed_tables(grid, c1, r_s, rho_x, rho_y)
+    tables = _seed_tables(handle)
     best: Optional[MobilePlan] = None
     best_key = (-1, 0)
-    for first in [None, *range(len(c1))]:
-        seeded = _greedy_plan(c1, tables, n_mobile, k_max, c_o, stop_at, first)
+    for first in [None, *range(len(handle.uncovered))]:
+        seeded = _greedy_plan(handle, tables, stop_at, first)
         if seeded is None:
             continue
         plan, covered = seeded
         key = (covered, -plan.movements)
         if key > best_key:
             best, best_key = plan, key
-        if best_key[0] == len(c1):
+        if best_key[0] == len(handle.uncovered):
             break
     if best is None or (stop_at is not None and best_key[0] < stop_at):
-        return _backtrack_plan(c1, tables, n_mobile, k_max, c_o, stop_at)
+        return _backtrack_plan(handle, tables, stop_at)
     return best
 
 
-def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
-                    stop_at: Optional[int]) -> Optional[MobilePlan]:
+def _backtrack_plan(handle: FormulationHandle, tables, stop_at: Optional[int]) -> Optional[MobilePlan]:
     """Depth-first search over the greedy seeder's choices: slots in (k, l)
     order, each node within the step window of its last cell, no footprint
     cell covered more than c_o times, candidates by new-coverage gain
@@ -367,6 +342,7 @@ def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
     Cut early, since no plan lies below them: a coverage branch in which a
     node has no cell left to go to, and a movement branch whose open slots
     cannot cover the cells still missing."""
+    c1, n_mobile, k_max = handle.uncovered, handle.n_mobile, handle.horizon
     masks, windows = tables
     slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
     most = max((fp.bit_count() for fp in masks), default=0)
@@ -419,7 +395,7 @@ def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
         del positions[(l, k)]
         return False
 
-    if not search(0, [0] * c_o):
+    if not search(0, [0] * handle.c_o):
         return None
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
 
@@ -429,7 +405,7 @@ def _backtrack_plan(c1: List[Cell], tables, n_mobile: int, k_max: int, c_o: int,
 # ---------------------------------------------------------------------------
 
 
-def _packing_bound(config: ExperimentConfig, handle: FormulationHandle) -> Optional[int]:
+def _packing_bound(handle: FormulationHandle) -> Optional[int]:
     """A proven bound on every placement's packing value, or None.  Under a
     cap of one the packing value is the static model's objective, so the
     quotient bound on its LP (the one the solve reads) bounds it; with an
@@ -437,7 +413,7 @@ def _packing_bound(config: ExperimentConfig, handle: FormulationHandle) -> Optio
     the bound may be floored and a placement that reaches it is the best.
     (Sums of a fractional weight are rounded, and two placements of equal
     value could then differ in the last bit.)"""
-    if config.c_o_static != 1 or not float(config.boundary_weight).is_integer():
+    if handle.c_o != 1 or not float(handle.boundary_weight).is_integer():
         return None
     bound = lp_bound(handle.instance)
     return None if bound is None else math.floor(bound + 1e-6)
@@ -447,14 +423,10 @@ def place_static_milp(
     config: ExperimentConfig,
 ) -> Tuple[Optional[StaticDeployment], MilpResult]:
     """Stage 1, exact variant: build, warm-start, solve and decode."""
-    grid = config.grid
     handle = build_milp_static(
-        grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
+        config.grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight
     )
-    packed = pack_static_positions(
-        grid, config.n_static, config.r_s, config.c_o_static, config.boundary_weight,
-        stop_at=_packing_bound(config, handle),
-    )
+    packed = pack_static_positions(handle, stop_at=_packing_bound(handle))
     warm = None if packed is None else encode_static(handle, packed)
     result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)
     if result.incumbent is None:
@@ -499,7 +471,7 @@ def plan_mobile_milp(
     uncovered set, seed it, solve, decode the incumbent."""
     handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
-        empty = MobilePlan(n_mobile=config.n_mobile, horizon=config.k_max, positions={})
+        empty = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions={})
         result = MilpResult("optimal", np.zeros(handle.instance.n_variables), 0.0, 0.0, 0.0, 0)
         return handle, empty, result
 
@@ -509,11 +481,7 @@ def plan_mobile_milp(
     stop_at = None
     if handle.coverage_threshold is not None:
         stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
-    seeded = best_seed_plan(
-        config.grid, handle.uncovered, config.n_mobile, config.k_max,
-        config.r_s, config.rho_x, config.rho_y, config.c_o_mobile,
-        stop_at=stop_at,
-    )
+    seeded = best_seed_plan(handle, stop_at=stop_at)
     warm = None if seeded is None else encode_plan(handle, seeded)
     result = solve_milp(handle.instance, params, warm_start=warm)
     if result.incumbent is None:

@@ -33,15 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .milp import GE, LE, SENSES, MilpInstance
-from .simplex import LpData, SimplexNumericalError, solve_lp
-
-
-def _mix(keys: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer of each key (uint64, wrapping)."""
-    z = keys * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+from .simplex import LpData, SimplexNumericalError, _mix, solve_lp
 
 
 def _classes(*keys: np.ndarray) -> np.ndarray:

@@ -123,16 +123,21 @@ def _jitter(ncols: int) -> np.ndarray:
     return np.modf(np.arange(ncols) * 0.6180339887498949)[0]
 
 
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each key (uint64, wrapping)."""
+    z = keys * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _face_weights(n: int) -> np.ndarray:
     """Weights in [0.5, 1.5) of the objective that picks one point among
     alternative optima (see _Solver._settle).  They come from the splitmix64
     hash of the column index: in an additive sequence such as _jitter's,
     w[a] + w[b] == w[c] + w[d] whenever a + b == c + d, and the symmetric
     models here would then tie."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # wraps
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z = _mix(np.arange(1, n + 1, dtype=np.uint64))
     return 0.5 + (z >> np.uint64(11)).astype(float) / 2.0**53
 
 
@@ -179,7 +184,6 @@ class LpData:
     constraint rows are dropped, and flagged when they cannot hold."""
 
     def __init__(self, instance: MilpInstance):
-        self.instance = instance
         self.n = instance.n_variables
         self.lower = instance.lower
         self.upper = instance.upper
@@ -556,7 +560,6 @@ class _Solver:
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.up = np.concatenate([up, np.full(m, math.inf)])
         self.iterations = 0
-        self.degenerate_steps = 0
 
     def _set_art_sign(self, art_sign: np.ndarray) -> None:
         """Fix the artificial signs: F = [A | I | diag(art_sign)]."""
@@ -759,7 +762,6 @@ class _Solver:
             self.iterations += 1
             if t <= DEGEN_STEP:
                 degen_run += 1
-                self.degenerate_steps += 1
                 if degen_run >= bland_trigger:
                     bland = True
             else:

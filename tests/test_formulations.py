@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from gridcover.formulations import (
     encode_static,
     validate_plan,
 )
-from gridcover.grid import Cell, GridSpec, static_coverage, windows
+from gridcover.grid import Cell, GridSpec, sensing_footprint, static_coverage, windows
 from gridcover.milp import instance_stats
 from gridcover.simplex import FEAS_TOL
 
@@ -73,7 +74,7 @@ class TestStaticFormulation:
         from gridcover.harness import pack_static_positions
         from gridcover.formulations import encode_static as enc
 
-        warm = enc(handle, pack_static_positions(grid, 5, 1, 1, 4.0))
+        warm = enc(handle, pack_static_positions(handle))
         res = solve_milp(handle.instance, SolveParams(objective_integral=True, time_limit=240), warm_start=warm)
         assert res.objective == pytest.approx(108.0)
         deployment = decode_static(handle, res.incumbent)
@@ -251,6 +252,51 @@ class TestStepComponents:
         assert not _warns(_check_rho_components, *windows(grid, snake, 1, 1))
         cut = [c for c in snake if c != Cell(4, 1)]
         assert _warns(_check_rho_components, *windows(grid, cut, 1, 1))
+
+
+class TestHandleTables:
+    """A handle's footprint and step tables are the `grid.windows` tables
+    over its cells, built once and shared by the builder, the encoders and
+    the warm-start seeders."""
+
+    @staticmethod
+    def handles():
+        grid = GridSpec(6, 7)
+        c1 = sorted(static_coverage([Cell(2, 2), Cell(5, 6)], 1, grid)[1])
+        yield build_milp_static(grid, 3)
+        yield build_milp_static(GridSpec(4, 6), 2, r_s=2, c_o=2)
+        yield build_milp_cov(grid, c1, 2, 3, r_s=1, rho_x=1, rho_y=2)
+        yield build_milp_mov(grid, c1, grid.n_cells - len(c1), 1, 4, r_s=2, coverage_target=0.9)
+        yield build_milp_cov(grid, [], 1, 2)
+
+    def test_tables_are_the_windows_over_the_cells(self):
+        for handle in self.handles():
+            cells = handle.cells
+            for table, reach in ((handle.footprints, (handle.r_s,) * 2),
+                                 (handle.steps, (handle.rho_x, handle.rho_y))):
+                want = windows(handle.grid, cells, *reach)
+                assert all(np.array_equal(a, b) for a, b in zip(table, want)), handle.kind
+            for p, cell in enumerate(cells):
+                sensed = {cells[q] for q in handle.footprint(p).tolist()}
+                assert sensed == sensing_footprint(cell, handle.r_s, handle.grid) & set(cells)
+
+    def test_one_table_build_per_table(self, monkeypatch):
+        # the static solve reads one table (footprints), a path solve two
+        # (footprints and steps), however many seeders and encoders read them
+        from gridcover import formulations, grid as grid_module, harness
+
+        calls = []
+        for module in (formulations, grid_module, harness):
+            monkeypatch.setattr(module, "windows",
+                                lambda *a, fn=windows: calls.append(a[2:]) or fn(*a), raising=False)
+        cfg = harness.ExperimentConfig(rows=6, cols=6, n_static=1, n_mobile=1, k_max=2,
+                                       coverage_target=0.5)
+        deployment, _ = harness.place_static_milp(cfg)
+        assert len(calls) == 1
+        for planner in ("milp-cov", "milp-mov"):
+            calls.clear()
+            _, plan, _ = harness.plan_mobile_milp(replace(cfg, planner=planner), deployment)
+            assert plan is not None and len(calls) == 2, planner
 
 
 class TestMovFormulation:

@@ -1,6 +1,7 @@
 """Pipeline orchestration, persistence, and warm-start seeding."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -180,7 +181,7 @@ class TestWarmStartHelpers:
 
         grid = GridSpec(5, 5)
         want, argbest = best_static_placement(grid, 2, 1, 1, 4.0)
-        packed = pack_static_positions(grid, 2, 1, 1, 4.0)
+        packed = pack_static_positions(build_milp_static(grid, 2, 1, 1, 4.0))
         got = sum(
             (4.0 if c.i in (1, 5) or c.j in (1, 5) else 1.0)
             for p in packed
@@ -200,7 +201,7 @@ class TestWarmStartHelpers:
             grid = GridSpec(size, size)
             for n_static in range(1, 11):
                 for c_o in (1, 2, 3):
-                    got = pack_static_positions(grid, n_static, 1, c_o, 4.0)
+                    got = pack_static_positions(build_milp_static(grid, n_static, 1, c_o, 4.0))
                     assert got == packing_search(grid, n_static, 1, c_o, 4.0, budget), (
                         size, n_static, c_o,
                     )
@@ -213,7 +214,7 @@ class TestWarmStartHelpers:
         from oracles import packing_search
 
         grid = GridSpec(rows, cols)
-        got = pack_static_positions(grid, n_static, r_s, c_o, 4.0)
+        got = pack_static_positions(build_milp_static(grid, n_static, r_s, c_o, 4.0))
         assert got is not None
         assert got == packing_search(grid, n_static, r_s, c_o, 4.0)
 
@@ -221,16 +222,16 @@ class TestWarmStartHelpers:
         grid = GridSpec(8, 8)
         covered, uncovered = static_coverage([Cell(2, 2), Cell(7, 7)], 1, grid)
         c1 = sorted(uncovered)
-        plan = seed_mobile_plan(grid, c1, 2, 4, 1, 2, 2, 3)
-        assert plan is not None
         handle = build_milp_cov(grid, c1, 2, 4)
+        plan = seed_mobile_plan(handle)
+        assert plan is not None
         values = encode_plan(handle, plan)
         assert handle.instance.constraint_violation(values) <= FEAS_TOL
 
     def test_seeded_mov_plan_stops_at_target(self):
         grid = GridSpec(6, 6)
         c1 = sorted(grid.cells())
-        plan = seed_mobile_plan(grid, c1, 2, 4, 1, 2, 2, 3, stop_at=20)
+        plan = seed_mobile_plan(build_milp_mov(grid, c1, 0, 2, 4), stop_at=20)
         covered = set()
         from gridcover.grid import sensing_footprint
 
@@ -246,9 +247,8 @@ class TestWarmStartHelpers:
         grid = GridSpec(2, 2)
         c1 = [Cell(*c) for c in uncovered]
         reach = dict(n_mobile=1, k_max=2, r_s=1, rho_x=1, rho_y=1, c_o=2)
-        for make in (build_milp_cov, seed_mobile_plan, best_seed_plan):
-            with pytest.raises(ValueError, match="outside 2x2 grid"):
-                make(grid, c1, **reach)
+        with pytest.raises(ValueError, match="outside 2x2 grid"):
+            build_milp_cov(grid, c1, **reach)
         with pytest.raises(ValueError, match="outside 2x2 grid"):
             build_milp_mov(grid, c1, 0, **reach)
 
@@ -291,8 +291,9 @@ class TestBestSeedPlan:
         grid = GridSpec(5, 5)
         c1 = sorted(grid.cells())
         # one node placed once covers at most 9 of the 25 cells
-        assert best_seed_plan(grid, c1, 1, 1, 1, 2, 2, 3, stop_at=10) is None
-        plan = best_seed_plan(grid, c1, 1, 1, 1, 2, 2, 3, stop_at=9)
+        handle = build_milp_mov(grid, c1, 0, 1, 1)
+        assert best_seed_plan(handle, stop_at=10) is None
+        plan = best_seed_plan(handle, stop_at=9)
         assert plan is not None and plan.positions == {(1, 1): Cell(2, 2)}
 
 
@@ -322,12 +323,12 @@ class TestBacktrackSeed:
         static = [(9 - i if flip_i else i, 9 - j if flip_j else j) for i, j in static]
         _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
         c1 = sorted(uncovered)
-        assert all(seed_mobile_plan(grid, c1, 3, 4, 1, 2, 2, 3, first_start=s) is None
-                   for s in [None] + c1)
-        plan = best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3)
+        handle = build_milp_cov(grid, c1, 3, 4)
+        assert all(seed_mobile_plan(handle, first_start=s) is None for s in [None] + c1)
+        plan = best_seed_plan(handle)
         assert plan is not None and plan.movements == 12  # every node, every iteration
         assert validate_plan(plan, grid, c1, 2, 2) == []
-        assert self.accepted(build_milp_cov(grid, c1, 3, 4), plan)
+        assert self.accepted(handle, plan)
 
     def test_movement_seed_reaches_the_target(self):
         from gridcover.formulations import build_milp_mov, validate_plan
@@ -335,18 +336,19 @@ class TestBacktrackSeed:
 
         grid = GridSpec(5, 5)
         c1 = sorted(grid.cells())
-        plan = best_seed_plan(grid, c1, 1, 4, 1, 2, 2, 3, stop_at=25)
+        handle = build_milp_mov(grid, c1, 0, 1, 4)
+        plan = best_seed_plan(handle, stop_at=25)
         assert plan is not None
         assert validate_plan(plan, grid, c1, 2, 2) == []
         assert set().union(*(sensing_footprint(p, 1, grid) for p in plan.positions.values())) == set(c1)
-        assert self.accepted(build_milp_mov(grid, c1, 0, 1, 4), plan)
+        assert self.accepted(handle, plan)
 
     def test_no_seed_when_the_target_is_out_of_reach(self):
         grid = GridSpec(5, 5)
         c1 = sorted(grid.cells())
         # a 3x3 footprint per placement: one covers 9 cells, three cover no 5x5
         for k_max in (1, 3):
-            assert best_seed_plan(grid, c1, 1, k_max, 1, 2, 2, 3, stop_at=25) is None
+            assert best_seed_plan(build_milp_mov(grid, c1, 0, 1, k_max), stop_at=25) is None
 
     @pytest.mark.parametrize("rows, cols, static, n_mobile, k_max, stop_at, want", [
         (8, 8, [(2, 2), (7, 7)], 2, 4, None,
@@ -360,7 +362,7 @@ class TestBacktrackSeed:
     def test_greedy_seeds_are_kept(self, rows, cols, static, n_mobile, k_max, stop_at, want):
         grid = GridSpec(rows, cols)
         _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
-        plan = best_seed_plan(grid, sorted(uncovered), n_mobile, k_max, 1, 2, 2, 3, stop_at=stop_at)
+        plan = best_seed_plan(build_milp_cov(grid, sorted(uncovered), n_mobile, k_max), stop_at=stop_at)
         assert plan_text(plan) == want
 
 
@@ -385,6 +387,14 @@ class TestSeedsMatchTheReference:
             stop_at = rng.choice([None, None, 0, rng.randint(1, max(1, len(c1))), len(c1)])
             yield grid, c1, args, stop_at
 
+    @staticmethod
+    def handle(grid, c1, args):
+        """The coverage model the seeders read: (n_mobile, k_max, r_s,
+        rho_x, rho_y, c_o) over `c1`, step components or not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return build_milp_cov(grid, c1, *args)
+
     def test_best_seed_plan(self, monkeypatch):
         # a smaller step budget keeps the reference quick, and a search
         # that runs out of it must run out at the same step
@@ -394,7 +404,7 @@ class TestSeedsMatchTheReference:
         monkeypatch.setattr(harness, "SEED_SEARCH_STEPS", 2_000)
         outcomes = set()
         for n, (grid, c1, args, stop_at) in enumerate(self.instances(200, 14)):
-            got = best_seed_plan(grid, c1, *args, stop_at=stop_at)
+            got = best_seed_plan(self.handle(grid, c1, args), stop_at=stop_at)
             want = oracles.best_seed_plan(grid, c1, *args, stop_at=stop_at, step_budget=2_000)
             assert (got and got.positions) == (want and want.positions), (n, grid, c1, args, stop_at)
             outcomes.add((stop_at is None, got is None))
@@ -404,8 +414,9 @@ class TestSeedsMatchTheReference:
 
     def test_single_start_greedy(self):
         for n, (grid, c1, args, stop_at) in enumerate(self.instances(100, 15)):
+            handle = self.handle(grid, c1, args)
             for start in [None] + c1:
-                got = seed_mobile_plan(grid, c1, *args, stop_at=stop_at, first_start=start)
+                got = seed_mobile_plan(handle, stop_at=stop_at, first_start=start)
                 want = oracles.greedy_seed_plan(grid, c1, *args, stop_at=stop_at, first_start=start)
                 assert (got and got.positions) == (want and want.positions), (n, start)
 
@@ -417,8 +428,9 @@ class TestSeedsMatchTheReference:
         static = [(j, i) if sym & 4 else (i, j) for i, j in TestBacktrackSeed.TABLE8_STATIC]
         static = [(9 - i if sym & 1 else i, 9 - j if sym & 2 else j) for i, j in static]
         c1 = sorted(static_coverage([Cell(*p) for p in static], 1, grid)[1])
+        handle = build_milp_cov(grid, c1, 3, 4)
         for stop_at in (None, len(c1)):
-            got = best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
+            got = best_seed_plan(handle, stop_at=stop_at)
             want = oracles.best_seed_plan(grid, c1, 3, 4, 1, 2, 2, 3, stop_at=stop_at)
             assert got is not None and got.positions == want.positions
 
@@ -444,7 +456,7 @@ class TestRootBound:
     def test_packing_seeds_close_before_the_root(self, size, n_static, value, monkeypatch):
         grid = GridSpec(size, size)
         handle = build_milp_static(grid, n_static)
-        seed = encode_static(handle, pack_static_positions(grid, n_static, 1, 1, 4.0))
+        seed = encode_static(handle, pack_static_positions(handle))
         got = solve_milp(handle.instance, SolveParams(), warm_start=seed)
         assert got.status == "optimal" and got.nodes_explored == 0
         assert np.array_equal(got.incumbent, seed) and got.best_bound == got.objective
@@ -482,14 +494,15 @@ class TestRootBound:
         for size in (6, 8, 10, 12):
             for n_static in (3, 5, 7, 10):
                 for alpha in (1.0, 1.3, 4.0):
-                    cfg = ExperimentConfig(rows=size, cols=size, n_static=n_static, boundary_weight=alpha)
-                    stop_at = harness._packing_bound(cfg, build_milp_static(cfg.grid, n_static, 1, 1, alpha))
+                    grid = GridSpec(size, size)
+                    handle = build_milp_static(grid, n_static, 1, 1, alpha)
+                    stop_at = harness._packing_bound(handle)
                     if alpha == 1.3:
                         assert stop_at is None  # a fractional weight's sums are rounded: no stop
                         continue
-                    got = pack_static_positions(cfg.grid, n_static, 1, 1, alpha, stop_at=stop_at)
-                    assert got == pack_static_positions(cfg.grid, n_static, 1, 1, alpha), cfg
-                    met += got is not None and static_deployment(cfg.grid, got, 1, alpha).objective_value == stop_at
+                    got = pack_static_positions(handle, stop_at=stop_at)
+                    assert got == pack_static_positions(handle), (size, n_static, alpha)
+                    met += got is not None and static_deployment(grid, got, 1, alpha).objective_value == stop_at
         assert met > 20, met  # the bound is met, so the search stops, on most of these grids
 
     def test_packing_search_stops_at_the_first_placement_that_reaches_the_value(self):
@@ -497,9 +510,10 @@ class TestRootBound:
         # (183): below 183 it returns one of those, never one short of the
         # value it was told to stop at
         grid = GridSpec(10, 10)
+        handle = build_milp_static(grid, 10)
         values = []
         for stop_at in range(171, 184):
-            got = pack_static_positions(grid, 10, 1, 1, 4.0, stop_at=stop_at)
+            got = pack_static_positions(handle, stop_at=stop_at)
             values.append(static_deployment(grid, got, 1, 4.0).objective_value)
             assert values[-1] >= stop_at
         assert values == sorted(values) and values[0] < values[-1] == 183.0

@@ -568,6 +568,13 @@ class TestEtaFile:
 
 
 class TestTieBreak:
+    def test_face_weights_are_pinned(self):
+        # every phase-2 tilt, settle point and branching tie reads these
+        want = ["0x1.6220a8397b1dcp+0", "0x1.dcf13cd54372cp-1", "0x1.0d88ba3100128p-1",
+                "0x1.788bb8a8724c8p+0", "0x1.367312d4a350ep-1", "0x1.a7973e18e8fd4p-1",
+                "0x1.5905357c3e8a6p-1", "0x1.4584133ac916ap+0"]
+        assert [float.hex(w) for w in _face_weights(8).tolist()] == want
+
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_optimum_maximizes_the_face_weights(self, scale):
         # among alternative optima the solve returns the one HiGHS finds
