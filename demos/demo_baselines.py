@@ -21,11 +21,11 @@ def main():
 
     print(f"{'planner':<10} {'seed':>4} {'coverage %':>10} {'movements':>9}")
     for row in rows:
-        print(f"{row.planner:<10} {row.seed:>4} {row.coverage_pct:>10.2f} {row.movements_raw:>9}")
+        print(f"{row.config.planner:<10} {row.seed:>4} {row.coverage_pct:>10.2f} {row.movements_raw:>9}")
 
     by_planner = {}
     for row in rows:
-        by_planner.setdefault(row.planner, []).append(row.coverage_pct)
+        by_planner.setdefault(row.config.planner, []).append(row.coverage_pct)
     print()
     for planner, values in by_planner.items():
         print(f"mean {planner}: {sum(values) / len(values):.2f}%")

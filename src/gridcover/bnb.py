@@ -61,6 +61,8 @@ class SolveParams:
             raise ValueError("time_limit must be positive")
         if self.mip_gap < 0:
             raise ValueError("mip_gap must be >= 0")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
         if self.node_selection not in ("best-bound", "depth-first"):
             raise ValueError(f"unknown node_selection {self.node_selection!r}")
 

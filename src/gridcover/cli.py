@@ -37,7 +37,7 @@ from .harness import (
     PLACEMENTS,
     PLANNERS,
     ExperimentConfig,
-    _baseline_cfg,
+    baseline_plan,
     build_mobile_milp,
     deployment_text,
     parse_deployment_text,
@@ -46,11 +46,10 @@ from .harness import (
     plan_text,
     results_csv,
     run_pipeline,
-    self_describing_row,
     sweep,
 )
+from .grid import evaluate_plan
 from .milp import write_lp_text
-from .planners import greedy_plan, random_plan
 
 CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
@@ -225,12 +224,11 @@ def _cmd_plan(args, planner: str) -> int:
         print(f"solver status {result.status}: no plan{hint}", file=sys.stderr)
         return 1
     _write(args.out, plan_text(plan))
-    row = self_describing_row(config, 0, deployment, plan, result.status,
-                              result.objective, result.best_bound, result.gap, 0.0)
-    print(f"coverage: {row.coverage_pct:.2f}% ({row.covered_cells}/{row.total_cells} cells)")
-    to_target = ("target not reached" if row.movements_to_target is None
-                 else f"{row.movements_to_target} to target")
-    print(f"movements: {row.movements_raw} raw, {row.movements_trimmed} trimmed, {to_target}")
+    report = evaluate_plan(deployment, plan, config.sensor_params, config.grid)
+    print(f"coverage: {report.coverage_pct:.2f}% ({report.covered_count}/{report.total_cells} cells)")
+    to_target = report.movements_to(config.coverage_target)
+    to_target = "target not reached" if to_target is None else f"{to_target} to target"
+    print(f"movements: {report.movements} raw, {report.movements_trimmed} trimmed, {to_target}")
     bound = "none" if result.best_bound is None else f"{result.best_bound:g}"  # stopped before the root LP
     print(f"solver: {result.status}, objective {result.objective:g}, bound {bound}")
     print(f"wrote {args.out}")
@@ -238,13 +236,12 @@ def _cmd_plan(args, planner: str) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    config, deployment = _planning_config(args, planner=args.method, seeds=(args.seed,))
-    fn = greedy_plan if args.method == "greedy" else random_plan
-    plan = fn(config.grid, deployment, _baseline_cfg(config, args.seed))
+    config, deployment = _planning_config(args, planner=args.method)
+    plan = baseline_plan(config, deployment, args.seed)
     _write(args.out, plan_text(plan))
-    row = self_describing_row(config, args.seed, deployment, plan, "ok", None, None, None, 0.0)
-    print(f"coverage: {row.coverage_pct:.2f}% ({row.covered_cells}/{row.total_cells} cells); "
-          f"movements: {row.movements_raw}")
+    report = evaluate_plan(deployment, plan, config.sensor_params, config.grid)
+    print(f"coverage: {report.coverage_pct:.2f}% ({report.covered_count}/{report.total_cells} cells); "
+          f"movements: {report.movements}")
     print(f"wrote {args.out}")
     return 0
 

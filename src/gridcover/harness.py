@@ -18,7 +18,9 @@ footprints are bitmasks, counts are c_o bitmask layers, and
 `FormulationHandle` it seeds and reads that model's geometry from it: its
 footprint and step tables are the ones the builder built the model from.
 Deployments, plans and result rows are persisted as line-oriented text so
-every reported number can be re-derived offline.
+every reported number can be re-derived offline.  A `ResultRow` holds
+the `ExperimentConfig` it ran, and the CSV's config columns are read from
+it (RESULT_COLUMNS).
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class ExperimentConfig:
             raise ValueError("static placement requires n_static >= 1")
         if not 0 < _exact_fraction(self.coverage_target) <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
+        self.solver_params()  # the solver limits are checked with the rest
 
     @property
     def grid(self) -> GridSpec:
@@ -111,22 +114,11 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    """Self-describing outcome of one (config, seed) pipeline run."""
+    """Self-describing outcome of one (config, seed) pipeline run: the
+    config it ran, whose fields less the run controls are the CSV's first
+    columns, and the counts of one replay of its deployment and plan."""
 
-    rows: int
-    cols: int
-    n_static: int
-    n_mobile: int
-    k_max: int
-    r_s: int
-    rho_x: int
-    rho_y: int
-    c_o_static: int
-    c_o_mobile: int
-    boundary_weight: float
-    coverage_target: str
-    placement: str
-    planner: str
+    config: ExperimentConfig
     seed: int
     coverage_pct: float
     covered_cells: int
@@ -492,14 +484,11 @@ def plan_mobile_milp(
 def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
     """Run the full pipeline once per seed; solver trouble is recorded in
     the row, never fatal to the batch."""
-    grid = config.grid
-    params = config.sensor_params
     rows: List[ResultRow] = []
 
     milp_deployment: Optional[StaticDeployment] = None
-    milp_depl_result: Optional[MilpResult] = None
     if config.placement == "milp-static":
-        milp_deployment, milp_depl_result = place_static_milp(config)
+        milp_deployment = place_static_milp(config)[0]
 
     for seed in config.seeds:
         t0 = time.monotonic()
@@ -531,10 +520,8 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
                     note = "no incumbent within limits"
             except ValueError as exc:
                 status, note = "error", str(exc)
-        elif config.planner == "greedy":
-            plan = greedy_plan(grid, deployment, _baseline_cfg(config, seed))
-        elif config.planner == "random":
-            plan = random_plan(grid, deployment, _baseline_cfg(config, seed))
+        elif config.planner in ("greedy", "random"):
+            plan = baseline_plan(config, deployment, seed)
 
         rows.append(self_describing_row(
             config, seed, deployment, plan, status, objective, bound, gap,
@@ -543,15 +530,15 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
     return rows
 
 
-def _baseline_cfg(config: ExperimentConfig, seed: int) -> BaselineConfig:
-    return BaselineConfig(
-        n_mobile=config.n_mobile,
-        k_max=config.k_max,
-        r_s=config.r_s,
-        rho_x=config.rho_x,
-        rho_y=config.rho_y,
-        seed=seed,
-    )
+def baseline_plan(
+    config: ExperimentConfig, deployment: Optional[StaticDeployment], seed: int
+) -> MobilePlan:
+    """The plan of the baseline planner `config` names (greedy or random)
+    around `deployment`; `seed` seeds its random choices."""
+    baseline = BaselineConfig(n_mobile=config.n_mobile, k_max=config.k_max, r_s=config.r_s,
+                              rho_x=config.rho_x, rho_y=config.rho_y, seed=seed)
+    planner = greedy_plan if config.planner == "greedy" else random_plan
+    return planner(config.grid, deployment, baseline)
 
 
 def self_describing_row(
@@ -570,20 +557,7 @@ def self_describing_row(
     stored deployment and plan."""
     report = evaluate_plan(deployment, plan, config.sensor_params, config.grid)
     return ResultRow(
-        rows=config.rows,
-        cols=config.cols,
-        n_static=config.n_static,
-        n_mobile=config.n_mobile,
-        k_max=config.k_max,
-        r_s=config.r_s,
-        rho_x=config.rho_x,
-        rho_y=config.rho_y,
-        c_o_static=config.c_o_static,
-        c_o_mobile=config.c_o_mobile,
-        boundary_weight=config.boundary_weight,
-        coverage_target=str(config.coverage_target),
-        placement=config.placement,
-        planner=config.planner,
+        config=config,
         seed=seed,
         coverage_pct=report.coverage_pct,
         covered_cells=report.covered_count,
@@ -633,8 +607,12 @@ def sweep(base: ExperimentConfig, axes: Dict[str, Sequence]) -> List[ResultRow]:
 # persistence
 # ---------------------------------------------------------------------------
 
-# the CSV columns: ResultRow's fields in order, less the deployment and plan objects
-RESULT_COLUMNS = [f.name for f in fields(ResultRow) if f.name not in ("deployment", "plan")]
+# the CSV columns: the config's fields less the run controls, then the
+# row's own fields less the config, deployment and plan objects
+_CONFIG_COLUMNS = [f.name for f in fields(ExperimentConfig)
+                   if f.name not in ("seeds", "time_limit", "mip_gap", "node_limit")]
+RESULT_COLUMNS = _CONFIG_COLUMNS + [f.name for f in fields(ResultRow)
+                                    if f.name not in ("config", "deployment", "plan")]
 
 
 def _csv_field(value) -> str:
@@ -655,7 +633,7 @@ def results_csv(rows: Sequence[ResultRow], deterministic: bool = False) -> str:
     for row in rows:
         record = []
         for col in RESULT_COLUMNS:
-            value = getattr(row, col)
+            value = getattr(row.config if col in _CONFIG_COLUMNS else row, col)
             if col == "wall_time" and deterministic:
                 value = None
             record.append(_csv_field(value))

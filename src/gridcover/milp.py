@@ -387,10 +387,6 @@ class MilpInstance:
             )
         return self._views["constraints"]
 
-    def constraint_violation(self, x: np.ndarray) -> float:
-        """Largest residual of any constraint at the point `x` (0 if feasible)."""
-        return max_residual(self.matrix() @ x, self.sense_codes, self.rhs)
-
 
 def max_residual(lhs: np.ndarray, codes: np.ndarray, rhs: np.ndarray) -> float:
     """Largest amount by which rows `lhs (sense) rhs` fail (0 if all hold)."""

@@ -65,9 +65,11 @@ none of the column's upper limits can fall below over the declared boxes
 other columns keep them implied, so every branch-and-bound node drops
 them too.  A solve whose bounds lower such a column's upper bound below
 what its dropped rows need pivots on the model that keeps every row
-(LpData.reduced(drop_rows=False)), and so does the re-solve of a reduced
-LP that came back unbounded; a warm basis of the other row set fails the
-shape check and the solve goes cold.  A dropped row's slack carries no
+(LpData.reduced(drop_rows=False)); a warm basis of the other row set fails
+the shape check and the solve goes cold.  An unbounded reduced LP needs no
+re-solve with every row: raising each owner column to its dropped rows'
+lower limit extends any of its points to a full-model point no worse, so
+the full LP is unbounded too.  A dropped row's slack carries no
 face weight, so the point _settle picks is the full model's.
 
 One matrix per layer: LpData.A_csr is MilpInstance.matrix() (empty rows
@@ -1076,11 +1078,6 @@ def solve_lp(
         if res is not None:
             return res
         spent = solver.iterations
-    solver = _Solver(data, extra_bounds)
-    res = solver.solve()
-    if res.status == "unbounded" and solver.lp.dropped.size:
-        # the dropped rows are implied at an optimum; with none, solve with them
-        spent += res.iterations
-        res = _Solver(data, extra_bounds, drop_rows=False).solve()
+    res = _Solver(data, extra_bounds).solve()
     res.iterations += spent
     return res

@@ -9,7 +9,7 @@ import pytest
 import gridcover.bnb as bnb
 from gridcover.milp import MilpInstance
 from gridcover.bnb import MilpResult, SolveParams, solve_milp
-from gridcover.simplex import FEAS_TOL, solve_lp
+from gridcover.simplex import LpData, solve_lp
 
 from oracles import milp_by_enumeration
 
@@ -67,7 +67,7 @@ class TestBasics:
         res = solve_milp(m)
         for v in vs:
             assert res.incumbent[v] in (0.0, 1.0)
-        assert m.constraint_violation(res.incumbent) <= FEAS_TOL
+        assert LpData(m).feasible(res.incumbent, m.lower, m.upper)
         assert m.objective() @ res.incumbent == pytest.approx(res.objective)
 
     def test_incumbent_is_a_float_vector_over_every_variable(self):
@@ -153,6 +153,11 @@ class TestLimits:
         res = solve_milp(m, SolveParams(node_limit=1))
         assert res.status in ("feasible", "no-incumbent", "optimal", "infeasible")
         assert res.nodes_explored <= 1
+
+    def test_negative_node_limit_rejected(self):
+        with pytest.raises(ValueError, match="node_limit must be >= 0"):
+            SolveParams(node_limit=-1)
+        assert SolveParams(node_limit=0).node_limit == 0  # stop before the root LP
 
     def test_determinism_across_runs(self):
         m = self.harder_instance()
@@ -240,7 +245,7 @@ class TestOracleEquivalence:
             res = solve_milp(m)
             if res.incumbent is None:
                 continue
-            assert m.constraint_violation(res.incumbent) <= FEAS_TOL
+            assert LpData(m).feasible(res.incumbent, m.lower, m.upper)
             for vid, var in enumerate(m.variables):
                 if var.kind == "binary":
                     assert res.incumbent[vid] in (0.0, 1.0)

@@ -132,6 +132,16 @@ class TestPlanCommands:
         assert "bound none" in stdout
         assert plan.read_text().strip() != ""
 
+    def test_negative_node_limit_exits_two(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        code, stdout, err = run(
+            ["plan-cov", "--rows", "6", "--cols", "6", "--l", "1", "--kmax", "3",
+             "--node-limit", "-3", "--out", str(plan)],
+            capsys,
+        )
+        assert (code, stdout, err) == (2, "", "error: node_limit must be >= 0\n")
+        assert not plan.exists()
+
     def test_plan_short_of_the_target_says_so_once(self, tmp_path, capsys):
         # one node for two iterations covers 17 of 36 cells, short of the default full target
         code, stdout, _ = run(
@@ -437,6 +447,38 @@ class TestSweepCommand:
         )
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gap", "-1", "--axis", "k_max=2,3"], "mip_gap must be >= 0"),
+        (["--axis", "time_limit=5,0"], "sweep cell time_limit=0.0: time_limit must be positive"),
+        (["--axis", "node_limit=5,-1"], "sweep cell node_limit=-1: node_limit must be >= 0"),
+    ])
+    def test_bad_solver_limit_exits_two_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                             flags, message):
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "results.csv"
+        code, _, err = run(["sweep", "--rows", "5", "--cols", "5", "--l", "1", "--kmax", "2",
+                            "--out", str(out)] + flags, capsys)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, rows", [
+        (["--rows", "6", "--cols", "6", "--planner", "milp-mov", "--l", "2", "--kmax", "3", "--ns", "2",
+          "--axis", "boundary_weight=1,4", "--cr", "0.9", "--node-limit", "30"], [
+            "6,6,2,2,3,1,2,2,1,3,1.0,0.9,milp-static,milp-mov,0,100.0,36,36,2,2,2,optimal,2.0,2.0,0.0,,",
+            "6,6,2,2,3,1,2,2,1,3,4.0,0.9,milp-static,milp-mov,0,100.0,36,36,2,2,2,optimal,2.0,2.0,0.0,,",
+        ]),
+        (["--rows", "5", "--cols", "5", "--planner", "milp-cov", "--l", "0", "--kmax", "2"], [
+            "5,5,1,0,2,1,2,2,1,3,4.0,1,milp-static,milp-cov,0,36.0,9,25,0,0,,error,,,,,n_mobile must be >= 1",
+        ]),
+    ])
+    def test_csv_rows_are_pinned(self, tmp_path, capsys, flags, rows):
+        # the config columns come from each row's config, the rest from its run
+        out = tmp_path / "results.csv"
+        assert run(["sweep", "--deterministic", "--out", str(out)] + flags, capsys)[0] == 0
+        assert out.read_text().splitlines()[1:] == rows
 
     def test_readme_sweep_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -32,7 +32,7 @@ from gridcover.harness import (
     seed_mobile_plan,
     sweep,
 )
-from gridcover.simplex import FEAS_TOL
+from gridcover.simplex import LpData
 
 
 def tiny_config(**kw):
@@ -104,7 +104,7 @@ class TestSweep:
                            planner="greedy", seeds=(0, 1))
         rows = sweep(base, {"n_mobile": [1, 2], "k_max": [2, 3]})
         assert len(rows) == 2 * 2 * 2
-        combos = [(r.n_mobile, r.k_max, r.seed) for r in rows]
+        combos = [(r.config.n_mobile, r.config.k_max, r.seed) for r in rows]
         # axes iterate in sorted-name order: k_max outer, n_mobile inner
         assert combos == [
             (1, 2, 0), (1, 2, 1), (2, 2, 0), (2, 2, 1),
@@ -156,6 +156,18 @@ class TestPersistence:
             "boundary_weight,coverage_target,placement,planner,seed,coverage_pct,"
             "covered_cells,total_cells,movements_raw,movements_trimmed,"
             "movements_to_target,solver_status,objective,best_bound,gap,wall_time,note\n"
+        )
+
+    def test_csv_config_columns_are_the_rows_config(self):
+        # most config columns are set off their defaults, and the CSV
+        # writes each from the row's config
+        config = tiny_config(rows=5, cols=6, n_static=0, placement="none", n_mobile=2, k_max=3,
+                             rho_x=1, rho_y=3, c_o_static=4, c_o_mobile=2, boundary_weight=2.5,
+                             coverage_target="9/10", planner="greedy", seeds=(7,))
+        (row,) = run_pipeline(config)
+        assert row.config is config
+        assert results_csv([row], deterministic=True).splitlines()[1] == (
+            "5,6,0,2,3,1,1,3,4,2,2.5,9/10,none,greedy,7,96.66666666666667,29,30,6,6,5,ok,,,,,"
         )
 
     @pytest.mark.parametrize("planner", ["milp-cov", "milp-mov"])
@@ -226,7 +238,7 @@ class TestWarmStartHelpers:
         plan = seed_mobile_plan(handle)
         assert plan is not None
         values = encode_plan(handle, plan)
-        assert handle.instance.constraint_violation(values) <= FEAS_TOL
+        assert LpData(handle.instance).feasible(values, handle.instance.lower, handle.instance.upper)
 
     def test_seeded_mov_plan_stops_at_target(self):
         grid = GridSpec(6, 6)

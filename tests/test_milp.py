@@ -11,6 +11,7 @@ from gridcover.grid import GridSpec
 from gridcover.milp import (
     MilpInstance,
     instance_stats,
+    max_residual,
     parse_solution_values,
     write_lp_text,
 )
@@ -180,11 +181,11 @@ class TestConstraintViolation:
         m.add_constraint([(y, 2.0)], "=", 2.0)
         m.add_constraint([], "<=", 1.0)
         assert (x, y) == (0, 1)
-        assert m.constraint_violation(np.array([2.0, 1.0])) == 0.0
-        assert m.constraint_violation(np.array([3.5, 1.0])) == pytest.approx(0.5)
-        assert m.constraint_violation(np.array([0.5, 1.0])) == pytest.approx(1.5)
-        assert m.constraint_violation(np.array([2.0, 3.0])) == pytest.approx(4.0)
-        assert m.constraint_violation(np.zeros(2)) == pytest.approx(2.0)
+        assert max_residual(m.matrix() @ np.array([2.0, 1.0]), m.sense_codes, m.rhs) == 0.0
+        assert max_residual(m.matrix() @ np.array([3.5, 1.0]), m.sense_codes, m.rhs) == pytest.approx(0.5)
+        assert max_residual(m.matrix() @ np.array([0.5, 1.0]), m.sense_codes, m.rhs) == pytest.approx(1.5)
+        assert max_residual(m.matrix() @ np.array([2.0, 3.0]), m.sense_codes, m.rhs) == pytest.approx(4.0)
+        assert max_residual(m.matrix() @ np.zeros(2), m.sense_codes, m.rhs) == pytest.approx(2.0)
 
 
 class TestInstanceStats:

@@ -14,7 +14,6 @@ from gridcover.quotient import dual_bound
 from gridcover.simplex import (
     AT_LO,
     AT_UP,
-    FEAS_TOL,
     FREE,
     REFACTOR_EVERY,
     TIE_EPS,
@@ -38,10 +37,6 @@ def build(c, A, senses, b, lower, upper, maximize=True):
         m.add_constraint(terms, senses[r], b[r])
     m.set_objective([(j, c[j]) for j in range(n) if c[j] != 0.0], "maximize" if maximize else "minimize")
     return m
-
-
-def residuals_ok(instance, values):
-    return instance.constraint_violation(values) <= FEAS_TOL
 
 
 class TestBasics:
@@ -268,7 +263,7 @@ class TestRandomizedOracle:
             res = solve_lp(inst)
             if res.status != "optimal":
                 continue
-            assert residuals_ok(inst, res.values)
+            assert LpData(inst).feasible(res.values, lower, upper)
             recomputed = inst.objective() @ res.values
             assert recomputed == pytest.approx(res.objective, abs=1e-7)
             assert np.all((lower - 1e-9 <= res.values) & (res.values <= upper + 1e-9))
@@ -874,6 +869,34 @@ class TestDominatedRows:
                     _, _, direct = checker.check_child(lp, data, {**bounds, k: box}, child.basis)
                     grandchildren += direct is not None
         assert children > 150 and grandchildren > 100, (children, grandchildren)
+
+    def test_unbounded_with_and_without_the_dropped_rows(self):
+        # raising each owner column to its dropped rows' lower limit extends
+        # a point of the reduced LP to a full-model point no worse, so the
+        # reduced LP is unbounded exactly when the full one is
+        rng = np.random.default_rng(23)
+        checked = dropped = 0
+        for _ in range(120):
+            c, A, senses, b, lower, upper, maximize = dominated_lp(rng)
+            if highs(c, A, senses, b, lower, upper, maximize)[0] != "optimal":
+                continue
+            # a column u in [0, inf) whose cost favours increasing it joins
+            # the last owner's upper-limit row (z <= sum of its y), whose
+            # bound is lifted: z and u then grow together without end
+            (cap,) = [r for r in range(len(senses)) if senses[r] == "<=" and A[r, -1] > 0]
+            u = np.zeros((len(senses), 1))
+            u[cap] = -1.0
+            upper = upper.copy()
+            upper[-1] = math.inf
+            lp = (np.append(c, 1.0 if maximize else -1.0), np.hstack([A, u]), senses, b,
+                  np.append(lower, 0.0), np.append(upper, math.inf), maximize)
+            data = LpData(build(*lp))
+            checked += 1
+            dropped += data.reduced().dropped.size
+            assert _Solver(data, None).solve().status == "unbounded", lp
+            assert _Solver(data, None, drop_rows=False).solve().status == "unbounded", lp
+            assert solve_lp(data).status == "unbounded", lp
+        assert checked > 40 and dropped > 100, (checked, dropped)
 
     def test_coverage_model_drops_its_linking_rows_and_movement_model_none(self):
         grid = GridSpec(6, 6)
