@@ -10,7 +10,9 @@ that noise, not to a fixed order.  A seeded search may close before any
 LP: when the seed attains the bound of the variable boxes alone, or the
 bound on the root LP that the LP's symmetry quotient proves
 (quotient.lp_bound), it ends "optimal" at 0 nodes, as a root LP no better
-than the seed would have ended it.  Otherwise the root relaxation is
+than the seed would have ended it.  The harness's packing seeds close
+placement solves this way, and its fewest-movements seeds close movement
+solves (mov10 among them).  Otherwise the root relaxation is
 solved cold by the bounded-variable simplex.  Every other node's bound map
 is a NodeBounds that carries its parent's optimal basis (one object,
 shared by the two siblings), from which the simplex re-optimizes with the

@@ -248,7 +248,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     if args.formulation == "static":
-        config = _config(args)
+        config = _config(args, planner="none")  # the path flags play no part
         handle = build_milp_static(config.grid, config.n_static, config.r_s,
                                    config.c_o_static, config.boundary_weight)
     else:

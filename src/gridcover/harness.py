@@ -10,9 +10,11 @@ objectives are never trusted for reporting).  One result row per seed.
 
 Exact solves are warm-started with constructive heuristics (a packing
 search for placement, an overlap-respecting multi-start greedy for paths,
-and a bounded backtracking search over the greedy's choices when no
-greedy start yields a plan); seeding only tightens pruning and never
-affects correctness.  The three searches share one coverage counter:
+a bounded backtracking search over the greedy's choices when no greedy
+start yields a plan, and, for a movement seed above the quotient bound, a
+bounded search for the plan of fewest movements); seeding only tightens
+pruning and never affects correctness.  The four searches share one
+coverage counter:
 footprints are bitmasks, counts are c_o bitmask layers, and
 `_add_footprint` adds one placement.  Each seeder takes the
 `FormulationHandle` it seeds and reads that model's geometry from it: its
@@ -54,7 +56,7 @@ from .quotient import lp_bound
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
 PACK_SEARCH_STEPS = 400_000  # search nodes the static packing seed may visit
-SEED_SEARCH_STEPS = 20_000  # slots the backtracking seed may visit
+SEED_SEARCH_STEPS = 20_000  # steps the backtracking and fewest-movements searches may each take
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,10 @@ class ExperimentConfig:
             raise ValueError("placement 'none' requires n_static == 0")
         if self.placement != "none" and self.n_static < 1:
             raise ValueError("static placement requires n_static >= 1")
+        if self.planner != "none":
+            for name in ("n_mobile", "k_max"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1")
         if not 0 < _exact_fraction(self.coverage_target) <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
         self.solver_params()  # the solver limits are checked with the rest
@@ -392,6 +398,71 @@ def _backtrack_plan(handle: FormulationHandle, tables, stop_at: Optional[int]) -
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
 
 
+def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int,
+                       high: int) -> Optional[MobilePlan]:
+    """A movement plan that covers `stop_at` cells with the fewest
+    movements from `low` to `high`, found by iterative deepening on the
+    total budget; None when there is none in that range or the search runs
+    out of SEED_SEARCH_STEPS, which all budgets share.  At each budget a
+    depth-first search lays out node paths in node order: a path extends
+    within the step window of its last cell or ends, and is no longer than
+    the path before it (nodes are interchangeable).  A path starts only on
+    a cell of positive gain, since a plan of fewest movements has no
+    start whose cells the others cover.  Candidates go by new-coverage gain
+    descending (ties by index), no footprint cell is covered more than c_o
+    times, and a branch is cut when its open movements cannot cover the
+    cells still missing."""
+    c1, n_mobile = handle.uncovered, handle.n_mobile
+    masks, windows = tables
+    most = max(fp.bit_count() for fp in masks)
+    paths: List[List[int]] = [[]]
+    steps = 0
+
+    def search(budget: int, used: int, layers: List[int], cap: int) -> Optional[bool]:
+        """True once a plan is found, False when none extends the paths
+        laid out, None when the step budget runs out; `cap` bounds the
+        length of the last path."""
+        nonlocal steps
+        steps += 1
+        if steps > SEED_SEARCH_STEPS:
+            return None
+        covered = layers[0].bit_count()
+        if covered >= stop_at:
+            return True
+        if covered + (budget - used) * most < stop_at:
+            return False
+        path = paths[-1]
+        if len(path) < cap:
+            cands = windows[path[-1]] if path else range(len(c1))
+            gains = sorted((-(masks[n] & ~layers[0]).bit_count(), n)
+                           for n in cands if not masks[n] & layers[-1])
+            for gain, n in gains:
+                if not path and not gain:
+                    break  # the rest gain nothing either
+                path.append(n)
+                found = search(budget, used + 1, _add_footprint(layers, masks[n]), cap)
+                if found is not False:
+                    return found
+                path.pop()
+        if not path or len(paths) == n_mobile:
+            return False
+        paths.append([])
+        found = search(budget, used, layers, len(path))
+        if found is False:
+            paths.pop()
+        return found
+
+    for budget in range(low, high + 1):
+        found = search(budget, 0, [0] * handle.c_o, handle.horizon)
+        if found is None:
+            return None
+        if found:
+            positions = {(l, k): c1[n] for l, path in enumerate(paths, start=1)
+                         for k, n in enumerate(path, start=1)}
+            return MobilePlan(n_mobile=n_mobile, horizon=handle.horizon, positions=positions)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
@@ -460,7 +531,12 @@ def plan_mobile_milp(
     config: ExperimentConfig, deployment: Optional[StaticDeployment]
 ) -> Tuple[FormulationHandle, Optional[MobilePlan], MilpResult]:
     """Stages 2-3, exact variants: build the selected formulation over the
-    uncovered set, seed it, solve, decode the incumbent."""
+    uncovered set, seed it, solve, decode the incumbent.  A movement seed
+    with more movements than the floor (the quotient bound the solve reads,
+    rounded up, or the cells to cover over the largest footprint) gives way
+    to the plan of fewest movements the bounded search finds below it
+    (_fewest_moves_plan); a seed that reaches the quotient bound ends the
+    solve before any LP."""
     handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
         empty = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions={})
@@ -474,6 +550,14 @@ def plan_mobile_milp(
     if handle.coverage_threshold is not None:
         stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
     seeded = best_seed_plan(handle, stop_at=stop_at)
+    if stop_at and seeded is not None:
+        tables = _seed_tables(handle)
+        low = -(-stop_at // max(fp.bit_count() for fp in tables[0]))
+        bound = lp_bound(handle.instance)  # the one the solve reads
+        if bound is not None:
+            low = max(low, math.ceil(bound - 1e-6))
+        if seeded.movements > low:
+            seeded = _fewest_moves_plan(handle, tables, stop_at, low, seeded.movements - 1) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)
     result = solve_milp(handle.instance, params, warm_start=warm)
     if result.incumbent is None:

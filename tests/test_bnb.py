@@ -2,12 +2,18 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import gridcover.bnb as bnb
-from gridcover.milp import MilpInstance
+from gridcover import harness
+from gridcover.formulations import build_milp_static, static_deployment
+from gridcover.grid import GridSpec
+from gridcover.harness import ExperimentConfig
+from gridcover.milp import GE, LE, MilpInstance
 from gridcover.bnb import MilpResult, SolveParams, solve_milp
 from gridcover.simplex import LpData, solve_lp
 
@@ -249,3 +255,82 @@ class TestOracleEquivalence:
             for vid, var in enumerate(m.variables):
                 if var.kind == "binary":
                     assert res.incumbent[vid] in (0.0, 1.0)
+
+
+def scipy_milp(instance: MilpInstance):
+    """`instance` solved by HiGHS through scipy.optimize.milp, to a zero gap:
+    (status, objective), the status in solve_milp's words."""
+    sign = 1.0 if instance.objective_sense == "minimize" else -1.0
+    codes, rhs = instance.sense_codes, instance.rhs
+    lo = np.where(codes == LE, -np.inf, rhs)
+    hi = np.where(codes == GE, np.inf, rhs)
+    res = milp(sign * instance.objective(), integrality=instance.is_binary.astype(int),
+               bounds=Bounds(instance.lower, instance.upper),
+               constraints=LinearConstraint(instance.matrix(), lo, hi),
+               options={"mip_rel_gap": 0.0})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, f"scipy status {res.status}")
+    return status, None if res.fun is None else sign * res.fun
+
+
+class TestAgainstScipyMilp:
+    """solve_milp, unseeded and as the harness seeds it, against HiGHS's
+    MILP solver: the same status, and objectives within 1e-6."""
+
+    @staticmethod
+    def agree(res, want_status, want):
+        assert res.status == want_status
+        if want_status == "optimal":
+            assert res.objective == pytest.approx(want, abs=1e-6)
+
+    def test_random_milps(self):
+        rng = random.Random(6)
+        statuses = set()
+        for _ in range(120):
+            m = random_milp(rng)
+            want_status, want = scipy_milp(m)
+            self.agree(solve_milp(m), want_status, want)
+            statuses.add(want_status)
+        assert statuses == {"optimal", "infeasible"}
+
+    @staticmethod
+    def configs(count, seed):
+        """Random 3x3-5x5 placement, coverage and movement runs: static
+        nodes 1-3 (or 0-2 around the paths), boundary weights 1, 1.3 and 4,
+        1-2 mobile nodes, K 1-3, step ranges 1-2, caps 1-3, targets 0.6-1."""
+        rng = random.Random(seed)
+        for n in range(count):
+            grid = GridSpec(rng.randint(3, 5), rng.randint(3, 5))
+            kind = ("static", "milp-cov", "milp-mov")[n % 3]
+            if kind == "static":
+                yield kind, ExperimentConfig(
+                    rows=grid.rows, cols=grid.cols, n_static=rng.randint(1, 3),
+                    c_o_static=rng.randint(1, 2), boundary_weight=rng.choice([1.0, 1.3, 4.0])), None
+                continue
+            static = rng.sample(sorted(grid.cells()), rng.randint(0, 2))
+            yield kind, ExperimentConfig(
+                rows=grid.rows, cols=grid.cols, n_static=len(static),
+                placement="milp-static" if static else "none", planner=kind,
+                n_mobile=rng.randint(1, 2), k_max=rng.randint(1, 3), rho_x=rng.randint(1, 2),
+                rho_y=rng.randint(1, 2), c_o_mobile=rng.randint(1, 3),
+                coverage_target=f"{rng.randint(60, 100)}/100",
+            ), static_deployment(grid, static, 1, 4.0) if static else None
+
+    def test_paper_models(self):
+        statuses = set()
+        for kind, cfg, deployment in self.configs(60, 3):
+            if kind == "static":
+                instance = build_milp_static(cfg.grid, cfg.n_static, cfg.r_s, cfg.c_o_static,
+                                             cfg.boundary_weight).instance
+                res = harness.place_static_milp(cfg)[1]
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    handle, _, res = harness.plan_mobile_milp(cfg, deployment)
+                if handle.nothing_to_plan:
+                    continue
+                instance = handle.instance
+            want_status, want = scipy_milp(instance)
+            self.agree(res, want_status, want)
+            self.agree(solve_milp(instance), want_status, want)  # and unseeded
+            statuses.add((kind, want_status))
+        assert {k for k, s in statuses if s == "optimal"} == {"static", "milp-cov", "milp-mov"}

@@ -251,6 +251,17 @@ class TestExportLp:
         status, objective = solve_parsed(read_lp_text(out.read_text()))
         assert status == 0 and objective == pytest.approx(33.0)
 
+    def test_static_export_ignores_the_path_flags(self, tmp_path, capsys):
+        # --l and --kmax set the path models only, so no value of theirs is wrong here
+        texts = []
+        for flags in ([], ["--l", "0", "--kmax", "0"]):
+            out = tmp_path / "model.lp"
+            code, _, _ = run(["export-lp", "--formulation", "static", "--rows", "3", "--cols", "3",
+                              "--out", str(out)] + flags, capsys)
+            assert code == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["export-lp", "--formulation", "bogus", "--rows", "3", "--cols", "3"])
@@ -470,15 +481,31 @@ class TestSweepCommand:
             "6,6,2,2,3,1,2,2,1,3,1.0,0.9,milp-static,milp-mov,0,100.0,36,36,2,2,2,optimal,2.0,2.0,0.0,,",
             "6,6,2,2,3,1,2,2,1,3,4.0,0.9,milp-static,milp-mov,0,100.0,36,36,2,2,2,optimal,2.0,2.0,0.0,,",
         ]),
-        (["--rows", "5", "--cols", "5", "--planner", "milp-cov", "--l", "0", "--kmax", "2"], [
-            "5,5,1,0,2,1,2,2,1,3,4.0,1,milp-static,milp-cov,0,36.0,9,25,0,0,,error,,,,,n_mobile must be >= 1",
-        ]),
     ])
     def test_csv_rows_are_pinned(self, tmp_path, capsys, flags, rows):
         # the config columns come from each row's config, the rest from its run
         out = tmp_path / "results.csv"
         assert run(["sweep", "--deterministic", "--out", str(out)] + flags, capsys)[0] == 0
         assert out.read_text().splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("planner", ["milp-cov", "milp-mov", "greedy", "random"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--l", "0", "--kmax", "2"], "n_mobile must be >= 1"),
+        (["--l", "0", "--kmax", "2", "--axis", "k_max=2,3"], "n_mobile must be >= 1"),
+        (["--l", "1", "--kmax", "0"], "k_max must be >= 1"),
+        (["--l", "1", "--kmax", "2", "--axis", "n_mobile=1,0"], "sweep cell n_mobile=0: n_mobile must be >= 1"),
+    ], ids=["l0", "l0-axis", "kmax0", "l0-cell"])
+    def test_no_mobile_node_exits_two_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                          planner, flags, message):
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        monkeypatch.setattr(gridcover.harness, "place_static_milp", lambda cfg: calls.append(cfg))
+        out = tmp_path / "results.csv"
+        code, _, err = run(["sweep", "--rows", "5", "--cols", "5", "--planner", planner,
+                            "--out", str(out)] + flags, capsys)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not out.exists()
 
     def test_readme_sweep_example_runs(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,5 +1,6 @@
 """Pipeline orchestration, persistence, and warm-start seeding."""
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -538,3 +539,115 @@ class TestRootBound:
         for c_o in (1, 2, 3):
             harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=5, c_o_static=c_o))
         assert stops == [108, None, None]
+
+
+class TestFewestMoves:
+    """A movement seed above the quotient bound is replaced by the plan of
+    fewest movements that a bounded search finds; the solve verifies it by
+    substitution, as it does every seed."""
+
+    @staticmethod
+    def walks(c1, k_max, rho_x, rho_y):
+        """The number of single-node paths of 1..k_max cells over `c1`: the
+        size of the exhaustive oracle's path table."""
+        pos = np.array([tuple(c) for c in c1])
+        step = ((np.abs(pos[:, None, 0] - pos[None, :, 0]) <= rho_x)
+                & (np.abs(pos[:, None, 1] - pos[None, :, 1]) <= rho_y)).astype(float)
+        walks, total = np.ones(len(c1)), 0.0
+        for _ in range(k_max):
+            total += walks.sum()
+            walks = step @ walks
+        return total
+
+    def instances(self, count, seed):
+        """Random 4x4-6x6 grids with 0-3 static nodes, 1-2 mobile nodes,
+        K 1-4, step ranges 1-2, c_o 1-3 and targets 0.70-1.  Draws whose
+        path table would make the oracle slow (over 20,000 paths for one
+        node, 2,000 for two) are drawn again."""
+        rng = random.Random(seed)
+        while count:
+            grid = GridSpec(rng.randint(4, 6), rng.randint(4, 6))
+            static = rng.sample(sorted(grid.cells()), rng.randint(0, 3))
+            deployment = static_deployment(grid, static, 1, 4.0) if static else None
+            c1 = sorted(set(grid.cells()) - set(deployment.covered if static else ()))
+            n_mobile, k_max = rng.randint(1, 2), rng.randint(1, 4)
+            rho_x, rho_y, c_o = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
+            target = Fraction(rng.randint(70, 100), 100)
+            if c1 and self.walks(c1, k_max, rho_x, rho_y) <= (2_000 if n_mobile == 2 else 20_000):
+                count -= 1
+                yield ExperimentConfig(
+                    rows=grid.rows, cols=grid.cols, n_static=len(static),
+                    placement="milp-static" if static else "none", planner="milp-mov",
+                    n_mobile=n_mobile, k_max=k_max, rho_x=rho_x, rho_y=rho_y, c_o_mobile=c_o,
+                    coverage_target=target,
+                ), deployment
+
+    def test_search_against_the_exhaustive_oracle(self, monkeypatch):
+        from gridcover.formulations import validate_plan
+
+        seeded = improved = cut = 0
+        for n, (cfg, deployment) in enumerate(self.instances(220, 22)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                handle = harness.build_mobile_milp(cfg, deployment)
+            c1 = list(handle.uncovered)
+            want = oracles.min_movements_plan(
+                cfg.grid, c1, handle.static_covered_count, cfg.n_mobile, cfg.k_max, 1,
+                cfg.rho_x, cfg.rho_y, cfg.c_o_mobile, Fraction(cfg.coverage_target))
+            stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
+            seed = best_seed_plan(handle, stop_at=stop_at)
+            if seed is None:
+                continue
+            seeded += 1
+            tables = harness._seed_tables(handle)
+            # the floor that the solve's search starts from is below every plan
+            most = max(fp.bit_count() for fp in tables[0])
+            bound = harness.lp_bound(handle.instance)
+            assert -(-stop_at // most) <= want and (bound is None or math.ceil(bound - 1e-6) <= want)
+            plan = harness._fewest_moves_plan(handle, tables, stop_at, 0, seed.movements - 1)
+            if plan is None:
+                # the seed is the fewest, unless the search ran out of its steps
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "SEED_SEARCH_STEPS", 10**9)
+                    plan = harness._fewest_moves_plan(handle, tables, stop_at, 0, seed.movements - 1)
+                cut += plan is not None
+                assert (plan or seed).movements == want, (n, cfg)
+                continue
+            improved += 1
+            assert plan.movements == want, (n, cfg)
+            assert validate_plan(plan, cfg.grid, c1, cfg.rho_x, cfg.rho_y) == []
+            data = LpData(handle.instance)
+            assert data.feasible(encode_plan(handle, plan), data.lower, data.upper), (n, cfg)
+        assert seeded >= 110 and improved >= 30 and not cut, (seeded, improved, cut)  # 123, 38, 0
+
+    # criterion 5: 10x10, ten static nodes placed by the MILP, three mobile
+    # nodes over four iterations, full coverage
+    MOV10 = dict(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4, planner="milp-mov",
+                 coverage_target=1, time_limit=300, node_limit=60)
+
+    @staticmethod
+    def mov10_deployment(cfg, sym):
+        """mov10's static deployment under the `sym`-th symmetry of the grid."""
+        deployment = harness.place_static_milp(cfg)[0]
+        n = cfg.rows
+
+        def apply(cell):
+            i, j = (cell.j, cell.i) if sym & 4 else (cell.i, cell.j)
+            return Cell(n + 1 - i if sym & 1 else i, n + 1 - j if sym & 2 else j)
+
+        return static_deployment(cfg.grid, [apply(p) for p in deployment.positions], cfg.r_s,
+                                 cfg.boundary_weight)
+
+    @pytest.mark.parametrize("sym", range(8))
+    def test_mov10_closes_before_any_lp(self, sym, monkeypatch):
+        cfg = ExperimentConfig(**self.MOV10)
+        deployment = self.mov10_deployment(cfg, sym)
+        lp_calls = []
+        solve_lp = bnb.solve_lp
+        monkeypatch.setattr(bnb, "solve_lp", lambda *a: lp_calls.append(a) or solve_lp(*a))
+        _, plan, got = harness.plan_mobile_milp(cfg, deployment)
+        assert (got.status, got.objective, got.nodes_explored, plan.movements) == ("optimal", 6.0, 0, 6)
+        assert lp_calls == []
+        TestRootBound.without_bound(monkeypatch)
+        _, _, want = harness.plan_mobile_milp(cfg, deployment)
+        assert (got.status, got.objective, got.best_bound) == (want.status, want.objective, want.best_bound)
