@@ -1,8 +1,11 @@
 """Branch-and-bound MILP solver over LP relaxations.
 
 Pure branch-and-bound (no cutting planes): fractional binaries are fixed
-to 0/1 via per-node bound tightenings, and search follows best-bound (FIFO
-ties) or depth-first order with most-fractional branching.  Binaries that
+to 0/1 via per-node bound tightenings, and search follows best-bound order
+(ties to the newest node, so the search plunges: the first child of the
+node just branched is solved next) or depth-first order, with
+most-fractional branching.  The first child is the side the branching
+binary leans toward, and the down side at an exact 0.5.  Binaries that
 are equally fractional in exact arithmetic (several at 0.5 in the
 symmetric cover models) differ in the LP point by rounding noise, and
 np.argmax takes the largest computed fraction, so such a tie falls to
@@ -16,8 +19,9 @@ solves (mov10 among them).  Otherwise the root relaxation is
 solved cold by the bounded-variable simplex.  Every other node's bound map
 is a NodeBounds that carries its parent's optimal basis (one object,
 shared by the two siblings), from which the simplex re-optimizes with the
-dual simplex; the node's answer is the point a cold solve gives, up to
-rounding noise.
+dual simplex; a child solved right after its parent also starts from the
+parent's LU factor (see simplex.LpData.last_factor).  The node's answer is
+the point a cold solve gives, up to rounding noise.
 Every incumbent is re-verified by substitution with its binaries snapped
 exactly to {0, 1} before being accepted, and the reported objective is
 recomputed from the incumbent values rather than trusted from the
@@ -177,14 +181,19 @@ class _Search:
             self.final_bound_score = self.inc_score
             return self._finish(False, False, [])
 
-        # (negated score bound, insertion seq, bound-tightening map); below
-        # the root the map is a NodeBounds holding the parent's basis
+        # (negated score bound, tie key, bound-tightening map); below the
+        # root the map is a NodeBounds holding the parent's basis.  The tie
+        # key counts down, so among nodes of equal bound the heap pops the
+        # newest first (plunging): the preferred child of the node just
+        # branched, whose solve then starts from the factor that its
+        # parent's solve left (see simplex.solve_warm)
         seq = 0
         root: Tuple[float, int, Dict[int, Tuple[float, float]]] = (-math.inf, seq, {})
         heap: List[Tuple[float, int, Dict[int, Tuple[float, float]]]] = [root]
         stack = [root]
         use_heap = params.node_selection == "best-bound"
         open_nodes = heap if use_heap else stack
+        push = (lambda node: heapq.heappush(heap, node)) if use_heap else stack.append
         hit_limit = False
         saw_unbounded = False
 
@@ -234,17 +243,13 @@ class _Search:
             down[branch_var] = (0.0, 0.0)
             up = NodeBounds(bounds, res.basis)
             up[branch_var] = (1.0, 1.0)
-            # explore the side the fractional value leans toward first
-            first, second = (up, down) if xb[branch_pos] >= 0.5 else (down, up)
-            if use_heap:
-                seq += 1
-                heapq.heappush(heap, (-node_score, seq, first))
-                seq += 1
-                heapq.heappush(heap, (-node_score, seq, second))
-            else:
-                stack.append((-node_score, seq + 2, second))
-                stack.append((-node_score, seq + 1, first))
-                seq += 2
+            # explore the side the fractional value leans toward first, and
+            # the down side at an exact 0.5 (where the computed value's side
+            # is rounding noise)
+            first, second = (up, down) if xb[branch_pos] > 0.5 + 1e-9 else (down, up)
+            push((-node_score, seq - 1, second))
+            push((-node_score, seq - 2, first))
+            seq -= 2
 
             if self.incumbent is not None and params.mip_gap > 0:
                 bound_now = self._open_bound(open_nodes)

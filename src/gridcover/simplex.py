@@ -23,6 +23,15 @@ certificate, and a warm "optimal" passes the same substitution check as a
 cold one.  A basis that is not dual feasible, a stall past the dual's pivot
 cap or a numerical failure falls back to the cold solve.
 
+An optimal solve ends on a refactorization, so its eta file is empty, and
+it leaves that SuperLU factor in one slot on its LpData (last_factor),
+keyed by the identity of the WarmBasis it returns and of the _Reduced it
+pivoted on.  A warm solve from that very basis starts from the factor in
+place of a fresh splu of the same matrix, so its pivots are the same to
+the bit.  Branch-and-bound solves a node's first child right after the
+node (it plunges), so that child finds its parent's factor; no factor is
+held on open nodes.
+
 Both end in one finish (_Solver._optimize): the primal simplex on the
 tilted costs, then on the exact ones, then _settle, which moves to the
 point among alternative optima that maximizes a fixed generic weighting of
@@ -209,6 +218,10 @@ class LpData:
         self.slack_up = np.where(codes == LE, math.inf, 0.0)
         self._reduced: Optional[_Reduced] = None
         self._all_rows: Optional[_Reduced] = None
+        # (basis, model, lu): the last optimal solve's WarmBasis, the
+        # _Reduced it pivoted on and the SuperLU factor of that basis, for
+        # a warm solve from that very basis to start from (see solve_warm)
+        self.last_factor: Optional[Tuple[WarmBasis, _Reduced, object]] = None
 
     @cached_property
     def A(self) -> sp.csc_matrix:
@@ -708,13 +721,30 @@ class _Solver:
         self.xb[r] = self.val[q]
         self.status[leaving] = AT_LO if to_lower else AT_UP
         self.val[leaving] = self.lo[leaving] if to_lower else self.up[leaving]
+        movable = self.lo[leaving] < self.up[leaving]
+        self.side[leaving] = (1.0 if to_lower else -1.0) if movable else 0.0
         self.basis[r] = q
         self.status[q] = BASIC
+        self.side[q] = 0.0
         self.fact.push_eta(r, w)
+
+    def _sides(self) -> np.ndarray:
+        """The side vector that both loops keep up to date (in _pivot and at
+        each bound flip): +1 for a movable column at its lower bound, -1 at
+        its upper one, 0 for basic, fixed and free columns.  A column at a
+        bound may move in the direction v when side * v < 0; the free
+        nonbasic columns, in either direction, are checked apart."""
+        movable = self.lo < self.up
+        side = np.zeros(self.ncols)
+        side[movable & (self.status == AT_LO)] = 1.0
+        side[movable & (self.status == AT_UP)] = -1.0
+        return side
 
     def run_phase(self, c_all: np.ndarray) -> str:
         """Minimize c_all over the current basis state. Returns "optimal"
-        (no improving direction) or "unbounded".
+        (no improving direction) or "unbounded".  A column at a bound is
+        eligible when side * d < -RC_TOL (see _sides), a free one when
+        |d| > RC_TOL.
 
         Pricing is Devex (reference-weighted reduced costs), which keeps
         iteration counts near-linear in the row count on the heavily
@@ -729,6 +759,9 @@ class _Solver:
         max_iters = 50000 + 20 * (m + self.ncols)
         gamma = np.ones(self.ncols)  # Devex reference weights
         d = None  # reduced costs, updated incrementally between refactors
+        lo, up, stat = self.lo, self.up, self.status
+        side = self.side = self._sides()  # fixed variables never enter
+        free = np.flatnonzero(stat == FREE)
 
         for _ in range(max_iters):
             if self.fact.full:
@@ -739,23 +772,21 @@ class _Solver:
             if d is None:
                 d = self._reduced_costs(c_all)
 
-            stat, lo, up = self.status, self.lo, self.up
-            movable = lo < up  # fixed variables never enter
-            elig_lo = (stat == AT_LO) & (d < -RC_TOL) & movable
-            elig_up = (stat == AT_UP) & (d > RC_TOL) & movable
-            elig_fr = (stat == FREE) & (np.abs(d) > RC_TOL)
-            elig = elig_lo | elig_up | elig_fr
-            if not np.any(elig):
+            elig = side * d < -RC_TOL
+            if free.size:
+                elig[free] = (stat[free] == FREE) & (np.abs(d[free]) > RC_TOL)
+            idx = np.flatnonzero(elig)
+            if not idx.size:
                 if d_fresh:
                     return "optimal"
                 d = None  # confirm optimality against freshly computed costs
                 continue
 
             if bland:
-                q = int(np.flatnonzero(elig)[0])
+                q = int(idx[0])
             else:
-                score = np.where(elig, d * d / gamma, -1.0)
-                q = int(np.argmax(score))
+                d_e = d[idx]
+                q = int(idx[np.argmax(d_e * d_e / gamma[idx])])
             direction, w, t, t_own, t_rows, limits = self._ratio_test(q, d[q])
 
             if not np.isfinite(t):
@@ -775,7 +806,8 @@ class _Solver:
                 # bound-to-bound flip, basis unchanged
                 self.xb -= theta * w
                 self.val[q] = up[q] if direction > 0 else lo[q]
-                self.status[q] = AT_UP if direction > 0 else AT_LO
+                stat[q] = AT_UP if direction > 0 else AT_LO
+                side[q] = -direction
                 continue
             cand = np.flatnonzero(limits <= t + 1e-9 * (1.0 + t))
             # prefer evicting a bound-fixed basic (it can never re-enter, so
@@ -804,10 +836,13 @@ class _Solver:
 
         raise SimplexNumericalError("simplex iteration limit exceeded")
 
-    def _refresh(self) -> None:
-        """Refactorize and recompute basic values from scratch."""
+    def _refresh(self, refactor: bool = True) -> None:
+        """Refactorize (unless `refactor` is False: the factor at hand is
+        already the current basis's) and recompute basic values from
+        scratch."""
         n, m = self.n, self.m
-        self.fact.refactor(self.basis)
+        if refactor:
+            self.fact.refactor(self.basis)
         nb_val = self.val.copy()
         nb_val[self.basis] = 0.0
         rhs = self.lp.b - self.lp.A_csr @ nb_val[:n] - nb_val[n : n + m]
@@ -851,8 +886,9 @@ class _Solver:
         "infeasible" when a row certifies (and a Farkas check confirms)
         that no point exists, or None on a stall, a numerical failure or an
         unconfirmed certificate."""
-        lo, up = self.lo, self.up
-        movable = lo < up
+        lo, up, stat = self.lo, self.up, self.status
+        side = self.side = self._sides()
+        free = np.flatnonzero(stat == FREE)
         max_iters = 2 * self.m + 100
         d = None
         for it in range(max_iters + 1):
@@ -881,21 +917,14 @@ class _Solver:
             leave_to_lower = below[r] > 0
             s = 1.0 if leave_to_lower else -1.0
             rho, alpha = self._tableau_row(r)
-            sa = s * alpha
-            stat = self.status
-            cand = np.flatnonzero(
-                movable
-                & (
-                    ((stat == AT_LO) & (sa < -PIVOT_TOL))
-                    | ((stat == AT_UP) & (sa > PIVOT_TOL))
-                    | ((stat == FREE) & (np.abs(alpha) > PIVOT_TOL))
-                )
-            )
+            mask = side * (s * alpha) < -PIVOT_TOL
+            if free.size:
+                mask[free] = (stat[free] == FREE) & (np.abs(alpha[free]) > PIVOT_TOL)
+            cand = np.flatnonzero(mask)
             if cand.size == 0:  # row r rules every point out; check that independently
                 return "infeasible" if self._proves_infeasible(rho) else None
             abs_a = np.abs(alpha[cand])
-            room = np.maximum(np.where(stat[cand] == AT_UP, -d[cand], d[cand]), 0.0)
-            room[stat[cand] == FREE] = 0.0
+            room = np.maximum(side[cand] * d[cand], 0.0)  # 0 for a free column
             ratios = room / abs_a
             # Harris: among the steps within the relaxed bound, the largest pivot
             relaxed = float(np.min((room + RC_TOL) / abs_a))
@@ -949,7 +978,14 @@ class _Solver:
         self.basis = warm.basis.copy()
         self._place_nonbasic(warm.status)
         self.status[self.basis] = BASIC
-        self._refresh()
+        # the solve that returned `warm` left the factor of this very basis
+        # matrix on the LpData: the same LU that splu would compute here
+        handed = self.data.last_factor
+        if handed is not None and handed[0] is warm and handed[1] is self.lp:
+            self.fact.lu = handed[2]
+            self._refresh(refactor=False)
+        else:
+            self._refresh()
 
         outcome = self._dual_phase(self._phase2_costs()[1])
         if outcome == "infeasible":
@@ -1042,12 +1078,16 @@ class _Solver:
                 raise SimplexNumericalError("optimal point failed residual re-verification")
         obj = float(data.c_min @ x) * data.obj_sign
         y = self.fact.btran(self._phase2_costs()[0][self.basis])  # B^-T c_B
+        basis = WarmBasis(self.basis, self.status, self.art_sign)
+        # the finish ends on a refactorization, so the eta file is empty and
+        # the LU is the factor of this basis alone: hand it on
+        data.last_factor = (basis, self.lp, self.fact.lu)
         return LpResult(
             status="optimal",
             values=x,
             objective=obj,
             iterations=self.iterations,
-            basis=WarmBasis(self.basis, self.status, self.art_sign),
+            basis=basis,
             duals=self.lp.full_duals(y, data.m),
         )
 

@@ -428,7 +428,9 @@ class TestWarmStart:
 
 class TestColumnStore:
     """A solve reads every column from one store F = [A | I | diag(art_sign)]
-    over the presolved model, and factorizes exactly its basic columns."""
+    over the presolved model, and factorizes exactly its basic columns; a
+    warm solve from the basis that the last optimal solve returned starts
+    from that solve's factor instead."""
 
     @staticmethod
     def dense_columns(solver):
@@ -452,7 +454,9 @@ class TestColumnStore:
         monkeypatch.setattr(simplex._Basis, "refactor", spy_refactor)
         monkeypatch.setattr(simplex.spla, "splu", spy_splu)
 
-        def check(solver, run):
+        def check(solver, run, start=None, lu=None):
+            """`start`: the basis a warm solve starts from; `lu`: the factor
+            handed down for it, when there is one."""
             bases.clear()
             factored.clear()
             try:
@@ -463,13 +467,21 @@ class TestColumnStore:
                 return res, 0
             dense = self.dense_columns(solver)
             assert np.array_equal(solver.F.toarray(), dense)
-            assert len(bases) == len(factored) > 0
+            assert len(bases) == len(factored)
             for basis, B in zip(bases, factored):
                 assert np.array_equal(B, dense[:, basis])
+            if lu is not None:  # the handed-down LU solves the starting basis matrix
+                B = dense[:, start]
+                rhs = np.arange(1.0, len(start) + 1)
+                want = np.linalg.solve(B, rhs)
+                assert np.allclose(lu.solve(rhs), want, rtol=1e-9, atol=1e-9)
+                assert np.allclose(lu.solve(rhs, trans="T"), np.linalg.solve(B.T, rhs), rtol=1e-9, atol=1e-9)
+            else:  # any other start is factorized first
+                assert bases and (start is None or np.array_equal(bases[0], start))
             return res, len(bases)
 
         rng = np.random.default_rng(77)
-        counts = {"cold": 0, "warm": 0, "negative signs": 0}
+        counts = {"cold": 0, "warm": 0, "negative signs": 0, "handed down": 0, "refactorized": 0}
         for _ in range(80):
             lp = TestWarmStart.random_lp(rng)
             data = LpData(build(*lp))
@@ -484,8 +496,51 @@ class TestColumnStore:
             x_j = parent.values[j]
             for box in TestWarmStart.tightenings(j, x_j, lp[4][j], lp[5][j], (x_j, x_j)):
                 warm = _Solver(data, NodeBounds({j: box}, parent.basis))
-                counts["warm"] += check(warm, lambda: warm.solve_warm(parent.basis))[1]
+                # after the first optimal child, the slot holds that child's factor
+                slot = data.last_factor
+                handed = slot is not None and slot[0] is parent.basis and slot[1] is warm.lp
+                lu = slot[2] if handed else None
+                res, k = check(warm, lambda: warm.solve_warm(parent.basis), parent.basis.basis, lu)
+                counts["warm"] += k
+                if hasattr(warm, "F"):
+                    counts["handed down" if handed else "refactorized"] += 1
         assert min(counts.values()) > 20, counts
+
+    def test_children_match_with_and_without_the_handed_down_factor(self, monkeypatch):
+        import gridcover.simplex as simplex
+
+        splu, calls = simplex.spla.splu, [0]
+
+        def spy_splu(B):
+            calls[0] += 1
+            return splu(B)
+
+        monkeypatch.setattr(simplex.spla, "splu", spy_splu)
+        rng = np.random.default_rng(2024)
+        handed = 0
+        for _ in range(80):
+            lp = TestWarmStart.random_lp(rng)
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            if parent.status != "optimal":
+                continue
+            slot = data.last_factor
+            j = int(rng.integers(data.n))
+            x_j = parent.values[j]
+            for box in TestWarmStart.tightenings(j, x_j, lp[4][j], lp[5][j], (x_j, x_j)):
+                child = NodeBounds({j: box}, parent.basis)
+                got = []
+                for given in (slot, None):
+                    data.last_factor = given
+                    calls[0] = 0
+                    got.append((solve_lp(data, child), calls[0]))
+                (res, k), (ref, k_ref) = got
+                assert res.status == ref.status and res.iterations == ref.iterations
+                if res.status == "optimal":
+                    assert res.values.tobytes() == ref.values.tobytes()
+                assert k_ref - k in (0, 1)
+                handed += k_ref - k
+        assert handed > 60, handed
 
 
 class TestEtaFile:
@@ -924,7 +979,9 @@ MOV10 = ExperimentConfig(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4,
 def test_table8_warm_node_pivot_budget(monkeypatch):
     # a count, not a time: the 39 warm node LPs of this 40-node search took
     # 2,520 pivots while the warm dual's cost perturbation was as large as
-    # the phase-2 tilt (1e-7), and 2,283 at a tenth of it
+    # the phase-2 tilt (1e-7), 2,283 at a tenth of it, 1,975 at a hundredth
+    # under FIFO ties, and 1,509 once the search plunged and sent exact
+    # 0.5 ties down first
     import gridcover.bnb as bnb
 
     warm = []
@@ -939,7 +996,58 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
     cfg = TABLE8_L1_NS3
     _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
     assert res.nodes_explored == 40 and len(warm) == 39
-    assert sum(warm) <= 2_100
+    assert (res.status, res.objective, res.best_bound) == ("feasible", 28.0, 29.0)
+    assert sum(warm) <= 1_560
+
+
+def test_table8_search_factorization_count(monkeypatch):
+    # a count, not a time: the same search (its quotient bound, root and
+    # node LPs) made 107 SuperLU factorizations under FIFO ties, when
+    # every warm node LP factorized its parent's basis afresh; plunging
+    # hands the parent's factor to its first child, and 75 remain
+    import gridcover.simplex as simplex
+
+    splu, calls = simplex.spla.splu, [0]
+
+    def spy(B):
+        calls[0] += 1
+        return splu(B)
+
+    cfg = TABLE8_L1_NS3
+    deployment = place_static_milp(cfg)[0]
+    monkeypatch.setattr(simplex.spla, "splu", spy)
+    _, _, res = plan_mobile_milp(cfg, deployment)
+    assert res.nodes_explored == 40
+    assert calls[0] <= 78
+
+
+def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypatch):
+    # every warm node LP of the search again with the slot emptied: the
+    # handed-down factor is the LU that splu computes for the same matrix,
+    # so the pivots, and the point, are the same to the bit
+    import gridcover.bnb as bnb
+
+    handed = []
+
+    def spy(data, bounds=None):
+        start = getattr(bounds, "basis", None)
+        slot = data.last_factor
+        res = solve_lp(data, bounds)
+        if start is not None:
+            handed.append(slot is not None and slot[0] is start)
+            after, data.last_factor = data.last_factor, None
+            ref = solve_lp(data, bounds)
+            data.last_factor = after
+            assert (res.status, res.iterations) == (ref.status, ref.iterations)
+            if res.status == "optimal":
+                assert res.values.tobytes() == ref.values.tobytes()
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    cfg = TABLE8_L1_NS3
+    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    assert res.nodes_explored == 40 and len(handed) == 39
+    assert sum(handed) >= 20
 
 
 def test_warm_dual_perturbation_stays_below_the_tilt():
