@@ -14,7 +14,6 @@ from gridcover import (
     solve_milp,
     static_coverage,
 )
-from gridcover.bnb import SolveParams
 from gridcover.grid import Cell
 
 
@@ -35,7 +34,7 @@ def main():
 
     # maximize coverage within 3 iterations
     cov = build_milp_cov(grid, sorted(uncovered), n_mobile=1, k_max=3)
-    res = solve_milp(cov.instance, SolveParams(objective_integral=True))
+    res = solve_milp(cov.instance)
     plan = decode_plan(cov, res.incumbent)
     report = evaluate_plan(deployment, plan, params, grid)
     print(f"coverage-maximizing plan ({res.status}, objective {res.objective:g}):")
@@ -45,7 +44,7 @@ def main():
     # reach 90% total coverage with as few movements as possible
     mov = build_milp_mov(grid, sorted(uncovered), len(covered), n_mobile=1,
                          k_max=3, coverage_target="0.9")
-    res = solve_milp(mov.instance, SolveParams(objective_integral=True))
+    res = solve_milp(mov.instance)
     plan = decode_plan(mov, res.incumbent)
     report = evaluate_plan(deployment, plan, params, grid)
     print(f"movement-minimizing plan for a 90% target ({res.status}):")

@@ -35,7 +35,7 @@ def main():
     warm = encode_static(handle, pack_static_positions(handle))
     result = solve_milp(
         handle.instance,
-        SolveParams(time_limit=120, objective_integral=True),
+        SolveParams(time_limit=120),
         warm_start=warm,
     )
     deployment = decode_static(handle, result.incumbent)

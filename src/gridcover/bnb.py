@@ -9,9 +9,11 @@ binary leans toward, and the down side at an exact 0.5.  Binaries that
 are equally fractional in exact arithmetic (several at 0.5 in the
 symmetric cover models) differ in the LP point by rounding noise, and
 np.argmax takes the largest computed fraction, so such a tie falls to
-that noise, not to a fixed order.  A seeded search may close before any
-LP: when the seed attains the bound of the variable boxes alone, or the
-bound on the root LP that the LP's symmetry quotient proves
+that noise, not to a fixed order.  Bounds are floored to integers when
+the model shows an integral objective (simplex.LpData.objective_integral;
+the paper's models count whole cells and movements).  A seeded search may
+close before any LP: when the seed attains the bound of the variable boxes
+alone, or the bound on the root LP that the LP's symmetry quotient proves
 (quotient.lp_bound), it ends "optimal" at 0 nodes, as a root LP no better
 than the seed would have ended it.  The harness's packing seeds close
 placement solves this way, and its fewest-movements seeds close movement
@@ -50,22 +52,18 @@ from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
 @dataclass
 class SolveParams:
     """Solver controls. Defaults follow the reference experiment setup:
-    18000 s limit, zero relative gap."""
+    18000 s limit, zero relative gap.  Bound rounding is the model's call."""
 
     time_limit: float = 18000.0
     mip_gap: float = 0.0
     node_selection: str = "best-bound"  # "best-bound" | "depth-first"
     node_limit: Optional[int] = None  # deterministic alternative to wall-clock capping
-    # caller-asserted: the objective takes integer values at every
-    # integral-feasible point, so relaxation bounds may be rounded; set by
-    # the callers that solve a formulation, such as harness.plan_mobile_milp
-    # (the coverage variables behave as binaries there)
-    objective_integral: bool = False
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        # written so that NaN fails: a NaN limit would never trip
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.mip_gap < 0:
+        if not self.mip_gap >= 0:
             raise ValueError("mip_gap must be >= 0")
         if self.node_limit is not None and self.node_limit < 0:
             raise ValueError("node_limit must be >= 0")
@@ -97,15 +95,6 @@ class _Search:
         self.binaries = np.flatnonzero(self.data.is_binary)
         self.sign = -self.data.obj_sign  # score = sign * objective, maximized
         self.c0 = self.data.c_min * self.data.obj_sign  # original objective coefficients
-        # a score bound may be floored when the objective provably takes
-        # integer values at integral points: integer coefficients on binaries
-        # only, or the caller asserting it via params
-        coefs = instance.objective_coefs
-        self.integral_objective = params.objective_integral or (
-            bool(self.binaries.size)
-            and bool(np.all(self.data.is_binary[instance.objective_ids]))
-            and bool(np.all(np.isfinite(coefs) & (coefs == np.round(coefs))))
-        )
         self.incumbent: Optional[np.ndarray] = None
         self.inc_score = -math.inf
         self.final_bound_score: Optional[float] = None
@@ -153,7 +142,7 @@ class _Search:
 
     def _attains(self, bound: float) -> bool:
         """Whether the incumbent reaches the score bound `bound`."""
-        if self.integral_objective and math.isfinite(bound):
+        if self.data.objective_integral and math.isfinite(bound):
             bound = math.floor(bound + 1e-6)
         return self.inc_score >= bound - 1e-9
 
@@ -226,7 +215,7 @@ class _Search:
                 break
 
             node_score = self.sign * res.objective
-            if self.integral_objective:
+            if self.data.objective_integral:
                 node_score = math.floor(node_score + 1e-6)
             if node_score <= self.inc_score + 1e-9:
                 continue

@@ -237,6 +237,8 @@ def build_milp_static(
         raise ValueError("boundary_weight must be >= 1")
     if c_o < 1:
         raise ValueError("c_o must be >= 1")
+    if r_s < 0:
+        raise ValueError("sensing radius must be >= 0")
 
     inst = MilpInstance("milp-static")
     handle = FormulationHandle(
@@ -352,6 +354,8 @@ def _build_mobile(
         raise ValueError("k_max must be >= 1")
     if c_o < 1:
         raise ValueError("c_o must be >= 1")
+    if r_s < 0:
+        raise ValueError("sensing radius must be >= 0")
 
     c1 = sorted(set(Cell(*c) for c in uncovered))
     inst = MilpInstance(f"milp-{kind}")

@@ -52,6 +52,7 @@ from .formulations import (
 from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan
 from .planners import BaselineConfig, greedy_plan, random_plan
 from .quotient import lp_bound
+from .simplex import LpData
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
@@ -100,7 +101,9 @@ class ExperimentConfig:
                     raise ValueError(f"{name} must be >= 1")
         if not 0 < _exact_fraction(self.coverage_target) <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
-        self.solver_params()  # the solver limits are checked with the rest
+        # the sensing radius and the solver limits are checked with the rest
+        self.sensor_params
+        self.solver_params()
 
     @property
     def grid(self) -> GridSpec:
@@ -471,14 +474,16 @@ def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int
 def _packing_bound(handle: FormulationHandle) -> Optional[int]:
     """A proven bound on every placement's packing value, or None.  Under a
     cap of one the packing value is the static model's objective, so the
-    quotient bound on its LP (the one the solve reads) bounds it; with an
-    integral boundary weight every value is an integer, summed exactly, so
-    the bound may be floored and a placement that reaches it is the best.
+    quotient bound on its LP (the one the solve reads) bounds it; when that
+    objective is integral (simplex.LpData.objective_integral: an integral
+    boundary weight) every value is an integer, summed exactly, so the
+    bound may be floored and a placement that reaches it is the best.
     (Sums of a fractional weight are rounded, and two placements of equal
     value could then differ in the last bit.)"""
-    if handle.c_o != 1 or not float(handle.boundary_weight).is_integer():
+    if handle.c_o != 1:
         return None
-    bound = lp_bound(handle.instance)
+    data = LpData(handle.instance)
+    bound = lp_bound(handle.instance, data) if data.objective_integral else None
     return None if bound is None else math.floor(bound + 1e-6)
 
 
@@ -543,9 +548,6 @@ def plan_mobile_milp(
         result = MilpResult("optimal", np.zeros(handle.instance.n_variables), 0.0, 0.0, 0.0, 0)
         return handle, empty, result
 
-    params = config.solver_params()
-    params.objective_integral = True  # coverage variables behave as binaries
-
     stop_at = None
     if handle.coverage_threshold is not None:
         stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
@@ -559,7 +561,7 @@ def plan_mobile_milp(
         if seeded.movements > low:
             seeded = _fewest_moves_plan(handle, tables, stop_at, low, seeded.movements - 1) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)
-    result = solve_milp(handle.instance, params, warm_start=warm)
+    result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)
     if result.incumbent is None:
         return handle, None, result
     return handle, decode_plan(handle, result.incumbent), result

@@ -228,6 +228,34 @@ class LpData:
         """A_csr by columns, derived on first use (the presolve reads it)."""
         return self.A_csr.tocsc()
 
+    @cached_property
+    def objective_integral(self) -> bool:
+        """Whether the objective is an integer at every optimum, so that a
+        bound on it may be floored: its coefficients are integers and its
+        columns implied integers (Achterberg, "Constraint Integer
+        Programming", TU Berlin 2007), which are (1) binaries; (2) the one
+        column outside (1) of an equality row that is an integer multiple of
+        its coefficient (c = sum of x); (3) owners (see _term_classes) with
+        integral upper bounds whose every capping row is such a multiple
+        with no other column outside (1)-(2): by the dual argument of
+        _dominated_rows they sit at their least cap (c_cell).  Branch-and-bound
+        tightens only binaries, so this holds at every node."""
+        rows, owner, _, caps = _term_classes(self)
+        cols, a, m, integral = self.A_csr.indices, self.A_csr.data, self.m, self.is_binary.copy()
+
+        def pinned() -> np.ndarray:  # rows of one column outside `integral`, in multiples of it
+            out = ~integral[cols]
+            piv = np.zeros(m)
+            piv[rows[out]] = a[out]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bad = np.bincount(rows, weights=~_whole(a / piv[rows]), minlength=m)
+                return (np.bincount(rows[out], minlength=m) == 1) & (bad == 0) & _whole(self.b / piv)
+
+        integral[cols[(pinned() & (self.sense_codes == EQ))[rows]]] = True
+        rule3 = owner & _whole(self.upper)
+        rule3[cols[caps & ~pinned()[rows]]] = False
+        return bool(np.all(_whole(self.c_min)) and np.all((integral | rule3)[self.c_min != 0]))
+
     def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Whether `x` is within the bounds and satisfies every row."""
         if np.any(x < lower - BOUND_TOL) or np.any(x > upper + BOUND_TOL):
@@ -264,6 +292,26 @@ def _box_max(G: sp.csr_matrix, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.asarray(sp.csr_matrix((v, G.indices, G.indptr), shape=G.shape).sum(axis=1)).ravel()
 
 
+def _whole(v: np.ndarray) -> np.ndarray:
+    """Whether each value is a finite integer."""
+    return np.isfinite(v) & (v == np.round(v))
+
+
+def _term_classes(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, owner, grows, caps): each term's row, each column's being an
+    owner (continuous, its cost favouring increase, in no equality row) and
+    whether each term's row is a lower (grows) or upper (caps) limit on it."""
+    rows = np.repeat(np.arange(data.m), np.diff(data.A_csr.indptr))
+    cols, a = data.A_csr.indices, data.A_csr.data
+    code = data.sense_codes[rows]
+    in_eq = np.zeros(data.n, dtype=bool)
+    in_eq[cols[code == EQ]] = True
+    owner = (~data.is_binary) & (data.c_min < 0) & ~in_eq
+    grows = np.where(a > 0, code == GE, (a < 0) & (code == LE))
+    caps = np.where(a > 0, code == LE, (a < 0) & (code == GE))
+    return rows, owner, grows, caps
+
+
 def _dominated_rows(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows that every optimum satisfies without them, by the
     dual-argument row reduction of Achterberg, Bixby, Gu, Rothberg &
@@ -283,15 +331,8 @@ def _dominated_rows(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (rows, owners, needs), rows in increasing order."""
     A = data.A_csr
-    nrows = np.repeat(np.arange(data.m), np.diff(A.indptr))
+    nrows, owner, grows, caps = _term_classes(data)
     cols, a = A.indices, A.data
-    code = data.sense_codes[nrows]
-    in_eq = np.zeros(data.n, dtype=bool)
-    in_eq[cols[code == EQ]] = True
-    owner = (~data.is_binary) & (data.c_min < 0) & ~in_eq
-    # the row is a lower (grows) or an upper (caps) limit on the column
-    grows = np.where(a > 0, code == GE, (a < 0) & (code == LE))
-    caps = np.where(a > 0, code == LE, (a < 0) & (code == GE))
     cand = np.flatnonzero(grows & owner[cols])
     if not cand.size:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -684,7 +725,10 @@ class _Solver:
     # -- core loop ------------------------------------------------------------
 
     def _ratio_test(self, q: int, d_q: float):
-        """Step data for entering column q: (direction, w, t, t_own, limits)."""
+        """Step data for entering column q: (direction, w, t, t_own, t_rows,
+        limits): the direction q moves in, its ftran'd column, the step
+        length t = min(t_own, t_rows), the step to q's own other bound, the
+        largest step the basic rows allow, and that step per row."""
         lo, up, stat = self.lo, self.up, self.status
         direction = 1.0 if (stat[q] == AT_LO or (stat[q] == FREE and d_q < 0)) else -1.0
         w = self.fact.ftran(self.col_dense(q))

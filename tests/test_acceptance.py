@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridcover.bnb import SolveParams, solve_milp
+from gridcover.bnb import solve_milp
 from gridcover.formulations import (
     build_milp_cov,
     build_milp_mov,
@@ -49,7 +49,6 @@ from oracles import (
 from test_bnb import random_milp
 
 RECORDED_SOLVES = []  # (label, handle, assignment) from criteria 2-6
-EXACT = SolveParams(objective_integral=True)
 
 
 def record(label, handle, assignment):
@@ -122,7 +121,7 @@ def test_criterion_2_oracle_equivalence():
         grid = GridSpec(side, side)
         want, _ = best_static_placement(grid, n_static, 1, 1, 4.0)
         handle = build_milp_static(grid, n_static, 1, 1, 4.0)
-        res = solve_milp(handle.instance, EXACT)
+        res = solve_milp(handle.instance)
         if want < 0:
             assert res.status == "infeasible"
         elif n_static == 2 and side == 3:
@@ -141,7 +140,7 @@ def test_criterion_2_oracle_equivalence():
         for n_mobile, k_max in combos:
             want = best_coverage_plan(grid, c1, n_mobile, k_max, 1, 2, 2, 3)
             handle = build_milp_cov(grid, c1, n_mobile, k_max)
-            res = solve_milp(handle.instance, EXACT)
+            res = solve_milp(handle.instance)
             if want < 0:
                 # overlap cap exceeded by any joint plan (on 3x3 every
                 # footprint contains the center cell)
@@ -155,7 +154,7 @@ def test_criterion_2_oracle_equivalence():
                 grid, c1, 0, n_mobile, k_max, 1, 2, 2, 3, Fraction(1)
             )
             handle = build_milp_mov(grid, c1, 0, n_mobile, k_max, coverage_target=1)
-            res = solve_milp(handle.instance, EXACT)
+            res = solve_milp(handle.instance)
             if want_mov is None:
                 assert res.status == "infeasible"
             else:
@@ -173,7 +172,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3a_static_desk_check_3x3():
     handle = build_milp_static(GridSpec(3, 3), 1, 1, 1, 4.0)
-    res = solve_milp(handle.instance, EXACT)
+    res = solve_milp(handle.instance)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(33.0)
     deployment = decode_static(handle, res.incumbent)
@@ -355,7 +354,7 @@ def test_criterion_7_coverage_variable_integrality():
 def _cov_objective(side, n_mobile, k_max, c_o):
     grid = GridSpec(side, side)
     handle = build_milp_cov(grid, sorted(grid.cells()), n_mobile, k_max, 1, 2, 2, c_o)
-    res = solve_milp(handle.instance, EXACT)
+    res = solve_milp(handle.instance)
     if res.status == "infeasible":
         return None
     assert res.status == "optimal", (side, n_mobile, k_max, c_o, res.status)
@@ -367,7 +366,7 @@ def _mov_objective(side, n_mobile, k_max):
     grid = GridSpec(side, side)
     handle = build_milp_mov(grid, sorted(grid.cells()), 0, n_mobile, k_max,
                             coverage_target=1)
-    res = solve_milp(handle.instance, EXACT)
+    res = solve_milp(handle.instance)
     if res.status == "infeasible":
         return None
     assert res.status == "optimal"

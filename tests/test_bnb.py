@@ -257,15 +257,17 @@ class TestOracleEquivalence:
                     assert res.incumbent[vid] in (0.0, 1.0)
 
 
-def scipy_milp(instance: MilpInstance):
-    """`instance` solved by HiGHS through scipy.optimize.milp, to a zero gap:
-    (status, objective), the status in solve_milp's words."""
+def scipy_milp(instance: MilpInstance, lower=None, upper=None):
+    """`instance` solved by HiGHS through scipy.optimize.milp, to a zero gap,
+    within its own variable bounds or `lower` and `upper`: (status,
+    objective), the status in solve_milp's words."""
     sign = 1.0 if instance.objective_sense == "minimize" else -1.0
     codes, rhs = instance.sense_codes, instance.rhs
     lo = np.where(codes == LE, -np.inf, rhs)
     hi = np.where(codes == GE, np.inf, rhs)
     res = milp(sign * instance.objective(), integrality=instance.is_binary.astype(int),
-               bounds=Bounds(instance.lower, instance.upper),
+               bounds=Bounds(instance.lower if lower is None else lower,
+                             instance.upper if upper is None else upper),
                constraints=LinearConstraint(instance.matrix(), lo, hi),
                options={"mip_rel_gap": 0.0})
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, f"scipy status {res.status}")
@@ -344,3 +346,118 @@ class TestAgainstScipyMilp:
         handle, _, res = harness.plan_mobile_milp(cfg, harness.place_static_milp(cfg)[0])
         assert (res.status, res.objective, res.nodes_explored) == ("optimal", 28.0, 101)
         self.agree(res, *scipy_milp(handle.instance))
+
+
+def planted_milp(rng: random.Random, broken=None) -> MilpInstance:
+    """A random_milp over binaries with two planted continuous objective
+    columns: d, which an equality row pins to an integer sum of binaries
+    (p d = p (r + sum k_i b_i)), and u, pushed up by its cost toward its
+    integral upper bound and capped by rows q u <= q (r + d-terms + binary
+    sums).  `broken` breaks one rule of LpData.objective_integral: "coef"
+    (d's coefficient 2 against binaries of 1), "rhs" (a cap of u with a
+    fractional right-hand side), "bound" (a fractional upper bound on u) or
+    "eq" (u in an equality row)."""
+    m = random_milp(rng, n_cont=0)
+    n_bin = m.n_variables
+
+    def pick():  # a random nonempty set of binaries
+        return rng.sample(range(n_bin), rng.randint(1, n_bin))
+
+    objective = list(zip(m.objective_ids.tolist(), m.objective_coefs.tolist()))
+    up = 1 if m.objective_sense == "maximize" else -1  # a cost that pushes a column up
+
+    d = m.add_variable("d", "continuous", -20, 20)
+    p = rng.choice([1, -1, 2, 3])
+    terms = [(b, -p * rng.choice([-2, -1, 1, 2])) for b in pick()]
+    if broken == "coef":
+        p, terms = 2, [(b, -1) for b, _ in terms]
+    m.add_constraint([(d, p)] + terms, "=", p * rng.randint(-2, 2))
+
+    u = m.add_variable("u", "continuous", 0, rng.randint(1, 3) + (0.5 if broken == "bound" else 0))
+    for n_cap in range(rng.randint(1, 3)):
+        q, sign = rng.choice([1, 2]), rng.choice([1, -1])  # sign -1 writes the cap as >=
+        terms = [(u, sign * q)] + [(b, -sign * q) for b in pick()]
+        if rng.random() < 0.5:
+            terms.append((d, -sign * q * rng.choice([-1, 1])))
+        rhs = q * rng.randint(0, 2) + (0.5 if broken == "rhs" and n_cap == 0 else 0)
+        m.add_constraint(terms, "<=" if sign == 1 else ">=", sign * rhs)
+    m.add_constraint([(u, 1), (rng.randrange(n_bin), -1)], ">=", 0)  # a lower limit
+    if broken == "eq":
+        y = m.add_variable("y", "continuous", 0, 3)
+        m.add_constraint([(u, 1), (y, 1)], "=", 3)
+    objective += [(d, rng.choice([-2, -1, 1, 2])), (u, up * rng.randint(1, 3))]
+    m.set_objective(objective, m.objective_sense)
+    return m
+
+
+class TestObjectiveIntegral:
+    """LpData.objective_integral, the verdict that lets the search floor its
+    bounds: true on every paper model with integral weights, false where a
+    rule breaks, and sound against HiGHS's optima."""
+
+    @staticmethod
+    def paper_configs():
+        """table8's rows, then criterion 6's coverage models (N_s = 0, 5,
+        10), then mov10's movement model, which shares criterion 5's."""
+        for n_mobile, n_static in ((1, 5), (2, 3), (2, 5), (3, 3), (3, 5), (1, 3)):
+            yield ExperimentConfig(rows=8, cols=8, n_static=n_static, n_mobile=n_mobile, k_max=4)
+        for n_static in (0, 5, 10):
+            yield ExperimentConfig(rows=10, cols=10, n_static=n_static, n_mobile=3, k_max=4,
+                                   placement="milp-static" if n_static else "none")
+        yield ExperimentConfig(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4, planner="milp-mov")
+
+    def test_paper_models(self):
+        for cfg in self.paper_configs():
+            deployment = harness.place_static_milp(cfg)[0] if cfg.n_static else None
+            handle = harness.build_mobile_milp(cfg, deployment)
+            assert LpData(handle.instance).objective_integral, cfg
+        for weight, verdict in ((1.0, True), (1.3, False), (4.0, True)):
+            for grid, n_static, c_o in ((GridSpec(8, 8), 5, 1), (GridSpec(10, 10), 10, 2)):
+                handle = build_milp_static(grid, n_static, 1, c_o, weight)
+                assert LpData(handle.instance).objective_integral is verdict, (weight, grid)
+
+    def test_fractional_weights_keep_their_optimum(self):
+        # a seed of 1.3 against a bound of 1.9: flooring both to 1 would
+        # close the search on the seed
+        m = MilpInstance()
+        x1, x2 = m.add_variable("x1", "binary", 0, 1), m.add_variable("x2", "binary", 0, 1)
+        m.add_constraint([(x1, 1), (x2, 1)], "<=", 1)
+        m.set_objective([(x1, 1.3), (x2, 1.9)], "maximize")
+        assert not LpData(m).objective_integral
+        res = solve_milp(m, warm_start=np.array([1.0, 0.0]))
+        assert (res.status, res.objective) == ("optimal", pytest.approx(1.9))
+        with pytest.raises(TypeError):
+            SolveParams(objective_integral=True)  # no caller asserts it
+
+    @pytest.mark.parametrize("broken", ["coef", "rhs", "bound", "eq"])
+    def test_each_broken_rule_fails(self, broken):
+        rng = random.Random(broken)
+        assert not any(LpData(planted_milp(rng, broken)).objective_integral for _ in range(20))
+
+    def test_verdict_is_sound(self):
+        # every model the verdict calls integral has an integral optimum,
+        # and so does each of its subproblems with binaries fixed at random
+        rng = random.Random(24)
+        verdicts = {True: 0, False: 0}
+        breaks = [None, None, "coef", "rhs", "bound", "eq"]
+        n = 0
+        while min(verdicts.values()) < 50:
+            m = planted_milp(rng, breaks[n % 6]) if n % 3 else random_milp(rng)
+            n += 1
+            integral = LpData(m).objective_integral
+            status, value = scipy_milp(m)
+            if status != "optimal":
+                continue
+            verdicts[integral] += 1
+            if not integral:
+                continue
+            assert abs(value - round(value)) <= 1e-9, (n, value)
+            binaries = np.flatnonzero(m.is_binary)
+            for _ in range(2):
+                fixed = rng.sample(binaries.tolist(), rng.randint(1, binaries.size))
+                lower, upper = m.lower.copy(), m.upper.copy()
+                for b in fixed:
+                    lower[b] = upper[b] = rng.randint(0, 1)
+                status, value = scipy_milp(m, lower, upper)
+                if status == "optimal":
+                    assert abs(value - round(value)) <= 1e-9, (n, fixed, value)

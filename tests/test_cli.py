@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, files, exit codes."""
 
 import csv
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +55,13 @@ class TestPlaceStatic:
         code, _, err = run(["place-static", "--ns", "1"], capsys)
         assert code == 2
         assert "--rows" in err
+
+    def test_negative_sensing_radius_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "d.txt"
+        code, stdout, err = run(["place-static", "--rows", "4", "--cols", "4", "--rs", "-1",
+                                 "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: sensing radius must be >= 0\n")
+        assert not out.exists()
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         # two disjoint footprints cannot fit on 3x3
@@ -131,6 +142,20 @@ class TestPlanCommands:
         assert code == 0
         assert "bound none" in stdout
         assert plan.read_text().strip() != ""
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--time-limit", "time_limit must be positive"), ("--gap", "mip_gap must be >= 0"),
+    ])
+    def test_nan_solver_limit_exits_two(self, tmp_path, capsys, flag, message):
+        # a NaN limit never trips, so it would mean no limit at all
+        plan = tmp_path / "plan.txt"
+        code, stdout, err = run(
+            ["plan-cov", "--rows", "5", "--cols", "5", "--l", "1", "--kmax", "2",
+             flag, "nan", "--out", str(plan)],
+            capsys,
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not plan.exists()
 
     def test_negative_node_limit_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
@@ -261,6 +286,14 @@ class TestExportLp:
             assert code == 0
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("formulation", ["static", "cov", "mov"])
+    def test_negative_sensing_radius_exits_two(self, tmp_path, capsys, formulation):
+        out = tmp_path / "model.lp"
+        code, stdout, err = run(["export-lp", "--formulation", formulation, "--rows", "4",
+                                 "--cols", "4", "--rs", "-1", "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: sensing radius must be >= 0\n")
+        assert not out.exists()
 
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -463,6 +496,9 @@ class TestSweepCommand:
         (["--gap", "-1", "--axis", "k_max=2,3"], "mip_gap must be >= 0"),
         (["--axis", "time_limit=5,0"], "sweep cell time_limit=0.0: time_limit must be positive"),
         (["--axis", "node_limit=5,-1"], "sweep cell node_limit=-1: node_limit must be >= 0"),
+        (["--axis", "mip_gap=0,nan"], "sweep cell mip_gap=nan: mip_gap must be >= 0"),
+        (["--planner", "milp-cov", "--axis", "r_s=1,-1"],
+         "sweep cell r_s=-1: sensing radius must be >= 0"),
     ])
     def test_bad_solver_limit_exits_two_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
                                                              flags, message):
@@ -520,3 +556,16 @@ class TestSweepCommand:
         seeds = argv[argv.index("--seeds") + 1]
         assert len(rows) == len(axis.split(",")) * len(seeds.split(","))
         assert {row["solver_status"] for row in rows} == {"ok"}
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["quickstart", "harness"])
+def test_readme_python_block_runs(tmp_path, block):
+    # each ```python block of the README, as written, in a fresh interpreter
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    src = str(Path(gridcover.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", blocks[block]], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -30,11 +30,9 @@ from gridcover.simplex import LpData
 import oracles
 from oracles import best_static_placement, best_coverage_plan, min_movements_plan
 
-EXACT = SolveParams(objective_integral=True)
-
 
 def solve_handle(handle, warm=None):
-    return solve_milp(handle.instance, EXACT, warm_start=warm)
+    return solve_milp(handle.instance, warm_start=warm)
 
 
 def assert_coverage_vars_binary(handle, assignment, tol=1e-6):
@@ -75,7 +73,7 @@ class TestStaticFormulation:
         from gridcover.formulations import encode_static as enc
 
         warm = enc(handle, pack_static_positions(handle))
-        res = solve_milp(handle.instance, SolveParams(objective_integral=True, time_limit=240), warm_start=warm)
+        res = solve_milp(handle.instance, SolveParams(time_limit=240), warm_start=warm)
         assert res.objective == pytest.approx(108.0)
         deployment = decode_static(handle, res.incumbent)
         assert len(deployment.covered) == 42
