@@ -137,7 +137,7 @@ class _Search:
     def _quotient_bound(self) -> float:
         """The largest score of the root LP, as the LP's symmetry quotient
         bounds it (inf when it proves none); computed once per instance."""
-        bound = lp_bound(self.instance, self.data)
+        bound = lp_bound(self.instance)
         return math.inf if bound is None else self.sign * bound
 
     def _attains(self, bound: float) -> bool:

@@ -482,8 +482,7 @@ def _packing_bound(handle: FormulationHandle) -> Optional[int]:
     value could then differ in the last bit.)"""
     if handle.c_o != 1:
         return None
-    data = LpData(handle.instance)
-    bound = lp_bound(handle.instance, data) if data.objective_integral else None
+    bound = lp_bound(handle.instance) if LpData(handle.instance).objective_integral else None
     return None if bound is None else math.floor(bound + 1e-6)
 
 

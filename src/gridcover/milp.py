@@ -344,12 +344,14 @@ class MilpInstance:
     def matrix(self) -> sp.csr_matrix:
         """The constraint matrix, one row per constraint (empty rows kept)."""
         if "matrix" not in self._views:
-            rows = np.repeat(np.arange(self.n_constraints), self.row_lengths)
-            # the terms come row by row, so the column-major build needs no sort
-            self._views["matrix"] = sp.csc_matrix(
-                (self.term_coefs, (rows, self.term_ids)),
-                shape=(self.n_constraints, self.n_variables),
-            ).tocsr()
+            m, n, ids = self.n_constraints, self.n_variables, self.term_ids
+            # the terms come row by row, so the row starts are the CSR's
+            # indptr; a stable sort on (row, id) orders each row's columns
+            row_key = np.repeat(np.arange(m, dtype=np.int64) * n, self.row_lengths)
+            order = np.argsort(row_key + ids, kind="stable")
+            self._views["matrix"] = sp.csr_matrix(
+                (self.term_coefs[order], ids[order], _row_starts(self.row_lengths)), shape=(m, n)
+            )
         return self._views["matrix"]
 
     # -- queries ----------------------------------------------------------

@@ -157,13 +157,12 @@ def partition_bound(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Optiona
     return dual_bound(data, z[rows] / np.bincount(rows)[rows])
 
 
-def lp_bound(instance: MilpInstance, data: Optional[LpData] = None) -> Optional[float]:
+def lp_bound(instance: MilpInstance) -> Optional[float]:
     """The quotient bound on `instance`'s LP relaxation (see partition_bound),
-    computed once per instance and kept with its other derived views;
-    `data` is the instance's LpData when the caller has one."""
+    computed once per instance and kept with its other derived views."""
     views = instance._views
     if "lp_bound" not in views:
-        data = LpData(instance) if data is None else data
+        data = LpData(instance)
         views["lp_bound"] = (
             None if data.trivially_infeasible or not data.m else partition_bound(data, *refine(data))
         )

@@ -11,10 +11,15 @@ engaged after a run of 2*(rows+cols) degenerate pivots.  Pricing is Devex.
 
 A warm solve starts from the optimal basis of an LP that differs only in
 its bounds (a branch-and-bound parent; see NodeBounds).  That basis stays
-dual feasible, so a bounded dual simplex (largest-infeasibility leaving
-row, Harris ratio test) over slightly perturbed costs restores primal
-feasibility, and the primal simplex on the tilted and then the exact costs
-cleans up.  The perturbation sits a hundredfold below the phase-2 tilt, so
+dual feasible, so a bounded dual simplex over slightly perturbed costs
+restores primal feasibility, and the primal simplex on the tilted and then
+the exact costs cleans up.  The dual prices by dual Devex (Harris, "Pivot
+selection methods of the Devex LP code", Math. Prog. 5, 1973; Koberstein,
+"The dual simplex method, techniques for a fast and stable
+implementation", PhD thesis, Paderborn 2005, ch. 3): the leaving row
+maximizes its infeasibility squared over a reference weight that each
+pivot's entering column updates, with no extra solve; its ratio test is
+Harris's.  The perturbation sits a hundredfold below the phase-2 tilt, so
 the dual ends on a vertex that is already optimal for the tilted costs and
 the clean-up is a pivot or none; one as large as the tilt would leave the
 dual on the perturbed costs' optimum, for the clean-up to walk back from.
@@ -192,9 +197,21 @@ class LpResult:
 class LpData:
     """The arrays of a MilpInstance in the form the simplex reads.  Bounds,
     kinds and coefficients are the instance's own (read-only) arrays; empty
-    constraint rows are dropped, and flagged when they cannot hold."""
+    constraint rows are dropped, and flagged when they cannot hold.
 
-    def __init__(self, instance: MilpInstance):
+    An instance has one: LpData(instance) builds it on first use and keeps
+    it among the instance's derived views (which any change to the
+    instance drops), so its presolve, its integrality verdict and its
+    factor slot are built once, whichever layer asks first."""
+
+    def __new__(cls, instance: MilpInstance):
+        views = instance._views
+        if "lp_data" not in views:
+            views["lp_data"] = data = super().__new__(cls)
+            data._extract(instance)
+        return views["lp_data"]
+
+    def _extract(self, instance: MilpInstance) -> None:
         self.n = instance.n_variables
         self.lower = instance.lower
         self.upper = instance.upper
@@ -210,7 +227,6 @@ class LpData:
         self.sense_codes = codes = codes[~empty]
         self.m = len(codes)
         self.b = rhs[~empty]
-        self.senses = [SENSES[c] for c in codes.tolist()]
         self.A_csr = instance.matrix()[~empty] if empty.any() else instance.matrix()
 
         # slack bounds by sense: <= gives [0, inf), = gives [0, 0], >= gives (-inf, 0]
@@ -222,6 +238,11 @@ class LpData:
         # _Reduced it pivoted on and the SuperLU factor of that basis, for
         # a warm solve from that very basis to start from (see solve_warm)
         self.last_factor: Optional[Tuple[WarmBasis, _Reduced, object]] = None
+
+    @cached_property
+    def senses(self) -> List[str]:
+        """Each row's sense as text (SENSES), derived on first use."""
+        return [SENSES[c] for c in self.sense_codes.tolist()]
 
     @cached_property
     def A(self) -> sp.csc_matrix:
@@ -929,12 +950,22 @@ class _Solver:
         Returns "feasible" once every basic value is within its bounds,
         "infeasible" when a row certifies (and a Farkas check confirms)
         that no point exists, or None on a stall, a numerical failure or an
-        unconfirmed certificate."""
+        unconfirmed certificate.
+
+        Pricing is dual Devex: row r leaves when it maximizes infeas_r^2 /
+        beta_r over the rows outside their bounds.  The reference weights
+        beta start at 1 and follow each pivot on row r with entering
+        column w: beta_i = max(beta_i, (w_i / w_r)^2 beta_r), and beta_r =
+        max(beta_r / w_r^2, 1) for the entering column's row; past 1e8
+        they all restart at 1, as the primal's weights do.  The largest
+        infeasibility alone ignores how the current basis scales a row,
+        and takes over a third more pivots on the paper's node LPs."""
         lo, up, stat = self.lo, self.up, self.status
         side = self.side = self._sides()
         free = np.flatnonzero(stat == FREE)
         max_iters = 2 * self.m + 100
         d = None
+        beta = np.ones(self.m)  # dual Devex reference weights, one per basic row
         for it in range(max_iters + 1):
             if self.fact.full:
                 self._refresh()
@@ -949,9 +980,10 @@ class _Solver:
             below = lo_b - self.xb
             above = self.xb - up_b
             infeas = np.maximum(below, above)
-            r = int(np.argmax(infeas))
-            if infeas[r] <= BOUND_TOL:
+            short = np.flatnonzero(infeas > BOUND_TOL)
+            if not short.size:
                 return "feasible"
+            r = int(short[np.argmax(infeas[short] ** 2 / beta[short])])
             if it == max_iters:
                 return None  # stalled: the cold solve takes over
 
@@ -981,6 +1013,12 @@ class _Solver:
                 return None  # row and column disagree: numerical trouble
             bound = lo[self.basis[r]] if leave_to_lower else up[self.basis[r]]
             self._pivot(r, q, w, (self.xb[r] - bound) / w[r], leave_to_lower)
+            ratio = w / w[r]
+            beta_r = beta[r]
+            np.maximum(beta, ratio * ratio * beta_r, out=beta)
+            beta[r] = max(beta_r / (w[r] * w[r]), 1.0)
+            if beta.max() > 1e8:
+                beta[:] = 1.0
             d += (s * t) * alpha
             d[q] = 0.0
             self.iterations += 1
@@ -1147,8 +1185,7 @@ def solve_lp(
     fixes binaries.  When it is a NodeBounds with a basis, the solve starts
     from that basis (see the module docstring) and falls back to the cold
     solve when it cannot; the pivots of both count in `iterations`.
-    Accepts a MilpInstance or a prebuilt LpData (the latter avoids
-    re-extracting arrays across repeated solves).
+    Accepts a MilpInstance or its LpData.
     """
     data = instance_or_data if isinstance(instance_or_data, LpData) else LpData(instance_or_data)
     warm = getattr(extra_bounds, "basis", None)

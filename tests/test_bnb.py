@@ -340,11 +340,14 @@ class TestAgainstScipyMilp:
     def test_table8_l1_ns3_proof(self):
         # the 8x8 table's L=1/N_s=3 row with its 40-node cap lifted: its LP
         # bound is 29 and the optimum 28, so best-bound expands every node
-        # whose floored bound is 29, in any order of ties
+        # whose floored bound is 29, in any order of ties.  How many there
+        # are turns on exact ties in most-fractional branching, which
+        # rounding noise decides: 101 under the largest-infeasibility dual,
+        # 79 under dual Devex, whose pivot paths round differently
         cfg = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
                                placement="milp-static", planner="milp-cov", time_limit=240)
         handle, _, res = harness.plan_mobile_milp(cfg, harness.place_static_milp(cfg)[0])
-        assert (res.status, res.objective, res.nodes_explored) == ("optimal", 28.0, 101)
+        assert (res.status, res.objective, res.nodes_explored) == ("optimal", 28.0, 79)
         self.agree(res, *scipy_milp(handle.instance))
 
 

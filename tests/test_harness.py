@@ -540,6 +540,25 @@ class TestRootBound:
             harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=5, c_o_static=c_o))
         assert stops == [108, None, None]
 
+    def test_each_model_has_one_lpdata(self, monkeypatch):
+        # the packing bound, the quotient bound and the search of a static
+        # solve, and the quotient bound and the search of a movement solve,
+        # read one LpData per model, so each model's integrality verdict (a
+        # cached property) is worked out once
+        built = []
+        extract = LpData._extract
+        monkeypatch.setattr(LpData, "_extract", lambda self, instance: built.append(instance) or extract(self, instance))
+        cfg = ExperimentConfig(**TestFewestMoves.MOV10)
+        static = []
+        build = harness.build_milp_static
+        monkeypatch.setattr(harness, "build_milp_static", lambda *a: static.append(build(*a)) or static[-1])
+        deployment, _ = harness.place_static_milp(cfg)
+        handle, plan, result = harness.plan_mobile_milp(cfg, deployment)
+        assert (result.status, plan.movements) == ("optimal", 6)
+        models = [static[0].instance, handle.instance]
+        assert [sum(instance is m for instance in built) for m in models] == [1, 1]
+        assert all("objective_integral" in vars(LpData(m)) for m in models)
+
 
 class TestFewestMoves:
     """A movement seed above the quotient bound is replaced by the plan of
@@ -649,5 +668,7 @@ class TestFewestMoves:
         assert (got.status, got.objective, got.nodes_explored, plan.movements) == ("optimal", 6.0, 0, 6)
         assert lp_calls == []
         TestRootBound.without_bound(monkeypatch)
-        _, _, want = harness.plan_mobile_milp(cfg, deployment)
+        # the reference search runs uncapped, so that the close is compared
+        # with a proven optimum: without the bound it takes up to 64 nodes
+        _, _, want = harness.plan_mobile_milp(ExperimentConfig(**{**self.MOV10, "node_limit": None}), deployment)
         assert (got.status, got.objective, got.best_bound) == (want.status, want.objective, want.best_bound)

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
 from gridcover.grid import GridSpec
@@ -402,6 +403,50 @@ class TestWriteLpTextMatchesReference:
             assert write_lp_text(m) == reference_lp_text(m), f"instance {trial}"
         missing = set(_lp_cases(MilpInstance(), False)) - seen
         assert not missing, f"no random instance had: {sorted(missing)}"
+
+
+def reference_matrix(m: MilpInstance) -> sp.csr_matrix:
+    """The constraint matrix through COO, CSC and CSR (scipy sorts it)."""
+    rows = np.repeat(np.arange(m.n_constraints), m.row_lengths)
+    return sp.csc_matrix((m.term_coefs, (rows, m.term_ids)), shape=(m.n_constraints, m.n_variables)).tocsr()
+
+
+class TestMatrix:
+    """The CSR built straight from the row-ordered terms against scipy's
+    conversion, array for array and bit for bit."""
+
+    @staticmethod
+    def same(got: sp.csr_matrix, want: sp.csr_matrix) -> bool:
+        return (got.shape == want.shape and got.indptr.dtype == want.indptr.dtype
+                and got.indices.dtype == want.indices.dtype
+                and np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                and got.data.tobytes() == want.data.tobytes())
+
+    def test_random_instances(self):
+        rng = random.Random(5)
+        empty_rows = signed_zeros = unsorted = 0
+        for trial in range(400):
+            m, _ = random_lp_instance(rng)
+            assert self.same(m.matrix(), reference_matrix(m)), f"instance {trial}"
+            empty_rows += bool(np.any(m.row_lengths == 0))
+            signed_zeros += bool(np.any((m.term_coefs == 0) & np.signbit(m.term_coefs)))
+            rows = np.repeat(np.arange(m.n_constraints), m.row_lengths)
+            unsorted += bool(np.any(np.diff(rows * max(m.n_variables, 1) + m.term_ids) < 0))
+        assert empty_rows and signed_zeros and unsorted, (empty_rows, signed_zeros, unsorted)
+
+    def test_paper_models(self):
+        grid = GridSpec(6, 6)
+        cells = sorted(grid.cells())
+        for m in (build_milp_static(grid, 3).instance, build_milp_cov(grid, cells, 2, 4).instance,
+                  build_milp_mov(grid, cells, 0, 2, 4, coverage_target=1).instance):
+            assert self.same(m.matrix(), reference_matrix(m))
+
+    def test_a_change_drops_the_matrix(self):
+        m = tiny_instance()
+        before = m.matrix()
+        assert m.matrix() is before
+        m.add_constraint([(0, 2.0)], "<=", 1.0)
+        assert m.matrix().shape == (before.shape[0] + 1, 1)
 
 
 class TestParseSolutionValues:

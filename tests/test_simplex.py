@@ -14,6 +14,7 @@ from gridcover.quotient import dual_bound
 from gridcover.simplex import (
     AT_LO,
     AT_UP,
+    BOUND_TOL,
     FREE,
     REFACTOR_EVERY,
     TIE_EPS,
@@ -980,8 +981,9 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
     # a count, not a time: the 39 warm node LPs of this 40-node search took
     # 2,520 pivots while the warm dual's cost perturbation was as large as
     # the phase-2 tilt (1e-7), 2,283 at a tenth of it, 1,975 at a hundredth
-    # under FIFO ties, and 1,509 once the search plunged and sent exact
-    # 0.5 ties down first
+    # under FIFO ties, 1,509 once the search plunged and sent exact 0.5
+    # ties down first, and 1,083 once the dual left the row of largest
+    # infeasibility over its Devex weight (TestDualDevex)
     import gridcover.bnb as bnb
 
     warm = []
@@ -997,14 +999,15 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
     _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
     assert res.nodes_explored == 40 and len(warm) == 39
     assert (res.status, res.objective, res.best_bound) == ("feasible", 28.0, 29.0)
-    assert sum(warm) <= 1_560
+    assert sum(warm) <= 1_120
 
 
 def test_table8_search_factorization_count(monkeypatch):
     # a count, not a time: the same search (its quotient bound, root and
     # node LPs) made 107 SuperLU factorizations under FIFO ties, when
     # every warm node LP factorized its parent's basis afresh; plunging
-    # hands the parent's factor to its first child, and 75 remain
+    # hands the parent's factor to its first child, and 75 remain; the
+    # dual Devex rule's fewer pivots refactorize less often: 65
     import gridcover.simplex as simplex
 
     splu, calls = simplex.spla.splu, [0]
@@ -1018,7 +1021,7 @@ def test_table8_search_factorization_count(monkeypatch):
     monkeypatch.setattr(simplex.spla, "splu", spy)
     _, _, res = plan_mobile_milp(cfg, deployment)
     assert res.nodes_explored == 40
-    assert calls[0] <= 78
+    assert calls[0] <= 68
 
 
 def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypatch):
@@ -1050,6 +1053,29 @@ def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypat
     assert sum(handed) >= 20
 
 
+def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
+    # each warm node LP of the search ends on the point that a cold solve
+    # of the same bounds gives, whatever rows its dual chose to leave
+    import gridcover.bnb as bnb
+
+    gaps = []
+
+    def spy(data, bounds=None):
+        res = solve_lp(data, bounds)
+        if getattr(bounds, "basis", None) is not None:
+            cold = solve_lp(data, dict(bounds))
+            assert res.status == cold.status == "optimal"
+            assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+            gaps.append(float(np.abs(res.values - cold.values).max()))
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    cfg = TABLE8_L1_NS3
+    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    assert res.nodes_explored == 40 and len(gaps) == 39
+    assert max(gaps) <= 1e-9
+
+
 def test_warm_dual_perturbation_stays_below_the_tilt():
     # the dual must end on a vertex that is optimal for the tilted costs, so
     # its largest perturbation step stays an order of magnitude below the
@@ -1066,6 +1092,104 @@ def test_warm_dual_perturbation_stays_below_the_tilt():
             _, step = solver._dual_feasible_costs(tilted, np.zeros(solver.ncols), perturb=True)
             tilt = TIE_EPS * solver.lp.face[solver.lp.face > 0].min()
             assert 0 < 10 * step.max() < tilt
+
+
+class TestDualDevex:
+    """The warm dual leaves the row of largest infeasibility squared over
+    its Devex reference weight, the weights starting at 1 in each dual
+    phase and updated from each pivot's entering column w:
+    beta_i = max(beta_i, (w_i / w_r)^2 beta_r), beta_r = max(beta_r / w_r^2, 1),
+    all reset to 1 past 1e8.  A reference copy of the weights, kept by
+    spies on the dual phase, its tableau rows and its pivots, must pick
+    every leaving row the solver picks."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Install the spies; returns the log of (row picked, row the
+        reference weights pick, row of largest infeasibility)."""
+        log, weights = [], []
+        dual_phase, tableau_row, pivot = _Solver._dual_phase, _Solver._tableau_row, _Solver._pivot
+
+        def spy_dual_phase(self, c):
+            weights.append(np.ones(self.m))
+            try:
+                return dual_phase(self, c)
+            finally:
+                weights.pop()
+
+        def spy_tableau_row(self, r):
+            if weights:
+                infeas = np.maximum(self.lo[self.basis] - self.xb, self.xb - self.up[self.basis])
+                short = np.flatnonzero(infeas > BOUND_TOL)
+                want = int(short[np.argmax(infeas[short] ** 2 / weights[-1][short])])
+                log.append((r, want, int(np.argmax(infeas))))
+            return tableau_row(self, r)
+
+        def spy_pivot(self, r, q, w, theta, to_lower):
+            if weights:
+                beta = weights[-1]
+                beta_r = beta[r]
+                np.maximum(beta, (w / w[r]) ** 2 * beta_r, out=beta)
+                beta[r] = max(beta_r / w[r] ** 2, 1.0)
+                if beta.max() > 1e8:
+                    beta[:] = 1.0
+            return pivot(self, r, q, w, theta, to_lower)
+
+        monkeypatch.setattr(_Solver, "_dual_phase", spy_dual_phase)
+        monkeypatch.setattr(_Solver, "_tableau_row", spy_tableau_row)
+        monkeypatch.setattr(_Solver, "_pivot", spy_pivot)
+        return log
+
+    def test_small_lp_leaves_another_row_than_the_largest_infeasibility(self, monkeypatch):
+        c = [-2.0, 1.0, 0.0, -5.0, 2.0, 3.0, -2.0]
+        A = [[4, -1, 3, 2, 3, 1, 0], [1, 2, 3, 0, 2, -3, -2], [-4, 0, -1, 3, 3, -2, 0],
+             [3, -4, 1, -4, -4, 0, 4], [-2, 1, 1, 2, -2, 1, -1]]
+        b = [5.0, 4.0, 5.0, 1.0, -1.0]
+        upper = [1.0, 4.0, 1.0, 3.0, 4.0, 1.0, 4.0]
+        lp = (np.array(c), np.array(A, float), ["<="] * 5, np.array(b), np.zeros(7), np.array(upper), True)
+        data = LpData(build(*lp))
+        parent = solve_lp(data)
+        log = self.spy(monkeypatch)
+        bounds = {4: (0.0, 0.625)}
+        got = solve_lp(data, NodeBounds(bounds, parent.basis))
+        # the weights that the first two pivots leave send the third to
+        # another row than the largest infeasibility
+        assert [r != largest for r, _, largest in log] == [False, False, True, False], log
+        assert all(r == want for r, want, _ in log), log
+        cold = solve_lp(data, bounds)
+        assert got.status == cold.status == "optimal"
+        assert np.max(np.abs(got.values - cold.values)) <= 1e-9
+        child_upper = lp[5].copy()
+        child_upper[4] = 0.625
+        assert got.objective == pytest.approx(highs(*lp[:4], lp[4], child_upper, True)[1], abs=1e-9)
+
+    def test_random_children_follow_the_rule(self, monkeypatch):
+        log = self.spy(monkeypatch)
+        rng = np.random.default_rng(0)
+        phases = 0
+        for _ in range(300):
+            n, m = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+            c = rng.integers(-5, 6, size=n).astype(float)
+            A = rng.integers(-4, 5, size=(m, n)).astype(float)
+            senses = [str(s) for s in rng.choice(["<=", ">="], size=m)]
+            b = rng.integers(-2, 12, size=m).astype(float)
+            upper = rng.integers(1, 5, size=n).astype(float)
+            data = LpData(build(c, A, senses, b, np.zeros(n), upper))
+            parent = solve_lp(data)
+            if parent.status != "optimal":
+                continue
+            # three children of one LpData (the last a repeat of the
+            # first): each dual phase starts from weights of 1 again, not
+            # from the phase before
+            j = int(np.argmax(parent.values))
+            down = (0.0, parent.values[j] / 3)
+            for box in (down, ((parent.values[j] + upper[j]) / 2, upper[j]), down):
+                before = len(log)
+                solve_lp(data, NodeBounds({j: box}, parent.basis))
+                phases += len(log) > before
+        assert all(r == want for r, want, _ in log)
+        differ = sum(r != largest for r, _, largest in log)
+        assert phases > 100 and differ >= 10, (phases, len(log), differ)
 
 
 def test_coverage_6x6_root_pivot_budget():
