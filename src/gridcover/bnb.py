@@ -25,7 +25,8 @@ dual simplex; a child solved right after its parent also starts from the
 parent's LU factor (see simplex.LpData.last_factor).  The node's answer is
 the point a cold solve gives, up to rounding noise.
 Every incumbent is re-verified by substitution with its binaries snapped
-exactly to {0, 1} before being accepted, and the reported objective is
+exactly to {0, 1} before being accepted (a node point within INT_TOL of
+integral that snapping breaks is branched on), and the reported objective is
 recomputed from the incumbent values rather than trusted from the
 relaxation.  Points (LP answers, the warm start, the incumbent) are float
 vectors indexed by variable id, as everywhere in the package.
@@ -102,20 +103,14 @@ class _Search:
 
     # -- incumbent handling -------------------------------------------------
 
-    def try_incumbent(self, point: np.ndarray) -> bool:
-        """Snap binaries exactly to {0,1}, re-verify (re-solving the LP with
-        the binaries fixed when the snapped point fails), accept if improving."""
+    def try_incumbent(self, point: np.ndarray) -> Optional[bool]:
+        """Snap binaries exactly to {0,1} and re-verify by substitution:
+        None when the snapped point breaks a bound or a row, else whether
+        it improves on the incumbent (and is kept)."""
         x = point.copy()
         x[self.binaries] = np.round(x[self.binaries])
         if not self.data.feasible(x, self.data.lower, self.data.upper):
-            fixed = {int(v): (float(x[v]), float(x[v])) for v in self.binaries}
-            res = solve_lp(self.data, fixed)
-            if res.status != "optimal":
-                return False
-            x = res.values
-            x[self.binaries] = np.round(x[self.binaries])
-            if not self.data.feasible(x, self.data.lower, self.data.upper):
-                return False
+            return None
         score = self.sign * float(self.c0 @ x)
         if score > self.inc_score + 1e-12:
             self.inc_score = score
@@ -223,8 +218,10 @@ class _Search:
             xb = res.values[self.binaries]
             frac = np.minimum(np.abs(xb), np.abs(1.0 - xb))
             if not xb.size or float(frac.max()) <= INT_TOL:
-                self.try_incumbent(res.values)
-                continue
+                # a point that snapping breaks (a binary off by more than
+                # the rows' tolerance) is branched on, as a fractional one is
+                if self.try_incumbent(res.values) is not None or not frac.any():
+                    continue
 
             branch_pos = int(np.argmax(frac))
             branch_var = int(self.binaries[branch_pos])

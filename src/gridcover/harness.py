@@ -14,11 +14,13 @@ a bounded backtracking search over the greedy's choices when no greedy
 start yields a plan, and, for a movement seed above the quotient bound, a
 bounded search for the plan of fewest movements); seeding only tightens
 pruning and never affects correctness.  The four searches share one
-coverage counter:
-footprints are bitmasks, counts are c_o bitmask layers, and
-`_add_footprint` adds one placement.  Each seeder takes the
-`FormulationHandle` it seeds and reads that model's geometry from it: its
-footprint and step tables are the ones the builder built the model from.
+coverage counter: footprints are bitmasks, counts are c_o bitmask layers,
+and `_add_footprint` adds one placement.  The packing search also keeps
+its candidates as one bitmask, the cells whose footprints still fit, so
+it never scans a blocked cell; under a cap of one it needs no layers.
+Each seeder takes the `FormulationHandle` it seeds and reads that model's
+geometry from it: its footprint and step tables are the ones the builder
+built the model from.
 Deployments, plans and result rows are persisted as line-oriented text so
 every reported number can be re-derived offline.  A `ResultRow` holds
 the `ExperimentConfig` it ran, and the CSV's config columns are read from
@@ -178,11 +180,23 @@ def pack_static_positions(
     single-placement value (killing node-permutation symmetry); branches
     whose optimistic bound (current + remaining * best-available single
     value) cannot beat the best found are pruned.  Within PACK_SEARCH_STEPS
-    on desk-scale grids this is exhaustive, i.e. optimal.  Footprints are
-    bitmasks over the sorted cells, counted in c_o layers (_add_footprint).
-    With `stop_at`, a proven bound on every placement's value, the search
-    stops once its best reaches it: the best is replaced only on a strict
-    gain, so the full search would return the same placement.
+    on desk-scale grids this is exhaustive, i.e. optimal.  With `stop_at`,
+    a proven bound on every placement's value, the search stops once its
+    best reaches it: the best is replaced only on a strict gain, so the
+    full search would return the same placement.
+
+    Footprints are bitmasks over the cells, counted in c_o layers
+    (_add_footprint).  A search node keeps its candidates as one bitmask
+    over the sorted cells: those from its own cell on whose footprints
+    still fit under the cap, so it never visits a blocked cell (the
+    bit-parallel candidate sets of San Segundo, Rodríguez-Losada & Jiménez
+    2011).  `covers[f]` holds the candidates whose footprint holds cell f,
+    and a placement blocks the covers of the cells it brings to the cap:
+    under a cap of one that is its whole footprint, so its blocked set is
+    the table `conflict[k]` and no layers are kept.  The nodes, their
+    order and the step count are those of a scan over every cell that
+    skips the blocked ones, so a truncated search returns the same
+    placement too.
     """
     cells, n_static = handle.cells, handle.n_static
     footprints = _boxes(handle.footprints)
@@ -191,14 +205,19 @@ def pack_static_positions(
     order = sorted(range(len(cells)), key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
     masks = [sum(1 << f for f in footprints[c]) for c in order]
-    n_cells, budget = len(order), PACK_SEARCH_STEPS
+    covers = [0] * len(cells)
+    for idx, c in enumerate(order):
+        for f in footprints[c]:
+            covers[f] |= 1 << idx
+    conflict = [_union(covers, mask) for mask in masks] if handle.c_o == 1 else None
+    budget = PACK_SEARCH_STEPS
 
     best_obj = -1.0
     best: Optional[List[Cell]] = None
     chosen: List[int] = []
     steps = 0
 
-    def dfs(start_idx: int, current: float, layers: List[int]) -> None:
+    def dfs(avail: int, current: float, layers: Optional[List[int]]) -> None:
         nonlocal best_obj, best, steps
         steps += 1
         if steps > budget:
@@ -210,18 +229,33 @@ def pack_static_positions(
                 if stop_at is not None and best_obj >= stop_at:
                     steps = budget  # no placement beats it: end the search
             return
-        full = layers[-1]  # the cells already covered c_o times
-        for idx in range(start_idx, n_cells):
+        while avail:
+            low = avail & -avail
+            idx = low.bit_length() - 1
             if current + remaining * vals[idx] <= best_obj:
                 break  # vals non-increasing: no later cell can help
-            if masks[idx] & full:
-                continue
             chosen.append(order[idx])
-            dfs(idx, current + vals[idx], _add_footprint(layers, masks[idx]))
+            if layers is None:
+                dfs(avail & ~conflict[idx], current + vals[idx], None)
+            else:
+                # the footprint cells at c_o - 1 covers reach the cap
+                blocked = _union(covers, masks[idx] & layers[-2])
+                dfs(avail & ~blocked, current + vals[idx], _add_footprint(layers, masks[idx]))
             chosen.pop()
+            avail ^= low
 
-    dfs(0, 0.0, [0] * handle.c_o)
+    dfs((1 << len(order)) - 1, 0.0, None if handle.c_o == 1 else [0] * handle.c_o)
     return best
+
+
+def _union(covers: List[int], cells: int) -> int:
+    """The union of `covers[f]` over the cells f in the bitmask `cells`."""
+    out = 0
+    while cells:
+        low = cells & -cells
+        out |= covers[low.bit_length() - 1]
+        cells ^= low
+    return out
 
 
 def _seed_tables(handle: FormulationHandle):

@@ -56,7 +56,7 @@ refactorization (at most REFACTOR_EVERY, counted across phases) form an eta
 file kept in compact product form, I - P T Q^T, so that a solve with the
 basis is the LU solve and two dense products (see _Basis).
 
-Every solve, cold or warm, root, node or repair, pivots on a presolved
+Every solve, cold or warm, root or node, pivots on a presolved
 model (_Reduced), built on an LpData's first solve and kept on it.  A
 continuous column defined by an equality row and present in at most one
 other row (such as the static model's coverage variables, c = sum of x

@@ -139,6 +139,30 @@ class TestWarmStart:
         solve_milp(m, warm_start=seed)
         assert seed.tolist() == [1.0, 1e-12, 0.0, 0.0]
 
+    def test_point_that_snapping_breaks_is_branched_on(self, monkeypatch):
+        # a root point whose binary is off by 5e-7 reads as integral
+        # (INT_TOL), but snapped to x = 0 it leaves y = 5e-7 above x, past
+        # the rows' tolerance.  The node is split on x, and its x = 1 side
+        # holds the optimum 0.5 (the snapped binaries' own best, y = 0, is 0)
+        m = MilpInstance()
+        x = m.add_variable("x", "binary", 0, 1)
+        y = m.add_variable("y", "continuous", 0, 1)
+        m.add_constraint([(y, 1), (x, -1)], "<=", 0)
+        m.set_objective([(y, 1), (x, -0.5)], "maximize")
+        calls = []
+
+        def noisy(data, bounds=None):
+            res = solve_lp(data, bounds)
+            if not calls:
+                res.values = np.array([5e-7, 5e-7])
+            calls.append(bounds)
+            return res
+
+        monkeypatch.setattr(bnb, "solve_lp", noisy)
+        got = solve_milp(m)
+        assert got.status == "optimal" and got.objective == pytest.approx(0.5)
+        assert got.incumbent.tolist() == [1.0, 1.0] and len(calls) == 3
+
     def test_optimal_seed_short_circuits(self):
         # seed attains the bound implied by variable boxes: zero nodes needed
         m = MilpInstance()

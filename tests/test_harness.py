@@ -1,7 +1,9 @@
 """Pipeline orchestration, persistence, and warm-start seeding."""
 
+import collections
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -214,10 +216,68 @@ class TestWarmStartHelpers:
             grid = GridSpec(size, size)
             for n_static in range(1, 11):
                 for c_o in (1, 2, 3):
-                    got = pack_static_positions(build_milp_static(grid, n_static, 1, c_o, 4.0))
-                    assert got == packing_search(grid, n_static, 1, c_o, 4.0, budget), (
-                        size, n_static, c_o,
-                    )
+                    for r_s in (0, 1, 2):
+                        got = pack_static_positions(build_milp_static(grid, n_static, r_s, c_o, 4.0))
+                        assert got == packing_search(grid, n_static, r_s, c_o, 4.0, budget), (
+                            size, n_static, c_o, r_s,
+                        )
+
+    @pytest.mark.parametrize("size, n_static, r_s", [(11, 12, 1), (11, 12, 2), (14, 14, 1)])
+    def test_budget_bound_pack_matches_the_reference_search(self, size, n_static, r_s, monkeypatch):
+        # searches that spend their whole budget: 11x11 N_s=12 ends at 214,
+        # short of its bound of 216, and 11x11 N_s=12 at r_s=2 cannot be
+        # placed (nine 5x5 footprints fit).  Cut at 20,000 steps, before
+        # 11x11 N_s=12 finds its first placement, each returns the
+        # reference's answer
+        from oracles import packing_search
+
+        monkeypatch.setattr(harness, "PACK_SEARCH_STEPS", 20_000)
+        grid = GridSpec(size, size)
+        handle = build_milp_static(grid, n_static, r_s, 1, 4.0)
+        got = pack_static_positions(handle, stop_at=harness._packing_bound(handle))
+        assert got == packing_search(grid, n_static, r_s, 1, 4.0, 20_000)
+        assert (got is None) == (size == 11)
+
+    def test_candidates_are_the_cells_that_fit(self, monkeypatch):
+        # at every node of the search, the candidate bitmask is the
+        # brute-force set {j >= start : masks[j] & top == 0} over the
+        # value-ordered cells: start is the position of the node's last
+        # placement (0 at the root) and top the cells that its placements
+        # cover c_o times; a profile hook reads each call of the recursion
+        from gridcover.grid import sensing_footprint
+
+        dfs = next(c for c in pack_static_positions.__code__.co_consts if getattr(c, "co_name", "") == "dfs")
+        monkeypatch.setattr(harness, "PACK_SEARCH_STEPS", 300)
+        rng = random.Random(26)
+        nodes = blocked = capped = 0
+        for _ in range(40):
+            grid = GridSpec(rng.randint(3, 7), rng.randint(3, 7))
+            n_static, r_s, c_o = rng.randint(1, 8), rng.randint(0, 2), rng.randint(1, 3)
+            alpha = rng.choice([1.0, 1.3, 4.0])
+            handle = build_milp_static(grid, n_static, r_s, c_o, alpha)
+            index = {c: n for n, c in enumerate(handle.cells)}
+            fps = [[index[f] for f in sensing_footprint(c, r_s, grid)] for c in handle.cells]
+            seen = []
+
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code is dfs:
+                    node = frame.f_locals  # the arguments and the search's own lists
+                    seen.append((node["avail"], list(node["chosen"]), node["order"]))
+
+            sys.setprofile(hook)
+            try:
+                pack_static_positions(handle)
+            finally:
+                sys.setprofile(None)
+            for avail, chosen, order in seen:
+                start = order.index(chosen[-1]) if chosen else 0
+                counts = collections.Counter(f for c in chosen for f in fps[c])
+                fits = [all(counts[f] < c_o for f in fps[order[j]]) for j in range(len(order))]
+                assert avail == sum(1 << j for j in range(start, len(order)) if fits[j])
+                blocked += not all(fits[start:])
+                capped += c_o > 1 and any(n == c_o for n in counts.values())
+            nodes += len(seen)
+        assert nodes > 3_000 and blocked > 2_000 and capped > 2_000, (nodes, blocked, capped)
 
     @pytest.mark.parametrize(
         "rows, cols, n_static, r_s, c_o",
@@ -530,6 +590,13 @@ class TestRootBound:
             values.append(static_deployment(grid, got, 1, 4.0).objective_value)
             assert values[-1] >= stop_at
         assert values == sorted(values) and values[0] < values[-1] == 183.0
+
+    def test_infeasible_count_has_no_deployment(self):
+        # nine disjoint footprints fit on 8x8: the quotient LP is infeasible,
+        # so the packing search has no bound to stop at and spends its
+        # budget, and the root LP proves the count infeasible
+        deployment, result = harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=14))
+        assert deployment is None and result.status == "infeasible" and result.incumbent is None
 
     def test_no_stop_under_a_cap_above_one(self, monkeypatch):
         stops = []
