@@ -1,17 +1,20 @@
 """Branch-and-bound MILP solver over LP relaxations.
 
 Pure branch-and-bound (no cutting planes): fractional binaries are fixed
-to 0/1 via per-node bound tightenings, and search follows best-bound order
-(ties to the newest node, so the search plunges: the first child of the
-node just branched is solved next) or depth-first order, with
-most-fractional branching.  The first child is the side the branching
-binary leans toward, and the down side at an exact 0.5.  Binaries that
-are equally fractional in exact arithmetic (several at 0.5 in the
-symmetric cover models) differ in the LP point by rounding noise, and
-np.argmax takes the largest computed fraction, so such a tie falls to
-that noise, not to a fixed order.  Bounds are floored to integers when
-the model shows an integral objective (simplex.LpData.objective_integral;
-the paper's models count whole cells and movements).  A seeded search may
+to 0/1 via per-node bound tightenings, with most-fractional branching.
+The open nodes sit in one heap for both search orders, keyed by the
+negated bound in best-bound order and by 0 in depth-first order, with a
+tie key that prefers the newest node: so best-bound search plunges (the
+first child of the node just branched is solved next) and depth-first
+search pops the nodes as a stack would.  The first child is the side
+the branching binary leans toward, and the down side at an exact 0.5.
+Binaries that are equally fractional in exact arithmetic (several at 0.5
+in the symmetric cover models) differ in the LP point by rounding noise,
+and np.argmax takes the largest computed fraction, so such a tie falls to
+that noise, not to a fixed order.  Bounds are rounded to the objective's
+next integer (simplex.LpData.round_bound) when the model shows an
+integral objective (simplex.LpData.objective_integral; the paper's models
+count whole cells and movements).  A seeded search may
 close before any LP: when the seed attains the bound of the variable boxes
 alone, or the bound on the root LP that the LP's symmetry quotient proves
 (quotient.lp_bound), it ends "optimal" at 0 nodes, as a root LP no better
@@ -94,11 +97,9 @@ class _Search:
         self.params = params
         self.data = LpData(instance)
         self.binaries = np.flatnonzero(self.data.is_binary)
-        self.sign = -self.data.obj_sign  # score = sign * objective, maximized
-        self.c0 = self.data.c_min * self.data.obj_sign  # original objective coefficients
+        self.sign = -self.data.obj_sign  # score = sign * objective = -(c_min . x), maximized
         self.incumbent: Optional[np.ndarray] = None
         self.inc_score = -math.inf
-        self.final_bound_score: Optional[float] = None
         self.nodes_explored = 0
 
     # -- incumbent handling -------------------------------------------------
@@ -111,7 +112,7 @@ class _Search:
         x[self.binaries] = np.round(x[self.binaries])
         if not self.data.feasible(x, self.data.lower, self.data.upper):
             return None
-        score = self.sign * float(self.c0 @ x)
+        score = -float(self.data.c_min @ x)
         if score > self.inc_score + 1e-12:
             self.inc_score = score
             self.incumbent = x
@@ -121,25 +122,16 @@ class _Search:
     # -- bounds before the root ---------------------------------------------
 
     def _box_bound(self) -> float:
-        """The largest score over the variable boxes alone."""
-        c_score = self.sign * self.c0
-        nz = np.flatnonzero(c_score)
-        if not nz.size:
-            return 0.0
-        ends = np.where(c_score[nz] > 0, self.data.upper[nz], self.data.lower[nz])
-        return float(np.sum(c_score[nz] * ends))
+        """The best objective over the variable boxes alone."""
+        c = self.data.c_min
+        nz = np.flatnonzero(c)
+        ends = np.where(c[nz] > 0, self.data.lower[nz], self.data.upper[nz])
+        return self.data.obj_sign * float(np.sum(c[nz] * ends))
 
-    def _quotient_bound(self) -> float:
-        """The largest score of the root LP, as the LP's symmetry quotient
-        bounds it (inf when it proves none); computed once per instance."""
-        bound = lp_bound(self.instance)
-        return math.inf if bound is None else self.sign * bound
-
-    def _attains(self, bound: float) -> bool:
-        """Whether the incumbent reaches the score bound `bound`."""
-        if self.data.objective_integral and math.isfinite(bound):
-            bound = math.floor(bound + 1e-6)
-        return self.inc_score >= bound - 1e-9
+    def _attains(self, bound: Optional[float]) -> bool:
+        """Whether the incumbent reaches `bound`, a bound on the objective
+        (None: no bound)."""
+        return bound is not None and self.inc_score >= self.sign * self.data.round_bound(bound) - 1e-9
 
     # -- search -------------------------------------------------------------
 
@@ -160,46 +152,33 @@ class _Search:
         # the bound from the variable boxes alone (e.g. full-coverage plans),
         # then the symmetry quotient's bound on the root LP
         if self.incumbent is not None and (
-            self._attains(self._box_bound()) or self._attains(self._quotient_bound())
+            self._attains(self._box_bound()) or self._attains(lp_bound(self.instance))
         ):
-            self.final_bound_score = self.inc_score
             return self._finish(False, False, [])
 
-        # (negated score bound, tie key, bound-tightening map); below the
-        # root the map is a NodeBounds holding the parent's basis.  The tie
-        # key counts down, so among nodes of equal bound the heap pops the
+        # (order key, tie key, score bound, bound-tightening map); below the
+        # root the map is a NodeBounds holding the parent's basis.  The order
+        # key is the negated bound in best-bound order and 0 in depth-first
+        # order.  The tie key counts down, so depth-first pops the newest
+        # node (a stack), and among nodes of equal bound best-bound pops the
         # newest first (plunging): the preferred child of the node just
         # branched, whose solve then starts from the factor that its
         # parent's solve left (see simplex.solve_warm)
+        heap: List[Tuple[float, int, float, Dict[int, Tuple[float, float]]]] = [(-math.inf, 0, math.inf, {})]
         seq = 0
-        root: Tuple[float, int, Dict[int, Tuple[float, float]]] = (-math.inf, seq, {})
-        heap: List[Tuple[float, int, Dict[int, Tuple[float, float]]]] = [root]
-        stack = [root]
-        use_heap = params.node_selection == "best-bound"
-        open_nodes = heap if use_heap else stack
-        push = (lambda node: heapq.heappush(heap, node)) if use_heap else stack.append
         hit_limit = False
         saw_unbounded = False
 
-        while open_nodes:
-            if params.node_limit is not None and self.nodes_explored >= params.node_limit:
-                hit_limit = True
-                break
-            if time.monotonic() - t0 > params.time_limit:
+        while heap:
+            if (params.node_limit is not None and self.nodes_explored >= params.node_limit) or (
+                time.monotonic() - t0 > params.time_limit
+            ):
                 hit_limit = True
                 break
 
-            if use_heap:
-                neg_est, _, bounds = heapq.heappop(heap)
-                if -neg_est <= self.inc_score + 1e-9:
-                    # remaining nodes cannot improve; heap order makes this global
-                    self.final_bound_score = self.inc_score
-                    open_nodes.clear()
-                    break
-            else:
-                neg_est, _, bounds = stack.pop()
-                if -neg_est <= self.inc_score + 1e-9:
-                    continue
+            _, _, bound_score, bounds = heapq.heappop(heap)
+            if bound_score <= self.inc_score + 1e-9:
+                continue
 
             res = solve_lp(self.data, bounds)
             self.nodes_explored += 1
@@ -209,9 +188,7 @@ class _Search:
                 saw_unbounded = True
                 break
 
-            node_score = self.sign * res.objective
-            if self.data.objective_integral:
-                node_score = math.floor(node_score + 1e-6)
+            node_score = self.sign * self.data.round_bound(res.objective)
             if node_score <= self.inc_score + 1e-9:
                 continue
 
@@ -233,33 +210,23 @@ class _Search:
             # the down side at an exact 0.5 (where the computed value's side
             # is rounding noise)
             first, second = (up, down) if xb[branch_pos] > 0.5 + 1e-9 else (down, up)
-            push((-node_score, seq - 1, second))
-            push((-node_score, seq - 2, first))
+            key = -node_score if params.node_selection == "best-bound" else 0.0
+            heapq.heappush(heap, (key, seq - 1, node_score, second))
+            heapq.heappush(heap, (key, seq - 2, node_score, first))
             seq -= 2
 
             if self.incumbent is not None and params.mip_gap > 0:
-                bound_now = self._open_bound(open_nodes)
-                gap_now = _relative_gap(
-                    self.sign * self.inc_score, self.sign * bound_now
-                )
+                gap_now = _relative_gap(self.sign * self.inc_score, self.sign * self._open_bound(heap))
                 if gap_now is not None and gap_now <= params.mip_gap + 1e-12:
-                    self.final_bound_score = bound_now
-                    open_nodes.clear()
                     break
 
-        return self._finish(hit_limit, saw_unbounded, open_nodes)
+        return self._finish(hit_limit, saw_unbounded, heap)
 
     def _open_bound(self, open_nodes) -> float:
-        best = self.inc_score
-        for neg_est, _, _ in open_nodes:
-            best = max(best, -neg_est)
-        return best
+        return max([self.inc_score] + [bound_score for _, _, bound_score, _ in open_nodes])
 
     def _finish(self, hit_limit: bool, saw_unbounded: bool, open_nodes) -> MilpResult:
-        if self.final_bound_score is not None:
-            bound_score = self.final_bound_score
-        else:
-            bound_score = self._open_bound(open_nodes) if open_nodes else self.inc_score
+        bound_score = self._open_bound(open_nodes)
         # without an incumbent and with nothing left open, bound_score is -inf
         bound = self.sign * bound_score if math.isfinite(bound_score) else None
         incumbent, objective, gap = self.incumbent, None, None

@@ -118,7 +118,11 @@ class FormulationHandle:
     uncovered: Tuple[Cell, ...] = ()
     static_covered_count: int = 0
     coverage_threshold: Optional[int] = None
-    nothing_to_plan: bool = False
+
+    @property
+    def nothing_to_plan(self) -> bool:
+        """Whether a mobile model has no uncovered cell to plan for."""
+        return self.kind != "static" and not self.uncovered
 
     @property
     def x_shape(self) -> Tuple[int, ...]:
@@ -372,7 +376,6 @@ def _build_mobile(
         uncovered=tuple(c1),
         static_covered_count=static_covered_count,
         coverage_threshold=coverage_threshold,
-        nothing_to_plan=not c1,
     )
     if not c1:
         return handle

@@ -30,7 +30,6 @@ it (RESULT_COLUMNS).
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -516,8 +515,9 @@ def _packing_bound(handle: FormulationHandle) -> Optional[int]:
     value could then differ in the last bit.)"""
     if handle.c_o != 1:
         return None
-    bound = lp_bound(handle.instance) if LpData(handle.instance).objective_integral else None
-    return None if bound is None else math.floor(bound + 1e-6)
+    data = LpData(handle.instance)
+    bound = lp_bound(handle.instance) if data.objective_integral else None
+    return None if bound is None else data.round_bound(bound)
 
 
 def place_static_milp(
@@ -590,7 +590,7 @@ def plan_mobile_milp(
         low = -(-stop_at // max(fp.bit_count() for fp in tables[0]))
         bound = lp_bound(handle.instance)  # the one the solve reads
         if bound is not None:
-            low = max(low, math.ceil(bound - 1e-6))
+            low = max(low, LpData(handle.instance).round_bound(bound))
         if seeded.movements > low:
             seeded = _fewest_moves_plan(handle, tables, stop_at, low, seeded.movements - 1) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)

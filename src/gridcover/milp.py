@@ -391,10 +391,12 @@ class MilpInstance:
 
 
 def max_residual(lhs: np.ndarray, codes: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest amount by which rows `lhs (sense) rhs` fail (0 if all hold)."""
+    """Largest amount by which rows `lhs (sense) rhs` fail (0 if all hold;
+    inf if a residual is NaN)."""
     resid = lhs - rhs
     worst = np.where(codes == LE, resid, np.where(codes == GE, -resid, np.abs(resid)))
-    return float(max(0.0, worst.max(initial=0.0)))
+    top = float(worst.max(initial=0.0))
+    return math.inf if math.isnan(top) else max(0.0, top)
 
 
 def instance_stats(instance: MilpInstance) -> InstanceStats:

@@ -12,13 +12,14 @@ class by the multiset of (neighbour colour, coefficient) of its members.
 A multiset is compared by the wrapping sum of a 64-bit hash of its
 elements.
 
-The quotient has one variable per column class J, with the class's box
-and cost |J| c_j, and one row per row class, whose coefficient on J is
-the sum over J of one member row.  Its row duals z, lifted to the full
-rows as y_r = z_i / |P_i|, are dual feasible for the full LP when the
-partition is equitable.  The bound itself is evaluated on the full model
-from y (Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer
-linear programming", Math. Prog. 99, 2004): y^T b plus the minimum of
+The quotient LP is an LpData over the classes: column J is column class
+J, with the class's box and cost |J| c_j, and row i is row class i, whose
+coefficient on J is the sum over J of one member row.  Its row duals z,
+lifted to the full rows as y_r = z_i / |P_i| for the class i of row r,
+are dual feasible for the full LP when the partition is equitable.  The
+bound itself is evaluated on the full model from y (Neumaier &
+Shcherbina, "Safe bounds in linear and mixed-integer linear
+programming", Math. Prog. 99, 2004): y^T b plus the minimum of
 (c - A^T y)_j x_j over each column's box, after duals of the wrong sign
 are clipped to 0.  That holds for any y, so a wrong partition (a hash
 collision, say) can only weaken the bound; an infeasible or unbounded
@@ -32,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .milp import GE, LE, SENSES, MilpInstance
+from .milp import GE, LE, MilpInstance
 from .simplex import LpData, SimplexNumericalError, _mix, solve_lp
 
 
@@ -106,54 +107,27 @@ def dual_bound(
     return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
 
 
-def _quotient(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Tuple[MilpInstance, np.ndarray]:
-    """The quotient LP of the partition (rows, cols), and the row class of
-    each of its rows."""
-    k_cols = int(cols.max(initial=-1)) + 1
-    _, rep_rows = np.unique(rows, return_index=True)  # the first member of each class
-    _, rep_cols = np.unique(cols, return_index=True)
-    S = sp.csr_matrix((np.ones(data.n), (np.arange(data.n), cols)), shape=(data.n, k_cols))
-    Q = (data.A_csr[rep_rows] @ S).tocsr()
-    Q.eliminate_zeros()
-
-    q = MilpInstance("quotient")
-    # one block of variables per distinct box; var[J] is class J's variable
-    lower, upper = data.lower[rep_cols], data.upper[rep_cols]
-    box_of = _classes(lower, upper)
-    order = np.argsort(box_of, kind="stable")
-    var = np.empty(k_cols, dtype=np.int64)
-    var[order] = np.arange(k_cols)
-    for g in range(int(box_of.max(initial=-1)) + 1):
-        members = np.flatnonzero(box_of == g)
-        lo, up = lower[members[0]], upper[members[0]]
-        q.add_variables([f"q{g}_"], [str(t) for t in range(members.size)], "continuous", lo, up)
-    class_of = []
-    for code in np.unique(data.sense_codes[rep_rows]).tolist():
-        sel = np.flatnonzero(data.sense_codes[rep_rows] == code)
-        block = Q[sel]
-        q.add_constraints(np.diff(block.indptr), var[block.indices], block.data, SENSES[code],
-                          data.b[rep_rows[sel]])
-        class_of.append(sel)
-    cost = np.bincount(cols, minlength=k_cols) * data.c_min[rep_cols]
-    on = np.flatnonzero(cost)
-    q.set_objective_arrays(var[on], cost[on], "minimize")  # the internal sense, as the duals
-    return q, np.concatenate(class_of) if class_of else np.zeros(0, dtype=np.int64)
-
-
 def partition_bound(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Optional[float]:
     """The bound (see dual_bound) from the quotient LP of the partition
     (rows, cols), colours indexed from 0; None when the quotient has no
     optimum or its lifted duals prove none."""
-    q, class_of = _quotient(data, rows, cols)
-    q_data = LpData(q)
+    _, rep_rows = np.unique(rows, return_index=True)  # the first member of each class
+    _, rep_cols = np.unique(cols, return_index=True)
+    S = sp.csr_matrix((np.ones(data.n), (np.arange(data.n), cols)), shape=(data.n, rep_cols.size))
+    Q = (data.A_csr[rep_rows] @ S).tocsr()  # row i is row class i, column J column class J
+    Q.eliminate_zeros()
+    Q.sort_indices()
+    cost = np.bincount(cols) * data.c_min[rep_cols]
+    q_data = LpData.from_arrays(Q, data.sense_codes[rep_rows], data.b[rep_rows], data.lower[rep_cols],
+                                data.upper[rep_cols], cost, np.zeros(rep_cols.size, dtype=bool), 1.0)
     try:
         res = solve_lp(q_data)
     except SimplexNumericalError:
         return None
     if res.status != "optimal":
         return None
-    z = np.zeros(int(rows.max(initial=-1)) + 1)
-    z[class_of[q.row_lengths > 0]] = res.duals  # LpData drops the empty rows
+    z = np.zeros(rep_rows.size)
+    z[np.diff(Q.indptr) > 0] = res.duals  # LpData drops the empty rows
     return dual_bound(data, z[rows] / np.bincount(rows)[rows])
 
 

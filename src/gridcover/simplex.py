@@ -195,39 +195,48 @@ class LpResult:
 
 
 class LpData:
-    """The arrays of a MilpInstance in the form the simplex reads.  Bounds,
-    kinds and coefficients are the instance's own (read-only) arrays; empty
-    constraint rows are dropped, and flagged when they cannot hold.
+    """The arrays of an LP in the form the simplex reads: rows
+    A_csr x (sense_codes) b over column boxes [lower, upper], minimizing
+    c_min (the internal sense; obj_sign gives back the instance's own).
+    Bounds, kinds and coefficients are the caller's (read-only) arrays;
+    empty constraint rows are dropped, and flagged when they cannot hold.
 
     An instance has one: LpData(instance) builds it on first use and keeps
     it among the instance's derived views (which any change to the
     instance drops), so its presolve, its integrality verdict and its
-    factor slot are built once, whichever layer asks first."""
+    factor slot are built once, whichever layer asks first.
+    LpData.from_arrays builds one that no instance keeps."""
 
     def __new__(cls, instance: MilpInstance):
         views = instance._views
         if "lp_data" not in views:
-            views["lp_data"] = data = super().__new__(cls)
-            data._extract(instance)
+            sign = 1.0 if instance.objective_sense == "minimize" else -1.0
+            views["lp_data"] = cls.from_arrays(instance.matrix(), instance.sense_codes, instance.rhs,
+                                               instance.lower, instance.upper, sign * instance.objective(),
+                                               instance.is_binary, sign)
         return views["lp_data"]
 
-    def _extract(self, instance: MilpInstance) -> None:
-        self.n = instance.n_variables
-        self.lower = instance.lower
-        self.upper = instance.upper
-        self.is_binary = instance.is_binary
-        self.obj_sign = 1.0 if instance.objective_sense == "minimize" else -1.0
-        self.c_min = self.obj_sign * instance.objective()  # internal sense: minimize
+    @classmethod
+    def from_arrays(cls, A_csr: sp.csr_matrix, sense_codes: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+                    upper: np.ndarray, c_min: np.ndarray, is_binary: np.ndarray, obj_sign: float) -> "LpData":
+        """The LpData of the rows A_csr x (sense_codes) rhs over the boxes
+        [lower, upper], minimizing c_min."""
+        self = object.__new__(cls)
+        self.n = A_csr.shape[1]
+        self.lower = lower
+        self.upper = upper
+        self.is_binary = is_binary
+        self.obj_sign = obj_sign
+        self.c_min = c_min
 
-        lengths, codes, rhs = instance.row_lengths, instance.sense_codes, instance.rhs
-        empty = lengths == 0  # empty rows carry no variables; drop
+        empty = np.diff(A_csr.indptr) == 0  # empty rows carry no variables; drop
         self.trivially_infeasible = (
-            max_residual(np.zeros(np.count_nonzero(empty)), codes[empty], rhs[empty]) > FEAS_TOL
+            max_residual(np.zeros(np.count_nonzero(empty)), sense_codes[empty], rhs[empty]) > FEAS_TOL
         )
-        self.sense_codes = codes = codes[~empty]
+        self.sense_codes = codes = sense_codes[~empty]
         self.m = len(codes)
         self.b = rhs[~empty]
-        self.A_csr = instance.matrix()[~empty] if empty.any() else instance.matrix()
+        self.A_csr = A_csr[~empty] if empty.any() else A_csr
 
         # slack bounds by sense: <= gives [0, inf), = gives [0, 0], >= gives (-inf, 0]
         self.slack_lo = np.where(codes == GE, -math.inf, 0.0)
@@ -238,6 +247,7 @@ class LpData:
         # _Reduced it pivoted on and the SuperLU factor of that basis, for
         # a warm solve from that very basis to start from (see solve_warm)
         self.last_factor: Optional[Tuple[WarmBasis, _Reduced, object]] = None
+        return self
 
     @cached_property
     def senses(self) -> List[str]:
@@ -277,9 +287,19 @@ class LpData:
         rule3[cols[caps & ~pinned()[rows]]] = False
         return bool(np.all(_whole(self.c_min)) and np.all((integral | rule3)[self.c_min != 0]))
 
+    def round_bound(self, bound: float) -> float:
+        """`bound`, a bound on the objective in the instance's own sense,
+        moved to the objective's next integer when objective_integral:
+        floored when maximizing and raised when minimizing, past a 1e-6
+        margin for rounding noise; infinities are unchanged."""
+        if not (self.objective_integral and math.isfinite(bound)):
+            return bound
+        return math.floor(bound + 1e-6) if self.obj_sign < 0 else math.ceil(bound - 1e-6)
+
     def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
-        """Whether `x` is within the bounds and satisfies every row."""
-        if np.any(x < lower - BOUND_TOL) or np.any(x > upper + BOUND_TOL):
+        """Whether `x` is within the bounds (a NaN is not) and satisfies
+        every row."""
+        if not np.all((x >= lower - BOUND_TOL) & (x <= upper + BOUND_TOL)):
             return False
         return max_residual(self.A_csr @ x, self.sense_codes, self.b) <= FEAS_TOL
 

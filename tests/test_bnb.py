@@ -127,6 +127,11 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="warm start"):
             solve_milp(m, warm_start=np.ones(len(vs)))
 
+    def test_nan_seed_rejected(self):
+        m, _ = self.build()
+        with pytest.raises(ValueError, match="warm start"):
+            solve_milp(m, warm_start=np.array([np.nan, 0.0, 0.0, 0.0]))
+
     @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
     def test_seed_of_another_shape_rejected(self, shape):
         m, _ = self.build()
@@ -221,6 +226,57 @@ class TestLimits:
         for m in instances:
             solve_milp(m, SolveParams(node_selection=order))
         assert len(warm_solves) > 150 and "infeasible" in warm_solves
+
+    def test_gap_stop_is_within_the_gap_of_the_optimum(self):
+        # a search may stop "optimal" once the incumbent is within mip_gap of
+        # the open nodes' bound; the optimum then lies between the two
+        rng = random.Random(5)
+        gap_stops = 0
+        for _ in range(120):
+            m = random_milp(rng, n_bin=rng.randint(10, 12), n_cont=0, n_rows=rng.randint(6, 10))
+            want_status, want = milp_by_enumeration(m)
+            sense_max = m.objective_sense == "maximize"
+            for order in ("best-bound", "depth-first"):
+                for mip_gap in (0.05, 0.3):
+                    res = solve_milp(m, SolveParams(mip_gap=mip_gap, node_selection=order))
+                    if want_status == "infeasible":
+                        assert res.status == "infeasible"
+                        continue
+                    assert res.status == "optimal" and res.gap <= mip_gap + 1e-12
+                    # on the gap's own scale, the incumbent's magnitude
+                    assert abs(res.objective - want) <= mip_gap * max(1.0, abs(res.objective)) + 1e-9
+                    assert (res.best_bound >= want - 1e-7) if sense_max else (res.best_bound <= want + 1e-7)
+                    gap_stops += res.gap > 0
+        assert gap_stops >= 10, gap_stops
+
+    def test_depth_first_solves_the_first_child_next(self, monkeypatch):
+        # right after a node is branched, depth-first solves the child on the
+        # side the branching binary leans toward (down at an exact 0.5)
+        solves = []
+
+        def recorded(data, bounds=None):
+            res = solve_lp(data, bounds)
+            solves.append((dict(bounds or {}), getattr(bounds, "basis", None), res))
+            return res
+
+        monkeypatch.setattr(bnb, "solve_lp", recorded)
+        rng = random.Random(12)
+        branched = 0
+        for m in [self.harder_instance()] + [random_milp(rng, n_bin=12, n_cont=1, n_rows=8) for _ in range(10)]:
+            del solves[:]
+            solve_milp(m, SolveParams(node_selection="depth-first"))
+            binaries = np.flatnonzero(LpData(m).is_binary)
+            for k, (bounds, _, res) in enumerate(solves):
+                children = [j for j, (_, basis, _) in enumerate(solves) if basis is not None and basis is res.basis]
+                if not children:
+                    continue
+                branched += 1
+                assert children[0] == k + 1
+                xb = res.values[binaries]
+                pos = int(np.argmax(np.minimum(np.abs(xb), np.abs(1.0 - xb))))
+                side = 1.0 if xb[pos] > 0.5 + 1e-9 else 0.0
+                assert solves[k + 1][0] == {**bounds, int(binaries[pos]): (side, side)}
+        assert branched > 50, branched
 
     def test_depth_first_matches_best_bound_objective(self):
         m = self.harder_instance()

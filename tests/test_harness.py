@@ -611,10 +611,12 @@ class TestRootBound:
         # the packing bound, the quotient bound and the search of a static
         # solve, and the quotient bound and the search of a movement solve,
         # read one LpData per model, so each model's integrality verdict (a
-        # cached property) is worked out once
+        # cached property) is worked out once; each model's LpData is the
+        # one built over its matrix (the quotient LPs are built over others)
         built = []
-        extract = LpData._extract
-        monkeypatch.setattr(LpData, "_extract", lambda self, instance: built.append(instance) or extract(self, instance))
+        from_arrays = LpData.from_arrays
+        monkeypatch.setattr(LpData, "from_arrays",
+                            classmethod(lambda cls, A, *rest: built.append(A) or from_arrays(A, *rest)))
         cfg = ExperimentConfig(**TestFewestMoves.MOV10)
         static = []
         build = harness.build_milp_static
@@ -623,7 +625,7 @@ class TestRootBound:
         handle, plan, result = harness.plan_mobile_milp(cfg, deployment)
         assert (result.status, plan.movements) == ("optimal", 6)
         models = [static[0].instance, handle.instance]
-        assert [sum(instance is m for instance in built) for m in models] == [1, 1]
+        assert [sum(A is m.matrix() for A in built) for m in models] == [1, 1]
         assert all("objective_integral" in vars(LpData(m)) for m in models)
 
 

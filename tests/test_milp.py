@@ -10,6 +10,9 @@ import scipy.sparse as sp
 from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
 from gridcover.grid import GridSpec
 from gridcover.milp import (
+    EQ,
+    GE,
+    LE,
     MilpInstance,
     instance_stats,
     max_residual,
@@ -187,6 +190,11 @@ class TestConstraintViolation:
         assert max_residual(m.matrix() @ np.array([0.5, 1.0]), m.sense_codes, m.rhs) == pytest.approx(1.5)
         assert max_residual(m.matrix() @ np.array([2.0, 3.0]), m.sense_codes, m.rhs) == pytest.approx(4.0)
         assert max_residual(m.matrix() @ np.zeros(2), m.sense_codes, m.rhs) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("code", [LE, GE, EQ])
+    def test_nan_residual_is_an_infinite_violation(self, code):
+        lhs, rhs = np.array([0.0, np.nan]), np.array([1.0, 1.0])
+        assert max_residual(lhs, np.full(2, code), rhs) == math.inf
 
 
 class TestInstanceStats:

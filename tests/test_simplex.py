@@ -144,6 +144,14 @@ class TestBasics:
         data = LpData(m)
         assert solve_lp(data).objective == solve_lp(m).objective
 
+    def test_nan_point_is_not_feasible(self):
+        # x0 + x1 <= 1: a NaN value is out of any box, an infinite one too
+        m = build([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [0.0, 0.0], [1.0, 1.0])
+        data = LpData(m)
+        assert data.feasible(np.array([0.5, 0.5]), data.lower, data.upper)
+        assert not data.feasible(np.array([np.nan, 0.5]), data.lower, data.upper)
+        assert not data.feasible(np.array([np.nan, 0.5]), np.full(2, -np.inf), np.full(2, np.inf))
+
 
 class TestStart:
     def test_nonbasic_placement_matches_the_column_loop(self):
