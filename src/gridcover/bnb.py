@@ -26,7 +26,12 @@ is a NodeBounds that carries its parent's optimal basis (one object,
 shared by the two siblings), from which the simplex re-optimizes with the
 dual simplex; a child solved right after its parent also starts from the
 parent's LU factor (see simplex.LpData.last_factor).  The node's answer is
-the point a cold solve gives, up to rounding noise.
+the point a cold solve gives, up to rounding noise.  One prune test,
+_Search.prunes (the bound rounded, against the incumbent), closes every
+node: a finished LP's objective, and, carried on each child's NodeBounds,
+the safe bound at which that child's warm dual stops early (status
+"cutoff", treated as "infeasible": the node is pruned and its subtree never
+built), so a pruned node spends no pivots on the optimum it is not read for.
 Every incumbent is re-verified by substitution with its binaries snapped
 exactly to {0, 1} before being accepted (a node point within INT_TOL of
 integral that snapping breaks is branched on), and the reported objective is
@@ -128,10 +133,11 @@ class _Search:
         ends = np.where(c[nz] > 0, self.data.lower[nz], self.data.upper[nz])
         return self.data.obj_sign * float(np.sum(c[nz] * ends))
 
-    def _attains(self, bound: Optional[float]) -> bool:
-        """Whether the incumbent reaches `bound`, a bound on the objective
-        (None: no bound)."""
-        return bound is not None and self.inc_score >= self.sign * self.data.round_bound(bound) - 1e-9
+    def prunes(self, bound: Optional[float]) -> bool:
+        """Whether `bound`, a bound on a node's objective (in the instance's
+        sense; None: no bound), prunes that node: the incumbent reaches it
+        once it is rounded."""
+        return bound is not None and self.sign * self.data.round_bound(bound) <= self.inc_score + 1e-9
 
     # -- search -------------------------------------------------------------
 
@@ -152,7 +158,7 @@ class _Search:
         # the bound from the variable boxes alone (e.g. full-coverage plans),
         # then the symmetry quotient's bound on the root LP
         if self.incumbent is not None and (
-            self._attains(self._box_bound()) or self._attains(lp_bound(self.instance))
+            self.prunes(self._box_bound()) or self.prunes(lp_bound(self.instance))
         ):
             return self._finish(False, False, [])
 
@@ -182,15 +188,14 @@ class _Search:
 
             res = solve_lp(self.data, bounds)
             self.nodes_explored += 1
-            if res.status == "infeasible":
+            if res.status in ("infeasible", "cutoff"):
                 continue
             if res.status == "unbounded":
                 saw_unbounded = True
                 break
-
-            node_score = self.sign * self.data.round_bound(res.objective)
-            if node_score <= self.inc_score + 1e-9:
+            if self.prunes(res.objective):
                 continue
+            node_score = self.sign * self.data.round_bound(res.objective)
 
             xb = res.values[self.binaries]
             frac = np.minimum(np.abs(xb), np.abs(1.0 - xb))
@@ -202,9 +207,11 @@ class _Search:
 
             branch_pos = int(np.argmax(frac))
             branch_var = int(self.binaries[branch_pos])
-            down = NodeBounds(bounds, res.basis)
+            # a child's warm solve stops once a safe bound passes prunes, a
+            # bound method that reads the incumbent at the time of that solve
+            down = NodeBounds(bounds, res.basis, self.prunes)
             down[branch_var] = (0.0, 0.0)
-            up = NodeBounds(bounds, res.basis)
+            up = NodeBounds(bounds, res.basis, self.prunes)
             up[branch_var] = (1.0, 1.0)
             # explore the side the fractional value leans toward first, and
             # the down side at an exact 0.5 (where the computed value's side

@@ -569,12 +569,14 @@ def plan_mobile_milp(
     config: ExperimentConfig, deployment: Optional[StaticDeployment]
 ) -> Tuple[FormulationHandle, Optional[MobilePlan], MilpResult]:
     """Stages 2-3, exact variants: build the selected formulation over the
-    uncovered set, seed it, solve, decode the incumbent.  A movement seed
-    with more movements than the floor (the quotient bound the solve reads,
-    rounded up, or the cells to cover over the largest footprint) gives way
-    to the plan of fewest movements the bounded search finds below it
-    (_fewest_moves_plan); a seed that reaches the quotient bound ends the
-    solve before any LP."""
+    uncovered set, seed it, solve, decode the incumbent.  A movement model
+    whose counting floor (the cells to cover over the largest footprint,
+    rounded up) exceeds the placements of a plan, n_mobile * horizon, is
+    "infeasible" at 0 nodes, before any seeder or LP.  A movement seed
+    with more movements than the floor (that one, or the quotient bound the
+    solve reads, rounded up) gives way to the plan of fewest movements the
+    bounded search finds below it (_fewest_moves_plan); a seed that reaches
+    the quotient bound ends the solve before any LP."""
     handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
         empty = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions={})
@@ -584,10 +586,13 @@ def plan_mobile_milp(
     stop_at = None
     if handle.coverage_threshold is not None:
         stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
-    seeded = best_seed_plan(handle, stop_at=stop_at)
-    if stop_at and seeded is not None:
+    if stop_at:
         tables = _seed_tables(handle)
         low = -(-stop_at // max(fp.bit_count() for fp in tables[0]))
+        if low > handle.n_mobile * handle.horizon:  # more placements than a plan has
+            return handle, None, MilpResult("infeasible", None, None, None, None, 0)
+    seeded = best_seed_plan(handle, stop_at=stop_at)
+    if stop_at and seeded is not None:
         bound = lp_bound(handle.instance)  # the one the solve reads
         if bound is not None:
             low = max(low, LpData(handle.instance).round_bound(bound))

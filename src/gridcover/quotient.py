@@ -17,13 +17,14 @@ J, with the class's box and cost |J| c_j, and row i is row class i, whose
 coefficient on J is the sum over J of one member row.  Its row duals z,
 lifted to the full rows as y_r = z_i / |P_i| for the class i of row r,
 are dual feasible for the full LP when the partition is equitable.  The
-bound itself is evaluated on the full model from y (Neumaier &
-Shcherbina, "Safe bounds in linear and mixed-integer linear
-programming", Math. Prog. 99, 2004): y^T b plus the minimum of
-(c - A^T y)_j x_j over each column's box, after duals of the wrong sign
-are clipped to 0.  That holds for any y, so a wrong partition (a hash
-collision, say) can only weaken the bound; an infeasible or unbounded
-quotient, or a nonzero reduced cost on an infinite bound, gives none.
+bound itself is evaluated on the full model from y by simplex.dual_bound
+(Neumaier & Shcherbina, "Safe bounds in linear and mixed-integer linear
+programming", Math. Prog. 99, 2004; warm node solves use it too): y^T b
+plus the minimum of (c - A^T y)_j x_j over each column's box, after duals
+of the wrong sign are clipped to 0.  That holds for any y, so a wrong
+partition (a hash collision, say) can only weaken the bound; an infeasible
+or unbounded quotient, or a nonzero reduced cost on an infinite bound,
+gives none.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .milp import GE, LE, MilpInstance
-from .simplex import LpData, SimplexNumericalError, _mix, solve_lp
+from .milp import MilpInstance
+from .simplex import LpData, SimplexNumericalError, _mix, dual_bound, solve_lp
 
 
 def _classes(*keys: np.ndarray) -> np.ndarray:
@@ -81,30 +82,6 @@ def refine(data: LpData) -> Tuple[np.ndarray, np.ndarray]:
         cols = _split(cols, rows[owner[by_col]] * n_coef + coef[by_col], col_indptr)
         if (rows.max(initial=-1), cols.max(initial=-1)) == counts:
             return rows, cols
-
-
-def dual_bound(
-    data: LpData,
-    y: np.ndarray,
-    lower: Optional[np.ndarray] = None,
-    upper: Optional[np.ndarray] = None,
-) -> Optional[float]:
-    """The bound that the row multipliers `y` (in the sign convention of
-    LpResult.duals) prove on the LP over the column boxes [lower, upper]
-    (the declared ones by default), in the instance's own sense: an upper
-    bound on a maximum, a lower bound on a minimum.  None when a column
-    with a nonzero reduced cost is unbounded on the side that cost
-    favours."""
-    lower = data.lower if lower is None else lower
-    upper = data.upper if upper is None else upper
-    codes = data.sense_codes
-    y = np.where(codes == LE, np.minimum(y, 0.0), np.where(codes == GE, np.maximum(y, 0.0), y))
-    d = data.c_min - data.A_csr.T @ y
-    nz = np.flatnonzero(d)
-    end = np.where(d[nz] > 0, lower[nz], upper[nz])  # each term's minimizing bound
-    if not np.isfinite(end).all():
-        return None
-    return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
 
 
 def partition_bound(data: LpData, rows: np.ndarray, cols: np.ndarray) -> Optional[float]:

@@ -28,6 +28,17 @@ certificate, and a warm "optimal" passes the same substitution check as a
 cold one.  A basis that is not dual feasible, a stall past the dual's pivot
 cap or a numerical failure falls back to the cold solve.
 
+A warm solve whose NodeBounds carries a prune test (`prunes`, from
+branch-and-bound) stops as soon as a safe bound shows that its node is
+pruned (the objective cutoff of Koberstein's ch. 3): status "cutoff",
+with that bound as its objective and no point, basis or factor hand-off,
+so it skips the rest of the dual and the whole finish.  Each dual pivot
+tries a cheap trigger, the current basis's objective under the dual's
+shifted costs (the dual's own bound, but on perturbed costs); when that
+prunes, the duals of the exact costs, lifted to the full rows, give the
+bound of dual_bound (Neumaier & Shcherbina 2004) over the node's boxes,
+which holds for any duals, and only that bound cuts the node off.
+
 An optimal solve ends on a refactorization, so its eta file is empty, and
 it leaves that SuperLU factor in one slot on its LpData (last_factor),
 keyed by the identity of the WarmBasis it returns and of the _Reduced it
@@ -109,7 +120,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,19 +184,25 @@ class WarmBasis:
 
 class NodeBounds(dict):
     """Bound tightenings (variable id -> (lower, upper)) that carry the
-    optimal basis of the LP they tighten; solve_lp starts from it."""
+    optimal basis of the LP they tighten; solve_lp starts from it.
+    `prunes`, when given, tests a bound on the objective (in the instance's
+    sense): True when that bound prunes the node, and the warm solve then
+    stops at the first safe bound that passes it (status "cutoff")."""
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "prunes")
 
-    def __init__(self, bounds, basis: Optional[WarmBasis]):
+    def __init__(self, bounds, basis: Optional[WarmBasis],
+                 prunes: Optional[Callable[[float], bool]] = None):
         super().__init__(bounds)
         self.basis = basis
+        self.prunes = prunes
 
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff"
     values: Optional[np.ndarray] = None  # the point, one value per variable id
+    # the optimum; on "cutoff", the safe bound (dual_bound) that pruned the node
     objective: Optional[float] = None
     iterations: int = 0  # simplex pivots + bound flips, all phases and attempts
     basis: Optional[WarmBasis] = None  # set on "optimal"
@@ -313,6 +330,33 @@ class LpData:
         if self._all_rows is None:
             self._all_rows = _Reduced(self, drop_rows=False)
         return self._all_rows
+
+
+def dual_bound(
+    data: LpData,
+    y: np.ndarray,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
+) -> Optional[float]:
+    """The bound that the row multipliers `y` (in the sign convention of
+    LpResult.duals) prove on the LP over the column boxes [lower, upper]
+    (the declared ones by default), in the instance's own sense: an upper
+    bound on a maximum, a lower bound on a minimum (Neumaier & Shcherbina,
+    "Safe bounds in linear and mixed-integer linear programming", Math.
+    Prog. 99, 2004): y^T b plus the minimum of (c - A^T y)_j x_j over each
+    column's box, after duals of the wrong sign are clipped to 0.  It holds
+    for any `y`.  None when a column with a nonzero reduced cost is
+    unbounded on the side that cost favours."""
+    lower = data.lower if lower is None else lower
+    upper = data.upper if upper is None else upper
+    codes = data.sense_codes
+    y = np.where(codes == LE, np.minimum(y, 0.0), np.where(codes == GE, np.maximum(y, 0.0), y))
+    d = data.c_min - data.A_csr.T @ y
+    nz = np.flatnonzero(d)
+    end = np.where(d[nz] > 0, lower[nz], upper[nz])  # each term's minimizing bound
+    if not np.isfinite(end).all():
+        return None
+    return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
 
 
 def _normalized(A_csr: sp.csr_matrix, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, a: np.ndarray):
@@ -646,6 +690,9 @@ class _Solver:
                 x_lo[vid] = max(x_lo[vid], xl)
                 x_up[vid] = min(x_up[vid], xu)
         self.x_lo, self.x_up = x_lo, x_up  # the full model's column bounds
+        # a warm solve's prune test (see NodeBounds) and the safe bound that passed it
+        self.prunes = getattr(extra_bounds, "prunes", None)
+        self.cutoff_bound: Optional[float] = None
         lp = data.reduced(drop_rows)
         if not lp.admits(x_up):
             lp = data.reduced(drop_rows=False)
@@ -969,8 +1016,9 @@ class _Solver:
         """Bounded dual simplex from a dual-feasible basis for costs `c`.
         Returns "feasible" once every basic value is within its bounds,
         "infeasible" when a row certifies (and a Farkas check confirms)
-        that no point exists, or None on a stall, a numerical failure or an
-        unconfirmed certificate.
+        that no point exists, "cutoff" when the solve has a prune test and
+        a safe bound passes it (see _cuts_off), or None on a stall, a
+        numerical failure or an unconfirmed certificate.
 
         Pricing is dual Devex: row r leaves when it maximizes infeas_r^2 /
         beta_r over the rows outside their bounds.  The reference weights
@@ -995,6 +1043,8 @@ class _Solver:
                 if shifted is None:
                     return None
                 c, d = shifted
+            if self.prunes is not None and self._cuts_off(c):
+                return "cutoff"
 
             lo_b, up_b = lo[self.basis], up[self.basis]
             below = lo_b - self.xb
@@ -1044,6 +1094,30 @@ class _Solver:
             self.iterations += 1
         return None
 
+    def _cuts_off(self, c: np.ndarray) -> bool:
+        """Whether a safe bound prunes the node (and is kept as cutoff_bound).
+        The trigger is the objective of the current basic point under `c`,
+        the costs under which the basis is dual feasible: the dual's own
+        bound, but on those shifted costs.  Only when it prunes does the
+        confirmation run: the duals B^-T c_B of the exact costs, lifted to
+        the full rows, give dual_bound over the node's boxes, which holds
+        whatever the basis."""
+        basis = self.basis
+        z = float(c @ self.val) + float(c[basis] @ (self.xb - self.val[basis]))
+        if not self.prunes(self.data.obj_sign * z):
+            return False
+        bound = dual_bound(self.data, self._duals(), self.x_lo, self.x_up)
+        if bound is None or not self.prunes(bound):
+            return False
+        self.cutoff_bound = bound
+        return True
+
+    def _duals(self) -> np.ndarray:
+        """The row duals B^-T c_B of the current basis under the exact costs,
+        one per row of the full model (see _Reduced.full_duals)."""
+        y = self.fact.btran(self._phase2_costs()[0][self.basis])
+        return self.lp.full_duals(y, self.data.m)
+
     def _proves_infeasible(self, y: np.ndarray) -> bool:
         """Farkas check: the row combination y^T (A x + s) = y^T b cannot
         hold anywhere in the box of the structural and slack bounds, by a
@@ -1092,6 +1166,8 @@ class _Solver:
         outcome = self._dual_phase(self._phase2_costs()[1])
         if outcome == "infeasible":
             return LpResult(status="infeasible", iterations=self.iterations)
+        if outcome == "cutoff":  # no point, no basis, and the factor slot left as it is
+            return LpResult(status="cutoff", objective=self.cutoff_bound, iterations=self.iterations)
         # the cold solve's finish, from a basis that is already close; a child
         # of a bounded LP is bounded, so "unbounded" is numerical trouble
         return self._optimize() if outcome == "feasible" else None
@@ -1179,7 +1255,6 @@ class _Solver:
             if not data.feasible(x, lo, up):
                 raise SimplexNumericalError("optimal point failed residual re-verification")
         obj = float(data.c_min @ x) * data.obj_sign
-        y = self.fact.btran(self._phase2_costs()[0][self.basis])  # B^-T c_B
         basis = WarmBasis(self.basis, self.status, self.art_sign)
         # the finish ends on a refactorization, so the eta file is empty and
         # the LU is the factor of this basis alone: hand it on
@@ -1190,7 +1265,7 @@ class _Solver:
             objective=obj,
             iterations=self.iterations,
             basis=basis,
-            duals=self.lp.full_duals(y, data.m),
+            duals=self._duals(),
         )
 
 
@@ -1204,8 +1279,10 @@ def solve_lp(
     may only tighten the declared bounds, which is how branch-and-bound
     fixes binaries.  When it is a NodeBounds with a basis, the solve starts
     from that basis (see the module docstring) and falls back to the cold
-    solve when it cannot; the pivots of both count in `iterations`.
-    Accepts a MilpInstance or its LpData.
+    solve when it cannot; the pivots of both count in `iterations`.  A
+    NodeBounds with a prune test may also end the warm solve early, with
+    status "cutoff" and a safe bound that passes the test as `objective`;
+    the cold solve never stops early.  Accepts a MilpInstance or its LpData.
     """
     data = instance_or_data if isinstance(instance_or_data, LpData) else LpData(instance_or_data)
     warm = getattr(extra_bounds, "basis", None)

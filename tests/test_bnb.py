@@ -15,7 +15,7 @@ from gridcover.grid import GridSpec
 from gridcover.harness import ExperimentConfig
 from gridcover.milp import GE, LE, MilpInstance
 from gridcover.bnb import MilpResult, SolveParams, solve_milp
-from gridcover.simplex import LpData, solve_lp
+from gridcover.simplex import LpData, NodeBounds, _Solver, dual_bound, solve_lp
 
 from oracles import milp_by_enumeration
 
@@ -215,7 +215,16 @@ class TestLimits:
             res = solve_lp(data, bounds)
             if getattr(bounds, "basis", None) is not None:
                 cold = solve_lp(data, dict(bounds))
-                assert res.status == cold.status
+                if res.status == "cutoff":
+                    # stopped at a safe bound that prunes the node: the cold
+                    # solve's node is pruned by the same test, and its
+                    # optimum lies on the near side of that bound
+                    assert cold.status == "infeasible" or (
+                        bounds.prunes(cold.objective)
+                        and data.obj_sign * (cold.objective - res.objective) >= -1e-9
+                    )
+                else:
+                    assert res.status == cold.status
                 if res.status == "optimal":
                     gap = np.abs(res.values - cold.values).max()
                     assert gap <= 1e-9
@@ -225,7 +234,7 @@ class TestLimits:
         monkeypatch.setattr(bnb, "solve_lp", compared)
         for m in instances:
             solve_milp(m, SolveParams(node_selection=order))
-        assert len(warm_solves) > 150 and "infeasible" in warm_solves
+        assert len(warm_solves) > 150 and {"infeasible", "cutoff"} <= set(warm_solves)
 
     def test_gap_stop_is_within_the_gap_of_the_optimum(self):
         # a search may stop "optimal" once the incumbent is within mip_gap of
@@ -285,6 +294,112 @@ class TestLimits:
         assert bb.status == df.status
         if bb.status == "optimal":
             assert bb.objective == pytest.approx(df.objective, abs=1e-6)
+
+
+def stopping_bound(solver: _Solver):
+    """The safe bound of the basis a solver's dual stopped on, recomputed
+    apart: its duals under the exact costs from a dense solve with the
+    basis matrix, lifted to the full rows, then dual_bound over the node's
+    boxes."""
+    c = np.zeros(solver.ncols)
+    c[: solver.n + solver.m] = solver.lp.cost
+    y = np.linalg.solve(solver.F[:, solver.basis].toarray().T, c[solver.basis])
+    return dual_bound(solver.data, solver.lp.full_duals(y, solver.data.m), solver.x_lo, solver.x_up)
+
+
+class TestCutoff:
+    """A warm node LP stops once a safe bound prunes its node, with status
+    "cutoff": the search is then the one that solves each node LP to its
+    end (its NodeBounds stripped of `prunes`), each cut-off node is one
+    that the cold solve of its bounds prunes by the same test, and the bound
+    it carries is the safe bound of the basis its dual stopped on."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Route bnb's LPs through a spy; returns (strip, cutoffs): set
+        strip[0] to take the prune test off every NodeBounds, and cutoffs
+        collects the (bound, cold value) of each cut-off node, once it is
+        checked."""
+        strip, cutoffs, stopped = [False], [], []
+        dual_phase = _Solver._dual_phase
+
+        def spy_dual_phase(self, c):
+            out = dual_phase(self, c)
+            if out == "cutoff":
+                stopped.append(self)
+            return out
+
+        def spy_solve_lp(data, bounds=None):
+            if strip[0] and isinstance(bounds, NodeBounds):
+                bounds.prunes = None
+            res = solve_lp(data, bounds)
+            assert res.status != "cutoff" or not strip[0]
+            if res.status == "cutoff":
+                assert res.values is None and res.basis is None
+                assert res.objective == pytest.approx(stopping_bound(stopped.pop()), rel=1e-12, abs=1e-9)
+                slot = data.last_factor
+                cold = solve_lp(data, dict(bounds))
+                data.last_factor = slot
+                assert bounds.prunes(res.objective)
+                assert cold.status in ("optimal", "infeasible")
+                if cold.status == "optimal":
+                    # pruned by the same test, and on the near side of the bound
+                    assert bounds.prunes(cold.objective)
+                    assert data.obj_sign * (cold.objective - res.objective) >= -1e-9
+                cutoffs.append((res.objective, cold.objective))
+            return res
+
+        monkeypatch.setattr(_Solver, "_dual_phase", spy_dual_phase)
+        monkeypatch.setattr(bnb, "solve_lp", spy_solve_lp)
+        return strip, cutoffs
+
+    @staticmethod
+    def outcome(res: MilpResult):
+        incumbent = None if res.incumbent is None else res.incumbent.tobytes()
+        return res.status, res.objective, res.best_bound, res.nodes_explored, incumbent
+
+    def test_random_searches_are_the_searches_without_the_cutoff(self, monkeypatch):
+        strip, cutoffs = self.spy(monkeypatch)
+        rng = random.Random(28)
+        searches = 0
+        for _ in range(300):
+            m = random_milp(rng, n_bin=rng.randint(4, 12), n_cont=rng.randint(0, 3), n_rows=rng.randint(3, 9))
+            for order in ("best-bound", "depth-first"):
+                for limit in (None, 5):
+                    params = SolveParams(node_selection=order, node_limit=limit)
+                    strip[0] = False
+                    got = solve_milp(m, params)
+                    strip[0] = True
+                    want = solve_milp(m, params)
+                    assert self.outcome(got) == self.outcome(want)
+                    searches += 1
+        assert searches == 1200 and len(cutoffs) >= 100, len(cutoffs)
+
+    def test_table8_cuts_off_thirteen_of_its_node_lps(self, monkeypatch):
+        # the 8x8 table's L=1/N_s=3 row under its 40-node cap: the incumbent
+        # 28 prunes every node LP below 29, and 13 of the 39 warm ones end
+        # there (LP values 25 to 28.98)
+        strip, cutoffs = self.spy(monkeypatch)
+        warm = []
+        node_lp = bnb.solve_lp
+
+        def counted(data, bounds=None):
+            res = node_lp(data, bounds)
+            if getattr(bounds, "basis", None) is not None:
+                warm.append(res.status)
+            return res
+
+        monkeypatch.setattr(bnb, "solve_lp", counted)
+        cfg = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
+                               placement="milp-static", planner="milp-cov", time_limit=240, node_limit=40)
+        deployment = harness.place_static_milp(cfg)[0]
+        _, _, got = harness.plan_mobile_milp(cfg, deployment)
+        assert (len(warm), warm.count("cutoff"), len(cutoffs)) == (39, 13, 13)
+        assert all(25.0 <= cold < 29.0 for _, cold in cutoffs), cutoffs
+        strip[0] = True
+        _, _, want = harness.plan_mobile_milp(cfg, deployment)
+        assert self.outcome(got) == self.outcome(want)
+        assert (got.status, got.objective, got.best_bound, got.nodes_explored) == ("feasible", 28.0, 29.0, 40)
 
 
 class TestOracleEquivalence:

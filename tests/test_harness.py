@@ -741,3 +741,56 @@ class TestFewestMoves:
         # with a proven optimum: without the bound it takes up to 64 nodes
         _, _, want = harness.plan_mobile_milp(ExperimentConfig(**{**self.MOV10, "node_limit": None}), deployment)
         assert (got.status, got.objective, got.best_bound) == (want.status, want.objective, want.best_bound)
+
+
+class TestMovementFloor:
+    """A movement model whose counting floor, the cells to cover over the
+    largest footprint rounded up, exceeds the n_mobile * horizon placements
+    of any plan is "infeasible" at 0 nodes, before any seeder or LP."""
+
+    def test_16x16_is_infeasible_without_an_lp(self, monkeypatch):
+        # 112 cells to cover with footprints of at most 9: 13 placements,
+        # against the 3 x 4 = 12 of a plan (the root LP took ~35 s to prove it)
+        from gridcover import quotient
+
+        cfg = ExperimentConfig(rows=16, cols=16, n_static=16, n_mobile=3, k_max=4, planner="milp-mov",
+                               coverage_target=1, time_limit=120, node_limit=10)
+        deployment = harness.place_static_milp(cfg)[0]
+        calls = []
+        for module in (bnb, quotient):
+            solve_lp = module.solve_lp
+            monkeypatch.setattr(module, "solve_lp", lambda *a, f=solve_lp: calls.append(a) or f(*a))
+        best_seed = harness.best_seed_plan
+        monkeypatch.setattr(harness, "best_seed_plan", lambda *a, **k: calls.append(a) or best_seed(*a, **k))
+        handle, plan, res = harness.plan_mobile_milp(cfg, deployment)
+        assert len(handle.uncovered) == 112
+        assert (plan, res.status, res.objective, res.best_bound, res.nodes_explored) == (
+            None, "infeasible", None, None, 0)
+        assert calls == []
+
+    def test_small_models_agree_with_the_full_solve(self):
+        rng = random.Random(16)
+        checked = 0
+        while checked < 30:
+            grid = GridSpec(rng.randint(3, 5), rng.randint(3, 5))
+            static = rng.sample(sorted(grid.cells()), rng.randint(0, 2))
+            cfg = ExperimentConfig(
+                rows=grid.rows, cols=grid.cols, n_static=len(static),
+                placement="milp-static" if static else "none", planner="milp-mov",
+                n_mobile=rng.randint(1, 2), k_max=rng.randint(1, 2), rho_x=rng.randint(1, 2),
+                rho_y=rng.randint(1, 2), c_o_mobile=rng.randint(1, 3),
+                coverage_target=f"{rng.randint(60, 100)}/100")
+            deployment = static_deployment(grid, static, 1, 4.0) if static else None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                handle = harness.build_mobile_milp(cfg, deployment)
+                if handle.nothing_to_plan:
+                    continue
+                stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
+                most = max(fp.bit_count() for fp in harness._seed_tables(handle)[0])
+                if -(-stop_at // most) <= cfg.n_mobile * cfg.k_max:
+                    continue
+                checked += 1
+                _, plan, res = harness.plan_mobile_milp(cfg, deployment)
+            assert (plan, res.status, res.nodes_explored) == (None, "infeasible", 0)
+            assert solve_milp(handle.instance).status == "infeasible", cfg

@@ -991,7 +991,9 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
     # the phase-2 tilt (1e-7), 2,283 at a tenth of it, 1,975 at a hundredth
     # under FIFO ties, 1,509 once the search plunged and sent exact 0.5
     # ties down first, and 1,083 once the dual left the row of largest
-    # infeasibility over its Devex weight (TestDualDevex)
+    # infeasibility over its Devex weight (TestDualDevex), and 793 once the
+    # 13 node LPs that the incumbent prunes stopped at a safe bound
+    # (tests/test_bnb.py::TestCutoff)
     import gridcover.bnb as bnb
 
     warm = []
@@ -1007,7 +1009,7 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
     _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
     assert res.nodes_explored == 40 and len(warm) == 39
     assert (res.status, res.objective, res.best_bound) == ("feasible", 28.0, 29.0)
-    assert sum(warm) <= 1_120
+    assert sum(warm) <= 820
 
 
 def test_table8_search_factorization_count(monkeypatch):
@@ -1015,7 +1017,9 @@ def test_table8_search_factorization_count(monkeypatch):
     # node LPs) made 107 SuperLU factorizations under FIFO ties, when
     # every warm node LP factorized its parent's basis afresh; plunging
     # hands the parent's factor to its first child, and 75 remain; the
-    # dual Devex rule's fewer pivots refactorize less often: 65
+    # dual Devex rule's fewer pivots refactorize less often: 65; a node LP
+    # cut off at a safe bound ends with no final refactorization, and
+    # leaves its parent's factor in the slot for its sibling: 41
     import gridcover.simplex as simplex
 
     splu, calls = simplex.spla.splu, [0]
@@ -1029,7 +1033,7 @@ def test_table8_search_factorization_count(monkeypatch):
     monkeypatch.setattr(simplex.spla, "splu", spy)
     _, _, res = plan_mobile_milp(cfg, deployment)
     assert res.nodes_explored == 40
-    assert calls[0] <= 68
+    assert calls[0] <= 43
 
 
 def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypatch):
@@ -1063,16 +1067,24 @@ def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypat
 
 def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
     # each warm node LP of the search ends on the point that a cold solve
-    # of the same bounds gives, whatever rows its dual chose to leave
+    # of the same bounds gives, whatever rows its dual chose to leave, or
+    # stops at a safe bound that prunes the node: then the cold optimum lies
+    # below that bound and is pruned too
     import gridcover.bnb as bnb
 
-    gaps = []
+    gaps, cut = [], []
 
     def spy(data, bounds=None):
         res = solve_lp(data, bounds)
         if getattr(bounds, "basis", None) is not None:
             cold = solve_lp(data, dict(bounds))
-            assert res.status == cold.status == "optimal"
+            assert cold.status == "optimal"
+            if res.status == "cutoff":
+                assert bounds.prunes(res.objective) and bounds.prunes(cold.objective)
+                assert cold.objective <= res.objective + 1e-9
+                cut.append(res.objective)
+                return res
+            assert res.status == "optimal"
             assert res.objective == pytest.approx(cold.objective, abs=1e-9)
             gaps.append(float(np.abs(res.values - cold.values).max()))
         return res
@@ -1080,7 +1092,7 @@ def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
     monkeypatch.setattr(bnb, "solve_lp", spy)
     cfg = TABLE8_L1_NS3
     _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
-    assert res.nodes_explored == 40 and len(gaps) == 39
+    assert res.nodes_explored == 40 and (len(gaps), len(cut)) == (26, 13)
     assert max(gaps) <= 1e-9
 
 
