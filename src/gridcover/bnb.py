@@ -55,7 +55,7 @@ import numpy as np
 
 from .milp import INT_TOL, MilpInstance
 from .quotient import lp_bound
-from .simplex import LpData, NodeBounds, SimplexNumericalError, solve_lp
+from .simplex import LpData, NodeBounds, dual_bound, solve_lp
 
 
 @dataclass
@@ -126,13 +126,6 @@ class _Search:
 
     # -- bounds before the root ---------------------------------------------
 
-    def _box_bound(self) -> float:
-        """The best objective over the variable boxes alone."""
-        c = self.data.c_min
-        nz = np.flatnonzero(c)
-        ends = np.where(c[nz] > 0, self.data.lower[nz], self.data.upper[nz])
-        return self.data.obj_sign * float(np.sum(c[nz] * ends))
-
     def prunes(self, bound: Optional[float]) -> bool:
         """Whether `bound`, a bound on a node's objective (in the instance's
         sense; None: no bound), prunes that node: the incumbent reaches it
@@ -155,10 +148,12 @@ class _Search:
                 raise ValueError("warm start point is not feasible for this instance")
 
         # a seeded search that attains a bound proven before any LP is done:
-        # the bound from the variable boxes alone (e.g. full-coverage plans),
-        # then the symmetry quotient's bound on the root LP
+        # the bound from the variable boxes alone (the dual bound at y = 0;
+        # e.g. full-coverage plans), then the symmetry quotient's bound on
+        # the root LP
         if self.incumbent is not None and (
-            self.prunes(self._box_bound()) or self.prunes(lp_bound(self.instance))
+            self.prunes(dual_bound(self.data, np.zeros(self.data.m)))
+            or self.prunes(lp_bound(self.instance))
         ):
             return self._finish(False, False, [])
 

@@ -17,7 +17,8 @@ error.  `sweep --axis field=v1,v2,...` casts each value with that field's
 flag.  Only the commands that solve (place-static, plan-cov, plan-mov,
 sweep) take the solver limits --time-limit, --gap and --node-limit, and
 only the ones that plan around a deployment (plan-cov, plan-mov, baseline,
-export-lp) take --deployment.  No flag or key is taken for a prefix of
+export-lp) take --deployment.  baseline takes no --co-mobile: its planners
+have no overlap cap.  No flag or key is taken for a prefix of
 another.  A warning prints as `warning: <message>` on stderr.  Exit codes:
 0 success, 1 infeasible or limit reached without an incumbent, 2 usage
 error.
@@ -84,10 +85,12 @@ def _seed_tuple(text: str) -> Tuple[int, ...]:
 
 
 def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False, static: bool = False,
-               target: bool = False, solve: bool = False, deployment: bool = False) -> List[argparse.Action]:
+               target: bool = False, solve: bool = False, deployment: bool = False,
+               overlap: bool = True) -> List[argparse.Action]:
     """Add a command's shared flags; returns the actions of those that set
     an ExperimentConfig field.  `solve` adds the solver limits, `deployment`
-    the --deployment file a path model plans around."""
+    the --deployment file a path model plans around; `overlap` False leaves
+    --co-mobile off the mobile flags."""
     p.add_argument("--config", help="file of key = value lines, read as flags before the command line's")
     p.add_argument("--out", default=out, help=f"output file path (default {out})")
     p.add_argument("--deterministic", action="store_true",
@@ -112,8 +115,10 @@ def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False, stati
             p.add_argument("--kmax", dest="k_max", type=int, help="iteration horizon"),
             p.add_argument("--rho-x", type=int, help="per-step row range"),
             p.add_argument("--rho-y", type=int, help="per-step column range"),
-            p.add_argument("--co-mobile", dest="c_o_mobile", type=int, help="overlap cap for planning"),
         ]
+        if overlap:
+            actions.append(p.add_argument("--co-mobile", dest="c_o_mobile", type=int,
+                                          help="overlap cap for planning"))
     if static:
         actions += [
             p.add_argument("--ns", dest="n_static", type=int, default=1,
@@ -146,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=partial(_cmd_plan, planner=planner))
 
     p = sub.add_parser("baseline", allow_abbrev=False, help="greedy or random-movement baseline")
-    _add_flags(p, "plan.txt", mobile=True, deployment=True)
+    # the baseline planners have no overlap cap, so no --co-mobile
+    _add_flags(p, "plan.txt", mobile=True, deployment=True, overlap=False)
     p.add_argument("--method", choices=["greedy", "random"], required=True)
     p.add_argument("--seed", type=int, default=0, help="baseline RNG seed (default 0)")
     p.set_defaults(run=_cmd_baseline)

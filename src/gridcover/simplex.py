@@ -52,9 +52,15 @@ Both end in one finish (_Solver._optimize): the primal simplex on the
 tilted costs, then on the exact ones, then _settle, which moves to the
 point among alternative optima that maximizes a fixed generic weighting of
 the structural columns.  So a branch-and-bound node gets the same answer,
-up to rounding noise, whichever basis its solve started from.  The primal
-and the dual loops change the basis through one _Solver._pivot and read a
-tableau row through one _Solver._tableau_row.
+up to rounding noise, whichever basis its solve started from.  Only the
+exact-cost phase may end a solve "unbounded": it starts from a primal
+feasible basis, so it finds an improving ray exactly when the LP has one.
+The tilted phase and _settle run for the basis they leave; a ray of the
+tilt alone (a zero-cost column with an infinite bound) is not a verdict.
+An LP with no rows left after presolve takes the same path: its basis is
+0x0, and every step is a bound flip.  The primal and the dual loops
+change the basis through one _Solver._pivot and read a tableau row
+through one _Solver._tableau_row.
 
 An optimal LpResult carries the row duals B^-T c_B of its optimal basis,
 mapped back to the full model's rows (_Reduced.full_duals): a dropped row's
@@ -724,11 +730,9 @@ class _Solver:
 
     def _trivial(self) -> Optional[LpResult]:
         """The outcome when it needs no pivot (crossed bounds, an empty row
-        that cannot hold, no rows at all), else None."""
+        that cannot hold), else None."""
         if np.any(self.x_lo > self.x_up + BOUND_TOL) or self.data.trivially_infeasible:
             return LpResult(status="infeasible")
-        if self.m == 0:
-            return self._solve_unconstrained()
         return None
 
     def _place_nonbasic(self, status: np.ndarray) -> None:
@@ -788,27 +792,6 @@ class _Solver:
         e = e[np.lexsort((cols[e], -a[e], rows[e]))]
         e = e[np.diff(rows[e], prepend=-1) != 0]  # each row's first
         return rows[e], cols[e]
-
-    def _solve_unconstrained(self) -> LpResult:
-        # without rows nothing is substituted (a dropped row is never an
-        # equality): the columns are the model's
-        c, lo, up = self.data.c_min, self.lo, self.up
-        if np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(up)):
-            return LpResult(status="unbounded")
-        # a zero-cost column goes where _settle would put it (its weight is positive)
-        to_up = (c < 0) | ((c == 0) & np.isfinite(up))
-        values = np.where(to_up, up, np.where(np.isfinite(lo), lo, 0.0))
-        if not self.data.feasible(values, self.x_lo, self.x_up):  # rows dropped as implied
-            raise SimplexNumericalError("optimal point failed residual re-verification")
-        obj = float(self.data.c_min @ values) * self.data.obj_sign
-        status = np.where(to_up, AT_UP, np.where(np.isfinite(lo), AT_LO, FREE)).astype(np.int8)
-        return LpResult(
-            status="optimal",
-            values=values,
-            objective=obj,
-            basis=WarmBasis(np.zeros(0, dtype=np.int64), status, np.ones(0)),
-            duals=np.zeros(self.data.m),
-        )
 
     # -- core loop ------------------------------------------------------------
 
@@ -1190,7 +1173,9 @@ class _Solver:
         point of it is unique, so a node's answer does not depend on the
         basis its solve started from (a warm start would otherwise stay
         near the parent's point, and the search would take other
-        branches)."""
+        branches).  An "unbounded" here (the face is unbounded along the
+        weights) is not a verdict: the basis it leaves is still optimal for
+        `c`, and the LP's status is the exact phase's."""
         d = self._reduced_costs(c)
         saved_lo, saved_up = self.lo.copy(), self.up.copy()
         held = (self.status != BASIC) & (np.abs(d) > RC_TOL)
@@ -1232,9 +1217,15 @@ class _Solver:
     def _optimize(self) -> Optional[LpResult]:
         """The finish of both solves, from a primal feasible basis: the
         primal simplex on the tilted costs, then on the exact ones (usually a
-        few pivots), then _settle; None when a phase reports "unbounded"."""
+        few pivots), then _settle; None when the LP is unbounded.  Only the
+        exact phase gives that verdict: it starts from a primal feasible
+        basis, so it finds an improving ray exactly when one exists.  The
+        tilted phase runs for its basis alone, as _settle does; its
+        "unbounded" may be a ray that only the tilt improves (a zero-cost
+        column with an infinite bound), and leaves a feasible basis."""
         c, tilted = self._phase2_costs()
-        if self.run_phase(tilted) != "optimal" or self.run_phase(c) != "optimal":
+        self.run_phase(tilted)
+        if self.run_phase(c) != "optimal":
             return None
         self._settle(c)
         self._refresh()
@@ -1250,10 +1241,7 @@ class _Solver:
         data, lo, up = self.data, self.x_lo, self.x_up
         x = self._point()
         if not data.feasible(x, lo, up):  # independent substitution check, on the full rows
-            self._refresh()
-            x = self._point()
-            if not data.feasible(x, lo, up):
-                raise SimplexNumericalError("optimal point failed residual re-verification")
+            raise SimplexNumericalError("optimal point failed residual re-verification")
         obj = float(data.c_min @ x) * data.obj_sign
         basis = WarmBasis(self.basis, self.status, self.art_sign)
         # the finish ends on a refactorization, so the eta file is empty and
@@ -1282,7 +1270,10 @@ def solve_lp(
     solve when it cannot; the pivots of both count in `iterations`.  A
     NodeBounds with a prune test may also end the warm solve early, with
     status "cutoff" and a safe bound that passes the test as `objective`;
-    the cold solve never stops early.  Accepts a MilpInstance or its LpData.
+    the cold solve never stops early.  Only the phase on the exact costs
+    decides "unbounded" (a ray of the phase-2 tilt alone is not a verdict;
+    see _Solver._optimize), and an LP with no rows left after presolve runs
+    the same general path.  Accepts a MilpInstance or its LpData.
     """
     data = instance_or_data if isinstance(instance_or_data, LpData) else LpData(instance_or_data)
     warm = getattr(extra_bounds, "basis", None)

@@ -106,6 +106,30 @@ class TestBasics:
         res = solve_milp(m)
         assert res.status == "optimal" and res.objective == pytest.approx(5.0)
 
+    def test_zero_cost_ray_is_not_unbounded(self):
+        # min y, x - y >= 0, x in [0, inf), y binary: the phase-2 tilt
+        # improves along x's ray, the exact costs do not; the optimum is 0
+        m = MilpInstance()
+        x = m.add_variable("x", "continuous", 0, math.inf)
+        y = m.add_variable("y", "binary", 0, 1)
+        m.add_constraint([(x, 1), (y, -1)], ">=", 0)
+        m.set_objective([(y, 1)], "minimize")
+        res = solve_milp(m)
+        assert res.status == "optimal" and res.objective == 0.0 and res.best_bound == 0.0
+
+    @pytest.mark.parametrize("seed", [None, [0.0, 0.0]])
+    def test_unbounded(self, seed):
+        # max x + z, x - z >= 0, x in [0, inf), z binary: the root LP is
+        # unbounded, seeded or not
+        m = MilpInstance()
+        x = m.add_variable("x", "continuous", 0, math.inf)
+        z = m.add_variable("z", "binary", 0, 1)
+        m.add_constraint([(x, 1), (z, -1)], ">=", 0)
+        m.set_objective([(x, 1), (z, 1)], "maximize")
+        res = solve_milp(m, warm_start=None if seed is None else np.array(seed))
+        assert res.status == "unbounded" and res.nodes_explored == 1
+        assert res.incumbent is None and res.objective is None and res.best_bound is None and res.gap is None
+
 
 class TestWarmStart:
     def build(self):

@@ -249,6 +249,20 @@ class TestBaseline:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", ["flag", "key"])
+    def test_overlap_cap_exits_two(self, tmp_path, capsys, given):
+        # the greedy and random baselines have no overlap cap to set
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("co_mobile = 9\n")
+        out = tmp_path / "p.txt"
+        extra = ["--co-mobile", "9"] if given == "flag" else ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--method", "greedy", "--rows", "6", "--cols", "6", "--l", "2", "--kmax", "3",
+                  "--out", str(out)] + extra)
+        assert exc.value.code == 2
+        assert "--co-mobile" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExportLp:
     def test_cov_export_declares_binaries(self, tmp_path, capsys):
@@ -454,6 +468,18 @@ class TestSweepCommand:
                             "--cr", "1.5", "--out", str(out)], capsys)
         assert code == 2
         assert "coverage_target must lie in (0, 1]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, message", [
+        ("n_static", "--axis expects field=v1,v2,..., got 'n_static'"),
+        ("bogus=1", "unknown sweep axis 'bogus'"),
+    ])
+    def test_malformed_axis_exits_two(self, tmp_path, capsys, axis, message):
+        out = tmp_path / "results.csv"
+        code, _, err = run(SMALL_SWEEP + ["--placement", "none", "--planner", "greedy",
+                                          "--axis", axis, "--out", str(out)], capsys)
+        assert code == 2
+        assert message in err
         assert not out.exists()
 
     def test_axis_value_outside_the_flag_choices_exits_two(self, tmp_path, capsys):

@@ -85,6 +85,16 @@ class TestRunPipeline:
         assert rows[0].solver_status == "infeasible"
         assert "increase" in rows[0].note
 
+    def test_static_infeasible_recorded_per_seed(self):
+        # 14 static nodes cannot be placed on 8x8 (the static MILP is
+        # infeasible): each seed gets a row, and no plan is solved
+        config = tiny_config(rows=8, cols=8, n_static=14, seeds=(0, 1))
+        rows = run_pipeline(config)
+        assert [r.seed for r in rows] == [0, 1]
+        for row in rows:
+            assert (row.solver_status, row.note) == ("infeasible", "static placement infeasible")
+            assert row.deployment is None and row.plan is None and row.objective is None
+
     def test_default_config_constructs(self):
         config = ExperimentConfig()
         assert (config.placement, config.n_static) == ("milp-static", 1)

@@ -279,23 +279,196 @@ class TestRandomizedOracle:
 
 
 def highs(c, A, senses, b, lower, upper, maximize):
-    """(status, objective) from scipy's HiGHS; status "optimal" | "infeasible"."""
-    senses = np.array(senses)
+    """(status, objective) from scipy's HiGHS; status "optimal" |
+    "infeasible" | "unbounded".  HiGHS's presolve reports some unbounded
+    LPs as infeasible, so an "infeasible" is decided again on a zero
+    objective: a feasible LP that it called infeasible is unbounded."""
+    c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
+    senses = np.array(senses, dtype=object)
     le, ge, eq = senses == "<=", senses == ">=", senses == "="
     A = np.asarray(A, dtype=float).reshape(len(senses), len(c))
-    ref = linprog(
-        -c if maximize else c,
-        A_ub=np.vstack([A[le], -A[ge]]) if (le | ge).any() else None,
-        b_ub=np.concatenate([b[le], -b[ge]]) if (le | ge).any() else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=b[eq] if eq.any() else None,
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-    )
-    assert ref.status in (0, 2), ref.message
+
+    def run(cost):
+        return linprog(
+            cost,
+            A_ub=np.vstack([A[le], -A[ge]]) if (le | ge).any() else None,
+            b_ub=np.concatenate([b[le], -b[ge]]) if (le | ge).any() else None,
+            A_eq=A[eq] if eq.any() else None,
+            b_eq=b[eq] if eq.any() else None,
+            bounds=np.column_stack([lower, upper]),
+            method="highs",
+        )
+
+    ref = run(-c if maximize else c)
+    assert ref.status in (0, 2, 3), ref.message
     if ref.status == 2:
-        return "infeasible", None
+        return ("unbounded" if c.any() and run(np.zeros_like(c)).status == 0 else "infeasible"), None
+    if ref.status == 3:
+        return "unbounded", None
     return "optimal", -ref.fun if maximize else ref.fun
+
+
+class TestZeroCostRays:
+    """Only the exact costs decide "unbounded": a zero-cost column on an
+    open box is a ray that the phase-2 tilt alone improves, and those LPs
+    end optimal with HiGHS's value."""
+
+    # (c, A, senses, b, maximize) over x in [0, inf), y in [0, 1]
+    CASES = [
+        ([0.0, 1.0], [[1.0, -1.0]], [">="], [0.0], False),  # min y, x - y >= 0
+        ([0.0, 1.0], [[1.0, 1.0]], [">="], [0.5], False),  # min y, x + y >= 0.5
+        ([0.0, 1.0], [[-1.0, 1.0]], ["<="], [0.0], False),  # min y, -x + y <= 0
+        ([0.0, 1.0], [[1.0, -2.0]], [">="], [-1.0], True),  # max y, x - 2y >= -1
+    ]
+
+    @pytest.mark.parametrize("c, A, senses, b, maximize", CASES)
+    def test_small_lps_end_optimal(self, c, A, senses, b, maximize):
+        lp = (np.array(c), np.array(A), senses, np.array(b), np.zeros(2), np.array([math.inf, 1.0]), maximize)
+        data = LpData(build(*lp))
+        res = solve_lp(data)
+        want_status, want_obj = highs(*lp)
+        assert want_status == res.status == "optimal"
+        assert res.objective == pytest.approx(want_obj, abs=1e-9)
+        assert data.feasible(res.values, lp[4], lp[5])
+
+    def test_unbounded_lp_with_a_zero_cost_ray_stays_unbounded(self):
+        # max x with x - y <= 1 over [0, inf)^2: x grows with y, and y's
+        # zero cost does not make the LP bounded
+        lp = (np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), ["<="], np.array([1.0]),
+              np.zeros(2), np.full(2, math.inf), True)
+        assert highs(*lp)[0] == "unbounded"
+        assert solve_lp(build(*lp)).status == "unbounded"
+
+    def test_random_lps_match_highs(self):
+        # TestRandomizedOracle's LPs, and every other draw with some
+        # columns on [0, inf), most of them at zero cost
+        rng = np.random.default_rng(1)
+        kinds = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for t in range(300):
+            n = int(rng.integers(1, 6))
+            mrows = int(rng.integers(0, 6))
+            c = rng.integers(-5, 6, size=n).astype(float)
+            A = rng.integers(-4, 5, size=(mrows, n)).astype(float)
+            senses = [str(rng.choice(["<=", ">=", "="])) for _ in range(mrows)]
+            b = rng.integers(-6, 7, size=mrows).astype(float)
+            lower = rng.integers(-3, 1, size=n).astype(float)
+            upper = lower + rng.integers(1, 5, size=n).astype(float)
+            maximize = bool(rng.integers(0, 2))
+            if t % 2:
+                ray = rng.random(n) < 0.5
+                lower[ray], upper[ray] = 0.0, math.inf
+                c[ray & (rng.random(n) < 0.7)] = 0.0
+            lp = (c, A, senses, b, lower, upper, maximize)
+            data = LpData(build(*lp))
+            res = solve_lp(data)
+            want_status, want_obj = highs(*lp)
+            assert res.status == want_status, lp
+            kinds[want_status] += 1
+            if want_status == "optimal":
+                assert res.objective == pytest.approx(want_obj, rel=1e-7, abs=1e-7), lp
+                assert data.feasible(res.values, lower, upper), lp
+        assert min(kinds.values()) >= 10, kinds
+
+
+def row_free_lp(rng, kind):
+    """A random LP with no rows left after presolve: `kind` "none" has no
+    rows, "empty" only empty rows that hold, and "dominated" only rows
+    z >= y_i + off_i (as >= or flipped <= rows) on an owner column z whose
+    cost favours increasing it and whose bound is at least every y_i +
+    off_i, so each row is dropped.  Boxes are finite, half-open or free,
+    and now and then a cost is zero."""
+    n = int(rng.integers(1, 5))
+    maximize = bool(rng.integers(0, 2))
+    c = np.where(rng.random(n) < 0.3, 0.0, rng.integers(-3, 4, size=n)).astype(float)
+    lower = rng.choice([-math.inf, -2.0, 0.0, 1.0], size=n)
+    upper = np.where(np.isfinite(lower), lower, 0.0) + rng.choice([0.0, 1.0, 2.5, math.inf], size=n)
+    A, senses, b = np.zeros((0, n)), [], np.zeros(0)
+    if kind == "empty":
+        senses = [str(rng.choice(["<=", ">=", "="])) for _ in range(int(rng.integers(1, 4)))]
+        b = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] * float(rng.integers(0, 3)) for s in senses])
+        A = np.zeros((len(senses), n))
+    elif kind == "dominated":
+        k = int(rng.integers(1, 4))
+        y_lo = rng.integers(-2, 1, size=k).astype(float)
+        y_up = y_lo + rng.integers(0, 3, size=k)
+        off = rng.choice([0.0, 0.5, 1.0], size=k)
+        need = float(np.max(y_up + off))
+        z_lo = min(0.0, need)
+        z_up = need + float(rng.choice([0.0, 1.0, math.inf]))
+        rows = []
+        for i in range(k):
+            row = np.zeros(n + k + 1)
+            row[-1], row[n + i] = 1.0, -1.0
+            flip = bool(rng.integers(0, 2))
+            rows.append(-row if flip else row)
+            senses.append("<=" if flip else ">=")
+        b = np.array([-o if s == "<=" else o for o, s in zip(off, senses)])
+        A = np.array(rows)
+        z_cost = float(rng.integers(1, 4)) * (1.0 if maximize else -1.0)
+        c = np.concatenate([c, rng.integers(-3, 4, size=k).astype(float), [z_cost]])
+        lower = np.concatenate([lower, y_lo, [z_lo]])
+        upper = np.concatenate([upper, y_up, [z_up]])
+    return c, A, senses, b, lower, upper, maximize
+
+
+def face_maximum(lp, objective):
+    """The largest face-weight sum over the LP's optimal face (HiGHS), or
+    None when that face is unbounded in the weights' direction."""
+    c, A, senses, b, lower, upper, maximize = lp
+    w = _face_weights(len(c))
+    # every row, and the objective held at its optimum
+    keep = np.vstack([A, -c if maximize else c])
+    rhs = np.append(b, (-objective if maximize else objective) + 1e-9)
+    status, value = highs(w, keep, list(senses) + ["<="], rhs, lower, upper, True)
+    return None if status == "unbounded" else value
+
+
+class TestRowFree:
+    """An LP with no rows left after presolve takes the general path: its
+    basis is 0x0, every step is a bound flip, and _settle picks the point."""
+
+    @pytest.mark.parametrize("kind", ["none", "empty", "dominated"])
+    def test_random_lps_match_highs(self, kind):
+        rng = np.random.default_rng({"none": 2, "empty": 3, "dominated": 4}[kind])
+        kinds = {"optimal": 0, "unbounded": 0}
+        points = 0
+        for _ in range(60):
+            lp = row_free_lp(rng, kind)
+            data = LpData(build(*lp))
+            assert data.reduced().m == 0 and (data.m > 0) == (kind == "dominated")
+            res = solve_lp(data)
+            want_status, want_obj = highs(*lp)
+            assert res.status == want_status, lp
+            kinds[want_status] += 1
+            if want_status != "optimal":
+                continue
+            assert res.objective == pytest.approx(want_obj, abs=1e-9), lp
+            assert data.feasible(res.values, lp[4], lp[5]), lp
+            # the face-weight maximizer, where the optimal face has one
+            best = face_maximum(lp, res.objective)
+            if best is not None:
+                assert _face_weights(data.n) @ res.values == pytest.approx(best, abs=1e-6), lp
+                points += 1
+        assert kinds["optimal"] > 20 and kinds["unbounded"] > 5 and points > 10, (kinds, points)
+
+    def test_warm_children(self):
+        rng = np.random.default_rng(5)
+        checker = TestWarmStart()
+        warm = 0
+        for t in range(90):
+            lp = row_free_lp(rng, ("none", "empty", "dominated")[t % 3])
+            lower, upper = lp[4], lp[5]
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            boxed = np.flatnonzero(np.isfinite(lower) & np.isfinite(upper) & (lower < upper))
+            if parent.status != "optimal" or not boxed.size:
+                continue
+            j = int(rng.choice(boxed))
+            x_j = parent.values[j]
+            box = (lower[j], (lower[j] + x_j) / 2) if x_j > lower[j] else ((x_j + upper[j]) / 2, upper[j])
+            _, _, direct = checker.check_child(lp, data, {j: box}, parent.basis)
+            warm += direct is not None
+        assert warm > 20, warm
 
 
 class TestWarmStart:
