@@ -74,7 +74,9 @@ file kept in compact product form, I - P T Q^T, so that a solve with the
 basis is the LU solve and two dense products (see _Basis).
 
 Every solve, cold or warm, root or node, pivots on a presolved
-model (_Reduced), built on an LpData's first solve and kept on it.  A
+model (_Reduced), built on an LpData's first solve and kept on it; the
+presolve gathers and sums over the index arrays of the CSR matrix, in the
+order scipy's sparse products would sum, so its arrays are theirs.  A
 continuous column defined by an equality row and present in at most one
 other row (such as the static model's coverage variables, c = sum of x
 over a footprint window) is substituted out of that other row: the
@@ -106,8 +108,14 @@ face weight, so the point _settle picks is the full model's.
 One matrix per layer: LpData.A_csr is MilpInstance.matrix() (empty rows
 sliced off); _Reduced keeps its rows (A_csr) and one CSC store of every
 column a solve pivots on, [A | I | I] (kept columns, slacks, artificials).
-A solve writes its artificial signs into a copy, F; the basis matrix is
-F[:, basis] and a row of the tableau is F^T v.
+The presolved model is also the workspace of the solves on it: it builds
+F = [A | I | diag(art_sign)] and F^T for the first solve with a vector of
+artificial signs and keeps them for the next (the warm solves of a search
+all inherit their root's signs); the basis matrix is F[:, basis] and a row
+of the tableau is F^T v.  It also keeps the phase-2 costs, the warm dual's
+perturbation and the column boxes of the declared bounds, which a solve
+copies and narrows at its tightened columns alone.  So a solve pays for
+its pivots and its own bounds, and a model's set-up is paid once.
 
 All tolerance constants live here: FEAS_TOL (constraint residual and Phase
 1 acceptance), RC_TOL (reduced-cost optimality), BOUND_TOL (variable bound
@@ -125,7 +133,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -151,9 +159,13 @@ SUBST_TOL = 1e-2  # smallest |a_rj| / max |a_r.| through which column j is subst
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
 
 
+@lru_cache(maxsize=8)
 def _jitter(ncols: int) -> np.ndarray:
-    """Deterministic per-column values in [0, 1) (golden-ratio sequence)."""
-    return np.modf(np.arange(ncols) * 0.6180339887498949)[0]
+    """Deterministic per-column values in [0, 1) (golden-ratio sequence),
+    computed once per size; read-only."""
+    out = np.modf(np.arange(ncols) * 0.6180339887498949)[0]
+    out.flags.writeable = False
+    return out
 
 
 def _mix(keys: np.ndarray) -> np.ndarray:
@@ -365,22 +377,67 @@ def dual_bound(
     return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
 
 
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms of rows `rows` of a compressed matrix, row after row: (the
+    indptr of those rows, each term's position in the matrix's arrays)."""
+    starts = indptr[rows].astype(np.int64)
+    counts = indptr[rows + 1] - starts
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr, np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
+
+
+def _indptr(rows: np.ndarray, m: int) -> np.ndarray:
+    """The indptr of a compressed matrix of m rows (of m columns, by
+    columns) whose terms lie in the rows (columns) `rows`."""
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=ptr[1:])
+    return ptr
+
+
+def _row_sums(v: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each row's sum of its terms v[indptr[i]:indptr[i + 1]], added as
+    scipy's CSR sum(axis=1) adds them: np.add.reduceat over the nonempty rows."""
+    out = np.zeros(len(indptr) - 1)
+    nz = np.flatnonzero(np.diff(indptr))
+    if nz.size:
+        out[nz] = np.add.reduceat(v, indptr[nz])
+    return out
+
+
+def _merged(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct `keys` in increasing order, each with the sum of its
+    values in the order given, zero sums dropped.  A key holds at most two
+    values here, and a - b is a + (-b) to the bit, so this is the sum or
+    difference of two sparse matrices as scipy computes it."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if not starts.size:
+        return keys, vals
+    sums = np.add.reduceat(vals, starts)
+    nz = sums != 0
+    return keys[starts][nz], sums[nz]
+
+
 def _normalized(A_csr: sp.csr_matrix, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, a: np.ndarray):
     """Row rows[t] solved for column cols[t] (coefficient a[t]):
     x_j = beta_t + G_t . x over the row's other columns, read as a lower
-    or upper limit on x_j by the row's sense.  Returns (beta, G)."""
-    G = (sp.diags(-1.0 / a) @ A_csr[rows]).tocoo()
-    own = G.col == cols[G.row]
-    G = sp.csr_matrix((G.data[~own], (G.row[~own], G.col[~own])), shape=G.shape)
-    return b[rows] / a, G
+    or upper limit on x_j by the row's sense.  Returns (beta, G), G as the
+    arrays (indptr, indices, data) of a CSR matrix."""
+    ptr, pos = _gather_rows(A_csr.indptr, rows)
+    t = np.repeat(np.arange(len(rows)), np.diff(ptr))
+    j, g = A_csr.indices[pos], (-1.0 / a)[t] * A_csr.data[pos]
+    keep = (j != cols[t]) & (g != 0)
+    return b[rows] / a, (_indptr(t[keep], len(rows)), j[keep], g[keep])
 
 
-def _box_max(G: sp.csr_matrix, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _box_max(G, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The maximum of each row of G . x over the column boxes (inf where a
-    box is open on the side that bounds it); -_box_max(-G) is the minimum."""
-    g = G.data
-    v = np.where(g > 0, g * upper[G.indices], g * lower[G.indices])
-    return np.asarray(sp.csr_matrix((v, G.indices, G.indptr), shape=G.shape).sum(axis=1)).ravel()
+    box is open on the side that bounds it), G as the arrays (indptr,
+    indices, data) of a CSR matrix; with G's data negated, minus the minimum."""
+    indptr, j, g = G
+    return _row_sums(np.where(g > 0, g * upper[j], g * lower[j]), indptr)
 
 
 def _whole(v: np.ndarray) -> np.ndarray:
@@ -433,14 +490,20 @@ def _dominated_rows(data: LpData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ups = np.flatnonzero(caps & owner[cols])
     if ups.size:
         # every (candidate, upper limit) pair on one column: U - L >= 0
-        on_col = [sp.csr_matrix((np.ones(t.size), (np.arange(t.size), cols[t])), shape=(t.size, data.n))
-                  for t in (cand, ups)]
-        pc, pu = (on_col[0] @ on_col[1].T).nonzero()
-        pu = ups[pu]
+        ups = ups[np.argsort(cols[ups], kind="stable")]
+        first = np.searchsorted(cols[ups], cols[cand], "left")
+        count = np.searchsorted(cols[ups], cols[cand], "right") - first
+        pc = np.repeat(np.arange(cand.size), count)
+        pu = ups[np.arange(pc.size) + np.repeat(first - np.cumsum(count) + count, count)]
         beta_u, G_u = _normalized(A, data.b, nrows[pu], cols[pu], a[pu])
-        D = (G_u - G[pc]).tocsr()
-        D.eliminate_zeros()
-        low = beta_u - beta[pc] - _box_max(-D, data.lower, data.upper)
+        # D = G_u - G[pc], merged row by row in column order
+        ptr, pos = _gather_rows(G[0], pc)
+        pair = np.concatenate([np.repeat(np.arange(pc.size), np.diff(G_u[0])),
+                               np.repeat(np.arange(pc.size), np.diff(ptr))])
+        j = np.concatenate([G_u[1], G[1][pos]])
+        keys, d = _merged(pair * data.n + j, np.concatenate([G_u[2], -G[2][pos]]))
+        low = beta_u - beta[pc] - _box_max((_indptr(keys // data.n, pc.size), keys % data.n, -d),
+                                           data.lower, data.upper)
         ok[pc[~(low >= 0)]] = False
     # a row goes with its first passing column as the owner
     rows, first = np.unique(nrows[cand[ok]], return_index=True)
@@ -484,9 +547,15 @@ def _substitutions(A_csr: sp.csr_matrix, codes: np.ndarray, is_binary: np.ndarra
     return np.array(cols, dtype=np.int64), np.array(rows, dtype=np.int64)
 
 
-def _with_units(A: sp.csc_matrix, m: int) -> sp.csc_matrix:
-    """[A | I | I]: A's columns, then a unit column per row twice over."""
-    return sp.hstack([A, sp.identity(m, format="csc"), sp.identity(m, format="csc")], format="csc")
+def _with_units(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, m: int) -> sp.csc_matrix:
+    """[A | I | I] by columns, from the terms (rows, cols, vals) of the m x n
+    matrix A listed row after row: A's columns, then a unit column per row
+    twice over."""
+    order = np.argsort(cols, kind="stable")
+    unit = np.arange(m)
+    indptr = np.concatenate([_indptr(cols, n), len(vals) + np.arange(1, 2 * m + 1)])
+    return sp.csc_matrix((np.concatenate([vals[order], np.ones(2 * m)]),
+                          np.concatenate([rows[order], unit, unit]), indptr), shape=(m, n + 2 * m))
 
 
 class _Reduced:
@@ -499,16 +568,28 @@ class _Reduced:
     and its face weight (scaled by 1/a_rj).  The feasible sets correspond
     one to one and the objectives agree, so the optimal face and the point
     _settle picks on it are those of the full model.  With no row dropped
-    and no column substituted this is the model itself.
+    and no column substituted this is the model itself.  The presolve
+    gathers and sums over the index arrays of the CSR matrix; every sum
+    adds its terms in the order scipy's sparse sums and products add them,
+    so each array is the one those would build, to the bit.
 
     `A_csr`, `b`, `n` and `m` mean what they mean on LpData, over the
     `kept` columns and the rows not `dropped`; `columns` is the CSC matrix
     [A | I | I] of every column a solve pivots on: the kept columns, the
-    slacks and the artificials (whose signs each solve sets; see
-    _Solver.F).  `slack_lo` and `slack_up` bound the rows' slacks; `cost`
-    and `face` span the kept columns and then the slacks; `cols`, `rows`
-    (indexed among the rows left), `piv` (= a_rj) and `row_terms` (rows
-    `rows` over the kept columns) rebuild the substituted columns."""
+    slacks and the artificials (whose signs each solve sets; see store).
+    `slack_lo` and `slack_up` bound the rows' slacks; `cost` and `face`
+    span the kept columns and then the slacks; `cols`, `rows` (indexed
+    among the rows left), `piv` (= a_rj) and `row_terms` (rows `rows` over
+    the kept columns) rebuild the substituted columns.
+
+    The model is also the workspace of every solve on it.  The arrays that
+    each solve would otherwise build again are built here once: the
+    exact and tilted phase-2 costs, the tie weights of _settle and the
+    warm dual's cost perturbation (`c`, `tilted`, `tie`, `perturbation`),
+    the column boxes over the declared bounds (`box_lo`, `box_up`, which a
+    solve copies and narrows at its tightened columns; see narrow) and the
+    column store F with its transpose, kept for the artificial signs of
+    the last solve that asked (see store).  All of them are read-only."""
 
     def __init__(self, data: LpData, drop_rows: bool):
         n = data.n
@@ -517,13 +598,14 @@ class _Reduced:
         else:
             self.dropped = self.owners = np.zeros(0, dtype=np.int64)
             self.needs = np.zeros(0)
-        A, A_csr, b = data.A, data.A_csr, data.b
+        A_csr, b = data.A_csr, data.b
         self.slack_lo, self.slack_up, codes = data.slack_lo, data.slack_up, data.sense_codes
         if self.dropped.size:
             live = np.ones(data.m, dtype=bool)
             live[self.dropped] = False
-            A_csr, b, codes = A_csr[live], b[live], codes[live]
-            A = A_csr.tocsc()
+            ptr, pos = _gather_rows(A_csr.indptr, np.flatnonzero(live))
+            A_csr = sp.csr_matrix((A_csr.data[pos], A_csr.indices[pos], ptr), shape=(len(ptr) - 1, n))
+            b, codes = b[live], codes[live]
             self.slack_lo, self.slack_up = self.slack_lo[live], self.slack_up[live]
         self.m = m = len(b)
         self.cols, self.rows = cols, rows = _substitutions(A_csr, codes, data.is_binary)
@@ -534,38 +616,100 @@ class _Reduced:
         w = _face_weights(n)
         self.cost = np.concatenate([data.c_min[kept], np.zeros(m)])
         self.face = np.concatenate([w[kept], np.zeros(m)])
-        if not cols.size:
+        # the terms of A row after row: row, column, coefficient
+        terms = np.repeat(np.arange(m), np.diff(A_csr.indptr)), A_csr.indices, A_csr.data
+        if cols.size:
+            self._substitute(data, b, terms, keep, w)
+        else:
             self.A_csr, self.b = A_csr, b
-            self.columns = _with_units(A, m)
-            return
-        self.piv = piv = np.asarray(A_csr[rows, cols]).ravel()
+            self.columns = _with_units(*terms, n, m)
+        self._workspace(data)
+
+    def _substitute(self, data: LpData, b: np.ndarray, terms, keep: np.ndarray, w: np.ndarray) -> None:
+        """Take the columns `cols` out through the rows `rows` of the model
+        whose right-hand sides are `b` and whose terms are `terms` (row,
+        column, coefficient, row after row); `keep` marks the kept columns
+        and `w` holds the face weights."""
+        ri, cj, v = terms
+        cols, rows, kept, k, m = self.cols, self.rows, self.kept, self.n, self.m
+        t_of_row = np.full(m, -1)
+        t_of_row[rows] = np.arange(cols.size)
+        t_of_col = np.full(data.n, -1)
+        t_of_col[cols] = np.arange(cols.size)
+        new_col = np.cumsum(keep) - 1  # a kept column's index among the kept
+        # `rows` increase with t, so the terms of the substitution rows come in t order
+        sub_col = np.full(m, -1)
+        sub_col[rows] = cols
+        self.piv = piv = v[cj == sub_col[ri]]
         self.cost[k + rows] = data.c_min[cols] / piv
         self.face[k + rows] = w[cols] / piv
-        self.row_terms = terms = A_csr[rows][:, kept]
-        terms.eliminate_zeros()
+        on = (t_of_row[ri] >= 0) & keep[cj] & (v != 0)
+        terms_ptr = _indptr(t_of_row[ri[on]], cols.size)
+        self.row_terms = R = sp.csr_matrix((v[on], new_col[cj[on]], terms_ptr), shape=(cols.size, k))
         # M[i, t] = a_{i, cols[t]} / piv[t] off row rows[t]: the multiple of
         # row rows[t] that takes column cols[t] out of row i
-        M = A[:, cols].tocoo()
-        off = M.row != rows[M.col]
-        self.M = M = sp.csr_matrix(
-            (M.data[off] / piv[M.col[off]], (M.row[off], M.col[off])), shape=(m, cols.size)
-        )
-        A = (A[:, kept] - M @ terms).tocsc()
-        A.eliminate_zeros()
-        A.sort_indices()
-        self.A_csr, self.columns = A.tocsr(), _with_units(A, m)
-        self.b = b - M @ b[rows]
+        e = np.flatnonzero(t_of_col[cj] >= 0)
+        e = e[ri[e] != rows[t_of_col[cj[e]]]]
+        e = e[np.lexsort((t_of_col[cj[e]], ri[e]))]
+        M_row, M_t = ri[e], t_of_col[cj[e]]
+        M_val = v[e] / piv[M_t]
+        self.M = sp.csr_matrix((M_val, M_t, _indptr(M_row, m)), shape=(m, cols.size))
+        # A over the kept columns less M times the substitution rows: each
+        # term of row i of M R summed in M's order, as scipy's sparse
+        # product sums it, then merged with A's own terms
+        ptr, pos = _gather_rows(terms_ptr, M_t)
+        reps = np.diff(ptr)
+        prod_keys, prod = np.unique(np.repeat(M_row, reps) * k + R.indices[pos], return_inverse=True)
+        prod_vals = np.bincount(prod, weights=np.repeat(M_val, reps) * R.data[pos])
+        nz = prod_vals != 0
+        own = np.flatnonzero(keep[cj])
+        keys, vals = _merged(np.concatenate([ri[own] * k + new_col[cj[own]], prod_keys[nz]]),
+                             np.concatenate([v[own], -prod_vals[nz]]))
+        rows_new, cols_new = np.divmod(keys, max(k, 1))
+        self.A_csr = sp.csr_matrix((vals, cols_new, _indptr(rows_new, m)), shape=(m, k))
+        self.columns = _with_units(rows_new, cols_new, vals, k, m)
+        self.b = b - np.bincount(M_row, weights=M_val * b[rows][M_t], minlength=m)
         # the range of s_r that the kept columns' declared boxes imply: a
         # slack bound outside it can never bind (see boxes)
         lo, up = data.lower[kept], data.upper[kept]
-        self.implied_lo = b[rows] - _box_max(terms, lo, up)
-        self.implied_up = b[rows] + _box_max(-terms, lo, up)
+        self.implied_lo = b[rows] - _box_max((terms_ptr, R.indices, R.data), lo, up)
+        self.implied_up = b[rows] + _box_max((terms_ptr, R.indices, -R.data), lo, up)
+
+    def _workspace(self, data: LpData) -> None:
+        """Build the arrays every solve on this model reads (see the class
+        docstring)."""
+        k, m = self.n, self.m
+        self.place = np.empty(data.n, dtype=np.int64)  # kept index, or -1 - t for cols[t]
+        self.place[self.kept] = np.arange(k)
+        self.place[self.cols] = -1 - np.arange(self.cols.size)
+        self.c = np.zeros(k + 2 * m)
+        self.c[: k + m] = self.cost
+        self.tilted = self.c.copy()
+        self.tilted[: k + m] -= TIE_EPS * self.face
+        self.tie = np.zeros(k + 2 * m)
+        self.tie[: k + m] = -self.face
+        self.perturbation = DUAL_PERTURB * (1.0 + np.abs(self.tilted)) * (1.0 + _jitter(k + 2 * m))
+        lo, up = self.boxes(data.lower, data.upper)
+        self.box_lo = np.concatenate([lo, np.zeros(m)])
+        self.box_up = np.concatenate([up, np.full(m, math.inf)])
+        for a in (self.c, self.tilted, self.tie, self.perturbation, self.box_lo, self.box_up):
+            a.flags.writeable = False
+        self._store: Optional[Tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix]] = None
 
     def admits(self, upper: np.ndarray) -> bool:
         """Whether the rows dropped stay implied under the column upper
         bounds `upper` (tightened or not): no owner's bound may fall below
         what its dropped rows need."""
         return bool(np.all(upper[self.owners] >= self.needs))
+
+    def _slack_boxes(self, t: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        """The boxes of the slacks of substitution rows rows[t], from the
+        full model's column bounds: cols[t]'s box scaled by piv[t], each end
+        left off where the other columns' declared boxes imply it."""
+        a, b = self.piv[t] * lower[self.cols[t]], self.piv[t] * upper[self.cols[t]]
+        s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
+        return (np.where(s_lo <= self.implied_lo[t], -math.inf, s_lo),
+                np.where(s_up >= self.implied_up[t], math.inf, s_up))
 
     def boxes(self, lower: np.ndarray, upper: np.ndarray):
         """Bounds of the kept columns and the slacks, from the full model's
@@ -577,12 +721,34 @@ class _Reduced:
         lo = np.concatenate([lower[self.kept], self.slack_lo])
         up = np.concatenate([upper[self.kept], self.slack_up])
         if self.cols.size:
-            a, b = self.piv * lower[self.cols], self.piv * upper[self.cols]
-            s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
             at = self.n + self.rows
-            lo[at] = np.where(s_lo <= self.implied_lo, -math.inf, s_lo)
-            up[at] = np.where(s_up >= self.implied_up, math.inf, s_up)
+            lo[at], up[at] = self._slack_boxes(np.arange(self.cols.size), lower, upper)
         return lo, up
+
+    def narrow(self, lo: np.ndarray, up: np.ndarray, ids: np.ndarray, lower: np.ndarray,
+               upper: np.ndarray) -> None:
+        """Set the boxes `lo`, `up` (copies of box_lo, box_up) of the full
+        model's columns `ids` from their bounds `lower`, `upper`: the boxes
+        that boxes(lower, upper) gives when no other column's bounds differ
+        from the declared ones."""
+        p = self.place[ids]
+        own = p >= 0
+        lo[p[own]], up[p[own]] = lower[ids[own]], upper[ids[own]]
+        if not own.all():
+            t = -1 - p[~own]
+            at = self.n + self.rows[t]
+            lo[at], up[at] = self._slack_boxes(t, lower, upper)
+
+    def store(self, art_sign: np.ndarray) -> Tuple[sp.csc_matrix, sp.csr_matrix]:
+        """(F, F^T): the column store F = [A | I | diag(art_sign)] by
+        columns, and by rows.  Built for the first solve with these
+        artificial signs and kept until a solve asks for others; the warm
+        solves of a search all start from bases that inherit their root's."""
+        if self._store is None or not np.array_equal(self._store[0], art_sign):
+            F = self.columns.copy()
+            F.data[F.nnz - self.m :] = art_sign
+            self._store = (art_sign.copy(), F, F.T)
+        return self._store[1], self._store[2]
 
     def full_duals(self, y: np.ndarray, m: int) -> np.ndarray:
         """The duals of the full model's `m` rows from those `y` of this
@@ -706,17 +872,19 @@ class _Solver:
         n, m = lp.n, lp.m
         self.n, self.m = n, m
         self.ncols = n + 2 * m  # kept structurals | slacks | artificials
-        lo, up = lp.boxes(x_lo, x_up)
-        self.lo = np.concatenate([lo, np.zeros(m)])
-        self.up = np.concatenate([up, np.full(m, math.inf)])
+        # the declared boxes, narrowed at the tightened columns alone
+        self.lo, self.up = lp.box_lo.copy(), lp.box_up.copy()
+        if extra_bounds:
+            lp.narrow(self.lo, self.up, np.fromiter(extra_bounds, np.int64, len(extra_bounds)), x_lo, x_up)
+        self._limits = np.empty(m)  # the ratio test's per-row steps
+        self._unit = np.zeros(m)  # e_r of a tableau row
         self.iterations = 0
 
     def _set_art_sign(self, art_sign: np.ndarray) -> None:
-        """Fix the artificial signs: F = [A | I | diag(art_sign)]."""
+        """Fix the artificial signs: F = [A | I | diag(art_sign)], from the
+        model's store."""
         self.art_sign = art_sign
-        self.F = self.lp.columns.copy()
-        self.F.data[-self.m :] = art_sign
-        self._rows = self.F.T
+        self.F, self._rows = self.lp.store(art_sign)
         self.fact = _Basis(self.F)
 
     def col_dense(self, j: int) -> np.ndarray:
@@ -804,9 +972,10 @@ class _Solver:
         direction = 1.0 if (stat[q] == AT_LO or (stat[q] == FREE and d_q < 0)) else -1.0
         w = self.fact.ftran(self.col_dense(q))
         delta = direction * w
-        lo_b, up_b = lo[self.basis], up[self.basis]
+        lo_b, up_b = self.lo_b, self.up_b
         t_own = up[q] - lo[q] if np.isfinite(up[q]) and np.isfinite(lo[q]) else math.inf
-        limits = np.full(self.m, math.inf)
+        limits = self._limits
+        limits.fill(math.inf)
         dec = (delta > PIVOT_TOL) & np.isfinite(lo_b)  # basic heads to its lower bound
         inc = (delta < -PIVOT_TOL) & np.isfinite(up_b)  # basic heads to its upper bound
         limits[dec] = (self.xb[dec] - lo_b[dec]) / delta[dec]
@@ -821,15 +990,16 @@ class _Solver:
     def _tableau_row(self, r: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row r of the basis inverse, rho, and of the full tableau
         B^{-1}[A | I | sign], alpha = rho^T F."""
-        e = np.zeros(self.m)
+        e = self._unit
         e[r] = 1.0
-        rho = self.fact.btran(e)
+        rho = self.fact.btran(e)  # a new array: the LU solve copies its right-hand side
+        e[r] = 0.0
         return rho, self._rows @ rho
 
     def _pivot(self, r: int, q: int, w: np.ndarray, theta: float, to_lower: bool) -> None:
         """The basis change of both loops: column q (w = B^{-1} F_q) moves by
         theta and takes row r, whose column leaves to its lower bound when
-        `to_lower`, else to its upper one."""
+        `to_lower`, else to its upper one; the basic bounds lo_b, up_b follow."""
         leaving = self.basis[r]
         self.xb -= theta * w
         self.val[q] += theta
@@ -839,6 +1009,7 @@ class _Solver:
         movable = self.lo[leaving] < self.up[leaving]
         self.side[leaving] = (1.0 if to_lower else -1.0) if movable else 0.0
         self.basis[r] = q
+        self.lo_b[r], self.up_b[r] = self.lo[q], self.up[q]
         self.status[q] = BASIC
         self.side[q] = 0.0
         self.fact.push_eta(r, w)
@@ -848,7 +1019,10 @@ class _Solver:
         each bound flip): +1 for a movable column at its lower bound, -1 at
         its upper one, 0 for basic, fixed and free columns.  A column at a
         bound may move in the direction v when side * v < 0; the free
-        nonbasic columns, in either direction, are checked apart."""
+        nonbasic columns, in either direction, are checked apart.  Also
+        gathers the basic columns' bounds, lo_b and up_b, which _pivot
+        keeps up to date too."""
+        self.lo_b, self.up_b = self.lo[self.basis], self.up[self.basis]
         movable = self.lo < self.up
         side = np.zeros(self.ncols)
         side[movable & (self.status == AT_LO)] = 1.0
@@ -857,9 +1031,9 @@ class _Solver:
 
     def run_phase(self, c_all: np.ndarray) -> str:
         """Minimize c_all over the current basis state. Returns "optimal"
-        (no improving direction) or "unbounded".  A column at a bound is
-        eligible when side * d < -RC_TOL (see _sides), a free one when
-        |d| > RC_TOL.
+        (no improving direction; the reduced costs it ends on are kept as
+        `rc`) or "unbounded".  A column at a bound is eligible when side * d
+        < -RC_TOL (see _sides), a free one when |d| > RC_TOL.
 
         Pricing is Devex (reference-weighted reduced costs), which keeps
         iteration counts near-linear in the row count on the heavily
@@ -890,9 +1064,10 @@ class _Solver:
             elig = side * d < -RC_TOL
             if free.size:
                 elig[free] = (stat[free] == FREE) & (np.abs(d[free]) > RC_TOL)
-            idx = np.flatnonzero(elig)
+            idx = elig.nonzero()[0]
             if not idx.size:
                 if d_fresh:
+                    self.rc = d
                     return "optimal"
                 d = None  # confirm optimality against freshly computed costs
                 continue
@@ -901,7 +1076,7 @@ class _Solver:
                 q = int(idx[0])
             else:
                 d_e = d[idx]
-                q = int(idx[np.argmax(d_e * d_e / gamma[idx])])
+                q = int(idx[(d_e * d_e / gamma[idx]).argmax()])
             direction, w, t, t_own, t_rows, limits = self._ratio_test(q, d[q])
 
             if not np.isfinite(t):
@@ -924,12 +1099,14 @@ class _Solver:
                 stat[q] = AT_UP if direction > 0 else AT_LO
                 side[q] = -direction
                 continue
-            cand = np.flatnonzero(limits <= t + 1e-9 * (1.0 + t))
+            cand = (limits <= t + 1e-9 * (1.0 + t)).nonzero()[0]
             # prefer evicting a bound-fixed basic (it can never re-enter, so
             # even a zero-length pivot makes permanent progress), then the
-            # largest pivot magnitude for stability
-            fixed_leave = lo[self.basis[cand]] >= up[self.basis[cand]]
-            r = int(cand[np.lexsort((cand, -np.abs(w[cand]), ~fixed_leave))[0]])
+            # largest pivot magnitude for stability, then the lowest row
+            fixed = cand[self.lo_b[cand] >= self.up_b[cand]]
+            if fixed.size:
+                cand = fixed
+            r = int(cand[np.abs(w[cand]).argmax()])
 
             # the pivot row drives both the Devex weights and an incremental
             # reduced-cost update (exact recompute happens at every
@@ -974,7 +1151,9 @@ class _Solver:
         zero (which spreads the ties of dual-degenerate vertices).  Returns
         (costs, reduced costs), or None when a reduced cost has the wrong
         sign by more than DUAL_TOL or a free nonbasic column has a nonzero
-        one: the basis is then no warm start for these costs."""
+        one: the basis is then no warm start for these costs.  The
+        perturbation is the model's (_Reduced.perturbation), which is made
+        for the tilted costs that the dual starts from."""
         stat = self.status
         movable = self.lo < self.up
         at_lo = (stat == AT_LO) & movable
@@ -986,9 +1165,7 @@ class _Solver:
             or np.any(np.abs(d[free]) > DUAL_TOL)
         ):
             return None
-        pert = np.zeros(self.ncols)
-        if perturb:
-            pert = DUAL_PERTURB * (1.0 + np.abs(c)) * (1.0 + _jitter(self.ncols))
+        pert = self.lp.perturbation if perturb else np.zeros(self.ncols)
         target = d.copy()
         target[at_lo] = np.maximum(d[at_lo], 0.0) + pert[at_lo]
         target[at_up] = np.minimum(d[at_up], 0.0) - pert[at_up]
@@ -1029,14 +1206,13 @@ class _Solver:
             if self.prunes is not None and self._cuts_off(c):
                 return "cutoff"
 
-            lo_b, up_b = lo[self.basis], up[self.basis]
-            below = lo_b - self.xb
-            above = self.xb - up_b
+            below = self.lo_b - self.xb
+            above = self.xb - self.up_b
             infeas = np.maximum(below, above)
-            short = np.flatnonzero(infeas > BOUND_TOL)
-            if not short.size:
+            short = infeas > BOUND_TOL
+            if not short.any():
                 return "feasible"
-            r = int(short[np.argmax(infeas[short] ** 2 / beta[short])])
+            r = int(np.where(short, infeas * infeas / beta, -1.0).argmax())
             if it == max_iters:
                 return None  # stalled: the cold solve takes over
 
@@ -1049,16 +1225,16 @@ class _Solver:
             mask = side * (s * alpha) < -PIVOT_TOL
             if free.size:
                 mask[free] = (stat[free] == FREE) & (np.abs(alpha[free]) > PIVOT_TOL)
-            cand = np.flatnonzero(mask)
+            cand = mask.nonzero()[0]
             if cand.size == 0:  # row r rules every point out; check that independently
                 return "infeasible" if self._proves_infeasible(rho) else None
             abs_a = np.abs(alpha[cand])
             room = np.maximum(side[cand] * d[cand], 0.0)  # 0 for a free column
             ratios = room / abs_a
             # Harris: among the steps within the relaxed bound, the largest pivot
-            relaxed = float(np.min((room + RC_TOL) / abs_a))
-            ok = np.flatnonzero(ratios <= relaxed)
-            k = int(ok[np.lexsort((cand[ok], -abs_a[ok]))[0]])
+            relaxed = float(((room + RC_TOL) / abs_a).min())
+            ok = (ratios <= relaxed).nonzero()[0]
+            k = int(ok[abs_a[ok].argmax()])  # ties to the lowest column
             q, t = int(cand[k]), float(ratios[k])
 
             w = self.fact.ftran(self.col_dense(q))
@@ -1098,7 +1274,7 @@ class _Solver:
     def _duals(self) -> np.ndarray:
         """The row duals B^-T c_B of the current basis under the exact costs,
         one per row of the full model (see _Reduced.full_duals)."""
-        y = self.fact.btran(self._phase2_costs()[0][self.basis])
+        y = self.fact.btran(self.lp.c[self.basis])
         return self.lp.full_duals(y, self.data.m)
 
     def _proves_infeasible(self, y: np.ndarray) -> bool:
@@ -1157,16 +1333,13 @@ class _Solver:
 
     def _phase2_costs(self):
         """The exact phase-2 costs, and the same tilted by TIE_EPS toward the
-        point _settle picks (the tilt also breaks pricing ties)."""
-        k = self.n + self.m
-        c = np.zeros(self.ncols)
-        c[:k] = self.lp.cost
-        tilted = c.copy()
-        tilted[:k] -= TIE_EPS * self.lp.face
-        return c, tilted
+        point _settle picks (the tilt also breaks pricing ties); the model's
+        read-only arrays."""
+        return self.lp.c, self.lp.tilted
 
-    def _settle(self, c: np.ndarray) -> None:
-        """From an optimal basis for costs `c`, move to the optimum that
+    def _settle(self, d: np.ndarray) -> None:
+        """From an optimal basis for costs c, with reduced costs `d` (those
+        that the phase on c ended on), move to the optimum that
         maximizes _face_weights . x.  Nonbasic columns with a nonzero reduced
         cost are held at their bounds (complementary slackness: so is every
         optimal point), which leaves exactly the optimal face free; that
@@ -1175,14 +1348,11 @@ class _Solver:
         near the parent's point, and the search would take other
         branches).  An "unbounded" here (the face is unbounded along the
         weights) is not a verdict: the basis it leaves is still optimal for
-        `c`, and the LP's status is the exact phase's."""
-        d = self._reduced_costs(c)
+        c, and the LP's status is the exact phase's."""
         saved_lo, saved_up = self.lo.copy(), self.up.copy()
         held = (self.status != BASIC) & (np.abs(d) > RC_TOL)
         self.lo[held] = self.up[held] = self.val[held]
-        tie = np.zeros(self.ncols)
-        tie[: self.n + self.m] = -self.lp.face
-        self.run_phase(tie)  # "unbounded" leaves an optimal basis in place
+        self.run_phase(self.lp.tie)  # "unbounded" leaves an optimal basis in place
         self.lo, self.up = saved_lo, saved_up
 
     # -- drive ------------------------------------------------------------
@@ -1227,7 +1397,7 @@ class _Solver:
         self.run_phase(tilted)
         if self.run_phase(c) != "optimal":
             return None
-        self._settle(c)
+        self._settle(self.rc)
         self._refresh()
         return self._finish()
 

@@ -953,3 +953,126 @@ def _check_rho_components(uncovered: Sequence[Cell], rho_x: int, rho_y: int) -> 
             UserWarning,
             stacklevel=3,
         )
+
+
+# ---------------------------------------------------------------------------
+# the LP presolve, through scipy's sparse constructors and products
+# ---------------------------------------------------------------------------
+# The dominated-row test and column substitution that gridcover.simplex's
+# _Reduced replaced with array gathers and sums over the CSR/CSC index
+# arrays, kept as they were (over scipy.sparse slicing, products and stacks)
+# so the two presolves can be compared array for array, byte for byte.  The
+# row classes (_term_classes), the substitution pick (_substitutions) and
+# the face weights are shared with gridcover.simplex: neither presolve
+# changes them.
+
+
+def _reference_normalized(A_csr, b, rows, cols, a):
+    """Row rows[t] solved for column cols[t] (coefficient a[t]):
+    x_j = beta_t + G_t . x over the row's other columns.  Returns (beta, G)."""
+    import scipy.sparse as sp
+
+    G = (sp.diags(-1.0 / a) @ A_csr[rows]).tocoo()
+    own = G.col == cols[G.row]
+    G = sp.csr_matrix((G.data[~own], (G.row[~own], G.col[~own])), shape=G.shape)
+    return b[rows] / a, G
+
+
+def _reference_box_max(G, lower, upper):
+    """The maximum of each row of G . x over the column boxes."""
+    import scipy.sparse as sp
+
+    g = G.data
+    v = np.where(g > 0, g * upper[G.indices], g * lower[G.indices])
+    return np.asarray(sp.csr_matrix((v, G.indices, G.indptr), shape=G.shape).sum(axis=1)).ravel()
+
+
+def reference_dominated_rows(data):
+    """(rows, owners, needs) of the rows every optimum satisfies without
+    them; see gridcover.simplex._dominated_rows for the argument."""
+    import scipy.sparse as sp
+    from gridcover.simplex import _term_classes
+
+    A = data.A_csr
+    nrows, owner, grows, caps = _term_classes(data)
+    cols, a = A.indices, A.data
+    cand = np.flatnonzero(grows & owner[cols])
+    if not cand.size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    beta, G = _reference_normalized(A, data.b, nrows[cand], cols[cand], a[cand])
+    need = beta + _reference_box_max(G, data.lower, data.upper)
+    ok = need <= data.upper[cols[cand]]
+    ups = np.flatnonzero(caps & owner[cols])
+    if ups.size:
+        on_col = [sp.csr_matrix((np.ones(t.size), (np.arange(t.size), cols[t])), shape=(t.size, data.n))
+                  for t in (cand, ups)]
+        pc, pu = (on_col[0] @ on_col[1].T).nonzero()
+        pu = ups[pu]
+        beta_u, G_u = _reference_normalized(A, data.b, nrows[pu], cols[pu], a[pu])
+        D = (G_u - G[pc]).tocsr()
+        D.eliminate_zeros()
+        low = beta_u - beta[pc] - _reference_box_max(-D, data.lower, data.upper)
+        ok[pc[~(low >= 0)]] = False
+    rows, first = np.unique(nrows[cand[ok]], return_index=True)
+    return rows, cols[cand[ok]][first], need[ok][first]
+
+
+def reference_reduced(data, drop_rows: bool = True):
+    """The arrays of data's presolved model (those of simplex._Reduced), as
+    a namespace: dropped, owners, needs, m, cols, rows, kept, n, cost, face,
+    A_csr, b, columns and, when a column is substituted, piv, row_terms, M,
+    implied_lo and implied_up."""
+    from types import SimpleNamespace
+
+    import scipy.sparse as sp
+    from gridcover.simplex import _face_weights, _substitutions
+
+    def with_units(A, m):
+        return sp.hstack([A, sp.identity(m, format="csc"), sp.identity(m, format="csc")], format="csc")
+
+    out = SimpleNamespace()
+    n = data.n
+    if drop_rows:
+        out.dropped, out.owners, out.needs = reference_dominated_rows(data)
+    else:
+        out.dropped = out.owners = np.zeros(0, dtype=np.int64)
+        out.needs = np.zeros(0)
+    A, A_csr, b = data.A, data.A_csr, data.b
+    codes = data.sense_codes
+    if out.dropped.size:
+        live = np.ones(data.m, dtype=bool)
+        live[out.dropped] = False
+        A_csr, b, codes = A_csr[live], b[live], codes[live]
+        A = A_csr.tocsc()
+    out.m = m = len(b)
+    out.cols, out.rows = cols, rows = _substitutions(A_csr, codes, data.is_binary)
+    keep = np.ones(n, dtype=bool)
+    keep[cols] = False
+    out.kept = kept = np.flatnonzero(keep)
+    out.n = k = len(kept)
+    w = _face_weights(n)
+    out.cost = np.concatenate([data.c_min[kept], np.zeros(m)])
+    out.face = np.concatenate([w[kept], np.zeros(m)])
+    if not cols.size:
+        out.A_csr, out.b = A_csr, b
+        out.columns = with_units(A, m)
+        return out
+    out.piv = piv = np.asarray(A_csr[rows, cols]).ravel()
+    out.cost[k + rows] = data.c_min[cols] / piv
+    out.face[k + rows] = w[cols] / piv
+    out.row_terms = terms = A_csr[rows][:, kept]
+    terms.eliminate_zeros()
+    M = A[:, cols].tocoo()
+    off = M.row != rows[M.col]
+    out.M = M = sp.csr_matrix(
+        (M.data[off] / piv[M.col[off]], (M.row[off], M.col[off])), shape=(m, cols.size)
+    )
+    A = (A[:, kept] - M @ terms).tocsc()
+    A.eliminate_zeros()
+    A.sort_indices()
+    out.A_csr, out.columns = A.tocsr(), with_units(A, m)
+    out.b = b - M @ b[rows]
+    lo, up = data.lower[kept], data.upper[kept]
+    out.implied_lo = b[rows] - _reference_box_max(terms, lo, up)
+    out.implied_up = b[rows] + _reference_box_max(-terms, lo, up)
+    return out

@@ -21,11 +21,12 @@ from gridcover.simplex import (
     LpData,
     NodeBounds,
     _face_weights,
+    _Reduced,
     _Solver,
     solve_lp,
 )
 
-from oracles import lp_by_vertex_enumeration, reference_crash_columns
+from oracles import lp_by_vertex_enumeration, reference_crash_columns, reference_reduced
 
 
 def build(c, A, senses, b, lower, upper, maximize=True):
@@ -984,6 +985,91 @@ class TestPresolve:
         assert checked > 40
 
 
+def presolve_arrays(red):
+    """Every array the presolve builds, as bytes with its dtype and shape
+    (a matrix as its data, indices and indptr), and the sizes."""
+
+    def as_bytes(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    out = {"n": red.n, "m": red.m}
+    for name in ("A_csr", "columns", "row_terms", "M"):
+        if hasattr(red, name):
+            mat = getattr(red, name)
+            out[name] = (mat.shape, as_bytes(mat.data), as_bytes(mat.indices), as_bytes(mat.indptr))
+    for name in ("b", "cost", "face", "kept", "cols", "rows", "piv", "implied_lo", "implied_up",
+                 "dropped", "owners", "needs"):
+        if hasattr(red, name):
+            out[name] = as_bytes(getattr(red, name))
+    return out
+
+
+def paper_models():
+    """The static, coverage and movement models of the 6x6 to 10x10 grids:
+    over every cell, and over the cells a sparse deployment leaves."""
+    for size in range(6, 11):
+        grid = GridSpec(size, size)
+        every = sorted(grid.cells())
+        left = [cell for cell in every if (7 * cell[0] + 3 * cell[1]) % 5]
+        yield build_milp_static(grid, max(2, size // 2)).instance
+        for cells in (every, left):
+            yield build_milp_cov(grid, cells, 1 + size % 2, 4).instance
+            yield build_milp_mov(grid, cells, size * size - len(cells), 2, 3).instance
+
+
+class TestPresolveOracle:
+    """The presolve, built from gathers and sums over the index arrays,
+    against the one built from scipy's sparse slicing, products and stacks
+    (tests/oracles.py): every array the same to the byte, index dtypes
+    included, with and without the dominated rows."""
+
+    @staticmethod
+    def check(data):
+        for drop_rows in (True, False):
+            got = presolve_arrays(_Reduced(data, drop_rows))
+            want = presolve_arrays(reference_reduced(data, drop_rows))
+            assert got == want, sorted(k for k in want if got.get(k) != want[k])
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(41)
+        counts = {"substituted": 0, "dropped": 0, "row-free": 0}
+        for t in range(300):
+            kind = ("substituted", "dropped", "row-free")[t % 3]
+            if kind == "substituted":
+                lp = substituted_lp(rng, nonneg=bool(t % 2))
+            elif kind == "dropped":
+                lp = dominated_lp(rng)
+            else:
+                lp = row_free_lp(rng, ("none", "empty", "dominated")[t % 9 // 3])
+            data = LpData(build(*lp))
+            self.check(data)
+            red = data.reduced()
+            counts[kind] += bool(red.cols.size or red.dropped.size or kind == "row-free")
+        assert min(counts.values()) > 60, counts
+
+    def test_paper_models_and_their_quotient_lps(self, monkeypatch):
+        import gridcover.quotient as quotient
+
+        quotients = []
+
+        def spy(data, bounds=None):
+            quotients.append(data)
+            return solve_lp(data, bounds)
+
+        monkeypatch.setattr(quotient, "solve_lp", spy)
+        models = substituted = dropped = 0
+        for instance in paper_models():
+            data = LpData(instance)
+            self.check(data)
+            quotient.lp_bound(instance)
+            models += 1
+            substituted += data.reduced().cols.size > 0
+            dropped += data.reduced().dropped.size > 0
+        for data in quotients:
+            self.check(data)
+        assert models == 25 and len(quotients) == 25 and substituted >= 5 and dropped >= 5
+
+
 def test_static_10x10_root_pivot_budget():
     # a count, not a time: the 10x10, ten-node placement root LP took 3,259
     # pivots on the unreduced model
@@ -1236,6 +1322,61 @@ def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypat
     _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
     assert res.nodes_explored == 40 and len(handed) == 39
     assert sum(handed) >= 20
+
+
+def test_table8_children_match_with_and_without_the_model_workspace(monkeypatch):
+    # every warm node LP of the search again on a presolved model built
+    # afresh, whose workspace (its column store F, costs, perturbation and
+    # declared boxes) no solve has touched: the workspace is only a cache,
+    # so the pivots, and the point, are the same to the bit
+    import gridcover.bnb as bnb
+
+    kinds = {"optimal": 0, "cutoff": 0}
+
+    def spy(data, bounds=None):
+        res = solve_lp(data, bounds)
+        if getattr(bounds, "basis", None) is not None:
+            kept = data._reduced, data._all_rows, data.last_factor
+            data._reduced = data._all_rows = data.last_factor = None
+            ref = solve_lp(data, bounds)
+            assert data._reduced is not kept[0]
+            data._reduced, data._all_rows, data.last_factor = kept
+            assert (res.status, res.iterations) == (ref.status, ref.iterations)
+            assert repr(res.objective) == repr(ref.objective)
+            if res.status == "optimal":
+                assert res.values.tobytes() == ref.values.tobytes()
+                assert res.duals.tobytes() == ref.duals.tobytes()
+            kinds[res.status] += 1
+        return res
+
+    monkeypatch.setattr(bnb, "solve_lp", spy)
+    cfg = TABLE8_L1_NS3
+    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    assert res.nodes_explored == 40 and kinds == {"optimal": 26, "cutoff": 13}
+
+
+def test_a_changed_instance_reads_no_stale_column_store():
+    # the workspace lives on the presolved model of one LpData, and a change
+    # to the instance drops its LpData: the next solve builds a new one, and
+    # its column store holds the new row
+    grid = GridSpec(5, 5)
+    handle = build_milp_cov(grid, sorted(grid.cells()), n_mobile=1, k_max=2)
+    instance = handle.instance
+    data = LpData(instance)
+    first = solve_lp(instance)
+    assert first.status == "optimal" and data.reduced()._store is not None
+    F_before = data.reduced()._store[1]
+    # cap the objective one below the LP optimum
+    instance.add_constraint(zip(instance.objective_ids.tolist(), instance.objective_coefs.tolist()),
+                            "<=", first.objective - 1)
+    again = LpData(instance)
+    assert again is not data and again.m == data.m + 1
+    res = solve_lp(instance)
+    assert again.reduced()._store[1] is not F_before
+    assert again.reduced()._store[1].shape[0] == again.reduced().m
+    assert res.status == "optimal" and res.objective == pytest.approx(first.objective - 1, abs=1e-9)
+    # the old LpData, still held, keeps its own store and its own answer
+    assert solve_lp(data).objective == pytest.approx(first.objective, abs=1e-9)
 
 
 def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
