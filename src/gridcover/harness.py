@@ -53,7 +53,7 @@ from .formulations import (
 from .grid import Cell, GridSpec, SensorParams, _exact_fraction, cell_weights, evaluate_plan
 from .planners import BaselineConfig, greedy_plan, random_plan
 from .quotient import lp_bound
-from .simplex import LpData
+from .simplex import LpData, SimplexNumericalError
 
 PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
@@ -607,12 +607,18 @@ def plan_mobile_milp(
 
 def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
     """Run the full pipeline once per seed; solver trouble is recorded in
-    the row, never fatal to the batch."""
+    the row, never fatal to the batch: a ValueError of the planning stage,
+    or a SimplexNumericalError of either stage, is an "error" row with the
+    message as its note."""
     rows: List[ResultRow] = []
 
     milp_deployment: Optional[StaticDeployment] = None
+    static_status, static_note = "infeasible", "static placement infeasible"
     if config.placement == "milp-static":
-        milp_deployment = place_static_milp(config)[0]
+        try:
+            milp_deployment = place_static_milp(config)[0]
+        except SimplexNumericalError as exc:
+            static_status, static_note = "error", str(exc)
 
     for seed in config.seeds:
         t0 = time.monotonic()
@@ -623,9 +629,9 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
         if config.placement == "milp-static":
             deployment = milp_deployment
             if deployment is None:
-                rows.append(self_describing_row(config, seed, None, None, "infeasible",
+                rows.append(self_describing_row(config, seed, None, None, static_status,
                                                 None, None, None, time.monotonic() - t0,
-                                                "static placement infeasible"))
+                                                static_note))
                 continue
         elif config.placement == "random-static":
             deployment = place_static_random(config, seed)
@@ -642,7 +648,7 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
                     note = "coverage target unreachable: increase k_max or n_mobile"
                 elif plan is None:
                     note = "no incumbent within limits"
-            except ValueError as exc:
+            except (ValueError, SimplexNumericalError) as exc:
                 status, note = "error", str(exc)
         elif config.planner in ("greedy", "random"):
             plan = baseline_plan(config, deployment, seed)

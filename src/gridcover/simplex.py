@@ -23,10 +23,11 @@ Harris's.  The perturbation sits a hundredfold below the phase-2 tilt, so
 the dual ends on a vertex that is already optimal for the tilted costs and
 the clean-up is a pivot or none; one as large as the tilt would leave the
 dual on the perturbed costs' optimum, for the clean-up to walk back from.
-A warm "infeasible" is accepted only with a verified Farkas
-certificate, and a warm "optimal" passes the same substitution check as a
-cold one.  A basis that is not dual feasible, a stall past the dual's pivot
-cap or a numerical failure falls back to the cold solve.
+A warm "infeasible" needs a ray that passes the full-row check
+(proves_infeasible over the node's boxes, on the dual's row lifted to the
+full rows), and a warm "optimal" passes the same substitution check as a
+cold one.  A basis that is not dual feasible, a stall past the dual's
+pivot cap or a numerical failure falls back to the cold solve.
 
 A warm solve whose NodeBounds carries a prune test (`prunes`, from
 branch-and-bound) stops as soon as a safe bound shows that its node is
@@ -97,13 +98,13 @@ none of the column's upper limits can fall below over the declared boxes
 (the coverage model's c_cell >= c_{l,k,cell} rows).  Narrower boxes on the
 other columns keep them implied, so every branch-and-bound node drops
 them too.  A solve whose bounds lower such a column's upper bound below
-what its dropped rows need pivots on the model that keeps every row
-(LpData.reduced(drop_rows=False)); a warm basis of the other row set fails
-the shape check and the solve goes cold.  An unbounded reduced LP needs no
-re-solve with every row: raising each owner column to its dropped rows'
-lower limit extends any of its points to a full-model point no worse, so
-the full LP is unbounded too.  A dropped row's slack carries no
-face weight, so the point _settle picks is the full model's.
+what its dropped rows need pivots on the model that keeps every row, which
+the LpData builds the first time a solve needs it; a warm basis of the
+other model fails the shape check and the solve goes cold.  An unbounded
+reduced LP needs no re-solve with every row: raising each owner column to
+its dropped rows' lower limit extends any of its points to a full-model
+point no worse, so the full LP is unbounded too.  A dropped row's slack
+carries no face weight, so the point _settle picks is the full model's.
 
 One matrix per layer: LpData.A_csr is MilpInstance.matrix() (empty rows
 sliced off); _Reduced keeps its rows (A_csr) and one CSC store of every
@@ -290,11 +291,6 @@ class LpData:
         return [SENSES[c] for c in self.sense_codes.tolist()]
 
     @cached_property
-    def A(self) -> sp.csc_matrix:
-        """A_csr by columns, derived on first use (the presolve reads it)."""
-        return self.A_csr.tocsc()
-
-    @cached_property
     def objective_integral(self) -> bool:
         """Whether the objective is an integer at every optimum, so that a
         bound on it may be floored: its coefficients are integers and its
@@ -367,14 +363,40 @@ def dual_bound(
     unbounded on the side that cost favours."""
     lower = data.lower if lower is None else lower
     upper = data.upper if upper is None else upper
-    codes = data.sense_codes
-    y = np.where(codes == LE, np.minimum(y, 0.0), np.where(codes == GE, np.maximum(y, 0.0), y))
-    d = data.c_min - data.A_csr.T @ y
-    nz = np.flatnonzero(d)
-    end = np.where(d[nz] > 0, lower[nz], upper[nz])  # each term's minimizing bound
+    yb, _, d, end = _dual_terms(data, y, data.c_min, lower, upper)
     if not np.isfinite(end).all():
         return None
-    return data.obj_sign * (float(y @ data.b) + float(d[nz] @ end))
+    return data.obj_sign * (yb + float(d @ end))
+
+
+def _dual_terms(data: LpData, y: np.ndarray, c, lower: np.ndarray, upper: np.ndarray):
+    """dual_bound's arithmetic for the costs `c`, duals of the wrong sign
+    clipped to 0: (y^T b, the columns nz where c - A^T y is nonzero, those
+    reduced costs, and the bound of each that minimizes its term)."""
+    codes = data.sense_codes
+    y = np.where(codes == LE, np.minimum(y, 0.0), np.where(codes == GE, np.maximum(y, 0.0), y))
+    d = c - data.A_csr.T @ y
+    nz = np.flatnonzero(d)
+    return float(y @ data.b), nz, d[nz], np.where(d[nz] > 0, lower[nz], upper[nz])
+
+
+def proves_infeasible(data: LpData, y: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Farkas check: whether the row multipliers `y` prove that no point of
+    the column boxes [lower, upper] satisfies the rows: dual_bound's
+    arithmetic at zero cost, for y or -y, bounds 0 from below by more than
+    a margin far above rounding.  Any multipliers make a valid check, so
+    rounding noise in `y` is dropped first."""
+    big = float(np.abs(y).max())
+    y = np.where(np.abs(y) > 1e-12 * big, y, 0.0)
+    for sign in (1.0, -1.0):
+        yb, nz, d, end = _dual_terms(data, sign * y, 0.0, lower, upper)
+        lo, up = lower[nz], upper[nz]
+        finite = np.isfinite(lo) & np.isfinite(up)
+        scale = float(np.abs(d[finite] * up[finite]).sum() + np.abs(d[finite] * lo[finite]).sum())
+        margin = FEAS_TOL * big * (1 + data.m) + 1e-9 * (scale + abs(yb))
+        if np.isfinite(end).all() and yb + float(d @ end) > margin:
+            return True
+    return False
 
 
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -670,7 +692,7 @@ class _Reduced:
         self.columns = _with_units(rows_new, cols_new, vals, k, m)
         self.b = b - np.bincount(M_row, weights=M_val * b[rows][M_t], minlength=m)
         # the range of s_r that the kept columns' declared boxes imply: a
-        # slack bound outside it can never bind (see boxes)
+        # slack bound outside it can never bind (see _slack_boxes)
         lo, up = data.lower[kept], data.upper[kept]
         self.implied_lo = b[rows] - _box_max((terms_ptr, R.indices, R.data), lo, up)
         self.implied_up = b[rows] + _box_max((terms_ptr, R.indices, -R.data), lo, up)
@@ -689,9 +711,9 @@ class _Reduced:
         self.tie = np.zeros(k + 2 * m)
         self.tie[: k + m] = -self.face
         self.perturbation = DUAL_PERTURB * (1.0 + np.abs(self.tilted)) * (1.0 + _jitter(k + 2 * m))
-        lo, up = self.boxes(data.lower, data.upper)
-        self.box_lo = np.concatenate([lo, np.zeros(m)])
-        self.box_up = np.concatenate([up, np.full(m, math.inf)])
+        self.box_lo = np.concatenate([np.empty(k), self.slack_lo, np.zeros(m)])
+        self.box_up = np.concatenate([np.empty(k), self.slack_up, np.full(m, math.inf)])
+        self.narrow(self.box_lo, self.box_up, np.arange(data.n), data.lower, data.upper)
         for a in (self.c, self.tilted, self.tie, self.perturbation, self.box_lo, self.box_up):
             a.flags.writeable = False
         self._store: Optional[Tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix]] = None
@@ -705,32 +727,20 @@ class _Reduced:
     def _slack_boxes(self, t: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         """The boxes of the slacks of substitution rows rows[t], from the
         full model's column bounds: cols[t]'s box scaled by piv[t], each end
-        left off where the other columns' declared boxes imply it."""
+        left off where the other columns' declared boxes imply it (tighter
+        boxes only narrow that range, so the feasible set is the same, and
+        the slack never leaves the basis on a degenerate step there)."""
         a, b = self.piv[t] * lower[self.cols[t]], self.piv[t] * upper[self.cols[t]]
         s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
         return (np.where(s_lo <= self.implied_lo[t], -math.inf, s_lo),
                 np.where(s_up >= self.implied_up[t], math.inf, s_up))
 
-    def boxes(self, lower: np.ndarray, upper: np.ndarray):
-        """Bounds of the kept columns and the slacks, from the full model's
-        column bounds (tightened or not).  A substituted
-        column's bound that the other columns' declared boxes already imply
-        is left off its slack: tighter boxes only narrow that implied range,
-        so the feasible set stays the same, and a slack that cannot reach
-        such a bound never leaves the basis on a degenerate step there."""
-        lo = np.concatenate([lower[self.kept], self.slack_lo])
-        up = np.concatenate([upper[self.kept], self.slack_up])
-        if self.cols.size:
-            at = self.n + self.rows
-            lo[at], up[at] = self._slack_boxes(np.arange(self.cols.size), lower, upper)
-        return lo, up
-
     def narrow(self, lo: np.ndarray, up: np.ndarray, ids: np.ndarray, lower: np.ndarray,
                upper: np.ndarray) -> None:
-        """Set the boxes `lo`, `up` (copies of box_lo, box_up) of the full
-        model's columns `ids` from their bounds `lower`, `upper`: the boxes
-        that boxes(lower, upper) gives when no other column's bounds differ
-        from the declared ones."""
+        """Set the boxes `lo`, `up` of the full model's columns `ids` from
+        their bounds `lower`, `upper`: a kept column's own bounds, or its
+        row's slack box (_slack_boxes).  box_lo and box_up are set so over
+        every id, and a solve's copies of them at its tightened columns."""
         p = self.place[ids]
         own = p >= 0
         lo[p[own]], up[p[own]] = lower[ids[own]], upper[ids[own]]
@@ -848,12 +858,7 @@ class _Solver:
     one basis change of the primal (run_phase) and the dual (_dual_phase)
     loops; `_optimize` is the finish that `solve` and `solve_warm` share."""
 
-    def __init__(
-        self,
-        data: LpData,
-        extra_bounds: Optional[Dict[int, Tuple[float, float]]],
-        drop_rows: bool = True,
-    ):
+    def __init__(self, data: LpData, extra_bounds: Optional[Dict[int, Tuple[float, float]]]):
         self.data = data
         x_lo, x_up = data.lower, data.upper
         if extra_bounds:
@@ -865,7 +870,7 @@ class _Solver:
         # a warm solve's prune test (see NodeBounds) and the safe bound that passed it
         self.prunes = getattr(extra_bounds, "prunes", None)
         self.cutoff_bound: Optional[float] = None
-        lp = data.reduced(drop_rows)
+        lp = data.reduced()
         if not lp.admits(x_up):
             lp = data.reduced(drop_rows=False)
         self.lp = lp
@@ -1175,10 +1180,9 @@ class _Solver:
     def _dual_phase(self, c: np.ndarray) -> Optional[str]:
         """Bounded dual simplex from a dual-feasible basis for costs `c`.
         Returns "feasible" once every basic value is within its bounds,
-        "infeasible" when a row certifies (and a Farkas check confirms)
-        that no point exists, "cutoff" when the solve has a prune test and
-        a safe bound passes it (see _cuts_off), or None on a stall, a
-        numerical failure or an unconfirmed certificate.
+        "infeasible" when proves_infeasible confirms a row's certificate,
+        "cutoff" when the prune test passes a safe bound (see _cuts_off),
+        or None on a stall, a numerical failure or an unconfirmed one.
 
         Pricing is dual Devex: row r leaves when it maximizes infeas_r^2 /
         beta_r over the rows outside their bounds.  The reference weights
@@ -1226,8 +1230,9 @@ class _Solver:
             if free.size:
                 mask[free] = (stat[free] == FREE) & (np.abs(alpha[free]) > PIVOT_TOL)
             cand = mask.nonzero()[0]
-            if cand.size == 0:  # row r rules every point out; check that independently
-                return "infeasible" if self._proves_infeasible(rho) else None
+            if cand.size == 0:  # row r rules every point out; check it on the full rows
+                y = self.lp.full_duals(rho, self.data.m)
+                return "infeasible" if proves_infeasible(self.data, y, self.x_lo, self.x_up) else None
             abs_a = np.abs(alpha[cand])
             room = np.maximum(side[cand] * d[cand], 0.0)  # 0 for a free column
             ratios = room / abs_a
@@ -1277,26 +1282,6 @@ class _Solver:
         y = self.fact.btran(self.lp.c[self.basis])
         return self.lp.full_duals(y, self.data.m)
 
-    def _proves_infeasible(self, y: np.ndarray) -> bool:
-        """Farkas check: the row combination y^T (A x + s) = y^T b cannot
-        hold anywhere in the box of the structural and slack bounds, by a
-        margin far above rounding.  Any multipliers make a valid check, so
-        rounding noise in `y` is dropped first."""
-        n, m = self.n, self.m
-        y = np.where(np.abs(y) > 1e-12 * np.abs(y).max(), y, 0.0)
-        g = (self._rows @ y)[: n + m]
-        lo, up = self.lo[: n + m], self.up[: n + m]
-        nz = g != 0.0
-        g, lo, up = g[nz], lo[nz], up[nz]
-        hi_end = np.where(g > 0, up, lo)  # the bound that maximizes each term
-        lo_end = np.where(g > 0, lo, up)
-        top, bottom = float(g @ hi_end), float(g @ lo_end)
-        rhs = float(y @ self.lp.b)
-        finite = np.isfinite(hi_end) & np.isfinite(lo_end)
-        scale = float(np.abs(g[finite] * hi_end[finite]).sum() + np.abs(g[finite] * lo_end[finite]).sum())
-        margin = FEAS_TOL * float(np.abs(y).max()) * (1 + m) + 1e-9 * (scale + abs(rhs))
-        return rhs > top + margin or rhs < bottom - margin
-
     def solve_warm(self, warm: WarmBasis) -> Optional[LpResult]:
         """Solve from `warm`, an optimal basis of an LP with the same rows and
         costs; None when it is no usable start or the dual does not finish
@@ -1322,7 +1307,7 @@ class _Solver:
         else:
             self._refresh()
 
-        outcome = self._dual_phase(self._phase2_costs()[1])
+        outcome = self._dual_phase(self.lp.tilted)
         if outcome == "infeasible":
             return LpResult(status="infeasible", iterations=self.iterations)
         if outcome == "cutoff":  # no point, no basis, and the factor slot left as it is
@@ -1330,12 +1315,6 @@ class _Solver:
         # the cold solve's finish, from a basis that is already close; a child
         # of a bounded LP is bounded, so "unbounded" is numerical trouble
         return self._optimize() if outcome == "feasible" else None
-
-    def _phase2_costs(self):
-        """The exact phase-2 costs, and the same tilted by TIE_EPS toward the
-        point _settle picks (the tilt also breaks pricing ties); the model's
-        read-only arrays."""
-        return self.lp.c, self.lp.tilted
 
     def _settle(self, d: np.ndarray) -> None:
         """From an optimal basis for costs c, with reduced costs `d` (those
@@ -1393,9 +1372,8 @@ class _Solver:
         tilted phase runs for its basis alone, as _settle does; its
         "unbounded" may be a ray that only the tilt improves (a zero-cost
         column with an infinite bound), and leaves a feasible basis."""
-        c, tilted = self._phase2_costs()
-        self.run_phase(tilted)
-        if self.run_phase(c) != "optimal":
+        self.run_phase(self.lp.tilted)
+        if self.run_phase(self.lp.c) != "optimal":
             return None
         self._settle(self.rc)
         self._refresh()

@@ -1037,13 +1037,12 @@ def reference_reduced(data, drop_rows: bool = True):
     else:
         out.dropped = out.owners = np.zeros(0, dtype=np.int64)
         out.needs = np.zeros(0)
-    A, A_csr, b = data.A, data.A_csr, data.b
-    codes = data.sense_codes
+    A_csr, b, codes = data.A_csr, data.b, data.sense_codes
     if out.dropped.size:
         live = np.ones(data.m, dtype=bool)
         live[out.dropped] = False
         A_csr, b, codes = A_csr[live], b[live], codes[live]
-        A = A_csr.tocsc()
+    A = A_csr.tocsc()
     out.m = m = len(b)
     out.cols, out.rows = cols, rows = _substitutions(A_csr, codes, data.is_binary)
     keep = np.ones(n, dtype=bool)
@@ -1076,3 +1075,49 @@ def reference_reduced(data, drop_rows: bool = True):
     out.implied_lo = b[rows] - _reference_box_max(terms, lo, up)
     out.implied_up = b[rows] + _reference_box_max(-terms, lo, up)
     return out
+
+
+def reference_boxes(red, lower, upper):
+    """The column boxes (kept columns, slacks, artificials) of the
+    presolved model `red` over the full model's column bounds, built as one
+    array over every column: the kept columns' own bounds, the rows'
+    slack boxes by sense, and each substitution row's slack box overwritten
+    by its column's box scaled by piv, each end left off where the other
+    columns' declared boxes imply it."""
+    lo = np.concatenate([lower[red.kept], red.slack_lo])
+    up = np.concatenate([upper[red.kept], red.slack_up])
+    if red.cols.size:
+        a, b = red.piv * lower[red.cols], red.piv * upper[red.cols]
+        s_lo, s_up = np.minimum(a, b), np.maximum(a, b)
+        at = red.n + red.rows
+        lo[at] = np.where(s_lo <= red.implied_lo, -math.inf, s_lo)
+        up[at] = np.where(s_up >= red.implied_up, math.inf, s_up)
+    return np.concatenate([lo, np.zeros(red.m)]), np.concatenate([up, np.full(red.m, math.inf)])
+
+
+# The warm dual's Farkas check on the presolved rows and the solve's own
+# boxes, which simplex.proves_infeasible replaced with the check on the full
+# rows, kept so that the two verdicts can be compared row for row.
+
+
+def reference_proves_infeasible(solver, rho):
+    """The warm dual's Farkas check as it was made on the presolved rows:
+    the row combination rho^T (A x + s) = rho^T b over the solve's boxes of
+    the kept columns and the slacks cannot hold anywhere, by a margin far
+    above rounding.  Rounding noise in rho is dropped first."""
+    from gridcover.simplex import FEAS_TOL
+
+    n, m = solver.n, solver.m
+    y = np.where(np.abs(rho) > 1e-12 * np.abs(rho).max(), rho, 0.0)
+    g = (solver._rows @ y)[: n + m]
+    lo, up = solver.lo[: n + m], solver.up[: n + m]
+    nz = g != 0.0
+    g, lo, up = g[nz], lo[nz], up[nz]
+    hi_end = np.where(g > 0, up, lo)  # the bound that maximizes each term
+    lo_end = np.where(g > 0, lo, up)
+    top, bottom = float(g @ hi_end), float(g @ lo_end)
+    rhs = float(y @ solver.lp.b)
+    finite = np.isfinite(hi_end) & np.isfinite(lo_end)
+    scale = float(np.abs(g[finite] * hi_end[finite]).sum() + np.abs(g[finite] * lo_end[finite]).sum())
+    margin = FEAS_TOL * float(np.abs(y).max()) * (1 + m) + 1e-9 * (scale + abs(rhs))
+    return rhs > top + margin or rhs < bottom - margin

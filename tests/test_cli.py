@@ -419,6 +419,20 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 2
         assert lines[0].startswith("rows,cols,")
 
+    def test_solver_trouble_without_an_axis_writes_error_rows(self, tmp_path, capsys, monkeypatch):
+        from gridcover.simplex import SimplexNumericalError
+
+        def broken(*args, **kwargs):
+            raise SimplexNumericalError("singular basis: injected")
+
+        monkeypatch.setattr(gridcover.harness, "solve_milp", broken)
+        out = tmp_path / "results.csv"
+        code, _, _ = run(["sweep", "--rows", "4", "--cols", "4", "--ns", "1", "--l", "1",
+                          "--kmax", "2", "--seeds", "0,1", "--out", str(out)], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["solver_status"], r["note"]) for r in rows] == [("error", "singular basis: injected")] * 2
+
     def test_deterministic_sweep_byte_identical(self, tmp_path, capsys):
         args = ["sweep", "--rows", "4", "--cols", "4", "--placement", "none",
                 "--planner", "random", "--l", "2", "--kmax", "3",

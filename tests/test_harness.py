@@ -95,6 +95,23 @@ class TestRunPipeline:
             assert (row.solver_status, row.note) == ("infeasible", "static placement infeasible")
             assert row.deployment is None and row.plan is None and row.objective is None
 
+    @pytest.mark.parametrize("placement, n_static", [("milp-static", 1), ("none", 0)])
+    def test_solver_trouble_recorded_per_seed(self, monkeypatch, placement, n_static):
+        # a SimplexNumericalError of either stage (the placement's solve,
+        # or the plan's when nothing is placed) is an error row per seed
+        from gridcover.simplex import SimplexNumericalError
+
+        def broken(*args, **kwargs):
+            raise SimplexNumericalError("singular basis: injected")
+
+        monkeypatch.setattr(harness, "solve_milp", broken)
+        config = tiny_config(rows=4, cols=4, placement=placement, n_static=n_static, seeds=(0, 1))
+        rows = run_pipeline(config)
+        assert [r.seed for r in rows] == [0, 1]
+        for row in rows:
+            assert (row.solver_status, row.note) == ("error", "singular basis: injected")
+            assert row.plan is None and row.objective is None
+
     def test_default_config_constructs(self):
         config = ExperimentConfig()
         assert (config.placement, config.n_static) == ("milp-static", 1)

@@ -1,5 +1,6 @@
 """Bounded-variable simplex against brute-force vertex enumeration."""
 
+import collections
 import math
 
 import numpy as np
@@ -23,10 +24,17 @@ from gridcover.simplex import (
     _face_weights,
     _Reduced,
     _Solver,
+    proves_infeasible,
     solve_lp,
 )
 
-from oracles import lp_by_vertex_enumeration, reference_crash_columns, reference_reduced
+from oracles import (
+    lp_by_vertex_enumeration,
+    reference_boxes,
+    reference_crash_columns,
+    reference_proves_infeasible,
+    reference_reduced,
+)
 
 
 def build(c, A, senses, b, lower, upper, maximize=True):
@@ -600,13 +608,58 @@ class TestWarmStart:
         checked = 0
         for _ in range(60):
             data = LpData(build(*self.random_lp(rng)))
-            solver = _Solver(data, None, drop_rows=False)
-            if solver.solve().status != "optimal":
+            if solve_lp(data).status != "optimal":
                 continue
             for _ in range(20):
-                assert not solver._proves_infeasible(rng.normal(size=data.m))
+                assert not proves_infeasible(data, rng.normal(size=data.m), data.lower, data.upper)
                 checked += 1
         assert checked > 400
+
+    def test_farkas_check_on_the_full_rows_agrees_with_the_presolved_rows(self, monkeypatch):
+        # every row the warm dual hands over, lifted to the full rows, gets
+        # from proves_infeasible the verdict of the check on the presolved
+        # rows and the solve's own boxes (tests/oracles.py)
+        import gridcover.simplex as simplex
+
+        last, family, verdicts = [], [None], collections.Counter()
+        tableau_row, check = _Solver._tableau_row, simplex.proves_infeasible
+
+        def spy_row(solver, r):
+            out = tableau_row(solver, r)
+            last[:] = [solver, out[0]]
+            return out
+
+        def spy_check(data, y, lower, upper):
+            solver, rho = last
+            assert data is solver.data and lower is solver.x_lo and upper is solver.x_up
+            assert np.array_equal(y, solver.lp.full_duals(rho, data.m))
+            got = check(data, y, lower, upper)
+            assert got == reference_proves_infeasible(solver, rho)
+            verdicts[family[0], got] += 1
+            return got
+
+        monkeypatch.setattr(_Solver, "_tableau_row", spy_row)
+        monkeypatch.setattr(simplex, "proves_infeasible", spy_check)
+        rng = np.random.default_rng(2718)
+        for t in range(300):
+            family[0] = t % 3
+            lp = (self.random_lp, substituted_lp, dominated_lp)[t % 3](rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            if parent.status != "optimal":
+                continue
+            j = int(rng.integers(0, len(c)))
+            e = np.zeros(len(c))
+            e[j] = 1.0
+            reach = (highs(e, A, senses, b, lower, upper, False)[1],
+                     highs(e, A, senses, b, lower, upper, True)[1])
+            # and a box the rows rule out by less than the check's margin
+            near = [(reach[1] + 1e-8, upper[j])] if reach[1] + 1e-8 <= upper[j] else []
+            for box in self.tightenings(j, parent.values[j], lower[j], upper[j], reach) + near:
+                _Solver(data, NodeBounds({j: box}, parent.basis)).solve_warm(parent.basis)
+        # both verdicts, in each of the three families
+        assert len(verdicts) == 6 and sum(verdicts.values()) > 150, verdicts
 
 
 class TestColumnStore:
@@ -870,9 +923,8 @@ def substituted_lp(rng, nonneg=False):
 def public_arrays(data):
     """Every public LpData array, as bytes."""
     out = {}
-    for name in ("A", "A_csr"):
-        mat = getattr(data, name)
-        out[name] = (mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes(), mat.shape)
+    mat = data.A_csr
+    out["A_csr"] = (mat.data.tobytes(), mat.indices.tobytes(), mat.indptr.tobytes(), mat.shape)
     for name in ("b", "sense_codes", "c_min", "lower", "upper", "is_binary"):
         out[name] = getattr(data, name).tobytes()
     out["senses"], out["n"], out["m"] = list(data.senses), data.n, data.m
@@ -1021,14 +1073,18 @@ class TestPresolveOracle:
     """The presolve, built from gathers and sums over the index arrays,
     against the one built from scipy's sparse slicing, products and stacks
     (tests/oracles.py): every array the same to the byte, index dtypes
-    included, with and without the dominated rows."""
+    included, with and without the dominated rows; and the workspace's
+    column boxes those built over every column at once."""
 
     @staticmethod
     def check(data):
         for drop_rows in (True, False):
-            got = presolve_arrays(_Reduced(data, drop_rows))
+            red = _Reduced(data, drop_rows)
+            got = presolve_arrays(red)
             want = presolve_arrays(reference_reduced(data, drop_rows))
             assert got == want, sorted(k for k in want if got.get(k) != want[k])
+            for box, ref in zip((red.box_lo, red.box_up), reference_boxes(red, data.lower, data.upper)):
+                assert box.dtype == ref.dtype and box.tobytes() == ref.tobytes()
 
     def test_random_lps(self):
         rng = np.random.default_rng(41)
@@ -1155,7 +1211,11 @@ class TestDominatedRows:
                 assert data.feasible(res.values, lower, upper)
                 # the same point as the solve that keeps every row: the
                 # dropped rows' slacks carry no face weight
-                full = _Solver(data, None, drop_rows=False).solve()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(_Reduced, "admits", lambda red, upper: False)
+                    solver = _Solver(data, None)
+                    assert solver.m == data.m
+                    full = solver.solve()
                 assert np.allclose(res.values, full.values, atol=1e-7), lp
         assert kinds["optimal"] > 80 and kinds["infeasible"] > 40, kinds
         assert dropped > 300
@@ -1217,7 +1277,10 @@ class TestDominatedRows:
             checked += 1
             dropped += data.reduced().dropped.size
             assert _Solver(data, None).solve().status == "unbounded", lp
-            assert _Solver(data, None, drop_rows=False).solve().status == "unbounded", lp
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_Reduced, "admits", lambda red, upper: False)
+                solver = _Solver(data, None)
+                assert solver.m == data.m and solver.solve().status == "unbounded", lp
             assert solve_lp(data).status == "unbounded", lp
         assert checked > 40 and dropped > 100, (checked, dropped)
 
@@ -1410,7 +1473,7 @@ def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
     assert max(gaps) <= 1e-9
 
 
-def test_warm_dual_perturbation_stays_below_the_tilt():
+def test_warm_dual_perturbation_stays_below_the_tilt(monkeypatch):
     # the dual must end on a vertex that is optimal for the tilted costs, so
     # its largest perturbation step stays an order of magnitude below the
     # smallest tilt; a tenth of the tilt (DUAL_PERTURB 1e-8) lies below it,
@@ -1418,10 +1481,13 @@ def test_warm_dual_perturbation_stays_below_the_tilt():
     # the pivot budget above
     for cfg in (TABLE8_L1_NS3, MOV10):
         data = LpData(build_mobile_milp(cfg, place_static_milp(cfg)[0]).instance)
-        for drop_rows in (True, False):
-            solver = _Solver(data, None, drop_rows=drop_rows)
+        for every_row in (False, True):
+            with monkeypatch.context() as mp:
+                if every_row:  # the model that keeps the dominated rows
+                    mp.setattr(_Reduced, "admits", lambda red, upper: False)
+                solver = _Solver(data, None)
             solver.status = np.full(solver.ncols, AT_LO, dtype=np.int8)
-            tilted = solver._phase2_costs()[1]
+            tilted = solver.lp.tilted
             # with every reduced cost at zero, the shift is the perturbation itself
             _, step = solver._dual_feasible_costs(tilted, np.zeros(solver.ncols), perturb=True)
             tilt = TIE_EPS * solver.lp.face[solver.lp.face > 0].min()
