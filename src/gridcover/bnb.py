@@ -15,12 +15,17 @@ that noise, not to a fixed order.  Bounds are rounded to the objective's
 next integer (simplex.LpData.round_bound) when the model shows an
 integral objective (simplex.LpData.objective_integral; the paper's models
 count whole cells and movements).  A seeded search may
-close before any LP: when the seed attains the bound of the variable boxes
-alone, or the bound on the root LP that the LP's symmetry quotient proves
-(quotient.lp_bound), it ends "optimal" at 0 nodes, as a root LP no better
+close before any LP, on the first of three bounds, each computed only
+when the ones before it leave a gap: the bound of the variable boxes alone
+(the dual bound at y = 0), the bound on the root LP that the LP's symmetry
+quotient proves (quotient.lp_bound), and a bound on every integer point
+that the caller hands with the instance (hand_bound).  When the seed
+attains one, the search ends "optimal" at 0 nodes, as a root LP no better
 than the seed would have ended it.  The harness's packing seeds close
-placement solves this way, and its fewest-movements seeds close movement
-solves (mov10 among them).  Otherwise the root relaxation is
+placement solves this way, its fewest-movements seeds close movement
+solves (mov10 among them), and a coverage seed closes on the single-path
+bound that the harness hands in (harness.path_bound; table8's L=1/N_s=3
+row); this module knows nothing of paths.  Otherwise the root relaxation is
 solved cold by the bounded-variable simplex.  Every other node's bound map
 is a NodeBounds that carries its parent's optimal basis (one object,
 shared by the two siblings), from which the simplex re-optimizes with the
@@ -49,7 +54,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,10 +155,12 @@ class _Search:
         # a seeded search that attains a bound proven before any LP is done:
         # the bound from the variable boxes alone (the dual bound at y = 0;
         # e.g. full-coverage plans), then the symmetry quotient's bound on
-        # the root LP
+        # the root LP, then the bound handed with the instance (hand_bound),
+        # each computed only when the ones before it fail
         if self.incumbent is not None and (
             self.prunes(dual_bound(self.data, np.zeros(self.data.m)))
             or self.prunes(lp_bound(self.instance))
+            or self.prunes(_handed_bound(self.instance))
         ):
             return self._finish(False, False, [])
 
@@ -244,6 +251,25 @@ class _Search:
         return MilpResult(status, incumbent, objective, bound, gap, self.nodes_explored)
 
 
+def hand_bound(instance: MilpInstance, bound: Callable[[], Optional[float]]) -> None:
+    """Give the seeded searches of `instance` one more bound to close on
+    before any LP: `bound()` is a proven bound on the objective of every
+    integer point (None: no bound), called at most once, and only when a
+    seed attains neither the box nor the quotient bound.  It is kept with
+    the instance's other derived views, so a change to the model drops
+    it."""
+    instance._views["handed_bound"] = bound
+
+
+def _handed_bound(instance: MilpInstance) -> Optional[float]:
+    """The value of the bound handed with `instance` (None: none)."""
+    views = instance._views
+    bound = views.get("handed_bound")
+    if callable(bound):
+        views["handed_bound"] = bound = bound()
+    return bound
+
+
 def solve_milp(
     instance: MilpInstance,
     params: Optional[SolveParams] = None,
@@ -256,7 +282,8 @@ def solve_milp(
     float vector of length n_variables.  `warm_start` seeds the incumbent
     with a feasible point of that length (verified here; a seed of another
     shape or an infeasible one raises ValueError); correctness is
-    unaffected, pruning just tightens.  Numerical failures from the LP
-    engine propagate as SimplexNumericalError.
+    unaffected, pruning just tightens (see hand_bound for a bound the
+    search may close on).  Numerical failures from the LP engine propagate
+    as SimplexNumericalError.
     """
     return _Search(instance, params or SolveParams()).run(warm_start)

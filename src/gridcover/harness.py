@@ -20,7 +20,9 @@ its candidates as one bitmask, the cells whose footprints still fit, so
 it never scans a blocked cell; under a cap of one it needs no layers.
 Each seeder takes the `FormulationHandle` it seeds and reads that model's
 geometry from it: its footprint and step tables are the ones the builder
-built the model from.
+built the model from.  A coverage solve also reads the single-path bound
+(path_bound): an exact depth-first search over one node's paths, on the
+same bitmasks and tables, decides whether the seed attains it.
 Deployments, plans and result rows are persisted as line-oriented text so
 every reported number can be re-derived offline.  A `ResultRow` holds
 the `ExperimentConfig` it ran, and the CSV's config columns are read from
@@ -29,6 +31,7 @@ it (RESULT_COLUMNS).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, fields, replace
@@ -36,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .bnb import MilpResult, SolveParams, solve_milp
+from .bnb import MilpResult, SolveParams, hand_bound, solve_milp
 from .formulations import (
     FormulationHandle,
     MobilePlan,
@@ -59,6 +62,7 @@ PLACEMENTS = ("milp-static", "random-static", "none")
 PLANNERS = ("milp-cov", "milp-mov", "greedy", "random", "none")
 PACK_SEARCH_STEPS = 400_000  # search nodes the static packing seed may visit
 SEED_SEARCH_STEPS = 20_000  # steps the backtracking and fewest-movements searches may each take
+PATH_SEARCH_STEPS = 50_000  # path prefixes the single-path pricing search may visit
 
 
 @dataclass(frozen=True)
@@ -500,6 +504,73 @@ def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int
 
 
 # ---------------------------------------------------------------------------
+# the single-path bound of the coverage model
+# ---------------------------------------------------------------------------
+
+
+def path_covers_more(handle: FormulationHandle, tables, most: int) -> Optional[bool]:
+    """Whether some path of one mobile node (handle.horizon cells, each in
+    the step window of the one before) covers more than `most` cells of
+    the handle's uncovered set with the union of its footprints; None when
+    the search runs out of PATH_SEARCH_STEPS prefixes.  `tables` are the
+    handle's _seed_tables.
+
+    The exact pricing of the union path master at the counting duals (1 on
+    every cover row, 0 on every cap row): a depth-first search over path
+    prefixes, each visited prefix one step.  A prefix is extended only
+    while its cells plus the largest sum of footprint sizes over the steps
+    still open exceed `most` (`ahead`, a DP over the step layers: a union
+    never exceeds the sum of its parts), most promising extension first."""
+    masks, windows = tables
+    size = [fp.bit_count() for fp in masks]
+    # ahead[r][p]: the largest sum of footprint sizes over r more steps from p
+    ahead = [[0] * len(masks)]
+    for _ in range(handle.horizon - 1):
+        last = ahead[-1]
+        ahead.append([max(size[q] + last[q] for q in window) for window in windows])
+    steps = 0
+
+    def extend(union: int, cands, left: int) -> Optional[bool]:
+        """True once a path covers more than `most`, False when no path
+        through this prefix does, None when the budget runs out; `left`
+        steps are open and `cands` may take the next one."""
+        nonlocal steps
+        room = ahead[left - 1]
+        options = []
+        for q in cands:
+            grown = union | masks[q]
+            reach = grown.bit_count() + room[q]
+            if reach > most:
+                options.append((-reach, q, grown))
+        for _, q, grown in sorted(options):
+            steps += 1
+            if steps > PATH_SEARCH_STEPS:
+                return None
+            found = True if left == 1 else extend(grown, windows[q], left - 1)
+            if found is not False:
+                return found
+        return False
+
+    return extend(0, range(len(masks)), handle.horizon)
+
+
+def path_bound(handle: FormulationHandle, seed: MobilePlan) -> Optional[int]:
+    """A proven bound on the covered cells of every plan of the coverage
+    model `handle`, or None: n_mobile times the most that one node's path
+    covers, when no path covers more than the plan `seed` covers over
+    n_mobile (the seed then attains the bound).  Every plan covers at most
+    the sum of its paths' cells, caps or not; None also when the search
+    (path_covers_more) runs out of its budget."""
+    tables = _seed_tables(handle)
+    index = {cell: n for n, cell in enumerate(handle.uncovered)}
+    covered = 0
+    for cell in seed.positions.values():
+        covered |= tables[0][index[cell]]
+    most = covered.bit_count() // handle.n_mobile
+    return None if path_covers_more(handle, tables, most) is not False else handle.n_mobile * most
+
+
+# ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
 
@@ -576,7 +647,11 @@ def plan_mobile_milp(
     with more movements than the floor (that one, or the quotient bound the
     solve reads, rounded up) gives way to the plan of fewest movements the
     bounded search finds below it (_fewest_moves_plan); a seed that reaches
-    the quotient bound ends the solve before any LP."""
+    the quotient bound ends the solve before any LP.  A coverage solve
+    also gets the single-path bound (path_bound), which it computes only
+    after its box and quotient bounds have failed to close it: a seed
+    that covers n_mobile times the most cells one path covers ends it
+    "optimal" before any LP too."""
     handle = build_mobile_milp(config, deployment)
     if handle.nothing_to_plan:
         empty = MobilePlan(n_mobile=handle.n_mobile, horizon=handle.horizon, positions={})
@@ -599,6 +674,8 @@ def plan_mobile_milp(
         if seeded.movements > low:
             seeded = _fewest_moves_plan(handle, tables, stop_at, low, seeded.movements - 1) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)
+    if stop_at is None and seeded is not None:  # computed only if the box and quotient bounds fail
+        hand_bound(handle.instance, functools.partial(path_bound, handle, seeded))
     result = solve_milp(handle.instance, config.solver_params(), warm_start=warm)
     if result.incumbent is None:
         return handle, None, result

@@ -8,6 +8,11 @@ nonbasic at either bound: Phase 1 via auxiliary artificials from a
 slack/crash basis, Phase 2 on costs slightly tilted toward a fixed generic
 weighting, a pass on the exact costs, and the Bland anti-cycling rule
 engaged after a run of 2*(rows+cols) degenerate pivots.  Pricing is Devex.
+Phase 1 and the finish apply one feasibility test, LpData.feasible on the
+full model's point: phase 1 calls an LP feasible only when its point
+passes it (less the dropped rows, which hold at every optimum, not at
+every point), and phase 2 holds the artificials at their phase-1 values,
+so the residual that the test let pass is the one the finish re-verifies.
 
 A warm solve starts from the optimal basis of an LP that differs only in
 its bounds (a branch-and-bound parent; see NodeBounds).  That basis stays
@@ -327,12 +332,16 @@ class LpData:
             return bound
         return math.floor(bound + 1e-6) if self.obj_sign < 0 else math.ceil(bound - 1e-6)
 
-    def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
+    def feasible(self, x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 skip: Optional[np.ndarray] = None) -> bool:
         """Whether `x` is within the bounds (a NaN is not) and satisfies
-        every row."""
+        every row but the rows `skip` (none by default)."""
         if not np.all((x >= lower - BOUND_TOL) & (x <= upper + BOUND_TOL)):
             return False
-        return max_residual(self.A_csr @ x, self.sense_codes, self.b) <= FEAS_TOL
+        lhs = self.A_csr @ x
+        if skip is not None:
+            lhs[skip] = self.b[skip]  # a skipped row counts as met
+        return max_residual(lhs, self.sense_codes, self.b) <= FEAS_TOL
 
     def reduced(self, drop_rows: bool = True) -> "_Reduced":
         """The presolved model a solve works on, built on first use; with
@@ -1352,15 +1361,17 @@ class _Solver:
         if self.run_phase(c1) == "unbounded":
             raise SimplexNumericalError("phase 1 reported unbounded")
         self._refresh()
-        art_sum = float(self.val[n + m :].sum())
-        if art_sum > FEAS_TOL * (1.0 + math.sqrt(m)):
+        # phase 1's verdict is the finish's re-verification (_finish): the
+        # full model's point within the boxes and each full row within
+        # FEAS_TOL, less the dropped rows, which hold at every optimum but
+        # not at every point (_dominated_rows)
+        if not self.data.feasible(self._point(), self.x_lo, self.x_up, skip=self.lp.dropped):
             return LpResult(status="infeasible", iterations=self.iterations)
 
-        # pin artificials to zero for phase 2
-        self.lo[n + m :] = 0.0
-        self.up[n + m :] = 0.0
-        np.clip(self.val[n + m :], 0.0, 0.0, out=self.val[n + m :])
-        self.xb = self.val[self.basis]
+        # pin artificials for phase 2 at their phase-1 values: zero, or a
+        # residual that the test above let pass, which phase 2 then keeps
+        self.lo[n + m :] = self.val[n + m :]
+        self.up[n + m :] = self.val[n + m :]
         return self._optimize() or LpResult(status="unbounded", iterations=self.iterations)
 
     def _optimize(self) -> Optional[LpResult]:

@@ -10,7 +10,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 import gridcover.bnb as bnb
 from gridcover import harness
-from gridcover.formulations import build_milp_static, static_deployment
+from gridcover.formulations import build_milp_static, encode_plan, static_deployment
 from gridcover.grid import GridSpec
 from gridcover.harness import ExperimentConfig
 from gridcover.milp import GE, LE, MilpInstance
@@ -18,6 +18,15 @@ from gridcover.bnb import MilpResult, SolveParams, solve_milp
 from gridcover.simplex import LpData, NodeBounds, _Solver, dual_bound, solve_lp
 
 from oracles import milp_by_enumeration
+
+
+def seeded_model(cfg: ExperimentConfig):
+    """The coverage model of `cfg` over its static deployment, and the seed
+    point that plan_mobile_milp hands its solve.  (That solve closes the
+    table's L=1/N_s=3 row before any LP, on the single-path bound, so the
+    tests of that row's search run the search on these directly.)"""
+    handle = harness.build_mobile_milp(cfg, harness.place_static_milp(cfg)[0])
+    return handle, encode_plan(handle, harness.best_seed_plan(handle))
 
 
 def random_milp(rng: random.Random, n_bin=None, n_cont=None, n_rows=None) -> MilpInstance:
@@ -331,6 +340,67 @@ def stopping_bound(solver: _Solver):
     return dual_bound(solver.data, solver.lp.full_duals(y, solver.data.m), solver.x_lo, solver.x_up)
 
 
+class TestHandedBound:
+    """A bound handed with the instance (hand_bound) closes a seeded search
+    before any LP when the seed attains it.  It is read only after the box
+    and quotient bounds fail to close the search, at most once, and a change
+    to the model drops it."""
+
+    @staticmethod
+    def odd_cycle():
+        # x_i + x_{i+1} <= 1 around a triangle at the fractional weight 1.1:
+        # the LP and quotient bounds are 1.65 and the optimum is 1.1, and a
+        # fractional objective is not rounded
+        m = MilpInstance()
+        xs = [m.add_variable(f"x{i}", "binary", 0, 1) for i in range(3)]
+        for i in range(3):
+            m.add_constraint([(xs[i], 1), (xs[(i + 1) % 3], 1)], "<=", 1)
+        m.set_objective([(x, 1.1) for x in xs], "maximize")
+        return m
+
+    def test_a_bound_the_seed_attains_closes_before_any_lp(self, monkeypatch):
+        m, seed = self.odd_cycle(), np.array([1.0, 0.0, 0.0])
+        assert solve_milp(m, warm_start=seed).nodes_explored > 0
+        calls, lps = [], []
+        solve = bnb.solve_lp
+        monkeypatch.setattr(bnb, "solve_lp", lambda *a: lps.append(a) or solve(*a))
+        bnb.hand_bound(m, lambda: calls.append(1) or 1.1)
+        for _ in range(2):
+            res = solve_milp(m, warm_start=seed)
+            assert (res.status, res.objective, res.best_bound, res.nodes_explored) == ("optimal", 1.1, 1.1, 0)
+        assert calls == [1] and lps == []
+        # an unseeded search has nothing to close on, and a change to the
+        # model drops the bound
+        assert solve_milp(m).nodes_explored > 0
+        m.add_constraint([(0, 1)], "<=", 1)
+        assert solve_milp(m, warm_start=seed).nodes_explored > 0 and calls == [1]
+
+    def test_no_bound_and_a_bound_above_the_seed_leave_the_search_as_it_was(self):
+        seed = np.array([1.0, 0.0, 0.0])
+        want = solve_milp(self.odd_cycle(), warm_start=seed)
+        for bound in (None, 1.2):
+            m = self.odd_cycle()
+            bnb.hand_bound(m, lambda: bound)
+            got = solve_milp(m, warm_start=seed)
+            assert (got.status, got.objective, got.best_bound, got.nodes_explored) == (
+                want.status, want.objective, want.best_bound, want.nodes_explored)
+
+    def test_read_only_when_the_box_and_quotient_bounds_leave_a_gap(self):
+        # the box bound closes max x <= 1 at the seed 1, and the quotient
+        # bound closes one of two binaries at the seed (1, 0)
+        box = MilpInstance()
+        x = box.add_variable("x", "binary", 0, 1)
+        box.set_objective([(x, 1)], "maximize")
+        pair = MilpInstance()
+        a, b = pair.add_variable("a", "binary", 0, 1), pair.add_variable("b", "binary", 0, 1)
+        pair.add_constraint([(a, 1), (b, 1)], "<=", 1)
+        pair.set_objective([(a, 1), (b, 1)], "maximize")
+        for m, seed in ((box, [1.0]), (pair, [1.0, 0.0])):
+            bnb.hand_bound(m, lambda: pytest.fail("the handed bound was read"))
+            res = solve_milp(m, warm_start=np.array(seed))
+            assert (res.status, res.objective, res.nodes_explored) == ("optimal", 1.0, 0)
+
+
 class TestCutoff:
     """A warm node LP stops once a safe bound prunes its node, with status
     "cutoff": the search is then the one that solves each node LP to its
@@ -400,9 +470,9 @@ class TestCutoff:
         assert searches == 1200 and len(cutoffs) >= 100, len(cutoffs)
 
     def test_table8_cuts_off_thirteen_of_its_node_lps(self, monkeypatch):
-        # the 8x8 table's L=1/N_s=3 row under its 40-node cap: the incumbent
-        # 28 prunes every node LP below 29, and 13 of the 39 warm ones end
-        # there (LP values 25 to 28.98)
+        # the search of the 8x8 table's L=1/N_s=3 row under its 40-node cap
+        # (seeded_model): the incumbent 28 prunes every node LP below 29,
+        # and 13 of the 39 warm ones end there (LP values 25 to 28.98)
         strip, cutoffs = self.spy(monkeypatch)
         warm = []
         node_lp = bnb.solve_lp
@@ -416,12 +486,12 @@ class TestCutoff:
         monkeypatch.setattr(bnb, "solve_lp", counted)
         cfg = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
                                placement="milp-static", planner="milp-cov", time_limit=240, node_limit=40)
-        deployment = harness.place_static_milp(cfg)[0]
-        _, _, got = harness.plan_mobile_milp(cfg, deployment)
+        handle, warm_start = seeded_model(cfg)
+        got = solve_milp(handle.instance, cfg.solver_params(), warm_start=warm_start)
         assert (len(warm), warm.count("cutoff"), len(cutoffs)) == (39, 13, 13)
         assert all(25.0 <= cold < 29.0 for _, cold in cutoffs), cutoffs
         strip[0] = True
-        _, _, want = harness.plan_mobile_milp(cfg, deployment)
+        want = solve_milp(handle.instance, cfg.solver_params(), warm_start=warm_start)
         assert self.outcome(got) == self.outcome(want)
         assert (got.status, got.objective, got.best_bound, got.nodes_explored) == ("feasible", 28.0, 29.0, 40)
 
@@ -557,15 +627,17 @@ class TestAgainstScipyMilp:
         assert {k for k, s in statuses if s == "optimal"} == {"static", "milp-cov", "milp-mov"}
 
     def test_table8_l1_ns3_proof(self):
-        # the 8x8 table's L=1/N_s=3 row with its 40-node cap lifted: its LP
-        # bound is 29 and the optimum 28, so best-bound expands every node
-        # whose floored bound is 29, in any order of ties.  How many there
-        # are turns on exact ties in most-fractional branching, which
-        # rounding noise decides: 101 under the largest-infeasibility dual,
-        # 79 under dual Devex, whose pivot paths round differently
+        # the search of the 8x8 table's L=1/N_s=3 row (seeded_model) with
+        # its 40-node cap lifted: its LP bound is 29 and the optimum 28, so
+        # best-bound expands every node whose floored bound is 29, in any
+        # order of ties.  How many there are turns on exact ties in
+        # most-fractional branching, which rounding noise decides: 101
+        # under the largest-infeasibility dual, 79 under dual Devex, whose
+        # pivot paths round differently
         cfg = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
                                placement="milp-static", planner="milp-cov", time_limit=240)
-        handle, _, res = harness.plan_mobile_milp(cfg, harness.place_static_milp(cfg)[0])
+        handle, warm_start = seeded_model(cfg)
+        res = solve_milp(handle.instance, cfg.solver_params(), warm_start=warm_start)
         assert (res.status, res.objective, res.nodes_explored) == ("optimal", 28.0, 79)
         self.agree(res, *scipy_milp(handle.instance))
 

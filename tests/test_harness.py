@@ -821,3 +821,99 @@ class TestMovementFloor:
                 _, plan, res = harness.plan_mobile_milp(cfg, deployment)
             assert (plan, res.status, res.nodes_explored) == (None, "infeasible", 0)
             assert solve_milp(handle.instance).status == "infeasible", cfg
+
+
+class TestPathBound:
+    """The single-path bound of the coverage model: no plan covers more than
+    n_mobile times the most that one node's path covers, and the exact
+    search path_covers_more decides whether a path covers more than a
+    threshold.  A seed that attains the bound closes its solve before any
+    LP of the search."""
+
+    TABLE8_L1_NS3 = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
+                                     placement="milp-static", planner="milp-cov",
+                                     time_limit=240, node_limit=40)
+
+    @staticmethod
+    def instances(count, seed, size, k_top):
+        """Random grids 3-5 x 3-5 with an uncovered set of 1 to `size` cells,
+        as (grid, c1, (k_max 1 to k_top, r_s 0-2, rho_x 1-2, rho_y 1-2))."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            grid = GridSpec(rng.randint(3, 5), rng.randint(3, 5))
+            c1 = sorted(rng.sample(sorted(grid.cells()), rng.randint(1, min(size, grid.n_cells))))
+            yield grid, c1, (rng.randint(1, k_top), rng.randint(0, 2), rng.randint(1, 2), rng.randint(1, 2))
+
+    @staticmethod
+    def handle(grid, c1, n_mobile, args, c_o=3):
+        k_max, r_s, rho_x, rho_y = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # step components
+            return build_milp_cov(grid, c1, n_mobile, k_max, r_s, rho_x, rho_y, c_o)
+
+    @staticmethod
+    def most(handle):
+        """The most cells one path covers, by the search at every threshold."""
+        tables = harness._seed_tables(handle)
+        return next(m for m in range(len(handle.uncovered) + 1)
+                    if harness.path_covers_more(handle, tables, m) is False)
+
+    def test_search_equals_brute_force(self):
+        for n, (grid, c1, args) in enumerate(self.instances(200, 32, 12, 4)):
+            k_max, r_s, rho_x, rho_y = args
+            paths = oracles._paths(c1, k_max, rho_x, rho_y, allow_stop=False)
+            top = int((oracles._path_count_matrix(paths, c1, r_s, grid) > 0).sum(axis=1).max())
+            handle = self.handle(grid, c1, 1, args)
+            tables = harness._seed_tables(handle)
+            assert harness.path_covers_more(handle, tables, top) is False, (n, grid, c1, args)
+            assert harness.path_covers_more(handle, tables, top - 1) is True, (n, grid, c1, args)
+
+    def test_bound_is_never_below_the_optimum(self):
+        rng = random.Random(33)
+        closed = {True: 0, False: 0}
+        for n_mobile, count, size, k_top in ((1, 80, 9, 4), (2, 60, 7, 2)):
+            for grid, c1, args in self.instances(count, 34 + n_mobile, size, k_top):
+                c_o = rng.randint(1, 3)
+                handle = self.handle(grid, c1, n_mobile, args, c_o)
+                best = oracles.best_coverage_plan(grid, c1, n_mobile, *args, c_o)
+                assert n_mobile * self.most(handle) >= best, (grid, c1, args, c_o)
+                seed = best_seed_plan(handle)
+                if seed is None:
+                    continue
+                bound = harness.path_bound(handle, seed)
+                closed[bound is not None] += 1
+                if bound is not None:
+                    assert bound == n_mobile * self.most(handle) == best, (grid, c1, args, c_o)
+        assert min(closed.values()) >= 10, closed
+
+    def test_a_search_out_of_its_budget_gives_no_bound(self, monkeypatch):
+        # the table8 row's question (a path of more than 28 cells?) takes
+        # 801 prefixes; one fewer, and the solve runs its capped search
+        cfg = self.TABLE8_L1_NS3
+        deployment = harness.place_static_milp(cfg)[0]
+        handle = harness.build_mobile_milp(cfg, deployment)
+        tables, seed = harness._seed_tables(handle), best_seed_plan(handle)
+        monkeypatch.setattr(harness, "PATH_SEARCH_STEPS", 801)
+        assert harness.path_covers_more(handle, tables, 28) is False
+        assert harness.path_bound(handle, seed) == 28
+        monkeypatch.setattr(harness, "PATH_SEARCH_STEPS", 800)
+        assert harness.path_covers_more(handle, tables, 28) is None
+        assert harness.path_bound(handle, seed) is None
+        _, _, res = harness.plan_mobile_milp(cfg, deployment)
+        assert (res.status, res.objective, res.best_bound, res.nodes_explored) == ("feasible", 28.0, 29.0, 40)
+
+    @pytest.mark.parametrize("sym", range(8))
+    def test_table8_row_closes_before_any_lp(self, sym, monkeypatch):
+        # the row's LP and quotient bounds are 29, its seed 28 and the most
+        # that one path covers 28, under each of the grid's symmetries
+        cfg = self.TABLE8_L1_NS3
+        positions = harness.place_static_milp(cfg)[0].positions
+        positions = [(j, i) if sym & 4 else (i, j) for i, j in positions]
+        positions = [(9 - i if sym & 1 else i, 9 - j if sym & 2 else j) for i, j in positions]
+        deployment = static_deployment(cfg.grid, positions, cfg.r_s, cfg.boundary_weight)
+        node_lps = []
+        monkeypatch.setattr(bnb, "solve_lp", lambda *a: node_lps.append(a))
+        handle, plan, res = harness.plan_mobile_milp(cfg, deployment)
+        assert (res.status, res.objective, res.best_bound, res.nodes_explored) == ("optimal", 28.0, 28.0, 0)
+        assert node_lps == [] and len(handle.uncovered) == 37
+        assert f"{evaluate_plan(deployment, plan, cfg.sensor_params, cfg.grid).coverage_pct:.2f}" == "85.94"

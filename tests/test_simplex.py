@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static
+from gridcover.bnb import solve_milp
+from gridcover.formulations import build_milp_cov, build_milp_mov, build_milp_static, encode_plan
 from gridcover.grid import GridSpec
-from gridcover.harness import ExperimentConfig, build_mobile_milp, place_static_milp, plan_mobile_milp
+from gridcover.harness import ExperimentConfig, best_seed_plan, build_mobile_milp, place_static_milp
 from gridcover.milp import GE, LE, MilpInstance
 from gridcover.quotient import dual_bound
 from gridcover.simplex import (
@@ -602,6 +603,36 @@ class TestWarmStart:
             data = LpData(build(*lp))
             j = int(rng.integers(0, len(c)))
             self.check_child(lp, data, {j: (lower[j], (lower[j] + upper[j]) / 2)}, foreign.basis)
+
+    def test_boxes_the_rows_rule_out_by_1e_8_end_infeasible_or_on_a_feasible_point(self):
+        # every column's box from 1e-8 above its maximum over the LP (HiGHS),
+        # warm and cold: phase 1 calls an LP feasible only when its point
+        # passes the finish's re-verification, and phase 2 keeps that
+        # point's residual, so no solve fails the re-verification (50 of
+        # these 266 solves raised SimplexNumericalError when phase 1 took
+        # an artificial sum up to FEAS_TOL (1 + sqrt(m)))
+        rng = np.random.default_rng(2718)
+        statuses = collections.Counter()
+        for _ in range(300):
+            lp = self.random_lp(rng)
+            c, A, senses, b, lower, upper, maximize = lp
+            data = LpData(build(*lp))
+            parent = solve_lp(data)
+            if parent.status != "optimal":
+                continue
+            for j in range(len(c)):
+                e = np.zeros(len(c))
+                e[j] = 1.0
+                lo, up = lower.copy(), upper.copy()
+                lo[j] = highs(e, A, senses, b, lower, upper, True)[1] + 1e-8
+                if lo[j] > up[j]:
+                    continue
+                for bounds in (NodeBounds({j: (lo[j], up[j])}, parent.basis), {j: (lo[j], up[j])}):
+                    res = solve_lp(data, bounds)
+                    statuses[res.status] += 1
+                    assert res.status == "infeasible" or (
+                        res.status == "optimal" and data.feasible(res.values, lo, up)), (lp, j)
+        assert sum(statuses.values()) == 266 and statuses["infeasible"] > 0, statuses
 
     def test_farkas_check_never_certifies_a_feasible_lp(self):
         rng = np.random.default_rng(11)
@@ -1297,14 +1328,26 @@ class TestDominatedRows:
         assert mov.reduced().dropped.size == 0 and mov.reduced(drop_rows=False) is mov.reduced()
 
 
-# the capped search of the 8x8 coverage table's L=1, N_s=3 row, which holds
-# every warm node LP of that table, and the 10x10 movement plan
+# the capped search of the 8x8 coverage table's L=1, N_s=3 row, and the
+# 10x10 movement plan
 TABLE8_L1_NS3 = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4,
                                  placement="milp-static", planner="milp-cov",
                                  time_limit=240, node_limit=40)
 MOV10 = ExperimentConfig(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4,
                          placement="milp-static", planner="milp-mov", coverage_target=1,
                          time_limit=300, node_limit=60)
+
+
+def table8_capped_search(deployment=None):
+    """The row's 40-node search: solve_milp on the built handle's instance,
+    seeded with the plan its solve is seeded with.  plan_mobile_milp closes
+    the row before any LP on the single-path bound
+    (tests/test_harness.py::TestPathBound), so the search, which holds
+    more warm node LPs than any other row of the table, is run directly."""
+    cfg = TABLE8_L1_NS3
+    handle = build_mobile_milp(cfg, deployment or place_static_milp(cfg)[0])
+    warm = encode_plan(handle, best_seed_plan(handle))
+    return solve_milp(handle.instance, cfg.solver_params(), warm_start=warm)
 
 
 def test_table8_warm_node_pivot_budget(monkeypatch):
@@ -1327,8 +1370,7 @@ def test_table8_warm_node_pivot_budget(monkeypatch):
         return res
 
     monkeypatch.setattr(bnb, "solve_lp", spy)
-    cfg = TABLE8_L1_NS3
-    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    res = table8_capped_search()
     assert res.nodes_explored == 40 and len(warm) == 39
     assert (res.status, res.objective, res.best_bound) == ("feasible", 28.0, 29.0)
     assert sum(warm) <= 820
@@ -1350,10 +1392,9 @@ def test_table8_search_factorization_count(monkeypatch):
         calls[0] += 1
         return splu(B)
 
-    cfg = TABLE8_L1_NS3
-    deployment = place_static_milp(cfg)[0]
+    deployment = place_static_milp(TABLE8_L1_NS3)[0]
     monkeypatch.setattr(simplex.spla, "splu", spy)
-    _, _, res = plan_mobile_milp(cfg, deployment)
+    res = table8_capped_search(deployment)
     assert res.nodes_explored == 40
     assert calls[0] <= 43
 
@@ -1381,8 +1422,7 @@ def test_table8_children_match_with_and_without_the_handed_down_factor(monkeypat
         return res
 
     monkeypatch.setattr(bnb, "solve_lp", spy)
-    cfg = TABLE8_L1_NS3
-    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    res = table8_capped_search()
     assert res.nodes_explored == 40 and len(handed) == 39
     assert sum(handed) >= 20
 
@@ -1413,8 +1453,7 @@ def test_table8_children_match_with_and_without_the_model_workspace(monkeypatch)
         return res
 
     monkeypatch.setattr(bnb, "solve_lp", spy)
-    cfg = TABLE8_L1_NS3
-    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    res = table8_capped_search()
     assert res.nodes_explored == 40 and kinds == {"optimal": 26, "cutoff": 13}
 
 
@@ -1467,8 +1506,7 @@ def test_table8_warm_node_points_are_the_cold_points(monkeypatch):
         return res
 
     monkeypatch.setattr(bnb, "solve_lp", spy)
-    cfg = TABLE8_L1_NS3
-    _, _, res = plan_mobile_milp(cfg, place_static_milp(cfg)[0])
+    res = table8_capped_search()
     assert res.nodes_explored == 40 and (len(gaps), len(cut)) == (26, 13)
     assert max(gaps) <= 1e-9
 
