@@ -100,8 +100,12 @@ class FormulationHandle:
     its last axis (the grid row-major, or C_1 sorted).
 
     `footprints` and `steps` are the `grid.windows` tables over `cells` at
-    reach r_s and (rho_x, rho_y), each computed once, when first read: the
-    builder reads them, and so do the encoders and the warm-start seeders.
+    reach r_s and (rho_x, rho_y), and the builder reads them.  The encoders
+    and the warm-start searches read the same tables in the forms they
+    index: `footprint_lists` and `step_lists` (one list of indices per
+    cell), `footprint_masks` (each footprint as a Python-int bitmask, bit q
+    for cells[q]) and `index` (each cell's position in `cells`).  Each is
+    computed once, when first read.
     """
 
     kind: str  # "static" | "cov" | "mov"
@@ -142,10 +146,21 @@ class FormulationHandle:
     def steps(self) -> Tuple[np.ndarray, np.ndarray]:
         return windows(self.grid, self.cells, self.rho_x, self.rho_y)
 
-    def footprint(self, p: int) -> np.ndarray:
-        """The `footprints` row of `cells[p]`: the cells it senses, by index."""
-        lengths, flat = self.footprints
-        return flat[lengths[:p].sum() : lengths[: p + 1].sum()]
+    @cached_property
+    def footprint_lists(self) -> List[List[int]]:
+        return _rows(self.footprints)
+
+    @cached_property
+    def footprint_masks(self) -> List[int]:
+        return [sum(1 << q for q in fp) for fp in self.footprint_lists]
+
+    @cached_property
+    def step_lists(self) -> List[List[int]]:
+        return _rows(self.steps)
+
+    @cached_property
+    def index(self) -> Dict[Cell, int]:
+        return {cell: p for p, cell in enumerate(self.cells)}
 
     def placements(self, point: np.ndarray) -> np.ndarray:
         """The placement binaries' values in `point`, one row per node
@@ -162,6 +177,12 @@ class FormulationHandle:
     def coverage_variable_ids(self) -> range:
         """Ids of every continuous coverage variable (for integrality audits)."""
         return range(math.prod(self.x_shape), self.instance.n_variables)
+
+
+def _rows(table: Tuple[np.ndarray, np.ndarray]) -> List[List[int]]:
+    """A `grid.windows` table as one list of indices per cell."""
+    lengths, flat = table
+    return [box.tolist() for box in np.split(flat, np.cumsum(lengths))[:-1]]
 
 
 def static_deployment(
@@ -309,11 +330,10 @@ def encode_static(handle: FormulationHandle, positions: Sequence[Tuple[int, int]
     if len(positions) != handle.n_static:
         raise ValueError(f"expected {handle.n_static} positions, got {len(positions)}")
     values = np.zeros((2,) + handle.x_shape)
-    index = {cell: p for p, cell in enumerate(handle.cells)}
     for s, pos in enumerate(positions):
-        p = index[handle.grid.require(pos, "static position")]
+        p = handle.index[handle.grid.require(pos, "static position")]
         values[0, s, p] = 1.0
-        values[1, s, handle.footprint(p)] = 1.0
+        values[1, s, handle.footprint_lists[p]] = 1.0
     return values.ravel()
 
 
@@ -540,13 +560,13 @@ def encode_plan(handle: FormulationHandle, plan: MobilePlan) -> np.ndarray:
         return np.zeros(handle.instance.n_variables)
     values = np.zeros((2,) + handle.x_shape)
     covered = np.zeros(len(handle.uncovered))
-    index = {cell: p for p, cell in enumerate(handle.cells)}
+    index = handle.index
     for (l, k), pos in plan.positions.items():
         # the range check also keeps l or k = 0 from indexing the last node
         if not (1 <= l <= handle.n_mobile and 1 <= k <= handle.horizon and pos in index):
             raise ValueError(f"plan position {tuple(pos)} at node {l} iteration {k} has no variable")
         values[0, l - 1, k - 1, index[pos]] = 1.0
-        sensed = handle.footprint(index[pos])
+        sensed = handle.footprint_lists[index[pos]]
         values[1, l - 1, k - 1, sensed] = 1.0
         covered[sensed] = 1.0
     return np.concatenate([values.ravel(), covered])

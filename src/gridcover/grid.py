@@ -9,9 +9,10 @@ comparisons never depend on floating point.
 
 `windows` is the one clipped-box table (the boxes of a sorted cell list,
 as indices into it).  A formulation handle builds its footprint and step
-tables with it, once each; the MILP builders, the encoders, the warm-start
-seeders and the step component check read those.  `cell_weights` is the
-one row-major vector of boundary weights.
+tables with it, once each; the MILP builders and the step component check
+read those, and the encoders and the warm-start searches read the lists
+and bitmasks the handle cuts from them.  `cell_weights` is the one
+row-major vector of boundary weights.
 
 `evaluate_plan` is the one replay of a deployment and a mobile plan: it
 walks the placements once, in (iteration, node) ascending order, and its

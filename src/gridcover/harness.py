@@ -18,11 +18,12 @@ coverage counter: footprints are bitmasks, counts are c_o bitmask layers,
 and `_add_footprint` adds one placement.  The packing search also keeps
 its candidates as one bitmask, the cells whose footprints still fit, so
 it never scans a blocked cell; under a cap of one it needs no layers.
-Each seeder takes the `FormulationHandle` it seeds and reads that model's
-geometry from it: its footprint and step tables are the ones the builder
-built the model from.  A coverage solve also reads the single-path bound
-(path_bound): an exact depth-first search over one node's paths, on the
-same bitmasks and tables, decides whether the seed attains it.
+Each search reads the model's geometry from the `FormulationHandle` it
+seeds: the bitmasks and lists that the handle cuts once from the tables
+the builder built the model from.  A coverage solve also reads the
+single-path bound (path_bound): an exact depth-first search over one
+node's paths, on the same bitmasks and lists, decides whether the seed
+attains it.
 Deployments, plans and result rows are persisted as line-oriented text so
 every reported number can be re-derived offline.  A `ResultRow` holds
 the `ExperimentConfig` it ran, and the CSV's config columns are read from
@@ -168,11 +169,6 @@ def _add_footprint(layers: List[int], fp: int) -> List[int]:
     return added
 
 
-def _boxes(table: Tuple[np.ndarray, np.ndarray]) -> List[List[int]]:
-    """A `grid.windows` table as one list of indices per cell."""
-    return [box.tolist() for box in np.split(table[1], np.cumsum(table[0]))[:-1]]
-
-
 def pack_static_positions(
     handle: FormulationHandle, stop_at: Optional[float] = None
 ) -> Optional[List[Cell]]:
@@ -184,16 +180,17 @@ def pack_static_positions(
     whose optimistic bound (current + remaining * best-available single
     value) cannot beat the best found are pruned.  Within PACK_SEARCH_STEPS
     on desk-scale grids this is exhaustive, i.e. optimal.  With `stop_at`,
-    a proven bound on every placement's value, the search stops once its
-    best reaches it: the best is replaced only on a strict gain, so the
-    full search would return the same placement.
+    a proven bound on every placement's value (_packing_bound, at any
+    cap), the search stops once its best reaches it: the best is replaced
+    only on a strict gain, so the full search would return the same
+    placement.
 
-    Footprints are bitmasks over the cells, counted in c_o layers
-    (_add_footprint).  A search node keeps its candidates as one bitmask
-    over the sorted cells: those from its own cell on whose footprints
-    still fit under the cap, so it never visits a blocked cell (the
-    bit-parallel candidate sets of San Segundo, Rodríguez-Losada & Jiménez
-    2011).  `covers[f]` holds the candidates whose footprint holds cell f,
+    Footprints are the handle's bitmasks over the cells, counted in c_o
+    layers (_add_footprint).  A search node keeps its candidates as one
+    bitmask over the sorted cells: those from its own cell on whose
+    footprints still fit under the cap, so it never visits a blocked cell
+    (the bit-parallel candidate sets of San Segundo, Rodríguez-Losada &
+    Jiménez 2011).  `covers[f]` holds the candidates whose footprint holds cell f,
     and a placement blocks the covers of the cells it brings to the cap:
     under a cap of one that is its whole footprint, so its blocked set is
     the table `conflict[k]` and no layers are kept.  The nodes, their
@@ -202,12 +199,12 @@ def pack_static_positions(
     placement too.
     """
     cells, n_static = handle.cells, handle.n_static
-    footprints = _boxes(handle.footprints)
+    footprints = handle.footprint_lists
     weights = cell_weights(handle.grid, handle.boundary_weight).tolist()
     value = [sum(weights[f] for f in fp) for fp in footprints]
     order = sorted(range(len(cells)), key=lambda c: (-value[c], c))
     vals = [value[c] for c in order]
-    masks = [sum(1 << f for f in footprints[c]) for c in order]
+    masks = [handle.footprint_masks[c] for c in order]
     covers = [0] * len(cells)
     for idx, c in enumerate(order):
         for f in footprints[c]:
@@ -261,24 +258,7 @@ def _union(covers: List[int], cells: int) -> int:
     return out
 
 
-def _seed_tables(handle: FormulationHandle):
-    """Each cell of the handle's uncovered set, by its index there: its
-    footprint as a bitmask over those indices, and its step window as a
-    sorted list of them."""
-    return [sum(1 << n for n in fp) for fp in _boxes(handle.footprints)], _boxes(handle.steps)
-
-
-def seed_mobile_plan(
-    handle: FormulationHandle, stop_at: Optional[int] = None, first_start: Optional[Cell] = None
-) -> Optional[MobilePlan]:
-    """One start of the greedy seeder (_greedy_plan) over the handle's
-    uncovered set; `first_start` pins node 1's initial cell."""
-    first = None if first_start is None else handle.uncovered.index(Cell(*first_start))
-    seeded = _greedy_plan(handle, _seed_tables(handle), stop_at, first)
-    return None if seeded is None else seeded[0]
-
-
-def _greedy_plan(handle: FormulationHandle, tables, stop_at: Optional[int],
+def _greedy_plan(handle: FormulationHandle, stop_at: Optional[int],
                  first: Optional[int]) -> Optional[Tuple[MobilePlan, int]]:
     """Overlap-respecting greedy plan confined to the handle's uncovered set
     `c1`, used to seed the exact solves, with the number of `c1` cells it
@@ -293,7 +273,7 @@ def _greedy_plan(handle: FormulationHandle, tables, stop_at: Optional[int],
     c1, n_mobile, k_max = handle.uncovered, handle.n_mobile, handle.horizon
     if not c1:
         return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions={}), 0
-    masks, windows = tables
+    masks, windows = handle.footprint_masks, handle.step_lists
     layers = [0] * handle.c_o
     positions: Dict[Tuple[int, int], Cell] = {}
     current: Dict[int, Optional[int]] = {l: None for l in range(1, n_mobile + 1)}
@@ -350,12 +330,11 @@ def best_seed_plan(handle: FormulationHandle, stop_at: Optional[int] = None) -> 
     seed short of the target is no incumbent), the seed is the first plan
     of a bounded backtracking search over the greedy's own rules
     (_backtrack_plan), or None when that finds none.  All starts and the
-    search share one set of tables."""
-    tables = _seed_tables(handle)
+    search read the handle's tables."""
     best: Optional[MobilePlan] = None
     best_key = (-1, 0)
     for first in [None, *range(len(handle.uncovered))]:
-        seeded = _greedy_plan(handle, tables, stop_at, first)
+        seeded = _greedy_plan(handle, stop_at, first)
         if seeded is None:
             continue
         plan, covered = seeded
@@ -365,11 +344,11 @@ def best_seed_plan(handle: FormulationHandle, stop_at: Optional[int] = None) -> 
         if best_key[0] == len(handle.uncovered):
             break
     if best is None or (stop_at is not None and best_key[0] < stop_at):
-        return _backtrack_plan(handle, tables, stop_at)
+        return _backtrack_plan(handle, stop_at)
     return best
 
 
-def _backtrack_plan(handle: FormulationHandle, tables, stop_at: Optional[int]) -> Optional[MobilePlan]:
+def _backtrack_plan(handle: FormulationHandle, stop_at: Optional[int]) -> Optional[MobilePlan]:
     """Depth-first search over the greedy seeder's choices: slots in (k, l)
     order, each node within the step window of its last cell, no footprint
     cell covered more than c_o times, candidates by new-coverage gain
@@ -381,7 +360,7 @@ def _backtrack_plan(handle: FormulationHandle, tables, stop_at: Optional[int]) -
     node has no cell left to go to, and a movement branch whose open slots
     cannot cover the cells still missing."""
     c1, n_mobile, k_max = handle.uncovered, handle.n_mobile, handle.horizon
-    masks, windows = tables
+    masks, windows = handle.footprint_masks, handle.step_lists
     slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
     most = max((fp.bit_count() for fp in masks), default=0)
     positions: Dict[Tuple[int, int], Cell] = {}
@@ -438,7 +417,7 @@ def _backtrack_plan(handle: FormulationHandle, tables, stop_at: Optional[int]) -
     return MobilePlan(n_mobile=n_mobile, horizon=k_max, positions=dict(positions))
 
 
-def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int,
+def _fewest_moves_plan(handle: FormulationHandle, stop_at: int, low: int,
                        high: int) -> Optional[MobilePlan]:
     """A movement plan that covers `stop_at` cells with the fewest
     movements from `low` to `high`, found by iterative deepening on the
@@ -453,7 +432,7 @@ def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int
     times, and a branch is cut when its open movements cannot cover the
     cells still missing."""
     c1, n_mobile = handle.uncovered, handle.n_mobile
-    masks, windows = tables
+    masks, windows = handle.footprint_masks, handle.step_lists
     most = max(fp.bit_count() for fp in masks)
     paths: List[List[int]] = [[]]
     steps = 0
@@ -508,12 +487,12 @@ def _fewest_moves_plan(handle: FormulationHandle, tables, stop_at: int, low: int
 # ---------------------------------------------------------------------------
 
 
-def path_covers_more(handle: FormulationHandle, tables, most: int) -> Optional[bool]:
+def path_covers_more(handle: FormulationHandle, most: int) -> Optional[bool]:
     """Whether some path of one mobile node (handle.horizon cells, each in
     the step window of the one before) covers more than `most` cells of
     the handle's uncovered set with the union of its footprints; None when
-    the search runs out of PATH_SEARCH_STEPS prefixes.  `tables` are the
-    handle's _seed_tables.
+    the search runs out of PATH_SEARCH_STEPS prefixes.  The path's cells
+    are the handle's footprint bitmasks, its steps the handle's step lists.
 
     The exact pricing of the union path master at the counting duals (1 on
     every cover row, 0 on every cap row): a depth-first search over path
@@ -521,7 +500,7 @@ def path_covers_more(handle: FormulationHandle, tables, most: int) -> Optional[b
     while its cells plus the largest sum of footprint sizes over the steps
     still open exceed `most` (`ahead`, a DP over the step layers: a union
     never exceeds the sum of its parts), most promising extension first."""
-    masks, windows = tables
+    masks, windows = handle.footprint_masks, handle.step_lists
     size = [fp.bit_count() for fp in masks]
     # ahead[r][p]: the largest sum of footprint sizes over r more steps from p
     ahead = [[0] * len(masks)]
@@ -561,13 +540,11 @@ def path_bound(handle: FormulationHandle, seed: MobilePlan) -> Optional[int]:
     n_mobile (the seed then attains the bound).  Every plan covers at most
     the sum of its paths' cells, caps or not; None also when the search
     (path_covers_more) runs out of its budget."""
-    tables = _seed_tables(handle)
-    index = {cell: n for n, cell in enumerate(handle.uncovered)}
     covered = 0
     for cell in seed.positions.values():
-        covered |= tables[0][index[cell]]
+        covered |= handle.footprint_masks[handle.index[cell]]
     most = covered.bit_count() // handle.n_mobile
-    return None if path_covers_more(handle, tables, most) is not False else handle.n_mobile * most
+    return None if path_covers_more(handle, most) is not False else handle.n_mobile * most
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +553,15 @@ def path_bound(handle: FormulationHandle, seed: MobilePlan) -> Optional[int]:
 
 
 def _packing_bound(handle: FormulationHandle) -> Optional[int]:
-    """A proven bound on every placement's packing value, or None.  Under a
-    cap of one the packing value is the static model's objective, so the
-    quotient bound on its LP (the one the solve reads) bounds it; when that
-    objective is integral (simplex.LpData.objective_integral: an integral
-    boundary weight) every value is an integer, summed exactly, so the
-    bound may be floored and a placement that reaches it is the best.
-    (Sums of a fractional weight are rounded, and two placements of equal
-    value could then differ in the last bit.)"""
-    if handle.c_o != 1:
-        return None
+    """A proven bound on every placement's packing value, or None.  Each
+    node scores its own footprint under any cap, so the packing value is
+    the static model's objective and the quotient bound on its LP (the one
+    the solve reads) bounds it; when that objective is integral
+    (simplex.LpData.objective_integral: an integral boundary weight) every
+    value is an integer, summed exactly, so the bound may be floored and a
+    placement that reaches it is the best.  (Sums of a fractional weight
+    are rounded, and two placements of equal value could then differ in
+    the last bit.)"""
     data = LpData(handle.instance)
     bound = lp_bound(handle.instance) if data.objective_integral else None
     return None if bound is None else data.round_bound(bound)
@@ -662,8 +638,7 @@ def plan_mobile_milp(
     if handle.coverage_threshold is not None:
         stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
     if stop_at:
-        tables = _seed_tables(handle)
-        low = -(-stop_at // max(fp.bit_count() for fp in tables[0]))
+        low = -(-stop_at // max(fp.bit_count() for fp in handle.footprint_masks))
         if low > handle.n_mobile * handle.horizon:  # more placements than a plan has
             return handle, None, MilpResult("infeasible", None, None, None, None, 0)
     seeded = best_seed_plan(handle, stop_at=stop_at)
@@ -672,7 +647,7 @@ def plan_mobile_milp(
         if bound is not None:
             low = max(low, LpData(handle.instance).round_bound(bound))
         if seeded.movements > low:
-            seeded = _fewest_moves_plan(handle, tables, stop_at, low, seeded.movements - 1) or seeded
+            seeded = _fewest_moves_plan(handle, stop_at, low, seeded.movements - 1) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)
     if stop_at is None and seeded is not None:  # computed only if the box and quotient bounds fail
         hand_bound(handle.instance, functools.partial(path_bound, handle, seeded))

@@ -690,7 +690,7 @@ def _seed_tables(grid: GridSpec, c1: List[Cell], r_s: int, rho_x: int, rho_y: in
 
 def greedy_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
                      stop_at=None, first_start=None):
-    """The reference for gridcover.harness.seed_mobile_plan."""
+    """The reference for one start of gridcover.harness._greedy_plan."""
     from gridcover.formulations import MobilePlan
 
     c1 = sorted(set(Cell(*c) for c in uncovered))

@@ -254,8 +254,9 @@ class TestStepComponents:
 
 class TestHandleTables:
     """A handle's footprint and step tables are the `grid.windows` tables
-    over its cells, built once and shared by the builder, the encoders and
-    the warm-start seeders."""
+    over its cells, built once and read by the builder; the encoders and
+    the warm-start searches read the lists, bitmasks and cell index the
+    handle converts them to, once."""
 
     @staticmethod
     def handles():
@@ -275,7 +276,7 @@ class TestHandleTables:
                 want = windows(handle.grid, cells, *reach)
                 assert all(np.array_equal(a, b) for a, b in zip(table, want)), handle.kind
             for p, cell in enumerate(cells):
-                sensed = {cells[q] for q in handle.footprint(p).tolist()}
+                sensed = {cells[q] for q in handle.footprint_lists[p]}
                 assert sensed == sensing_footprint(cell, handle.r_s, handle.grid) & set(cells)
 
     def test_one_table_build_per_table(self, monkeypatch):
@@ -295,6 +296,61 @@ class TestHandleTables:
             calls.clear()
             _, plan, _ = harness.plan_mobile_milp(replace(cfg, planner=planner), deployment)
             assert plan is not None and len(calls) == 2, planner
+
+    def test_search_forms_are_the_windows_tables(self):
+        # on random grids and cell sets, each box of a `grid.windows` table,
+        # cut at its lengths, is a list, and each footprint box a bitmask
+        rng = random.Random(33)
+        for n in range(120):
+            grid = GridSpec(rng.randint(1, 9), rng.randint(1, 9))
+            r_s, rho_x, rho_y = rng.randint(0, 2), rng.randint(-1, 3), rng.randint(-1, 3)
+            if n % 3 == 0:
+                handle = build_milp_static(grid, rng.randint(1, 3), r_s, rng.randint(1, 3))
+            else:
+                c1 = rng.sample(sorted(grid.cells()), rng.randint(0, grid.n_cells))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # step components
+                    handle = build_milp_cov(grid, c1, 1, 2, r_s, rho_x, rho_y)
+            cells = handle.cells
+
+            def boxes(dr, dc):
+                lengths, flat = windows(grid, cells, dr, dc)
+                ends = np.cumsum(lengths).tolist()
+                return [flat[a:b].tolist() for a, b in zip([0] + ends, ends)]
+
+            footprints = boxes(r_s, r_s)
+            assert handle.footprint_lists == footprints, (grid, cells, r_s)
+            assert handle.step_lists == boxes(handle.rho_x, handle.rho_y), (grid, cells, rho_x, rho_y)
+            assert [[q for q in range(len(cells)) if mask >> q & 1] for mask in handle.footprint_masks] == footprints
+            assert handle.index == {cell: p for p, cell in enumerate(cells)}
+
+    def test_one_conversion_per_handle(self, monkeypatch):
+        # a movement solve that runs the fewest-movements search (mov10) and
+        # a coverage solve that reaches the single-path bound (table8's
+        # L=1/N_s=3 row) read the search forms many times: the static
+        # model's footprints and each path model's two tables are cut once
+        from gridcover import formulations, harness
+
+        converted, searched, static = [], [], []
+        rows = formulations._rows
+        monkeypatch.setattr(formulations, "_rows", lambda table: converted.append(table) or rows(table))
+        for name in ("_fewest_moves_plan", "path_bound"):
+            monkeypatch.setattr(harness, name, lambda *a, fn=getattr(harness, name), name=name:
+                                searched.append(name) or fn(*a))
+        build = harness.build_milp_static
+        monkeypatch.setattr(harness, "build_milp_static", lambda *a: static.append(build(*a)) or static[-1])
+        mov10 = harness.ExperimentConfig(rows=10, cols=10, n_static=10, n_mobile=3, k_max=4,
+                                         planner="milp-mov", coverage_target=1, node_limit=60)
+        table8 = harness.ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4, node_limit=40)
+        for cfg, search, want in ((mov10, "_fewest_moves_plan", 6.0), (table8, "path_bound", 28.0)):
+            converted.clear(), searched.clear(), static.clear()
+            deployment, _ = harness.place_static_milp(cfg)
+            handle, plan, result = harness.plan_mobile_milp(cfg, deployment)
+            assert (result.status, result.objective, result.nodes_explored) == ("optimal", want, 0)
+            assert searched == [search]
+            tables = [static[0].footprints, handle.footprints, handle.steps]
+            assert len(converted) == 3 and all(a is b for a, b in zip(converted, tables)), cfg
+            assert {"footprint_lists", "footprint_masks", "step_lists"} <= vars(handle).keys()
 
 
 class TestMovFormulation:

@@ -32,7 +32,6 @@ from gridcover.harness import (
     plan_text,
     results_csv,
     run_pipeline,
-    seed_mobile_plan,
     sweep,
 )
 from gridcover.simplex import LpData
@@ -323,15 +322,14 @@ class TestWarmStartHelpers:
         covered, uncovered = static_coverage([Cell(2, 2), Cell(7, 7)], 1, grid)
         c1 = sorted(uncovered)
         handle = build_milp_cov(grid, c1, 2, 4)
-        plan = seed_mobile_plan(handle)
-        assert plan is not None
+        plan, _ = harness._greedy_plan(handle, None, None)
         values = encode_plan(handle, plan)
         assert LpData(handle.instance).feasible(values, handle.instance.lower, handle.instance.upper)
 
     def test_seeded_mov_plan_stops_at_target(self):
         grid = GridSpec(6, 6)
         c1 = sorted(grid.cells())
-        plan = seed_mobile_plan(build_milp_mov(grid, c1, 0, 2, 4), stop_at=20)
+        plan, _ = harness._greedy_plan(build_milp_mov(grid, c1, 0, 2, 4), 20, None)
         covered = set()
         from gridcover.grid import sensing_footprint
 
@@ -424,7 +422,7 @@ class TestBacktrackSeed:
         _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
         c1 = sorted(uncovered)
         handle = build_milp_cov(grid, c1, 3, 4)
-        assert all(seed_mobile_plan(handle, first_start=s) is None for s in [None] + c1)
+        assert all(harness._greedy_plan(handle, None, first) is None for first in [None, *range(len(c1))])
         plan = best_seed_plan(handle)
         assert plan is not None and plan.movements == 12  # every node, every iteration
         assert validate_plan(plan, grid, c1, 2, 2) == []
@@ -468,9 +466,9 @@ class TestBacktrackSeed:
 
 class TestSeedsMatchTheReference:
     """The three warm-start searches share one coverage counter (bitmask
-    layers) and one set of tables per best_seed_plan call; the dict-based
-    seeders they replaced (tests/oracles.py) give the same plan, or None,
-    on every instance."""
+    layers) and read the handle's tables; the dict-based seeders they
+    replaced (tests/oracles.py) give the same plan, or None, on every
+    instance."""
 
     @staticmethod
     def instances(count, seed):
@@ -515,10 +513,10 @@ class TestSeedsMatchTheReference:
     def test_single_start_greedy(self):
         for n, (grid, c1, args, stop_at) in enumerate(self.instances(100, 15)):
             handle = self.handle(grid, c1, args)
-            for start in [None] + c1:
-                got = seed_mobile_plan(handle, stop_at=stop_at, first_start=start)
+            for first, start in [(None, None), *enumerate(c1)]:
+                got = harness._greedy_plan(handle, stop_at, first)
                 want = oracles.greedy_seed_plan(grid, c1, *args, stop_at=stop_at, first_start=start)
-                assert (got and got.positions) == (want and want.positions), (n, start)
+                assert (got and got[0].positions) == (want and want.positions), (n, start)
 
     @pytest.mark.parametrize("sym", range(8))
     def test_table8_coverage_row_under_each_symmetry(self, sym):
@@ -590,20 +588,23 @@ class TestRootBound:
             assert result.nodes_explored <= want.nodes_explored
 
     def test_packing_stop_keeps_the_placement(self):
-        met = 0
+        met = collections.Counter()
         for size in (6, 8, 10, 12):
             for n_static in (3, 5, 7, 10):
                 for alpha in (1.0, 1.3, 4.0):
-                    grid = GridSpec(size, size)
-                    handle = build_milp_static(grid, n_static, 1, 1, alpha)
-                    stop_at = harness._packing_bound(handle)
-                    if alpha == 1.3:
-                        assert stop_at is None  # a fractional weight's sums are rounded: no stop
-                        continue
-                    got = pack_static_positions(handle, stop_at=stop_at)
-                    assert got == pack_static_positions(handle), (size, n_static, alpha)
-                    met += got is not None and static_deployment(grid, got, 1, alpha).objective_value == stop_at
-        assert met > 20, met  # the bound is met, so the search stops, on most of these grids
+                    for c_o in (1, 2, 3):
+                        grid = GridSpec(size, size)
+                        handle = build_milp_static(grid, n_static, 1, c_o, alpha)
+                        stop_at = harness._packing_bound(handle)
+                        if alpha == 1.3:
+                            assert stop_at is None  # a fractional weight's sums are rounded: no stop
+                            continue
+                        got = pack_static_positions(handle, stop_at=stop_at)
+                        assert got == pack_static_positions(handle), (size, n_static, alpha, c_o)
+                        met[c_o] += got is not None and static_deployment(
+                            grid, got, 1, alpha).objective_value == stop_at
+        # the bound is met, so the search stops, on most of these grids at every cap
+        assert min(met.values()) > 20, met  # 24, 30 and 32 at c_o 1, 2 and 3
 
     def test_packing_search_stops_at_the_first_placement_that_reaches_the_value(self):
         # mov10's search finds placements of lower value before its best
@@ -625,14 +626,22 @@ class TestRootBound:
         deployment, result = harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=14))
         assert deployment is None and result.status == "infeasible" and result.incumbent is None
 
-    def test_no_stop_under_a_cap_above_one(self, monkeypatch):
+    def test_packing_stops_at_every_cap(self, monkeypatch):
+        # each node scores its own footprint, so the packing value is the
+        # static objective under any cap, and the solve's bound stops the
+        # search on the placement that the search without a stop returns
         stops = []
         pack = harness.pack_static_positions
         monkeypatch.setattr(harness, "pack_static_positions",
                             lambda *args, stop_at=None: stops.append(stop_at) or pack(*args, stop_at=stop_at))
-        for c_o in (1, 2, 3):
-            harness.place_static_milp(ExperimentConfig(rows=8, cols=8, n_static=5, c_o_static=c_o))
-        assert stops == [108, None, None]
+        configs = [ExperimentConfig(rows=8, cols=8, n_static=5, c_o_static=c_o) for c_o in (1, 2, 3)]
+        got = [harness.place_static_milp(cfg) for cfg in configs]
+        assert stops == [108, 120, 120]
+        for cfg, (deployment, result) in zip(configs, got):
+            handle = build_milp_static(cfg.grid, 5, 1, cfg.c_o_static, 4.0)
+            assert (result.status, result.nodes_explored) == ("optimal", 0)
+            assert result.objective == deployment.objective_value == stops[cfg.c_o_static - 1]
+            assert list(deployment.positions) == pack(handle), cfg
 
     def test_each_model_has_one_lpdata(self, monkeypatch):
         # the packing bound, the quotient bound and the search of a static
@@ -714,17 +723,16 @@ class TestFewestMoves:
             if seed is None:
                 continue
             seeded += 1
-            tables = harness._seed_tables(handle)
             # the floor that the solve's search starts from is below every plan
-            most = max(fp.bit_count() for fp in tables[0])
+            most = max(fp.bit_count() for fp in handle.footprint_masks)
             bound = harness.lp_bound(handle.instance)
             assert -(-stop_at // most) <= want and (bound is None or math.ceil(bound - 1e-6) <= want)
-            plan = harness._fewest_moves_plan(handle, tables, stop_at, 0, seed.movements - 1)
+            plan = harness._fewest_moves_plan(handle, stop_at, 0, seed.movements - 1)
             if plan is None:
                 # the seed is the fewest, unless the search ran out of its steps
                 with monkeypatch.context() as m:
                     m.setattr(harness, "SEED_SEARCH_STEPS", 10**9)
-                    plan = harness._fewest_moves_plan(handle, tables, stop_at, 0, seed.movements - 1)
+                    plan = harness._fewest_moves_plan(handle, stop_at, 0, seed.movements - 1)
                 cut += plan is not None
                 assert (plan or seed).movements == want, (n, cfg)
                 continue
@@ -814,7 +822,7 @@ class TestMovementFloor:
                 if handle.nothing_to_plan:
                     continue
                 stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
-                most = max(fp.bit_count() for fp in harness._seed_tables(handle)[0])
+                most = max(fp.bit_count() for fp in handle.footprint_masks)
                 if -(-stop_at // most) <= cfg.n_mobile * cfg.k_max:
                     continue
                 checked += 1
@@ -854,9 +862,8 @@ class TestPathBound:
     @staticmethod
     def most(handle):
         """The most cells one path covers, by the search at every threshold."""
-        tables = harness._seed_tables(handle)
         return next(m for m in range(len(handle.uncovered) + 1)
-                    if harness.path_covers_more(handle, tables, m) is False)
+                    if harness.path_covers_more(handle, m) is False)
 
     def test_search_equals_brute_force(self):
         for n, (grid, c1, args) in enumerate(self.instances(200, 32, 12, 4)):
@@ -864,9 +871,8 @@ class TestPathBound:
             paths = oracles._paths(c1, k_max, rho_x, rho_y, allow_stop=False)
             top = int((oracles._path_count_matrix(paths, c1, r_s, grid) > 0).sum(axis=1).max())
             handle = self.handle(grid, c1, 1, args)
-            tables = harness._seed_tables(handle)
-            assert harness.path_covers_more(handle, tables, top) is False, (n, grid, c1, args)
-            assert harness.path_covers_more(handle, tables, top - 1) is True, (n, grid, c1, args)
+            assert harness.path_covers_more(handle, top) is False, (n, grid, c1, args)
+            assert harness.path_covers_more(handle, top - 1) is True, (n, grid, c1, args)
 
     def test_bound_is_never_below_the_optimum(self):
         rng = random.Random(33)
@@ -892,12 +898,12 @@ class TestPathBound:
         cfg = self.TABLE8_L1_NS3
         deployment = harness.place_static_milp(cfg)[0]
         handle = harness.build_mobile_milp(cfg, deployment)
-        tables, seed = harness._seed_tables(handle), best_seed_plan(handle)
+        seed = best_seed_plan(handle)
         monkeypatch.setattr(harness, "PATH_SEARCH_STEPS", 801)
-        assert harness.path_covers_more(handle, tables, 28) is False
+        assert harness.path_covers_more(handle, 28) is False
         assert harness.path_bound(handle, seed) == 28
         monkeypatch.setattr(harness, "PATH_SEARCH_STEPS", 800)
-        assert harness.path_covers_more(handle, tables, 28) is None
+        assert harness.path_covers_more(handle, 28) is None
         assert harness.path_bound(handle, seed) is None
         _, _, res = harness.plan_mobile_milp(cfg, deployment)
         assert (res.status, res.objective, res.best_bound, res.nodes_explored) == ("feasible", 28.0, 29.0, 40)
