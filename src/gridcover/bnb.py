@@ -22,8 +22,8 @@ quotient proves (quotient.lp_bound), and a bound on every integer point
 that the caller hands with the instance (hand_bound).  When the seed
 attains one, the search ends "optimal" at 0 nodes, as a root LP no better
 than the seed would have ended it.  The harness's packing seeds close
-placement solves this way, its fewest-movements seeds close movement
-solves (mov10 among them), and a coverage seed closes on the single-path
+placement solves this way, its movement seeds close movement solves
+(mov10 among them), and a coverage seed closes on the single-path
 bound that the harness hands in (harness.path_bound; table8's L=1/N_s=3
 row); this module knows nothing of paths.  Otherwise the root relaxation is
 solved cold by the bounded-variable simplex.  Every other node's bound map

@@ -380,6 +380,8 @@ def _build_mobile(
         raise ValueError("c_o must be >= 1")
     if r_s < 0:
         raise ValueError("sensing radius must be >= 0")
+    if min(rho_x, rho_y) < 0:
+        raise ValueError("step range must be >= 0")
 
     c1 = sorted(set(Cell(*c) for c in uncovered))
     inst = MilpInstance(f"milp-{kind}")

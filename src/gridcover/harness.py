@@ -10,10 +10,11 @@ objectives are never trusted for reporting).  One result row per seed.
 
 Exact solves are warm-started with constructive heuristics (a packing
 search for placement, an overlap-respecting multi-start greedy for paths,
-a bounded backtracking search over the greedy's choices when no greedy
-start yields a plan, and, for a movement seed above the quotient bound, a
-bounded search for the plan of fewest movements); seeding only tightens
-pruning and never affects correctness.  The four searches share one
+a bounded backtracking search over the greedy's choices when no start
+yields a coverage plan, and a bounded search for the plan of fewest
+movements when no start reaches a movement target or the best one lies
+above the quotient bound); seeding only tightens pruning and never
+affects correctness.  The four searches share one
 coverage counter: footprints are bitmasks, counts are c_o bitmask layers,
 and `_add_footprint` adds one placement.  The packing search also keeps
 its candidates as one bitmask, the cells whose footprints still fit, so
@@ -105,6 +106,8 @@ class ExperimentConfig:
             for name in ("n_mobile", "k_max"):
                 if getattr(self, name) < 1:
                     raise ValueError(f"{name} must be >= 1")
+            if min(self.rho_x, self.rho_y) < 0:
+                raise ValueError("step range must be >= 0")
         if not 0 < _exact_fraction(self.coverage_target) <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
         # the sensing radius and the solver limits are checked with the rest
@@ -324,13 +327,15 @@ def _greedy_plan(handle: FormulationHandle, stop_at: Optional[int],
 
 def best_seed_plan(handle: FormulationHandle, stop_at: Optional[int] = None) -> Optional[MobilePlan]:
     """Best greedy seed over all first-node start cells (plus the free
-    default), scored by uncovered cells covered then fewer placements;
-    stops early once a seed covers everything.  When no greedy seed places
-    every node (coverage plans) or reaches `stop_at` uncovered cells (a
-    seed short of the target is no incumbent), the seed is the first plan
-    of a bounded backtracking search over the greedy's own rules
-    (_backtrack_plan), or None when that finds none.  All starts and the
-    search read the handle's tables."""
+    default).  A coverage seed (`stop_at` None) is scored by uncovered
+    cells covered then fewer placements, and the starts stop early once a
+    seed covers everything; when no start places every node, the seed is
+    the first plan of a bounded backtracking search over the greedy's own
+    rules (_backtrack_plan), or None when that finds none.  A movement
+    seed must cover `stop_at` uncovered cells (a seed short of the target
+    is no incumbent): of the starts that do, the one of fewest movements,
+    or None when none does.  All starts and the search read the handle's
+    tables."""
     best: Optional[MobilePlan] = None
     best_key = (-1, 0)
     for first in [None, *range(len(handle.uncovered))]:
@@ -338,34 +343,29 @@ def best_seed_plan(handle: FormulationHandle, stop_at: Optional[int] = None) -> 
         if seeded is None:
             continue
         plan, covered = seeded
-        key = (covered, -plan.movements)
+        key = (covered if stop_at is None else min(covered, stop_at), -plan.movements)
         if key > best_key:
             best, best_key = plan, key
-        if best_key[0] == len(handle.uncovered):
+        if stop_at is None and best_key[0] == len(handle.uncovered):
             break
-    if best is None or (stop_at is not None and best_key[0] < stop_at):
-        return _backtrack_plan(handle, stop_at)
-    return best
+    if stop_at is not None:
+        return best if best_key[0] >= stop_at else None
+    return best if best is not None else _backtrack_plan(handle)
 
 
-def _backtrack_plan(handle: FormulationHandle, stop_at: Optional[int]) -> Optional[MobilePlan]:
-    """Depth-first search over the greedy seeder's choices: slots in (k, l)
-    order, each node within the step window of its last cell, no footprint
-    cell covered more than c_o times, candidates by new-coverage gain
-    descending (ties lexicographic).  The first plan that places every
-    node (coverage, `stop_at` None) or that covers `stop_at` cells with
-    the remaining nodes stopped (movement; a node with no candidate stops)
-    is returned; None when there is none within SEED_SEARCH_STEPS slots.
-    Cut early, since no plan lies below them: a coverage branch in which a
-    node has no cell left to go to, and a movement branch whose open slots
-    cannot cover the cells still missing."""
+def _backtrack_plan(handle: FormulationHandle) -> Optional[MobilePlan]:
+    """Depth-first search over the greedy coverage seeder's choices: slots
+    in (k, l) order, each node within the step window of its last cell, no
+    footprint cell covered more than c_o times, candidates by new-coverage
+    gain descending (ties lexicographic).  The first plan that places every
+    node is returned; None when there is none within SEED_SEARCH_STEPS
+    slots.  A branch in which a node has no cell left to go to is cut early,
+    since no plan lies below it."""
     c1, n_mobile, k_max = handle.uncovered, handle.n_mobile, handle.horizon
     masks, windows = handle.footprint_masks, handle.step_lists
     slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
-    most = max((fp.bit_count() for fp in masks), default=0)
     positions: Dict[Tuple[int, int], Cell] = {}
     current: Dict[int, Optional[int]] = {l: None for l in range(1, n_mobile + 1)}
-    stopped: Set[int] = set()
     steps = 0
 
     def reach(l: int, top: int) -> List[int]:
@@ -379,37 +379,20 @@ def _backtrack_plan(handle: FormulationHandle, stop_at: Optional[int]) -> Option
         steps += 1
         if steps > SEED_SEARCH_STEPS:
             return None
-        if stop_at is not None:
-            covered = layers[0].bit_count()
-            if covered >= stop_at:
-                return True
-            open_slots = sum(1 for _, l in slots[s:] if l not in stopped)
-            if covered + open_slots * most < stop_at:
-                return False
         if s == len(slots):
-            return stop_at is None
+            return True
         k, l = slots[s]
-        if l in stopped:
-            return search(s + 1, layers)
-        if stop_at is None and not all(reach(m, layers[-1]) for _, m in slots[s + 1 : s + n_mobile]):
+        if not all(reach(m, layers[-1]) for _, m in slots[s + 1 : s + n_mobile]):
             return False  # counts only grow, so that node has no cell at its slot either
         last = current[l]
-        gains = sorted((-(masks[n] & ~layers[0]).bit_count(), n) for n in reach(l, layers[-1]))
-        if not gains:
-            if stop_at is None:
-                return False  # coverage plans must place every node
-            stopped.add(l)
-            found = search(s + 1, layers)
-            stopped.discard(l)
-            return found
-        for _, n in gains:
+        for _, n in sorted((-(masks[n] & ~layers[0]).bit_count(), n) for n in reach(l, layers[-1])):
             positions[(l, k)] = c1[n]
             current[l] = n
             found = search(s + 1, _add_footprint(layers, masks[n]))
             if found is not False:
                 return found
         current[l] = last
-        del positions[(l, k)]
+        positions.pop((l, k), None)  # None when node l had no cell to go to
         return False
 
     if not search(0, [0] * handle.c_o):
@@ -622,7 +605,8 @@ def plan_mobile_milp(
     "infeasible" at 0 nodes, before any seeder or LP.  A movement seed
     with more movements than the floor (that one, or the quotient bound the
     solve reads, rounded up) gives way to the plan of fewest movements the
-    bounded search finds below it (_fewest_moves_plan); a seed that reaches
+    bounded search finds below it (_fewest_moves_plan), and with no greedy
+    seed that search runs up to n_mobile * horizon; a seed that reaches
     the quotient bound ends the solve before any LP.  A coverage solve
     also gets the single-path bound (path_bound), which it computes only
     after its box and quotient bounds have failed to close it: a seed
@@ -642,12 +626,13 @@ def plan_mobile_milp(
         if low > handle.n_mobile * handle.horizon:  # more placements than a plan has
             return handle, None, MilpResult("infeasible", None, None, None, None, 0)
     seeded = best_seed_plan(handle, stop_at=stop_at)
-    if stop_at and seeded is not None:
+    if stop_at:
         bound = lp_bound(handle.instance)  # the one the solve reads
         if bound is not None:
             low = max(low, LpData(handle.instance).round_bound(bound))
-        if seeded.movements > low:
-            seeded = _fewest_moves_plan(handle, stop_at, low, seeded.movements - 1) or seeded
+        high = handle.n_mobile * handle.horizon if seeded is None else seeded.movements - 1
+        if high >= low:
+            seeded = _fewest_moves_plan(handle, stop_at, low, high) or seeded
     warm = None if seeded is None else encode_plan(handle, seeded)
     if stop_at is None and seeded is not None:  # computed only if the box and quotient bounds fail
         hand_bound(handle.instance, functools.partial(path_bound, handle, seeded))
@@ -657,12 +642,33 @@ def plan_mobile_milp(
     return handle, decode_plan(handle, result.incumbent), result
 
 
+def _solve_plan(
+    config: ExperimentConfig, deployment: Optional[StaticDeployment]
+) -> Tuple[Optional[MobilePlan], str, Optional[float], Optional[float], Optional[float], str]:
+    """The plan, status, objective, bound, gap and note of one exact
+    planning solve around `deployment`; a ValueError or a
+    SimplexNumericalError is an "error" with the message as its note."""
+    try:
+        _, plan, result = plan_mobile_milp(config, deployment)
+    except (ValueError, SimplexNumericalError) as exc:
+        return None, "error", None, None, None, str(exc)
+    note = ""
+    if plan is None and result.status == "infeasible" and config.planner == "milp-mov":
+        note = "coverage target unreachable: increase k_max or n_mobile"
+    elif plan is None:
+        note = "no incumbent within limits"
+    return plan, result.status, result.objective, result.best_bound, result.gap, note
+
+
 def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
     """Run the full pipeline once per seed; solver trouble is recorded in
     the row, never fatal to the batch: a ValueError of the planning stage,
     or a SimplexNumericalError of either stage, is an "error" row with the
-    message as its note."""
+    message as its note.  Only a random-static deployment depends on the
+    seed, so under the other placements one exact planning solve serves
+    every seed's row."""
     rows: List[ResultRow] = []
+    planned = None  # the last exact planning solve's outcome (_solve_plan)
 
     milp_deployment: Optional[StaticDeployment] = None
     static_status, static_note = "infeasible", "static placement infeasible"
@@ -674,10 +680,6 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
 
     for seed in config.seeds:
         t0 = time.monotonic()
-        note = ""
-        status = "ok"
-        objective = bound = gap = None
-
         if config.placement == "milp-static":
             deployment = milp_deployment
             if deployment is None:
@@ -690,18 +692,11 @@ def run_pipeline(config: ExperimentConfig) -> List[ResultRow]:
         else:
             deployment = None
 
-        plan: Optional[MobilePlan] = None
+        plan, status, objective, bound, gap, note = None, "ok", None, None, None, ""
         if config.planner in ("milp-cov", "milp-mov"):
-            try:
-                _, plan, result = plan_mobile_milp(config, deployment)
-                status = result.status
-                objective, bound, gap = result.objective, result.best_bound, result.gap
-                if plan is None and status == "infeasible" and config.planner == "milp-mov":
-                    note = "coverage target unreachable: increase k_max or n_mobile"
-                elif plan is None:
-                    note = "no incumbent within limits"
-            except (ValueError, SimplexNumericalError) as exc:
-                status, note = "error", str(exc)
+            if planned is None or config.placement == "random-static":
+                planned = _solve_plan(config, deployment)
+            plan, status, objective, bound, gap, note = planned
         elif config.planner in ("greedy", "random"):
             plan = baseline_plan(config, deployment, seed)
 

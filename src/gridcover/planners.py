@@ -33,6 +33,8 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.n_mobile < 1 or self.k_max < 1:
             raise ValueError("n_mobile and k_max must be >= 1")
+        if min(self.rho_x, self.rho_y) < 0:
+            raise ValueError("step range must be >= 0")
         if isinstance(self.initial_placement, str):
             if self.initial_placement != "uniform":
                 raise ValueError("initial_placement must be 'uniform' or explicit cells")

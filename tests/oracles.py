@@ -766,7 +766,10 @@ def greedy_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
 def best_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
                    stop_at=None, step_budget: int = 20_000):
     """The reference for gridcover.harness.best_seed_plan; `step_budget`
-    is the backtracking search's slot budget."""
+    is the backtracking search's slot budget.  Coverage seeds rank by
+    cells covered, then fewer movements, and fall back to the backtracking
+    search; movement seeds are the starts that reach `stop_at`, ranked by
+    fewer movements, with no fallback."""
     c1 = sorted(set(Cell(*c) for c in uncovered))
     c1_set = set(c1)
 
@@ -783,27 +786,28 @@ def best_seed_plan(grid, uncovered, n_mobile, k_max, r_s, rho_x, rho_y, c_o,
                                 stop_at=stop_at, first_start=start)
         if plan is None:
             continue
+        if stop_at is not None:
+            if covered_by(plan) >= stop_at and (best is None or plan.movements < best.movements):
+                best = plan
+            continue
         key = (covered_by(plan), -plan.movements)
         if key > best_key:
             best, best_key = plan, key
         if best_key[0] == len(c1):
             break
-    if best is None or (stop_at is not None and best_key[0] < stop_at):
+    if best is None and stop_at is None:
         fp, win = _seed_tables(grid, c1, r_s, rho_x, rho_y)
-        return _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget)
+        return _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, step_budget)
     return best
 
 
-def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget):
+def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, step_budget):
     from gridcover.formulations import MobilePlan
 
     slots = [(k, l) for k in range(1, k_max + 1) for l in range(1, n_mobile + 1)]
-    most = max((len(f) for f in fp.values()), default=0)
     counts: Dict[Cell, int] = {c: 0 for c in c1}
     positions: Dict[Tuple[int, int], Cell] = {}
     current: Dict[int, Optional[Cell]] = {l: None for l in range(1, n_mobile + 1)}
-    stopped: Set[int] = set()
-    covered = 0
     steps = 0
 
     def fits(cell: Cell) -> bool:
@@ -813,36 +817,22 @@ def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget):
         return c1 if current[l] is None else win[current[l]]
 
     def search(s: int) -> Optional[bool]:
-        nonlocal covered, steps
+        nonlocal steps
         steps += 1
         if steps > step_budget:
             return None
-        if stop_at is not None:
-            if covered >= stop_at:
-                return True
-            open_slots = sum(1 for _, l in slots[s:] if l not in stopped)
-            if covered + open_slots * most < stop_at:
-                return False
         if s == len(slots):
-            return stop_at is None
+            return True
         k, l = slots[s]
-        if l in stopped:
-            return search(s + 1)
-        if stop_at is None and not all(any(map(fits, reach(m))) for _, m in slots[s + 1 : s + n_mobile]):
+        if not all(any(map(fits, reach(m))) for _, m in slots[s + 1 : s + n_mobile]):
             return False
         last = current[l]
         gains = [(-sum(1 for f in fp[c] if not counts[f]), c) for c in reach(l) if fits(c)]
         if not gains:
-            if stop_at is None:
-                return False
-            stopped.add(l)
-            found = search(s + 1)
-            stopped.discard(l)
-            return found
-        for neg_gain, cell in sorted(gains):
+            return False
+        for _, cell in sorted(gains):
             positions[(l, k)] = cell
             current[l] = cell
-            covered -= neg_gain
             for f in fp[cell]:
                 counts[f] += 1
             found = search(s + 1)
@@ -850,7 +840,6 @@ def _backtrack_plan(c1, fp, win, n_mobile, k_max, c_o, stop_at, step_budget):
                 return found
             for f in fp[cell]:
                 counts[f] -= 1
-            covered += neg_gain
             current[l] = last
             del positions[(l, k)]
         return False

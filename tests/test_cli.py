@@ -264,6 +264,28 @@ class TestBaseline:
         assert not out.exists()
 
 
+class TestStepRange:
+    @pytest.mark.parametrize("command", [
+        ["baseline", "--method", "greedy", "--rho-x", "-1"],
+        ["baseline", "--method", "random", "--rho-y", "-1"],
+        ["plan-cov", "--rho-x", "-1"],
+        ["sweep", "--axis", "rho_x=1,-1"],
+    ], ids=["greedy", "random", "plan-cov", "sweep"])
+    def test_negative_step_range_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # a usage error before anything is planned or solved
+        calls = []
+        for name in ("plan_mobile_milp", "baseline_plan", "run_pipeline"):
+            monkeypatch.setattr(gridcover.cli, name, lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "out.txt"
+        code, _, err = run(command + ["--rows", "5", "--cols", "5", "--l", "1", "--kmax", "2",
+                                      "--out", str(out)], capsys)
+        cell = "sweep cell rho_x=-1: " if command[0] == "sweep" else ""
+        assert (code, err) == (2, f"error: {cell}step range must be >= 0\n")
+        assert calls == []
+        assert not out.exists()
+
+
 class TestExportLp:
     def test_cov_export_declares_binaries(self, tmp_path, capsys):
         out = tmp_path / "model.lp"

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,25 @@ class TestRunPipeline:
         for row in rows:
             assert (row.solver_status, row.note) == ("error", "singular basis: injected")
             assert row.plan is None and row.objective is None
+
+    def test_one_planning_solve_for_a_seed_independent_deployment(self, monkeypatch):
+        # the MILP placement is the same on every seed, so its planning MILP
+        # is solved once and its outcome fills every seed's row; a random
+        # placement is drawn per seed and planned per seed
+        calls = []
+        plan_mobile_milp = harness.plan_mobile_milp
+        monkeypatch.setattr(harness, "plan_mobile_milp",
+                            lambda cfg, deployment: calls.append(deployment) or plan_mobile_milp(cfg, deployment))
+        config = ExperimentConfig(rows=8, cols=8, n_static=3, n_mobile=1, k_max=4, seeds=(0, 1, 2, 3, 4))
+        rows = run_pipeline(config)
+        assert len(calls) == 1 and [row.seed for row in rows] == [0, 1, 2, 3, 4]
+        for row in rows[1:]:
+            assert vars(row) == {**vars(rows[0]), "seed": row.seed, "wall_time": row.wall_time}
+        assert rows[0].solver_status == "optimal" and rows[0].covered_cells == 55
+        calls.clear()
+        rows = run_pipeline(replace(config, placement="random-static"))
+        assert calls == [row.deployment for row in rows] and len(calls) == 5
+        assert len({tuple(deployment.positions) for deployment in calls}) > 1
 
     def test_default_config_constructs(self):
         config = ExperimentConfig()
@@ -396,8 +416,9 @@ class TestBestSeedPlan:
 
 
 class TestBacktrackSeed:
-    """When no greedy start yields a plan, best_seed_plan searches the
-    greedy's own choices with backtracking."""
+    """When no greedy start yields a coverage plan, best_seed_plan searches
+    the greedy's own choices with backtracking; a movement seed comes from
+    the greedy starts or from the fewest-movements search."""
 
     # the static deployment of the 8x8 coverage table's L=3 / N_s=5 row
     TABLE8_STATIC = [(2, 2), (2, 7), (7, 2), (5, 7), (8, 7)]
@@ -428,15 +449,25 @@ class TestBacktrackSeed:
         assert validate_plan(plan, grid, c1, 2, 2) == []
         assert self.accepted(handle, plan)
 
-    def test_movement_seed_reaches_the_target(self):
-        from gridcover.formulations import build_milp_mov, validate_plan
+    def test_movement_seed_reaches_the_target(self, monkeypatch):
+        # no greedy start covers 5x5 with one node in four placements; the
+        # fewest-movements search, run up to L*K, seeds the solve with the
+        # plan that the backtracking search once found
+        from gridcover.formulations import validate_plan
         from gridcover.grid import sensing_footprint
 
         grid = GridSpec(5, 5)
         c1 = sorted(grid.cells())
-        handle = build_milp_mov(grid, c1, 0, 1, 4)
-        plan = best_seed_plan(handle, stop_at=25)
-        assert plan is not None
+        assert best_seed_plan(build_milp_mov(grid, c1, 0, 1, 4), stop_at=25) is None
+        seeds = []
+        encode = harness.encode_plan
+        monkeypatch.setattr(harness, "encode_plan", lambda h, plan: seeds.append(plan) or encode(h, plan))
+        cfg = ExperimentConfig(rows=5, cols=5, n_static=0, placement="none", planner="milp-mov",
+                               n_mobile=1, k_max=4)
+        handle, plan, result = harness.plan_mobile_milp(cfg, None)
+        want = {(1, 1): Cell(2, 2), (1, 2): Cell(2, 4), (1, 3): Cell(4, 2), (1, 4): Cell(5, 4)}
+        assert [seed.positions for seed in seeds] == [want] and plan.positions == want
+        assert (result.status, result.objective, result.nodes_explored) == ("optimal", 4.0, 0)
         assert validate_plan(plan, grid, c1, 2, 2) == []
         assert set().union(*(sensing_footprint(p, 1, grid) for p in plan.positions.values())) == set(c1)
         assert self.accepted(handle, plan)
@@ -452,9 +483,9 @@ class TestBacktrackSeed:
         (8, 8, [(2, 2), (7, 7)], 2, 4, None,
          "1 1 1 4\n1 2 3 4\n1 3 5 2\n1 4 7 2\n2 1 2 7\n2 2 4 7\n2 3 6 5\n2 4 7 4\n"),
         (8, 8, [(2, 2), (2, 7), (7, 4)], 1, 4, None, "1 1 5 2\n1 2 3 4\n1 3 5 6\n1 4 7 7\n"),
-        (6, 6, [], 2, 4, 20, "1 1 2 3\n1 2 4 5\n2 1 5 2\n"),
+        (6, 6, [], 2, 4, 20, "1 1 2 2\n1 2 4 2\n2 1 2 5\n"),
         (10, 10, [(2, 2), (5, 5), (8, 8), (2, 9)], 3, 4, 40,
-         "1 1 5 9\n1 2 3 7\n1 3 5 7\n2 1 2 5\n2 2 1 6\n2 3 3 4\n3 1 5 2\n3 2 7 2\n3 3 9 4\n"),
+         "1 1 2 5\n1 2 2 6\n2 1 5 2\n2 2 7 2\n3 1 5 8\n3 2 7 6\n"),
         (7, 9, [(4, 5)], 2, 3, None, "1 1 2 2\n1 2 4 2\n1 3 6 2\n2 1 2 8\n2 2 4 8\n2 3 6 6\n"),
     ])
     def test_greedy_seeds_are_kept(self, rows, cols, static, n_mobile, k_max, stop_at, want):
@@ -462,6 +493,10 @@ class TestBacktrackSeed:
         _, uncovered = static_coverage([Cell(*p) for p in static], 1, grid)
         plan = best_seed_plan(build_milp_cov(grid, sorted(uncovered), n_mobile, k_max), stop_at=stop_at)
         assert plan_text(plan) == want
+        if stop_at is not None:
+            # the first start to reach the target, which a ranking by cells
+            # covered kept, took 3 and 9 movements
+            assert plan.movements <= {20: 3, 40: 9}[stop_at]
 
 
 class TestSeedsMatchTheReference:
@@ -495,13 +530,14 @@ class TestSeedsMatchTheReference:
 
     def test_best_seed_plan(self, monkeypatch):
         # a smaller step budget keeps the reference quick, and a search
-        # that runs out of it must run out at the same step
+        # that runs out of it must run out at the same step; only coverage
+        # seeds reach the backtracking search, so 350 draws keep it busy
         searched = []
         backtrack = harness._backtrack_plan
         monkeypatch.setattr(harness, "_backtrack_plan", lambda *a: searched.append(a) or backtrack(*a))
         monkeypatch.setattr(harness, "SEED_SEARCH_STEPS", 2_000)
         outcomes = set()
-        for n, (grid, c1, args, stop_at) in enumerate(self.instances(200, 14)):
+        for n, (grid, c1, args, stop_at) in enumerate(self.instances(350, 14)):
             got = best_seed_plan(self.handle(grid, c1, args), stop_at=stop_at)
             want = oracles.best_seed_plan(grid, c1, *args, stop_at=stop_at, step_budget=2_000)
             assert (got and got.positions) == (want and want.positions), (n, grid, c1, args, stop_at)
@@ -509,6 +545,31 @@ class TestSeedsMatchTheReference:
         # every mode seeds and fails, and the backtracking search runs often
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
         assert len(searched) >= 40
+
+    def test_no_backtracking_for_a_movement_seed(self, monkeypatch):
+        # a movement seed (stop_at set) comes from the greedy starts, and a
+        # movement solve's from them or the fewest-movements search; the
+        # coverage draws show that the spy sees the backtracking search
+        searched = []
+        backtrack = harness._backtrack_plan
+        monkeypatch.setattr(harness, "_backtrack_plan", lambda handle: searched.append(handle) or backtrack(handle))
+        monkeypatch.setattr(harness, "SEED_SEARCH_STEPS", 2_000)
+        monkeypatch.setattr(harness, "solve_milp", lambda *a, **k: bnb.MilpResult(
+            "infeasible", None, None, None, None, 0))  # only the seeding is watched
+        calls = collections.Counter()
+        for grid, c1, args, stop_at in self.instances(350, 14):
+            before = len(searched)
+            best_seed_plan(self.handle(grid, c1, args), stop_at=stop_at)
+            calls[stop_at is None] += len(searched) - before
+        five = ExperimentConfig(rows=5, cols=5, n_static=0, placement="none", planner="milp-mov",
+                                n_mobile=1, k_max=4)  # no greedy start reaches the target
+        for cfg, deployment in [(five, None), *TestFewestMoves().instances(40, 22)]:
+            before = len(searched)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                harness.plan_mobile_milp(cfg, deployment)
+            calls[False] += len(searched) - before
+        assert calls[False] == 0 and calls[True] >= 40, calls
 
     def test_single_start_greedy(self):
         for n, (grid, c1, args, stop_at) in enumerate(self.instances(100, 15)):
@@ -707,41 +768,87 @@ class TestFewestMoves:
                 ), deployment
 
     def test_search_against_the_exhaustive_oracle(self, monkeypatch):
+        # the search from 0 to L*K movements finds the oracle's fewest, or
+        # none when the oracle has none; the seed that plan_mobile_milp hands
+        # its solve (the ranked greedy start or the search's plan) is the
+        # oracle's fewest wherever there is one
         from gridcover.formulations import validate_plan
 
-        seeded = improved = cut = 0
+        seeds = []
+        encode = harness.encode_plan
+        monkeypatch.setattr(harness, "encode_plan", lambda h, plan: seeds.append(plan) or encode(h, plan))
+        monkeypatch.setattr(harness, "solve_milp", lambda *a, **k: bnb.MilpResult(
+            "infeasible", None, None, None, None, 0))  # only the seed is compared
+        outcomes = collections.Counter()
         for n, (cfg, deployment) in enumerate(self.instances(220, 22)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 handle = harness.build_mobile_milp(cfg, deployment)
+                seeds.clear()
+                harness.plan_mobile_milp(cfg, deployment)
             c1 = list(handle.uncovered)
             want = oracles.min_movements_plan(
                 cfg.grid, c1, handle.static_covered_count, cfg.n_mobile, cfg.k_max, 1,
                 cfg.rho_x, cfg.rho_y, cfg.c_o_mobile, Fraction(cfg.coverage_target))
             stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
-            seed = best_seed_plan(handle, stop_at=stop_at)
-            if seed is None:
+            plan = harness._fewest_moves_plan(handle, stop_at, 0, cfg.n_mobile * cfg.k_max)
+            if plan is None and want is not None:
+                outcomes["out of budget"] += 1
                 continue
-            seeded += 1
-            # the floor that the solve's search starts from is below every plan
-            most = max(fp.bit_count() for fp in handle.footprint_masks)
-            bound = harness.lp_bound(handle.instance)
-            assert -(-stop_at // most) <= want and (bound is None or math.ceil(bound - 1e-6) <= want)
-            plan = harness._fewest_moves_plan(handle, stop_at, 0, seed.movements - 1)
+            assert [seed.movements for seed in seeds] == ([] if want is None else [want]), (n, cfg)
             if plan is None:
-                # the seed is the fewest, unless the search ran out of its steps
-                with monkeypatch.context() as m:
-                    m.setattr(harness, "SEED_SEARCH_STEPS", 10**9)
-                    plan = harness._fewest_moves_plan(handle, stop_at, 0, seed.movements - 1)
-                cut += plan is not None
-                assert (plan or seed).movements == want, (n, cfg)
+                outcomes["infeasible"] += 1
                 continue
-            improved += 1
+            outcomes["equal"] += 1
             assert plan.movements == want, (n, cfg)
             assert validate_plan(plan, cfg.grid, c1, cfg.rho_x, cfg.rho_y) == []
             data = LpData(handle.instance)
             assert data.feasible(encode_plan(handle, plan), data.lower, data.upper), (n, cfg)
-        assert seeded >= 110 and improved >= 30 and not cut, (seeded, improved, cut)  # 123, 38, 0
+            # the floor that the solve's search starts from is below every plan
+            most = max(fp.bit_count() for fp in handle.footprint_masks)
+            bound = harness.lp_bound(handle.instance)
+            assert -(-stop_at // most) <= want and (bound is None or math.ceil(bound - 1e-6) <= want)
+        assert outcomes == {"equal": 123, "infeasible": 97}, outcomes
+
+    def test_seed_is_never_worse_than_the_best_greedy_start(self, monkeypatch):
+        # random 6-10 x 6-10 grids with up to one static node per ten cells,
+        # 1-3 mobile nodes, K 1-4, step ranges 1-2, c_o 1-3 and targets
+        # 0.60-1: the seed a movement solve gets exists whenever some greedy
+        # start reaches the target, and has no more movements than the best;
+        # on a few draws the fewest-movements search beats every start
+        seeds = []
+        encode = harness.encode_plan
+        monkeypatch.setattr(harness, "encode_plan", lambda h, plan: seeds.append(plan) or encode(h, plan))
+        monkeypatch.setattr(harness, "solve_milp", lambda *a, **k: bnb.MilpResult(
+            "infeasible", None, None, None, None, 0))  # only the seed is compared
+        rng = random.Random(34)
+        reached = below = 0
+        for n in range(150):
+            grid = GridSpec(rng.randint(6, 10), rng.randint(6, 10))
+            static = rng.sample(sorted(grid.cells()), rng.randint(0, grid.n_cells // 10))
+            cfg = ExperimentConfig(
+                rows=grid.rows, cols=grid.cols, n_static=len(static),
+                placement="milp-static" if static else "none", planner="milp-mov",
+                n_mobile=rng.randint(1, 3), k_max=rng.randint(1, 4), rho_x=rng.randint(1, 2),
+                rho_y=rng.randint(1, 2), c_o_mobile=rng.randint(1, 3),
+                coverage_target=Fraction(rng.randint(60, 100), 100))
+            deployment = static_deployment(grid, static, 1, 4.0) if static else None
+            seeds.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                handle, _, _ = harness.plan_mobile_milp(cfg, deployment)
+            if handle.nothing_to_plan:
+                continue
+            stop_at = max(0, handle.coverage_threshold - handle.static_covered_count)
+            starts = [harness._greedy_plan(handle, stop_at, first)
+                      for first in [None, *range(len(handle.uncovered))]]
+            best = min((plan.movements for plan, covered in starts if covered >= stop_at), default=None)
+            if best is None:
+                continue
+            reached += 1
+            assert len(seeds) == 1 and seeds[0].movements <= best, (n, cfg)
+            below += seeds[0].movements < best
+        assert reached >= 40 and below >= 1, (reached, below)  # 47 and 2
 
     # criterion 5: 10x10, ten static nodes placed by the MILP, three mobile
     # nodes over four iterations, full coverage

@@ -179,3 +179,18 @@ class TestConfigValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             BaselineConfig(n_mobile=1, k_max=1, initial_placement="fancy")
+
+    @pytest.mark.parametrize("rho", [(-1, 2), (2, -1)])
+    def test_negative_step_range_rejected(self, rho):
+        # the one message of the config, the baseline and the path builders
+        from gridcover.formulations import build_milp_mov
+        from gridcover.harness import ExperimentConfig
+
+        rho_x, rho_y = rho
+        for make in (lambda: BaselineConfig(n_mobile=1, k_max=2, rho_x=rho_x, rho_y=rho_y),
+                     lambda: ExperimentConfig(planner="greedy", rho_x=rho_x, rho_y=rho_y),
+                     lambda: build_milp_mov(GridSpec(5, 5), [Cell(1, 1)], 0, 1, 2, 1, rho_x, rho_y)):
+            with pytest.raises(ValueError, match="step range must be >= 0"):
+                make()
+        # without a planner the step range plays no part
+        assert ExperimentConfig(planner="none", rho_x=rho_x, rho_y=rho_y).rho_x == rho_x
