@@ -25,8 +25,9 @@ def main():
     # any solver that reads LP format can produce `name value` lines; here
     # the embedded solver plays that role
     result = solve_milp(handle.instance)
+    names = handle.instance.variable_names()
     solution_lines = "\n".join(
-        f"{handle.instance.variables[vid].name} {value:g}"
+        f"{names[vid]} {value:g}"
         for vid, value in enumerate(result.incumbent.tolist())
         if value > 0.5
     )

@@ -20,9 +20,7 @@ from .grid import (
 )
 from .milp import (
     InstanceStats,
-    LinearConstraint,
     MilpInstance,
-    Variable,
     instance_stats,
     parse_solution_values,
     write_lp_text,

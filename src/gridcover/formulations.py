@@ -258,14 +258,14 @@ def build_milp_static(
     capped at c_o.  Constraint count is n_static + (n_static + 1) * |C|."""
     if n_static < 1:
         raise ValueError("n_static must be >= 1")
-    if boundary_weight < 1:
-        raise ValueError("boundary_weight must be >= 1")
+    if not 1 <= boundary_weight < math.inf:
+        raise ValueError("boundary_weight must be finite and >= 1")
     if c_o < 1:
         raise ValueError("c_o must be >= 1")
     if r_s < 0:
         raise ValueError("sensing radius must be >= 0")
 
-    inst = MilpInstance("milp-static")
+    inst = MilpInstance()
     handle = FormulationHandle(
         kind="static",
         instance=inst,
@@ -384,7 +384,7 @@ def _build_mobile(
         raise ValueError("step range must be >= 0")
 
     c1 = sorted(set(Cell(*c) for c in uncovered))
-    inst = MilpInstance(f"milp-{kind}")
+    inst = MilpInstance()
     handle = FormulationHandle(
         kind=kind,
         instance=inst,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -110,6 +111,10 @@ class ExperimentConfig:
                 raise ValueError("step range must be >= 0")
         if not 0 < _exact_fraction(self.coverage_target) <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
+        if not self.seeds:
+            raise ValueError("seeds must list at least one seed")
+        if not math.isfinite(self.boundary_weight):
+            raise ValueError("boundary_weight must be finite")
         # the sensing radius and the solver limits are checked with the rest
         self.sensor_params
         self.solver_params()
@@ -845,5 +850,9 @@ def parse_deployment_text(
         if s in entries:
             raise ValueError(f"deployment line {ln}: node {s} given twice")
         entries[s] = grid.require(Cell(i, j), "deployment position")
+    if not entries:
+        raise ValueError("deployment lists no static node")
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        raise ValueError("deployment nodes must be numbered 1..N")
     positions = [entries[s] for s in sorted(entries)]
     return static_deployment(grid, positions, r_s, boundary_weight)

@@ -21,7 +21,7 @@ number once and writes each section as one gathered token stream.
 Names are not stored one per variable: a block of variables added together
 is named `prefix + tag` for every prefix (outer) and tag (inner), so a name
 is computed from an id and an id recovered from a name by arithmetic.
-`variables` and `constraints` are read-only tuple views, built on demand.
+The arrays are the model; there is no per-variable or per-row record.
 
 A point (a value for every variable: a solver's answer, a warm start, an
 encoded deployment or plan) is a float vector of length n_variables,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,19 +46,6 @@ LE, EQ, GE = 0, 1, 2
 INT_TOL = 1e-6  # a binary within this of 0 or 1 counts as integral
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 _TAG_RE = re.compile(r"^[A-Za-z0-9_.\-]*$")
-
-
-class Variable(NamedTuple):
-    name: str
-    kind: str  # "continuous" | "binary"
-    lower: float
-    upper: float
-
-
-class LinearConstraint(NamedTuple):
-    terms: Tuple[Tuple[int, float], ...]  # (var id, coefficient), no duplicate ids
-    sense: str  # "<=", "=", ">="
-    rhs: float
 
 
 @dataclass(frozen=True)
@@ -202,8 +189,7 @@ def _split_terms(terms: Iterable[Tuple[int, float]]) -> Tuple[np.ndarray, np.nda
 class MilpInstance:
     """A mutable-during-construction, then effectively frozen, MILP."""
 
-    def __init__(self, name: str = "model"):
-        self.name = name
+    def __init__(self):
         self.objective_sense: str = "maximize"
         self._vars = _Columns(float, float, bool)  # lower, upper, binary
         self._rows = _Columns(np.int64, np.int8, float)  # term count, sense code, rhs
@@ -310,6 +296,9 @@ class MilpInstance:
         ids = np.array(ids, dtype=np.int64)
         coefs = np.array(coefs, dtype=float)
         _check_ids(ids, ids, self._vars.size, "objective")
+        if not np.isfinite(coefs).all():
+            k = np.flatnonzero(~np.isfinite(coefs))[0]
+            raise ValueError(f"non-finite objective coefficient {coefs[k]} for variable id {ids[k]}")
         ids.flags.writeable = coefs.flags.writeable = False
         self.objective_ids, self.objective_coefs = ids, coefs
         self.objective_sense = sense
@@ -366,28 +355,6 @@ class MilpInstance:
         if "names" not in self._views:
             self._views["names"] = [n for _, block in self._blocks for n in block.names()]
         return self._views["names"]
-
-    @property
-    def variables(self) -> Tuple[Variable, ...]:
-        if "variables" not in self._views:
-            kinds = np.where(self.is_binary, "binary", "continuous").tolist()
-            self._views["variables"] = tuple(
-                map(Variable, self.variable_names(), kinds, self.lower.tolist(), self.upper.tolist())
-            )
-        return self._views["variables"]
-
-    @property
-    def constraints(self) -> Tuple[LinearConstraint, ...]:
-        if "constraints" not in self._views:
-            terms = list(zip(self.term_ids.tolist(), self.term_coefs.tolist()))
-            starts = _row_starts(self.row_lengths).tolist()
-            self._views["constraints"] = tuple(
-                LinearConstraint(tuple(terms[a:b]), SENSES[code], rhs)
-                for a, b, code, rhs in zip(
-                    starts, starts[1:], self.sense_codes.tolist(), self.rhs.tolist()
-                )
-            )
-        return self._views["constraints"]
 
 
 def max_residual(lhs: np.ndarray, codes: np.ndarray, rhs: np.ndarray) -> float:

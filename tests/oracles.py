@@ -325,24 +325,35 @@ def milp_by_enumeration(instance, lp_solver=None) -> Tuple[str, Optional[float]]
     Pure-binary instances are evaluated directly; instances with continuous
     variables re-solve the continuous part per assignment via `lp_solver`
     (a callable (instance, fixed_bounds) -> LpResult)."""
-    binaries = [i for i, v in enumerate(instance.variables) if v.kind == "binary"]
-    others = [i for i, v in enumerate(instance.variables) if v.kind != "binary"]
+    binaries = np.flatnonzero(instance.is_binary).tolist()
+    others = np.flatnonzero(~instance.is_binary).tolist()
     sense_max = instance.objective_sense == "maximize"
     best: Optional[float] = None
 
     if not others:
+        # each row as (terms, sense, rhs), cut from the model's arrays once
+        senses = ("<=", "=", ">=")
+        lengths = instance.row_lengths.tolist()
+        terms = list(zip(instance.term_ids.tolist(), instance.term_coefs.tolist()))
+        ends = list(itertools.accumulate(lengths))
+        rows = [
+            (terms[end - n : end], senses[code], rhs)
+            for n, end, code, rhs in zip(
+                lengths, ends, instance.sense_codes.tolist(), instance.rhs.tolist()
+            )
+        ]
         n = len(binaries)
         for bits in itertools.product((0.0, 1.0), repeat=n):
             x = np.zeros(instance.n_variables)
             x[binaries] = bits
             feasible = True
-            for con in instance.constraints:
-                lhs = sum(coef * x[v] for v, coef in con.terms)
-                if con.sense == "<=" and lhs > con.rhs + 1e-9:
+            for row_terms, sense, rhs in rows:
+                lhs = sum(coef * x[v] for v, coef in row_terms)
+                if sense == "<=" and lhs > rhs + 1e-9:
                     feasible = False
-                elif con.sense == ">=" and lhs < con.rhs - 1e-9:
+                elif sense == ">=" and lhs < rhs - 1e-9:
                     feasible = False
-                elif con.sense == "=" and abs(lhs - con.rhs) > 1e-9:
+                elif sense == "=" and abs(lhs - rhs) > 1e-9:
                     feasible = False
                 if not feasible:
                     break

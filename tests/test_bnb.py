@@ -541,9 +541,7 @@ class TestOracleEquivalence:
             if res.incumbent is None:
                 continue
             assert LpData(m).feasible(res.incumbent, m.lower, m.upper)
-            for vid, var in enumerate(m.variables):
-                if var.kind == "binary":
-                    assert res.incumbent[vid] in (0.0, 1.0)
+            assert set(res.incumbent[m.is_binary].tolist()) <= {0.0, 1.0}
 
 
 def scipy_milp(instance: MilpInstance, lower=None, upper=None):

@@ -63,6 +63,23 @@ class TestPlaceStatic:
         assert (code, stdout, err) == (2, "", "error: sensing radius must be >= 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ["place-static"], ["export-lp", "--formulation", "static"],
+        ["export-lp", "--formulation", "cov", "--l", "1", "--kmax", "2"],
+        ["sweep", "--planner", "greedy", "--l", "1", "--kmax", "2"],
+    ], ids=["place-static", "export-static", "export-cov", "sweep"])
+    def test_non_finite_boundary_weight_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                  command, alpha):
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "out.txt"
+        code, stdout, err = run(command + ["--rows", "4", "--cols", "4", "--ns", "1",
+                                           f"--alpha={alpha}", "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: boundary_weight must be finite\n")
+        assert calls == []
+        assert not out.exists()
+
     def test_infeasible_exits_one(self, tmp_path, capsys):
         # two disjoint footprints cannot fit on 3x3
         code, _, err = run(
@@ -187,6 +204,22 @@ class TestPlanCommands:
         )
         assert code == 2
         assert "deployment line 2" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "deployment lists no static node"),
+        ("1 2 2\n3 5 5\n", "deployment nodes must be numbered 1..N"),
+        ("0 2 2\n-4 5 5\n", "deployment nodes must be numbered 1..N"),
+    ], ids=["empty", "gap", "zero-and-negative"])
+    def test_misnumbered_deployment_exits_two(self, tmp_path, capsys, text, message):
+        deployment, plan = tmp_path / "deployment.txt", tmp_path / "plan.txt"
+        deployment.write_text(text)
+        code, stdout, err = run(
+            ["plan-cov", "--rows", "6", "--cols", "6", "--l", "1", "--kmax", "2",
+             "--deployment", str(deployment), "--out", str(plan)],
+            capsys,
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not plan.exists()
 
     @pytest.mark.parametrize("target, message", [("-1", "must lie in"), ("abc", "abc")])
     def test_coverage_target_outside_the_range_exits_two(self, tmp_path, capsys, target, message):
@@ -570,6 +603,24 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--rows", "5", "--cols", "5", "--l", "1", "--kmax", "2",
                             "--out", str(out)] + flags, capsys)
         assert (code, err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", ","], "seeds must list at least one seed"),
+        (["--seeds", ""], "seeds must list at least one seed"),
+        (["--seeds", "0", "--axis", "seeds=,"], "sweep cell seeds=(): seeds must list at least one seed"),
+        (["--axis", "boundary_weight=4,nan"],
+         "sweep cell boundary_weight=nan: boundary_weight must be finite"),
+    ], ids=["comma", "empty", "axis", "weight-axis"])
+    def test_empty_seed_list_or_non_finite_weight_exits_two_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        calls = []
+        monkeypatch.setattr(gridcover.harness, "run_pipeline", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "results.csv"
+        code, stdout, err = run(SMALL_SWEEP + ["--planner", "greedy", "--out", str(out)] + flags,
+                                capsys)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
         assert calls == []
         assert not out.exists()
 

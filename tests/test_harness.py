@@ -185,6 +185,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="deployment line 2: node 1 given twice"):
             parse_deployment_text("1 2 2\n1 5 5\n", GridSpec(6, 6), 1, 4.0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "deployment lists no static node"),
+        ("\n  \n", "deployment lists no static node"),
+        ("1 2 2\n3 5 5\n", r"deployment nodes must be numbered 1\.\.N"),
+        ("0 2 2\n-4 5 5\n", r"deployment nodes must be numbered 1\.\.N"),
+        ("2 2 2\n", r"deployment nodes must be numbered 1\.\.N"),
+    ], ids=["empty", "blank-lines", "gap", "zero-and-negative", "no-first"])
+    def test_deployment_text_numbers_its_nodes_one_to_n(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_deployment_text(text, GridSpec(6, 6), 1, 4.0)
+        # the numbering, not the line order, gives the node order
+        deployment = parse_deployment_text("2 5 5\n1 2 2\n", GridSpec(6, 6), 1, 4.0)
+        assert deployment.positions == (Cell(2, 2), Cell(5, 5))
+
     def test_results_csv_deterministic_mode(self):
         config = tiny_config(rows=4, cols=4, n_static=0, placement="none",
                              planner="random", seeds=(0, 1))

@@ -180,6 +180,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BaselineConfig(n_mobile=1, k_max=1, initial_placement="fancy")
 
+    def test_empty_seed_list_rejected(self):
+        from gridcover.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="seeds must list at least one seed"):
+            ExperimentConfig(seeds=())
+        assert ExperimentConfig(seeds=(3,)).seeds == (3,)
+
     @pytest.mark.parametrize("rho", [(-1, 2), (2, -1)])
     def test_negative_step_range_rejected(self, rho):
         # the one message of the config, the baseline and the path builders
