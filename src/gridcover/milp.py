@@ -167,15 +167,18 @@ def _check_kind_and_bounds(label: str, kind: str, lower: float, upper: float) ->
         raise ValueError(f"binary {label} must have bounds within [0, 1]")
 
 
-def _check_ids(ids: np.ndarray, keys: np.ndarray, n: int, where: str) -> None:
-    """Every id names one of `n` variables, and no key (an id, or an id
-    tagged with its row) occurs twice."""
+def _check_terms(ids: np.ndarray, coefs: np.ndarray, keys: np.ndarray, n: int, where: str) -> None:
+    """Every id names one of `n` variables, no key (an id, or an id tagged
+    with its row) occurs twice, and every coefficient is finite."""
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"unknown variable id {ids[(ids < 0) | (ids >= n)][0]}")
     ordered = np.sort(keys)
     repeated = ordered[1:] == ordered[:-1]
     if repeated.any():
         raise ValueError(f"duplicate variable id {ordered[1:][repeated][0] % max(n, 1)} in {where}")
+    if not np.isfinite(coefs).all():
+        k = np.flatnonzero(~np.isfinite(coefs))[0]
+        raise ValueError(f"non-finite coefficient {coefs[k]} for variable id {ids[k]} in {where}")
 
 
 def _split_terms(terms: Iterable[Tuple[int, float]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -266,10 +269,7 @@ class MilpInstance:
         n = self._vars.size
         keys = np.repeat(np.arange(m, dtype=np.int64) * max(n, 1), lengths)
         keys += ids
-        _check_ids(ids, keys, n, "constraint terms")
-        if not np.isfinite(coefs).all():
-            k = np.flatnonzero(~np.isfinite(coefs))[0]
-            raise ValueError(f"non-finite coefficient {coefs[k]} for variable id {ids[k]}")
+        _check_terms(ids, coefs, keys, n, "constraint terms")
         rhs = np.broadcast_to(np.asarray(rhs, float), m)
         if not np.isfinite(rhs).all():
             k = int(np.flatnonzero(~np.isfinite(rhs))[0])
@@ -295,10 +295,7 @@ class MilpInstance:
             raise ValueError(f"unknown objective sense {sense!r}")
         ids = np.array(ids, dtype=np.int64)
         coefs = np.array(coefs, dtype=float)
-        _check_ids(ids, ids, self._vars.size, "objective")
-        if not np.isfinite(coefs).all():
-            k = np.flatnonzero(~np.isfinite(coefs))[0]
-            raise ValueError(f"non-finite objective coefficient {coefs[k]} for variable id {ids[k]}")
+        _check_terms(ids, coefs, ids, self._vars.size, "objective")
         ids.flags.writeable = coefs.flags.writeable = False
         self.objective_ids, self.objective_coefs = ids, coefs
         self.objective_sense = sense

@@ -180,6 +180,9 @@ class TestPersistence:
         assert deployment.positions == (Cell(2, 2), Cell(5, 5))
         assert deployment.covered == frozenset(covered)
         assert deployment_text(deployment) == text
+        # the numbering, not the line order, gives the node order
+        shuffled = parse_deployment_text("2 5 5\n1 2 2\n", grid, 1, 4.0)
+        assert shuffled.positions == deployment.positions
 
     def test_deployment_text_rejects_a_repeated_node(self):
         with pytest.raises(ValueError, match="deployment line 2: node 1 given twice"):
@@ -195,9 +198,6 @@ class TestPersistence:
     def test_deployment_text_numbers_its_nodes_one_to_n(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_deployment_text(text, GridSpec(6, 6), 1, 4.0)
-        # the numbering, not the line order, gives the node order
-        deployment = parse_deployment_text("2 5 5\n1 2 2\n", GridSpec(6, 6), 1, 4.0)
-        assert deployment.positions == (Cell(2, 2), Cell(5, 5))
 
     def test_results_csv_deterministic_mode(self):
         config = tiny_config(rows=4, cols=4, n_static=0, placement="none",

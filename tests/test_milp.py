@@ -117,9 +117,9 @@ class TestSetObjective:
         x = m.add_variable("x", "binary", 0, 1)
         y = m.add_variable("y", "binary", 0, 1)
         m.set_objective([(x, 1.0)], "maximize")
-        with pytest.raises(ValueError, match="non-finite objective coefficient .* for variable id 1"):
+        with pytest.raises(ValueError, match="non-finite coefficient .* for variable id 1 in objective"):
             m.set_objective([(x, 1.0), (y, coef)], "minimize")
-        with pytest.raises(ValueError, match="non-finite objective coefficient"):
+        with pytest.raises(ValueError, match="in objective"):
             m.set_objective_arrays([y], [coef], "minimize")
         # the objective set before stays
         assert (m.objective_sense, m.objective_ids.tolist(), m.objective_coefs.tolist()) == (
