@@ -13,7 +13,6 @@ from .grid import (
     SensorParams,
     boundary_cells,
     evaluate_plan,
-    interior_cells,
     reachable_window,
     sensing_footprint,
     static_coverage,

@@ -81,7 +81,12 @@ def _config_file_flags(path: str) -> List[str]:
 
 
 def _seed_tuple(text: str) -> Tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s)
+    """A comma-separated seed list; an empty item among seeds is an error,
+    and a list of nothing but empty items is the empty list."""
+    items = text.split(",")
+    if any(items) and not all(items):
+        raise argparse.ArgumentTypeError(f"item {items.index('') + 1} of {text!r} is empty")
+    return tuple(int(s) for s in items if s)
 
 
 def _add_flags(p: argparse.ArgumentParser, out: str, mobile: bool = False, static: bool = False,

@@ -196,11 +196,6 @@ def cell_weights(grid: GridSpec, boundary_weight: float) -> np.ndarray:
     return weights.ravel()
 
 
-def interior_cells(grid: GridSpec) -> Set[Cell]:
-    """Cells that are not on the perimeter."""
-    return set(grid.cells()) - boundary_cells(grid)
-
-
 def static_coverage(
     placements: List[Tuple[int, int]], r_s: int, grid: GridSpec
 ) -> Tuple[Set[Cell], Set[Cell]]:

@@ -113,8 +113,13 @@ class ExperimentConfig:
             raise ValueError("coverage_target must lie in (0, 1]")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
+        for k, seed in enumerate(self.seeds):
+            if seed in self.seeds[:k]:
+                raise ValueError(f"seed {seed} given twice")
         if not math.isfinite(self.boundary_weight):
             raise ValueError("boundary_weight must be finite")
+        if self.placement == "milp-static" and self.boundary_weight < 1:
+            raise ValueError("boundary_weight must be finite and >= 1")  # the builder's message
         # the sensing radius and the solver limits are checked with the rest
         self.sensor_params
         self.solver_params()

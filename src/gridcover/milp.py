@@ -18,8 +18,11 @@ bounds.  Constraint order is insertion order and is part of the
 deterministic export contract.  The LP text export formats each distinct
 number once and writes each section as one gathered token stream.
 
-Names are not stored one per variable: a block of variables added together
-is named `prefix + tag` for every prefix (outer) and tag (inner), so a name
+A model is built in blocks, one way only: `add_variables` adds variables
+that share a kind and a bound pair, `add_constraints` adds rows that share a
+sense, and `set_objective_arrays` sets the objective, each from arrays.
+Names are not stored one per variable: every variable belongs to a block
+named `prefix + tag` for every prefix (outer) and tag (inner), so a name
 is computed from an id and an id recovered from a name by arithmetic.
 The arrays are the model; there is no per-variable or per-row record.
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,22 +136,6 @@ class _ProductNames:
         return any(large.find(name) is not None for name in small.names())
 
 
-class _ListNames:
-    """Names given one at a time, by `add_variable`."""
-
-    def __init__(self):
-        self.index: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def names(self) -> List[str]:
-        return list(self.index)
-
-    def find(self, name: str) -> Optional[int]:
-        return self.index.get(name)
-
-
 def _row_starts(lengths: np.ndarray) -> np.ndarray:
     """Offsets of each row's first term, plus the total at the end."""
     starts = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -181,14 +168,6 @@ def _check_terms(ids: np.ndarray, coefs: np.ndarray, keys: np.ndarray, n: int, w
         raise ValueError(f"non-finite coefficient {coefs[k]} for variable id {ids[k]} in {where}")
 
 
-def _split_terms(terms: Iterable[Tuple[int, float]]) -> Tuple[np.ndarray, np.ndarray]:
-    pairs = [(int(v), float(c)) for v, c in terms]
-    return (
-        np.array([v for v, _ in pairs], dtype=np.int64),
-        np.array([c for _, c in pairs], dtype=float),
-    )
-
-
 class MilpInstance:
     """A mutable-during-construction, then effectively frozen, MILP."""
 
@@ -197,7 +176,7 @@ class MilpInstance:
         self._vars = _Columns(float, float, bool)  # lower, upper, binary
         self._rows = _Columns(np.int64, np.int8, float)  # term count, sense code, rhs
         self._terms = _Columns(np.int64, float)  # variable id, coefficient
-        self._blocks: List[Tuple[int, object]] = []  # (first id, names)
+        self._blocks: List[Tuple[int, _ProductNames]] = []  # (first id, names)
         self.objective_ids = np.empty(0, dtype=np.int64)  # read-only, as set
         self.objective_coefs = np.empty(0, dtype=float)
         self._views: Dict[str, object] = {}
@@ -211,29 +190,6 @@ class MilpInstance:
                 return first + k
         return None
 
-    def _append_variables(self, names, count: int, kind: str, lower, upper) -> VarId:
-        vid = self._vars.size
-        self._vars.append(
-            np.full(count, float(lower)), np.full(count, float(upper)), np.full(count, kind == "binary")
-        )
-        if names is not None:
-            self._blocks.append((vid, names))
-        self._views.clear()
-        return vid
-
-    def add_variable(self, name: str, kind: str, lower: float, upper: float) -> VarId:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        if self._find_name(name) is not None:
-            raise ValueError(f"duplicate variable name {name!r}")
-        _check_kind_and_bounds(repr(name), kind, lower, upper)
-        names = self._blocks[-1][1] if self._blocks else None
-        extend = isinstance(names, _ListNames)  # consecutive calls share a block
-        if not extend:
-            names = _ListNames()
-        names.index[name] = len(names)
-        return self._append_variables(None if extend else names, 1, kind, lower, upper)
-
     def add_variables(
         self, prefixes: Sequence[str], tags: Sequence[str], kind: str, lower: float, upper: float
     ) -> VarId:
@@ -243,15 +199,15 @@ class MilpInstance:
         the same number of "_"."""
         names = _ProductNames(prefixes, tags)
         _check_kind_and_bounds(f"block {prefixes[0]}*", kind, lower, upper)
-        for _, block in self._blocks:
-            clash = (
-                block.meets(names)
-                if isinstance(block, _ProductNames)
-                else any(names.find(n) is not None for n in block.index)
-            )
-            if clash:
-                raise ValueError("duplicate variable name in block")
-        return self._append_variables(names, len(names), kind, lower, upper)
+        if any(block.meets(names) for _, block in self._blocks):
+            raise ValueError("duplicate variable name in block")
+        vid, count = self._vars.size, len(names)
+        self._vars.append(
+            np.full(count, float(lower)), np.full(count, float(upper)), np.full(count, kind == "binary")
+        )
+        self._blocks.append((vid, names))
+        self._views.clear()
+        return vid
 
     def add_constraints(self, lengths, ids, coefs, sense: str, rhs) -> ConstraintId:
         """A block of rows: row r holds the next `lengths[r]` (id, coefficient)
@@ -279,15 +235,6 @@ class MilpInstance:
         self._terms.append(ids, coefs)
         self._views.clear()
         return cid
-
-    def add_constraint(
-        self, terms: Iterable[Tuple[int, float]], sense: str, rhs: float
-    ) -> ConstraintId:
-        ids, coefs = _split_terms(terms)
-        return self.add_constraints([len(ids)], ids, coefs, sense, float(rhs))
-
-    def set_objective(self, terms: Iterable[Tuple[int, float]], sense: str) -> None:
-        self.set_objective_arrays(*_split_terms(terms), sense)
 
     def set_objective_arrays(self, ids, coefs, sense: str) -> None:
         """The objective as parallel arrays of distinct ids and coefficients."""
@@ -341,12 +288,6 @@ class MilpInstance:
         return self._views["matrix"]
 
     # -- queries ----------------------------------------------------------
-
-    def var_id(self, name: str) -> VarId:
-        vid = self._find_name(name)
-        if vid is None:
-            raise KeyError(name)
-        return vid
 
     def variable_names(self) -> List[str]:
         if "names" not in self._views:

@@ -34,24 +34,21 @@ def random_milp(rng: random.Random, n_bin=None, n_cont=None, n_rows=None) -> Mil
     n_cont = n_cont if n_cont is not None else rng.randint(0, 2)
     n_rows = n_rows if n_rows is not None else rng.randint(1, 10)
     m = MilpInstance()
-    for i in range(n_bin):
-        m.add_variable(f"b{i}", "binary", 0, 1)
+    m.add_variables(["b_"], [str(i) for i in range(n_bin)], "binary", 0, 1)
     for i in range(n_cont):
-        m.add_variable(f"y{i}", "continuous", 0, rng.randint(1, 3))
+        m.add_variables(["y_"], [str(i)], "continuous", 0, rng.randint(1, 3))
     n = n_bin + n_cont
     for _ in range(n_rows):
-        terms = [
-            (j, rng.randint(-4, 4))
-            for j in rng.sample(range(n), rng.randint(1, n))
-        ]
-        terms = [(j, c) for j, c in terms if c]
-        if not terms:
+        ids = np.array(rng.sample(range(n), rng.randint(1, n)))
+        coefs = np.array([rng.randint(-4, 4) for _ in ids])
+        ids, coefs = ids[coefs != 0], coefs[coefs != 0]
+        if not ids.size:
             continue
         sense = rng.choices(["<=", ">=", "="], weights=[6, 3, 1])[0]
         rhs = rng.randint(0, 8) if sense == "<=" else rng.randint(-4, 3)
-        m.add_constraint(terms, sense, rhs)
-    m.set_objective(
-        [(j, rng.randint(-5, 5)) for j in range(n)], rng.choice(["maximize", "minimize"])
+        m.add_constraints([ids.size], ids, coefs, sense, rhs)
+    m.set_objective_arrays(
+        range(n), [rng.randint(-5, 5) for _ in range(n)], rng.choice(["maximize", "minimize"])
     )
     return m
 
@@ -59,26 +56,26 @@ def random_milp(rng: random.Random, n_bin=None, n_cont=None, n_rows=None) -> Mil
 class TestBasics:
     def test_one_of_two(self):
         m = MilpInstance()
-        a = m.add_variable("a", "binary", 0, 1)
-        b = m.add_variable("b", "binary", 0, 1)
-        m.add_constraint([(a, 1), (b, 1)], "<=", 1)
-        m.set_objective([(a, 1), (b, 1)], "maximize")
+        m.add_variables(["v_"], ["a", "b"], "binary", 0, 1)
+        m.add_constraints([2], [0, 1], [1, 1], "<=", 1)
+        m.set_objective_arrays([0, 1], [1, 1], "maximize")
         res = solve_milp(m)
         assert res.status == "optimal" and res.objective == pytest.approx(1.0)
 
     def test_infeasible(self):
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
-        m.add_constraint([(x, 1)], ">=", 1)
-        m.add_constraint([(x, 1)], "<=", 0)
-        m.set_objective([(x, 1)], "maximize")
+        x = m.add_variables(["x_"], [""], "binary", 0, 1)
+        m.add_constraints([1], [x], [1], ">=", 1)
+        m.add_constraints([1], [x], [1], "<=", 0)
+        m.set_objective_arrays([x], [1], "maximize")
         assert solve_milp(m).status == "infeasible"
 
     def test_incumbent_binaries_exact_and_feasible(self):
         m = MilpInstance()
-        vs = [m.add_variable(f"v{i}", "binary", 0, 1) for i in range(3)]
-        m.add_constraint([(v, 2) for v in vs], "<=", 3)
-        m.set_objective([(v, 1) for v in vs], "maximize")
+        m.add_variables(["v_"], list("012"), "binary", 0, 1)
+        vs = range(3)
+        m.add_constraints([3], vs, [2] * 3, "<=", 3)
+        m.set_objective_arrays(vs, [1] * 3, "maximize")
         res = solve_milp(m)
         for v in vs:
             assert res.incumbent[v] in (0.0, 1.0)
@@ -87,11 +84,10 @@ class TestBasics:
 
     def test_incumbent_is_a_float_vector_over_every_variable(self):
         m = MilpInstance()
-        bs = [m.add_variable(f"b{i}", "binary", 0, 1) for i in range(3)]
-        ys = [m.add_variable(f"y{i}", "continuous", 0, 2) for i in range(2)]
-        m.add_constraint([(b, 1) for b in bs], "<=", 2)
-        m.add_constraint([(ys[0], 1), (ys[1], 1), (bs[0], -1)], "<=", 1.5)
-        m.set_objective([(v, 1) for v in bs + ys], "maximize")
+        m.add_variables(["b_"], list("012"), "binary", 0, 1)
+        m.add_variables(["y_"], list("01"), "continuous", 0, 2)  # ids 3 and 4
+        m.add_constraints([3, 3], [0, 1, 2, 3, 4, 0], [1, 1, 1, 1, 1, -1], "<=", [2, 1.5])
+        m.set_objective_arrays(range(5), [1] * 5, "maximize")
         res = solve_milp(m)
         assert res.status == "optimal" and res.objective == pytest.approx(4.5)
         assert isinstance(res.incumbent, np.ndarray)
@@ -99,8 +95,8 @@ class TestBasics:
 
     def test_gap_definition(self):
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
-        m.set_objective([(x, 5)], "maximize")
+        x = m.add_variables(["x_"], [""], "binary", 0, 1)
+        m.set_objective_arrays([x], [5], "maximize")
         res = solve_milp(m)
         assert res.status == "optimal"
         assert res.gap == pytest.approx(
@@ -110,8 +106,8 @@ class TestBasics:
 
     def test_pure_lp_instance(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 2.5)
-        m.set_objective([(x, 2)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, 2.5)
+        m.set_objective_arrays([x], [2], "maximize")
         res = solve_milp(m)
         assert res.status == "optimal" and res.objective == pytest.approx(5.0)
 
@@ -119,10 +115,10 @@ class TestBasics:
         # min y, x - y >= 0, x in [0, inf), y binary: the phase-2 tilt
         # improves along x's ray, the exact costs do not; the optimum is 0
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, math.inf)
-        y = m.add_variable("y", "binary", 0, 1)
-        m.add_constraint([(x, 1), (y, -1)], ">=", 0)
-        m.set_objective([(y, 1)], "minimize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, math.inf)
+        y = m.add_variables(["y_"], [""], "binary", 0, 1)
+        m.add_constraints([2], [x, y], [1, -1], ">=", 0)
+        m.set_objective_arrays([y], [1], "minimize")
         res = solve_milp(m)
         assert res.status == "optimal" and res.objective == 0.0 and res.best_bound == 0.0
 
@@ -131,10 +127,10 @@ class TestBasics:
         # max x + z, x - z >= 0, x in [0, inf), z binary: the root LP is
         # unbounded, seeded or not
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, math.inf)
-        z = m.add_variable("z", "binary", 0, 1)
-        m.add_constraint([(x, 1), (z, -1)], ">=", 0)
-        m.set_objective([(x, 1), (z, 1)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, math.inf)
+        z = m.add_variables(["z_"], [""], "binary", 0, 1)
+        m.add_constraints([2], [x, z], [1, -1], ">=", 0)
+        m.set_objective_arrays([x, z], [1, 1], "maximize")
         res = solve_milp(m, warm_start=None if seed is None else np.array(seed))
         assert res.status == "unbounded" and res.nodes_explored == 1
         assert res.incumbent is None and res.objective is None and res.best_bound is None and res.gap is None
@@ -143,9 +139,10 @@ class TestBasics:
 class TestWarmStart:
     def build(self):
         m = MilpInstance()
-        vs = [m.add_variable(f"v{i}", "binary", 0, 1) for i in range(4)]
-        m.add_constraint([(v, 1) for v in vs], "<=", 2)
-        m.set_objective([(v, 1) for v in vs], "maximize")
+        m.add_variables(["v_"], list("0123"), "binary", 0, 1)
+        vs = range(4)
+        m.add_constraints([4], vs, [1] * 4, "<=", 2)
+        m.set_objective_arrays(vs, [1] * 4, "maximize")
         return m, vs
 
     def test_feasible_seed_does_not_change_optimum(self):
@@ -183,10 +180,10 @@ class TestWarmStart:
         # the rows' tolerance.  The node is split on x, and its x = 1 side
         # holds the optimum 0.5 (the snapped binaries' own best, y = 0, is 0)
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
-        y = m.add_variable("y", "continuous", 0, 1)
-        m.add_constraint([(y, 1), (x, -1)], "<=", 0)
-        m.set_objective([(y, 1), (x, -0.5)], "maximize")
+        x = m.add_variables(["x_"], [""], "binary", 0, 1)
+        y = m.add_variables(["y_"], [""], "continuous", 0, 1)
+        m.add_constraints([2], [y, x], [1, -1], "<=", 0)
+        m.set_objective_arrays([y, x], [1, -0.5], "maximize")
         calls = []
 
         def noisy(data, bounds=None):
@@ -204,10 +201,10 @@ class TestWarmStart:
     def test_optimal_seed_short_circuits(self):
         # seed attains the bound implied by variable boxes: zero nodes needed
         m = MilpInstance()
-        vs = [m.add_variable(f"v{i}", "binary", 0, 1) for i in range(3)]
-        m.add_constraint([(v, 1) for v in vs], "<=", 3)
-        m.set_objective([(v, 1) for v in vs], "maximize")
-        res = solve_milp(m, warm_start=np.ones(len(vs)))
+        m.add_variables(["v_"], list("012"), "binary", 0, 1)
+        m.add_constraints([3], range(3), [1] * 3, "<=", 3)
+        m.set_objective_arrays(range(3), [1] * 3, "maximize")
+        res = solve_milp(m, warm_start=np.ones(3))
         assert res.status == "optimal" and res.nodes_explored == 0
 
 
@@ -352,10 +349,9 @@ class TestHandedBound:
         # the LP and quotient bounds are 1.65 and the optimum is 1.1, and a
         # fractional objective is not rounded
         m = MilpInstance()
-        xs = [m.add_variable(f"x{i}", "binary", 0, 1) for i in range(3)]
-        for i in range(3):
-            m.add_constraint([(xs[i], 1), (xs[(i + 1) % 3], 1)], "<=", 1)
-        m.set_objective([(x, 1.1) for x in xs], "maximize")
+        m.add_variables(["x_"], list("012"), "binary", 0, 1)
+        m.add_constraints([2, 2, 2], [0, 1, 1, 2, 2, 0], [1] * 6, "<=", 1)
+        m.set_objective_arrays(range(3), [1.1] * 3, "maximize")
         return m
 
     def test_a_bound_the_seed_attains_closes_before_any_lp(self, monkeypatch):
@@ -372,7 +368,7 @@ class TestHandedBound:
         # an unseeded search has nothing to close on, and a change to the
         # model drops the bound
         assert solve_milp(m).nodes_explored > 0
-        m.add_constraint([(0, 1)], "<=", 1)
+        m.add_constraints([1], [0], [1], "<=", 1)
         assert solve_milp(m, warm_start=seed).nodes_explored > 0 and calls == [1]
 
     def test_no_bound_and_a_bound_above_the_seed_leave_the_search_as_it_was(self):
@@ -389,12 +385,12 @@ class TestHandedBound:
         # the box bound closes max x <= 1 at the seed 1, and the quotient
         # bound closes one of two binaries at the seed (1, 0)
         box = MilpInstance()
-        x = box.add_variable("x", "binary", 0, 1)
-        box.set_objective([(x, 1)], "maximize")
+        x = box.add_variables(["x_"], [""], "binary", 0, 1)
+        box.set_objective_arrays([x], [1], "maximize")
         pair = MilpInstance()
-        a, b = pair.add_variable("a", "binary", 0, 1), pair.add_variable("b", "binary", 0, 1)
-        pair.add_constraint([(a, 1), (b, 1)], "<=", 1)
-        pair.set_objective([(a, 1), (b, 1)], "maximize")
+        pair.add_variables(["v_"], ["a", "b"], "binary", 0, 1)
+        pair.add_constraints([2], [0, 1], [1, 1], "<=", 1)
+        pair.set_objective_arrays([0, 1], [1, 1], "maximize")
         for m, seed in ((box, [1.0]), (pair, [1.0, 0.0])):
             bnb.hand_bound(m, lambda: pytest.fail("the handed bound was read"))
             res = solve_milp(m, warm_start=np.array(seed))
@@ -655,30 +651,33 @@ def planted_milp(rng: random.Random, broken=None) -> MilpInstance:
     def pick():  # a random nonempty set of binaries
         return rng.sample(range(n_bin), rng.randint(1, n_bin))
 
-    objective = list(zip(m.objective_ids.tolist(), m.objective_coefs.tolist()))
     up = 1 if m.objective_sense == "maximize" else -1  # a cost that pushes a column up
 
-    d = m.add_variable("d", "continuous", -20, 20)
+    d = m.add_variables(["d_"], [""], "continuous", -20, 20)
     p = rng.choice([1, -1, 2, 3])
-    terms = [(b, -p * rng.choice([-2, -1, 1, 2])) for b in pick()]
+    bs = pick()
+    coefs = [-p * rng.choice([-2, -1, 1, 2]) for _ in bs]
     if broken == "coef":
-        p, terms = 2, [(b, -1) for b, _ in terms]
-    m.add_constraint([(d, p)] + terms, "=", p * rng.randint(-2, 2))
+        p, coefs = 2, [-1] * len(bs)
+    m.add_constraints([1 + len(bs)], [d, *bs], [p, *coefs], "=", p * rng.randint(-2, 2))
 
-    u = m.add_variable("u", "continuous", 0, rng.randint(1, 3) + (0.5 if broken == "bound" else 0))
+    u = m.add_variables(["u_"], [""], "continuous", 0, rng.randint(1, 3) + (0.5 if broken == "bound" else 0))
     for n_cap in range(rng.randint(1, 3)):
         q, sign = rng.choice([1, 2]), rng.choice([1, -1])  # sign -1 writes the cap as >=
-        terms = [(u, sign * q)] + [(b, -sign * q) for b in pick()]
+        ids = [u, *pick()]
+        coefs = [sign * q] + [-sign * q] * (len(ids) - 1)
         if rng.random() < 0.5:
-            terms.append((d, -sign * q * rng.choice([-1, 1])))
+            ids.append(d)
+            coefs.append(-sign * q * rng.choice([-1, 1]))
         rhs = q * rng.randint(0, 2) + (0.5 if broken == "rhs" and n_cap == 0 else 0)
-        m.add_constraint(terms, "<=" if sign == 1 else ">=", sign * rhs)
-    m.add_constraint([(u, 1), (rng.randrange(n_bin), -1)], ">=", 0)  # a lower limit
+        m.add_constraints([len(ids)], ids, coefs, "<=" if sign == 1 else ">=", sign * rhs)
+    m.add_constraints([2], [u, rng.randrange(n_bin)], [1, -1], ">=", 0)  # a lower limit
     if broken == "eq":
-        y = m.add_variable("y", "continuous", 0, 3)
-        m.add_constraint([(u, 1), (y, 1)], "=", 3)
-    objective += [(d, rng.choice([-2, -1, 1, 2])), (u, up * rng.randint(1, 3))]
-    m.set_objective(objective, m.objective_sense)
+        y = m.add_variables(["y_"], [""], "continuous", 0, 3)
+        m.add_constraints([2], [u, y], [1, 1], "=", 3)
+    m.set_objective_arrays([*m.objective_ids, d, u],
+                           [*m.objective_coefs, rng.choice([-2, -1, 1, 2]), up * rng.randint(1, 3)],
+                           m.objective_sense)
     return m
 
 
@@ -712,9 +711,9 @@ class TestObjectiveIntegral:
         # a seed of 1.3 against a bound of 1.9: flooring both to 1 would
         # close the search on the seed
         m = MilpInstance()
-        x1, x2 = m.add_variable("x1", "binary", 0, 1), m.add_variable("x2", "binary", 0, 1)
-        m.add_constraint([(x1, 1), (x2, 1)], "<=", 1)
-        m.set_objective([(x1, 1.3), (x2, 1.9)], "maximize")
+        m.add_variables(["x_"], ["1", "2"], "binary", 0, 1)
+        m.add_constraints([2], [0, 1], [1, 1], "<=", 1)
+        m.set_objective_arrays([0, 1], [1.3, 1.9], "maximize")
         assert not LpData(m).objective_integral
         res = solve_milp(m, warm_start=np.array([1.0, 0.0]))
         assert (res.status, res.objective) == ("optimal", pytest.approx(1.9))

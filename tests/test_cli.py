@@ -364,6 +364,17 @@ class TestExportLp:
         assert (code, stdout, err) == (2, "", "error: sensing radius must be >= 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("formulation", ["cov", "mov"])
+    def test_boundary_weight_below_one_around_a_deployment_exits_two(self, tmp_path, capsys, formulation):
+        # the deployment's static nodes are placed by the boundary-weighted model
+        deployment, out = tmp_path / "deployment.txt", tmp_path / "model.lp"
+        deployment.write_text("1 2 2\n")
+        code, stdout, err = run(["export-lp", "--formulation", formulation, "--rows", "4", "--cols", "4",
+                                 "--l", "1", "--kmax", "2", "--deployment", str(deployment),
+                                 "--alpha", "0.5", "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: boundary_weight must be finite and >= 1\n")
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["export-lp", "--formulation", "bogus", "--rows", "3", "--cols", "3"])
@@ -522,6 +533,17 @@ class TestSweepCommand:
         assert all(type(row.seed) is int for row in rows)
         assert len(csv_rows(out)) == 2
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,", ",1"])
+    def test_empty_seed_item_exits_two(self, tmp_path, capsys, seeds):
+        out = tmp_path / "results.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL_SWEEP + ["--placement", "none", "--ns", "0", "--planner", "random",
+                                "--seeds", seeds, "--out", str(out)])
+        assert exc.value.code == 2
+        item = seeds.split(",").index("") + 1
+        assert f"argument --seeds: item {item} of {seeds!r} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deployment_flag_exits_two(self, tmp_path, capsys):
         # a sweep places its own static nodes; it reads no deployment file
         out = tmp_path / "results.csv"
@@ -612,7 +634,10 @@ class TestSweepCommand:
         (["--seeds", "0", "--axis", "seeds=,"], "sweep cell seeds=(): seeds must list at least one seed"),
         (["--axis", "boundary_weight=4,nan"],
          "sweep cell boundary_weight=nan: boundary_weight must be finite"),
-    ], ids=["comma", "empty", "axis", "weight-axis"])
+        (["--seeds", "3,3"], "seed 3 given twice"),
+        (["--axis", "boundary_weight=4,0.5"],
+         "sweep cell boundary_weight=0.5: boundary_weight must be finite and >= 1"),
+    ], ids=["comma", "empty", "axis", "weight-axis", "repeated", "weight-below-one-axis"])
     def test_empty_seed_list_or_non_finite_weight_exits_two_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch, flags, message):
         calls = []

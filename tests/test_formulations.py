@@ -121,7 +121,7 @@ class TestStaticFormulation:
     def test_decode_rejects_fractional(self):
         handle = build_milp_static(GridSpec(3, 3), 1)
         values = np.zeros(handle.instance.n_variables)
-        values[handle.instance.var_id("x_s1_2_2")] = 0.5
+        values[np.ravel_multi_index((0, handle.index[Cell(2, 2)]), handle.x_shape)] = 0.5
         with pytest.raises(DecodeError, match="fractional"):
             decode_static(handle, values)
 
@@ -187,7 +187,7 @@ class TestCovFormulation:
         grid = GridSpec(3, 3)
         handle = build_milp_cov(grid, sorted(grid.cells()), 1, 2)
         values = np.zeros(handle.instance.n_variables)
-        values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
+        values[np.ravel_multi_index((0, 0, handle.index[Cell(2, 2)]), handle.x_shape)] = 1.0
         with pytest.raises(DecodeError, match="no position"):
             decode_plan(handle, values)
 
@@ -449,7 +449,7 @@ class TestDecodeEncode:
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 2, coverage_target=1)
         values = np.zeros(handle.instance.n_variables)
-        values[handle.instance.var_id("x_l1_k1_2_2")] = 1.0
+        values[np.ravel_multi_index((0, 0, handle.index[Cell(2, 2)]), handle.x_shape)] = 1.0
         plan = decode_plan(handle, values)
         assert plan.positions == {(1, 1): Cell(2, 2)}
 
@@ -457,8 +457,8 @@ class TestDecodeEncode:
         grid = GridSpec(3, 3)
         handle = build_milp_mov(grid, sorted(grid.cells()), 0, 1, 1, coverage_target="0.1")
         values = np.zeros(handle.instance.n_variables)
-        values[handle.instance.var_id("x_l1_k1_1_1")] = 1.0
-        values[handle.instance.var_id("x_l1_k1_3_3")] = 1.0
+        values[np.ravel_multi_index((0, 0, handle.index[Cell(1, 1)]), handle.x_shape)] = 1.0
+        values[np.ravel_multi_index((0, 0, handle.index[Cell(3, 3)]), handle.x_shape)] = 1.0
         with pytest.raises(DecodeError, match="occupies 2 cells"):
             decode_plan(handle, values)
 

@@ -15,7 +15,6 @@ from gridcover.grid import (
     boundary_cells,
     cell_weights,
     evaluate_plan,
-    interior_cells,
     reachable_window,
     sensing_footprint,
     static_coverage,
@@ -126,7 +125,6 @@ class TestBoundary:
         g = GridSpec(rows, cols)
         b = boundary_cells(g)
         assert len(b) == count == 2 * (rows + cols - 2)
-        assert interior_cells(g) == set(g.cells()) - b
 
     def test_degenerate_single_row(self):
         g = GridSpec(1, 5)

@@ -27,84 +27,82 @@ from oracles import reference_lp_text
 class TestAddVariable:
     def test_ids_are_dense(self):
         m = MilpInstance()
-        assert m.add_variable("x_s1_2_3", "binary", 0, 1) == 0
-        assert m.add_variable("c_2_3", "continuous", 0, 1) == 1
+        assert m.add_variables(["x_s1_"], ["2_3"], "binary", 0, 1) == 0
+        assert m.add_variables(["c_"], ["2_3", "2_4"], "continuous", 0, 1) == 1
+        assert m.add_variables(["y_"], [""], "continuous", 0, 1) == 3
 
     def test_duplicate_name_rejected(self):
         m = MilpInstance()
-        m.add_variable("x", "binary", 0, 1)
+        m.add_variables(["x_"], [""], "binary", 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_variable("x", "continuous", 0, 1)
+            m.add_variables(["x_"], [""], "continuous", 0, 1)
 
     def test_inverted_bounds_rejected(self):
         m = MilpInstance()
         with pytest.raises(ValueError, match="bounds"):
-            m.add_variable("x", "continuous", 2, 1)
+            m.add_variables(["x_"], [""], "continuous", 2, 1)
 
     @pytest.mark.parametrize("bound", [math.inf, -math.inf])
     def test_fixed_at_an_infinity_rejected(self, bound):
         m = MilpInstance()
-        with pytest.raises(ValueError, match="infinity"):
-            m.add_variable("x", "continuous", bound, bound)
         with pytest.raises(ValueError, match="infinity"):
             m.add_variables(["x_"], ["1"], "continuous", bound, bound)
         assert m.n_variables == 0
 
     def test_infinite_bounds_make_a_free_variable(self):
         m = MilpInstance()
-        m.add_variable("x", "continuous", -math.inf, math.inf)
         m.add_variables(["y_"], ["1"], "continuous", -math.inf, math.inf)
-        text = write_lp_text(m)
-        assert " x free\n" in text and " y_1 free\n" in text
+        assert " y_1 free\n" in write_lp_text(m)
 
     def test_binary_bounds_inside_unit_box(self):
         m = MilpInstance()
         with pytest.raises(ValueError):
-            m.add_variable("x", "binary", 0, 2)
+            m.add_variables(["x_"], [""], "binary", 0, 2)
 
     def test_bad_names_rejected(self):
         m = MilpInstance()
-        for bad in ("", "2x", "a b"):
+        for prefixes, tags in (([""], ["1"]), (["2x_"], ["1"]), (["a b_"], ["1"]), (["x"], ["1"]),
+                               (["x_"], ["a b"]), (["x_"], ["1", "1_2"]), ([], ["1"]), (["x_"], [])):
             with pytest.raises(ValueError):
-                m.add_variable(bad, "binary", 0, 1)
+                m.add_variables(prefixes, tags, "binary", 0, 1)
+        assert m.n_variables == 0
 
 
 class TestAddConstraint:
     def test_insertion_order_ids(self):
         m = MilpInstance()
-        x0 = m.add_variable("x0", "binary", 0, 1)
-        x1 = m.add_variable("x1", "binary", 0, 1)
-        assert m.add_constraint([(x0, 1), (x1, 1)], "=", 1) == 0
-        assert m.add_constraint([(x0, 1)], "<=", 1) == 1
+        x = m.add_variables(["x_"], ["0", "1"], "binary", 0, 1)
+        assert m.add_constraints([2], [x, x + 1], [1, 1], "=", 1) == 0
+        assert m.add_constraints([1, 0], [x], [1], "<=", 1) == 1
+        assert m.add_constraints([1], [x], [1], ">=", 0) == 3
 
     def test_unknown_variable_rejected(self):
         m = MilpInstance()
-        m.add_variable("x", "binary", 0, 1)
+        m.add_variables(["x_"], [""], "binary", 0, 1)
         foreign = MilpInstance()
-        for _ in range(5):
-            foreign.add_variable(f"y{_}", "binary", 0, 1)
+        foreign.add_variables(["y_"], list("01234"), "binary", 0, 1)
         with pytest.raises(ValueError, match="unknown variable id"):
-            m.add_constraint([(4, 1.0)], "<=", 1)
+            m.add_constraints([1], [4], [1.0], "<=", 1)
 
     def test_duplicate_term_rejected(self):
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
+        x = m.add_variables(["x_"], [""], "binary", 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_constraint([(x, 1), (x, 2)], "<=", 1)
+            m.add_constraints([2], [x, x], [1, 2], "<=", 1)
 
     def test_nonfinite_coefficient_rejected(self):
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
+        x = m.add_variables(["x_"], [""], "binary", 0, 1)
         with pytest.raises(ValueError, match="finite"):
-            m.add_constraint([(x, math.inf)], "<=", 1)
+            m.add_constraints([1], [x], [math.inf], "<=", 1)
 
     @pytest.mark.parametrize("rhs", [math.inf, -math.inf, math.nan])
     def test_nonfinite_rhs_rejected(self, rhs):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 1)
-        m.add_constraint([(x, 1.0)], ">=", 0.0)
+        x = m.add_variables(["x_"], [""], "continuous", 0, 1)
+        m.add_constraints([1], [x], [1.0], ">=", 0.0)
         with pytest.raises(ValueError, match="non-finite right-hand side .* in row 1"):
-            m.add_constraint([(x, 1.0)], "<=", rhs)
+            m.add_constraints([1], [x], [1.0], "<=", rhs)
         with pytest.raises(ValueError, match="in row 3"):
             m.add_constraints([1, 1, 1], [x, x, x], [1.0, 1.0, 1.0], "=", [0.0, 1.0, rhs])
         assert m.n_constraints == 1  # nothing of a rejected block is kept
@@ -114,13 +112,10 @@ class TestSetObjective:
     @pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
     def test_nonfinite_objective_coefficient_rejected(self, coef):
         m = MilpInstance()
-        x = m.add_variable("x", "binary", 0, 1)
-        y = m.add_variable("y", "binary", 0, 1)
-        m.set_objective([(x, 1.0)], "maximize")
+        x = m.add_variables(["v_"], ["x", "y"], "binary", 0, 1)
+        m.set_objective_arrays([x], [1.0], "maximize")
         with pytest.raises(ValueError, match="non-finite coefficient .* for variable id 1 in objective"):
-            m.set_objective([(x, 1.0), (y, coef)], "minimize")
-        with pytest.raises(ValueError, match="in objective"):
-            m.set_objective_arrays([y], [coef], "minimize")
+            m.set_objective_arrays([x, x + 1], [1.0, coef], "minimize")
         # the objective set before stays
         assert (m.objective_sense, m.objective_ids.tolist(), m.objective_coefs.tolist()) == (
             "maximize", [x], [1.0])
@@ -129,42 +124,31 @@ class TestSetObjective:
 class TestBlocks:
     def test_block_names_round_trip(self):
         m = MilpInstance()
-        m.add_variable("y", "continuous", 0, 2)
+        m.add_variables(["y_"], [""], "continuous", 0, 2)
         first = m.add_variables(["x_a1_", "x_a2_"], ["1_1", "1_2", "2_1"], "binary", 0, 1)
         assert first == 1
         assert m.variable_names()[1:] == [
             "x_a1_1_1", "x_a1_1_2", "x_a1_2_1", "x_a2_1_1", "x_a2_1_2", "x_a2_2_1",
         ]
         for vid, name in enumerate(m.variable_names()):
-            assert m.var_id(name) == vid
-        for absent in ("x_a3_1_1", "x_a1_3_3", "x_a1_1", "x_a1_1_1_", "x"):
-            with pytest.raises(KeyError):
-                m.var_id(absent)
+            assert np.flatnonzero(parse_solution_values(f"{name} 1", m)).tolist() == [vid]
+        for absent in ("x_a3_1_1", "x_a1_3_3", "x_a1_1", "x_a1_1_1_", "x", "y"):
+            with pytest.raises(ValueError, match="unknown variable name"):
+                parse_solution_values(f"{absent} 1", m)
 
     def test_block_duplicates_rejected(self):
         m = MilpInstance()
         m.add_variables(["x_"], ["1_2", "3_4"], "binary", 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_variable("x_3_4", "binary", 0, 1)
+            m.add_variables(["x_"], ["3_4"], "binary", 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
             m.add_variables(["x_1_"], ["2"], "binary", 0, 1)  # split another way
         with pytest.raises(ValueError, match="duplicate"):
             m.add_variables(["y_"], ["1", "1"], "binary", 0, 1)
-        m.add_variable("z_5", "continuous", 0, 1)
+        m.add_variables(["z_"], ["5"], "continuous", 0, 1)
         with pytest.raises(ValueError, match="duplicate"):
             m.add_variables(["z_"], ["4", "5"], "continuous", 0, 1)
         assert m.n_variables == 3
-
-    def test_row_block_matches_single_rows(self):
-        one, block = MilpInstance(), MilpInstance()
-        for m in (one, block):
-            m.add_variables(["v_"], ["0", "1", "2"], "continuous", 0, 1)
-        one.add_constraint([(0, 1.0), (2, -2.0)], "<=", 1.0)
-        one.add_constraint([(1, 3.0)], "<=", 0.5)
-        block.add_constraints([2, 1], [0, 2, 1], [1.0, -2.0, 3.0], "<=", [1.0, 0.5])
-        for rows in ("row_lengths", "term_ids", "term_coefs", "sense_codes", "rhs"):
-            assert np.array_equal(getattr(one, rows), getattr(block, rows)), rows
-        assert write_lp_text(one) == write_lp_text(block)
 
     def test_row_block_validated(self):
         m = MilpInstance()
@@ -193,13 +177,11 @@ class TestBlocks:
 class TestConstraintViolation:
     def test_largest_residual_by_sense(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 10)
-        y = m.add_variable("y", "continuous", 0, 10)
-        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 4.0)
-        m.add_constraint([(x, 1.0)], ">=", 2.0)
-        m.add_constraint([(y, 2.0)], "=", 2.0)
-        m.add_constraint([], "<=", 1.0)
-        assert (x, y) == (0, 1)
+        m.add_variables(["v_"], ["x", "y"], "continuous", 0, 10)  # ids 0 and 1
+        m.add_constraints([2], [0, 1], [1.0, 1.0], "<=", 4.0)
+        m.add_constraints([1], [0], [1.0], ">=", 2.0)
+        m.add_constraints([1], [1], [2.0], "=", 2.0)
+        m.add_constraints([0], [], [], "<=", 1.0)
         assert max_residual(m.matrix() @ np.array([2.0, 1.0]), m.sense_codes, m.rhs) == 0.0
         assert max_residual(m.matrix() @ np.array([3.5, 1.0]), m.sense_codes, m.rhs) == pytest.approx(0.5)
         assert max_residual(m.matrix() @ np.array([0.5, 1.0]), m.sense_codes, m.rhs) == pytest.approx(1.5)
@@ -241,11 +223,11 @@ class TestInstanceStats:
             for i in range(rng.randrange(1, 30)):
                 kind = rng.choice(["binary", "continuous"])
                 kinds.append(kind)
-                m.add_variable(f"v{i}", kind, 0, 1)
+                m.add_variables(["v_"], [str(i)], kind, 0, 1)
             n_rows = rng.randrange(0, 20)
             for _ in range(n_rows):
                 vid = rng.randrange(len(kinds))
-                m.add_constraint([(vid, rng.uniform(-3, 3))], rng.choice(["<=", "=", ">="]), 1.0)
+                m.add_constraints([1], [vid], [rng.uniform(-3, 3)], rng.choice(["<=", "=", ">="]), 1.0)
             s = instance_stats(m)
             assert s.n_binary == sum(1 for k in kinds if k == "binary")
             assert s.n_continuous == len(kinds) - s.n_binary
@@ -254,9 +236,9 @@ class TestInstanceStats:
 
 def tiny_instance():
     m = MilpInstance()
-    x = m.add_variable("x", "binary", 0, 1)
-    m.add_constraint([(x, 1.0)], "<=", 1.0)
-    m.set_objective([(x, 1.0)], "maximize")
+    x = m.add_variables(["x_"], ["1"], "binary", 0, 1)
+    m.add_constraints([1], [x], [1.0], "<=", 1.0)
+    m.set_objective_arrays([x], [1.0], "maximize")
     return m
 
 
@@ -264,13 +246,13 @@ class TestWriteLpText:
     def test_sections_present(self):
         text = write_lp_text(tiny_instance())
         assert text.startswith("Maximize\n")
-        assert " c1: 1 x <= 1" in text
-        assert "Binary\n x\n" in text
+        assert " c1: 1 x_1 <= 1" in text
+        assert "Binary\n x_1\n" in text
         assert text.endswith("End\n")
 
     def test_empty_objective_placeholder(self):
         m = MilpInstance()
-        m.add_variable("x", "continuous", 0, 1)
+        m.add_variables(["x_"], ["1"], "continuous", 0, 1)
         text = write_lp_text(m)
         assert " obj: 0" in text
 
@@ -281,22 +263,22 @@ class TestWriteLpText:
 
     def test_roundtrip_through_independent_reader(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 10)
-        y = m.add_variable("y", "continuous", -math.inf, math.inf)
-        z = m.add_variable("z", "binary", 0, 1)
-        m.add_constraint([(x, 1.5), (y, -2.0)], "<=", 4.0)
-        m.add_constraint([(y, 1.0), (z, 3.0)], ">=", -1.0)
-        m.add_constraint([(x, 1.0)], "=", 2.0)
-        m.set_objective([(x, 3.0), (z, -1.25)], "maximize")
+        x = m.add_variables(["v_"], ["x"], "continuous", 0, 10)
+        y = m.add_variables(["v_"], ["y"], "continuous", -math.inf, math.inf)
+        z = m.add_variables(["v_"], ["z"], "binary", 0, 1)
+        m.add_constraints([2], [x, y], [1.5, -2.0], "<=", 4.0)
+        m.add_constraints([2], [y, z], [1.0, 3.0], ">=", -1.0)
+        m.add_constraints([1], [x], [1.0], "=", 2.0)
+        m.set_objective_arrays([x, z], [3.0, -1.25], "maximize")
         parsed = read_lp_text(write_lp_text(m))
         assert parsed.maximize
-        assert parsed.objective == {"x": 3.0, "z": -1.25}
-        assert parsed.constraints[0] == ({"x": 1.5, "y": -2.0}, "<=", 4.0)
-        assert parsed.constraints[1] == ({"y": 1.0, "z": 3.0}, ">=", -1.0)
-        assert parsed.constraints[2] == ({"x": 1.0}, "=", 2.0)
-        assert parsed.lower == {"x": 0.0, "y": -math.inf, "z": 0.0}
-        assert parsed.upper == {"x": 10.0, "y": math.inf, "z": 1.0}
-        assert parsed.binaries == ["z"]
+        assert parsed.objective == {"v_x": 3.0, "v_z": -1.25}
+        assert parsed.constraints[0] == ({"v_x": 1.5, "v_y": -2.0}, "<=", 4.0)
+        assert parsed.constraints[1] == ({"v_y": 1.0, "v_z": 3.0}, ">=", -1.0)
+        assert parsed.constraints[2] == ({"v_x": 1.0}, "=", 2.0)
+        assert parsed.lower == {"v_x": 0.0, "v_y": -math.inf, "v_z": 0.0}
+        assert parsed.upper == {"v_x": 10.0, "v_y": math.inf, "v_z": 1.0}
+        assert parsed.binaries == ["v_z"]
 
     def test_static_3x3_file_solves_to_33_externally(self):
         handle = build_milp_static(GridSpec(3, 3), 1, 1, 1, 4.0)
@@ -334,26 +316,22 @@ def _random_bounds(rng: random.Random):
     return (min(v, w), max(v, w)) if v != w else (v, v + 1.5)
 
 
-def random_lp_instance(rng: random.Random):
-    """A model mixing `add_variable` names with `add_variables` blocks, every
-    bound shape, empty and all-zero rows, signed zeros, fractional and huge
-    values, and an objective that is unset, empty, all zero or shuffled.
-    Returns the model and whether both naming routes were used."""
+def random_lp_instance(rng: random.Random) -> MilpInstance:
+    """A model mixing one-variable blocks with larger ones, every bound
+    shape, empty and all-zero rows, signed zeros, fractional and huge
+    values, and an objective that is unset, empty, all zero or shuffled."""
     m = MilpInstance()
-    routes = set()
     for part in range(rng.randrange(0, 5)):
         kind = rng.choice(("binary", "continuous"))
         if rng.random() < 0.5:
             for _ in range(rng.randrange(1, 4)):
                 lo, up = rng.choice(BINARY_BOUNDS) if kind == "binary" else _random_bounds(rng)
-                m.add_variable(f"v{m.n_variables}", kind, lo, up)
-            routes.add("single")
+                m.add_variables(["v_"], [str(m.n_variables)], kind, lo, up)
         else:
             lo, up = rng.choice(BINARY_BOUNDS) if kind == "binary" else _random_bounds(rng)
             prefixes = [f"b{part}_{p}_" for p in range(rng.randrange(1, 3))]
             tags = [f"{t}_{rng.randrange(9)}" for t in range(rng.randrange(1, 4))]
             m.add_variables(prefixes, tags, kind, lo, up)
-            routes.add("block")
     n = m.n_variables
     for _ in range(rng.randrange(0, 4) if rng.random() < 0.85 else 0):
         lengths = [rng.randrange(0, min(n, 4) + 1) for _ in range(rng.randrange(1, 4))]
@@ -362,21 +340,19 @@ def random_lp_instance(rng: random.Random):
         coefs = [rng.choice((0.0, -0.0)) if zero_rows else rng.choice(LP_VALUES) for _ in ids]
         sense = rng.choice(("<=", "=", ">="))
         rhs = [rng.choice(LP_VALUES[:-1]) for _ in lengths]
-        if len(lengths) == 1 and rng.random() < 0.5:
-            m.add_constraint(list(zip(ids, coefs)), sense, rhs[0])
-        else:
-            m.add_constraints(lengths, ids, coefs, sense, rhs)
+        scalar = len(lengths) == 1 and rng.random() < 0.5  # one right-hand side for the block
+        m.add_constraints(lengths, ids, coefs, sense, rhs[0] if scalar else rhs)
     objective = rng.random()
     if n and objective < 0.7:
         ids = rng.sample(range(n), rng.randrange(0, n + 1))
         coefs = [0.0] * len(ids) if objective < 0.1 else [rng.choice(LP_VALUES) for _ in ids]
         m.set_objective_arrays(ids, coefs, rng.choice(("maximize", "minimize")))
     elif objective < 0.85:
-        m.set_objective([], "minimize")
-    return m, routes == {"single", "block"}
+        m.set_objective_arrays([], [], "minimize")
+    return m
 
 
-def _lp_cases(m: MilpInstance, mixed_names: bool) -> dict:
+def _lp_cases(m: MilpInstance) -> dict:
     """Whether model `m` exercises each case of the LP writer."""
     coefs, rhs = m.term_coefs, m.rhs
     numbers = np.concatenate([coefs, rhs, m.lower, m.upper, m.objective_coefs])
@@ -400,7 +376,6 @@ def _lp_cases(m: MilpInstance, mixed_names: bool) -> dict:
         "no binaries": not m.is_binary.any(),
         "empty objective": len(m.objective_ids) == 0,
         "all-zero objective": len(m.objective_ids) > 0 and not m.objective_coefs.any(),
-        "mixed names": mixed_names,
     }
 
 
@@ -424,10 +399,10 @@ class TestWriteLpTextMatchesReference:
         rng = random.Random(11)
         seen = set()
         for trial in range(400):
-            m, mixed_names = random_lp_instance(rng)
-            seen |= {case for case, hit in _lp_cases(m, mixed_names).items() if hit}
+            m = random_lp_instance(rng)
+            seen |= {case for case, hit in _lp_cases(m).items() if hit}
             assert write_lp_text(m) == reference_lp_text(m), f"instance {trial}"
-        missing = set(_lp_cases(MilpInstance(), False)) - seen
+        missing = set(_lp_cases(MilpInstance())) - seen
         assert not missing, f"no random instance had: {sorted(missing)}"
 
 
@@ -452,7 +427,7 @@ class TestMatrix:
         rng = random.Random(5)
         empty_rows = signed_zeros = unsorted = 0
         for trial in range(400):
-            m, _ = random_lp_instance(rng)
+            m = random_lp_instance(rng)
             assert self.same(m.matrix(), reference_matrix(m)), f"instance {trial}"
             empty_rows += bool(np.any(m.row_lengths == 0))
             signed_zeros += bool(np.any((m.term_coefs == 0) & np.signbit(m.term_coefs)))
@@ -471,14 +446,14 @@ class TestMatrix:
         m = tiny_instance()
         before = m.matrix()
         assert m.matrix() is before
-        m.add_constraint([(0, 2.0)], "<=", 1.0)
+        m.add_constraints([1], [0], [2.0], "<=", 1.0)
         assert m.matrix().shape == (before.shape[0] + 1, 1)
 
 
 class TestParseSolutionValues:
     def test_single_value(self):
         m = tiny_instance()
-        assert parse_solution_values("x 1\n", m).tolist() == [1.0]
+        assert parse_solution_values("x_1 1\n", m).tolist() == [1.0]
 
     def test_empty_text_defaults_to_zero(self):
         m = tiny_instance()
@@ -490,13 +465,13 @@ class TestParseSolutionValues:
 
     def test_unparseable_value_rejected(self):
         with pytest.raises(ValueError, match="unparseable"):
-            parse_solution_values("x abc", tiny_instance())
+            parse_solution_values("x_1 abc", tiny_instance())
 
     def test_repeated_name_rejected(self):
-        with pytest.raises(ValueError, match="line 2: variable 'x' given twice"):
-            parse_solution_values("x 1\nx 0", tiny_instance())
+        with pytest.raises(ValueError, match="line 2: variable 'x_1' given twice"):
+            parse_solution_values("x_1 1\nx_1 0", tiny_instance())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(ValueError, match="line 1: non-finite value"):
-            parse_solution_values(f"x {value}", tiny_instance())
+            parse_solution_values(f"x_1 {value}", tiny_instance())

@@ -187,6 +187,24 @@ class TestConfigValidation:
             ExperimentConfig(seeds=())
         assert ExperimentConfig(seeds=(3,)).seeds == (3,)
 
+    def test_repeated_seed_rejected(self):
+        from gridcover.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="seed 3 given twice"):
+            ExperimentConfig(seeds=(3, 1, 3))
+
+    def test_boundary_weight_below_one_rejected_under_milp_placement(self):
+        from gridcover.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="boundary_weight must be finite and >= 1"):
+            ExperimentConfig(boundary_weight=0.5)
+        with pytest.raises(ValueError, match="boundary_weight must be finite$"):
+            ExperimentConfig(boundary_weight=float("nan"))
+        # no other placement reads the weight
+        for placement, n_static in (("none", 0), ("random-static", 1)):
+            config = ExperimentConfig(placement=placement, n_static=n_static, boundary_weight=0.5)
+            assert config.boundary_weight == 0.5
+
     @pytest.mark.parametrize("rho", [(-1, 2), (2, -1)])
     def test_negative_step_range_rejected(self, rho):
         # the one message of the config, the baseline and the path builders

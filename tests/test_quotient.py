@@ -87,7 +87,7 @@ def test_bound_is_computed_once_per_instance(monkeypatch):
     first = lp_bound(instance)
     monkeypatch.setattr(quotient, "partition_bound", lambda *args: pytest.fail("recomputed"))
     assert lp_bound(instance) == first
-    instance.add_variable("extra", "continuous", 0.0, 1.0)  # a new model: a new bound
+    instance.add_variables(["extra_"], [""], "continuous", 0.0, 1.0)  # a new model: a new bound
     monkeypatch.undo()
     assert lp_bound(instance) == pytest.approx(first)
 
@@ -117,14 +117,13 @@ def planted_lp(rng):
     by_id = np.empty(k * n0, dtype=np.int64)
     by_id[ids.ravel()] = np.tile(np.arange(n0), k)  # each column's place in the block
     for v in range(k * n0):
-        inst.add_variable(f"x{v}", "continuous", lower[by_id[v]], upper[by_id[v]])
+        inst.add_variables(["x_"], [str(v)], "continuous", lower[by_id[v]], upper[by_id[v]])
     for r in rng.permutation(len(rows)):
         at, coefs, sense, rhs = rows[r]
         keep = coefs != 0
         if keep.any():
-            inst.add_constraint(zip(at[keep].tolist(), coefs[keep].tolist()), str(sense), rhs)
-    inst.set_objective(zip(range(k * n0), c[by_id].tolist()),
-                       str(rng.choice(["maximize", "minimize"])))
+            inst.add_constraints([keep.sum()], at[keep], coefs[keep], str(sense), rhs)
+    inst.set_objective_arrays(range(k * n0), c[by_id], str(rng.choice(["maximize", "minimize"])))
     return inst, m0, n0
 
 
@@ -173,9 +172,9 @@ def test_dual_bound_needs_a_finite_end():
     # min x over x >= 1 with x free below: y = 0 leaves the reduced cost 1 on
     # an infinite lower bound, which proves nothing; y = 1 proves 1
     inst = MilpInstance()
-    inst.add_variable("x", "continuous", -np.inf, 5.0)
-    inst.add_constraint([(0, 1.0)], ">=", 1.0)
-    inst.set_objective([(0, 1.0)], "minimize")
+    inst.add_variables(["x_"], [""], "continuous", -np.inf, 5.0)
+    inst.add_constraints([1], [0], [1.0], ">=", 1.0)
+    inst.set_objective_arrays([0], [1.0], "minimize")
     data = LpData(inst)
     assert quotient.dual_bound(data, np.zeros(1)) is None
     assert quotient.dual_bound(data, np.ones(1)) == 1.0
@@ -190,8 +189,8 @@ def test_seeded_search_closes_only_on_a_seed_that_attains_the_bound(sense):
     def three_binaries():
         inst = MilpInstance()
         inst.add_variables(["x_"], ["1", "2", "3"], "binary", 0.0, 1.0)
-        inst.add_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 2.0)
-        inst.set_objective([(v, 1.0 if sense == "maximize" else -1.0) for v in range(3)], sense)
+        inst.add_constraints([3], range(3), [1.0] * 3, "<=", 2.0)
+        inst.set_objective_arrays(range(3), [1.0 if sense == "maximize" else -1.0] * 3, sense)
         return inst
 
     best = 2.0 if sense == "maximize" else -2.0
@@ -206,11 +205,10 @@ def two_binaries():
     """max x1 + x2 with x1 >= 1 and x2 <= 0: x1 and x2 share a kind, a box
     and a cost, but no equitable partition holds them together."""
     inst = MilpInstance()
-    inst.add_variable("x1", "binary", 0.0, 1.0)
-    inst.add_variable("x2", "binary", 0.0, 1.0)
-    inst.add_constraint([(0, 1.0)], ">=", 1.0)
-    inst.add_constraint([(1, 1.0)], "<=", 0.0)
-    inst.set_objective([(0, 1.0), (1, 1.0)], "maximize")
+    inst.add_variables(["x_"], ["1", "2"], "binary", 0.0, 1.0)
+    inst.add_constraints([1], [0], [1.0], ">=", 1.0)
+    inst.add_constraints([1], [1], [1.0], "<=", 0.0)
+    inst.set_objective_arrays([0, 1], [1.0, 1.0], "maximize")
     return inst
 
 
@@ -234,11 +232,11 @@ def test_infeasible_quotient_falls_back_to_the_root_lp(monkeypatch):
 
 def test_infeasible_and_empty_models_give_no_bound():
     inst = MilpInstance()
-    inst.add_variable("x", "continuous", 0.0, 1.0)
-    inst.add_constraint([(0, 1.0)], ">=", 2.0)
-    inst.set_objective([(0, 1.0)], "maximize")
+    inst.add_variables(["x_"], [""], "continuous", 0.0, 1.0)
+    inst.add_constraints([1], [0], [1.0], ">=", 2.0)
+    inst.set_objective_arrays([0], [1.0], "maximize")
     assert lp_bound(inst) is None
     inst = MilpInstance()
-    inst.add_variable("x", "continuous", 0.0, 1.0)
-    inst.set_objective([(0, 1.0)], "maximize")
+    inst.add_variables(["x_"], [""], "continuous", 0.0, 1.0)
+    inst.set_objective_arrays([0], [1.0], "maximize")
     assert lp_bound(inst) is None

@@ -40,21 +40,21 @@ from oracles import (
 
 def build(c, A, senses, b, lower, upper, maximize=True):
     m = MilpInstance()
-    n = len(c)
-    for j in range(n):
-        m.add_variable(f"v{j}", "continuous", lower[j], upper[j])
-    for r in range(len(senses)):
-        terms = [(j, A[r][j]) for j in range(n) if A[r][j] != 0.0]
-        m.add_constraint(terms, senses[r], b[r])
-    m.set_objective([(j, c[j]) for j in range(n) if c[j] != 0.0], "maximize" if maximize else "minimize")
+    for j in range(len(c)):
+        m.add_variables(["v_"], [str(j)], "continuous", lower[j], upper[j])
+    for r, row in enumerate(np.asarray(A, dtype=float).reshape(len(senses), len(c))):
+        at = np.flatnonzero(row)
+        m.add_constraints([at.size], at, row[at], senses[r], b[r])
+    at = np.flatnonzero(c)
+    m.set_objective_arrays(at, np.asarray(c, dtype=float)[at], "maximize" if maximize else "minimize")
     return m
 
 
 class TestBasics:
     def test_bound_only_maximum(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 1)
-        m.set_objective([(x, 1.0)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, 1)
+        m.set_objective_arrays([x], [1.0], "maximize")
         res = solve_lp(m)
         assert res.status == "optimal"
         assert res.values.tolist() == [1.0]
@@ -85,72 +85,70 @@ class TestBasics:
 
     def test_conflicting_rows_infeasible(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 1)
-        m.add_constraint([(x, 1.0)], ">=", 1.0)
-        m.add_constraint([(x, 1.0)], "<=", 0.0)
-        m.set_objective([(x, 1.0)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, 1)
+        m.add_constraints([1], [x], [1.0], ">=", 1.0)
+        m.add_constraints([1], [x], [1.0], "<=", 0.0)
+        m.set_objective_arrays([x], [1.0], "maximize")
         assert solve_lp(m).status == "infeasible"
 
     def test_unbounded(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, math.inf)
-        m.add_constraint([(x, 1.0)], ">=", 0.0)
-        m.set_objective([(x, 1.0)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, math.inf)
+        m.add_constraints([1], [x], [1.0], ">=", 0.0)
+        m.set_objective_arrays([x], [1.0], "maximize")
         assert solve_lp(m).status == "unbounded"
 
     def test_free_variable_minimum(self):
         m = MilpInstance()
-        y = m.add_variable("y", "continuous", -math.inf, math.inf)
-        m.add_constraint([(y, 1.0)], ">=", -3.0)
-        m.set_objective([(y, 1.0)], "minimize")
+        y = m.add_variables(["y_"], [""], "continuous", -math.inf, math.inf)
+        m.add_constraints([1], [y], [1.0], ">=", -3.0)
+        m.set_objective_arrays([y], [1.0], "minimize")
         res = solve_lp(m)
         assert res.status == "optimal" and res.objective == pytest.approx(-3.0)
 
     def test_fixed_variables_respected(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0.5, 0.5)
-        y = m.add_variable("y", "continuous", 0, 1)
-        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
-        m.set_objective([(x, 1.0), (y, 1.0)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0.5, 0.5)
+        y = m.add_variables(["y_"], [""], "continuous", 0, 1)
+        m.add_constraints([2], [x, y], [1.0, 1.0], "<=", 1.0)
+        m.set_objective_arrays([x, y], [1.0, 1.0], "maximize")
         res = solve_lp(m)
         assert res.objective == pytest.approx(1.0)
         assert res.values[0] == pytest.approx(0.5)
 
     def test_extra_bounds_tighten(self):
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 1)
-        m.set_objective([(x, 1.0)], "maximize")
+        x = m.add_variables(["x_"], [""], "continuous", 0, 1)
+        m.set_objective_arrays([x], [1.0], "maximize")
         res = solve_lp(m, extra_bounds={0: (0.0, 0.25)})
         assert res.objective == pytest.approx(0.25)
 
     def test_empty_constraint_rows_dropped_or_infeasible(self):
         m = MilpInstance()
-        m.add_variable("x", "continuous", 0, 1)
-        m.add_constraint([], "<=", 1.0)  # vacuous
-        m.set_objective([(0, 1.0)], "maximize")
+        m.add_variables(["x_"], [""], "continuous", 0, 1)
+        m.add_constraints([0], [], [], "<=", 1.0)  # vacuous
+        m.set_objective_arrays([0], [1.0], "maximize")
         assert solve_lp(m).objective == pytest.approx(1.0)
         m2 = MilpInstance()
-        m2.add_variable("x", "continuous", 0, 1)
-        m2.add_constraint([], ">=", 2.0)  # 0 >= 2
-        m2.set_objective([(0, 1.0)], "maximize")
+        m2.add_variables(["x_"], [""], "continuous", 0, 1)
+        m2.add_constraints([0], [], [], ">=", 2.0)  # 0 >= 2
+        m2.set_objective_arrays([0], [1.0], "maximize")
         assert solve_lp(m2).status == "infeasible"
 
     def test_deterministic_repeat(self):
         m = MilpInstance()
-        for j in range(4):
-            m.add_variable(f"x{j}", "continuous", 0, 2)
-        m.add_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 3.0)
-        m.add_constraint([(1, 1.0), (3, -1.0)], ">=", 0.5)
-        m.set_objective([(0, 1.0), (1, 2.0), (2, 0.5), (3, 1.0)], "maximize")
+        m.add_variables(["x_"], list("0123"), "continuous", 0, 2)
+        m.add_constraints([3], [0, 1, 2], [1.0, 1.0, 1.0], "<=", 3.0)
+        m.add_constraints([2], [1, 3], [1.0, -1.0], ">=", 0.5)
+        m.set_objective_arrays(range(4), [1.0, 2.0, 0.5, 1.0], "maximize")
         r1, r2 = solve_lp(m), solve_lp(m)
         assert np.array_equal(r1.values, r2.values) and r1.objective == r2.objective
 
     def test_lpdata_reuse_matches_instance_solve(self):
         m = MilpInstance()
-        for j in range(3):
-            m.add_variable(f"x{j}", "continuous", 0, 1)
-        m.add_constraint([(0, 1.0), (1, 1.0)], "<=", 1.2)
-        m.set_objective([(0, 1.0), (1, 1.0), (2, 1.0)], "maximize")
+        m.add_variables(["x_"], list("012"), "continuous", 0, 1)
+        m.add_constraints([2], [0, 1], [1.0, 1.0], "<=", 1.2)
+        m.set_objective_arrays(range(3), [1.0] * 3, "maximize")
         data = LpData(m)
         assert solve_lp(data).objective == solve_lp(m).objective
 
@@ -171,10 +169,7 @@ class TestStart:
             n = int(rng.integers(1, 8))
             lower = rng.choice([-math.inf, -2.0, 0.0], size=n)
             upper = np.maximum(lower, 0.0) + rng.choice([math.inf, 0.0, 1.5], size=n)
-            m = MilpInstance()
-            for j in range(n):
-                m.add_variable(f"x{j}", "continuous", lower[j], upper[j])
-            m.add_constraint([(j, 1.0) for j in range(n)], "<=", 1.0)
+            m = build(np.zeros(n), np.ones((1, n)), ["<="], [1.0], lower, upper)
             solver = _Solver(LpData(m), None)
             solver._place_nonbasic(np.full(solver.ncols, AT_LO, dtype=np.int8))
             for j in range(solver.ncols):
@@ -577,12 +572,12 @@ class TestWarmStart:
         # max x + y with x + y <= 1.5 in the unit box; the basis of min x + y
         # (both at zero) prices x and y as improving: not dual feasible
         m = MilpInstance()
-        x = m.add_variable("x", "continuous", 0, 1)
-        y = m.add_variable("y", "continuous", 0, 1)
-        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.5)
-        m.set_objective([(x, 1.0), (y, 1.0)], "minimize")
+        x = m.add_variables(["v_"], ["x", "y"], "continuous", 0, 1)
+        y = x + 1
+        m.add_constraints([2], [x, y], [1.0, 1.0], "<=", 1.5)
+        m.set_objective_arrays([x, y], [1.0, 1.0], "minimize")
         other = solve_lp(m).basis
-        m.set_objective([(x, 1.0), (y, 1.0)], "maximize")
+        m.set_objective_arrays([x, y], [1.0, 1.0], "maximize")
         data = LpData(m)
         bounds = {x: (0.0, 0.75)}
         assert _Solver(data, bounds).solve_warm(other) is None
@@ -1469,8 +1464,8 @@ def test_a_changed_instance_reads_no_stale_column_store():
     assert first.status == "optimal" and data.reduced()._store is not None
     F_before = data.reduced()._store[1]
     # cap the objective one below the LP optimum
-    instance.add_constraint(zip(instance.objective_ids.tolist(), instance.objective_coefs.tolist()),
-                            "<=", first.objective - 1)
+    instance.add_constraints([len(instance.objective_ids)], instance.objective_ids, instance.objective_coefs,
+                             "<=", first.objective - 1)
     again = LpData(instance)
     assert again is not data and again.m == data.m + 1
     res = solve_lp(instance)
